@@ -416,7 +416,6 @@ def _cmd_oracle(args) -> int:
         cap,
         grid_resolution=args.grid_resolution,
         max_policies=args.max_policies,
-        max_combinations=args.max_policies,
         max_nodes=args.max_nodes,
     )
     entry = report[args.policy_class]
@@ -440,7 +439,6 @@ def _cmd_separation(args) -> int:
         cap,
         grid_resolution=args.grid_resolution,
         max_policies=args.max_policies,
-        max_combinations=args.max_policies,
         max_nodes=args.max_nodes,
     )
     _emit_json(

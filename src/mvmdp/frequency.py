@@ -89,16 +89,10 @@ class PolytopeSkeleton:
                 self._warm[len(self.rows)] = self.sa_index[(t, s, w, mdp.actions[s][0])]
                 self.rows.append((coeffs, ZERO))
         inflow: dict = {key: {} for key in self.x_keys if key[0] > 0}
-        for t, s, w, a in self.sa_keys:
-            var = self.sa_index[(t, s, w, a)]
-            for s2, p in mdp.transition(t, s, a).items():
-                if p <= 0:
-                    continue
-                for r, q in mdp.reward_pmf(t, s, a).items():
-                    if q <= 0:
-                        continue
-                    row = inflow[(t + 1, s2, w + r)]
-                    row[var] = row.get(var, ZERO) - p * q
+        for var, (t, s, w, a) in enumerate(self.sa_keys):
+            for s2, r, pg in mdp.branches(t, s, a):
+                row = inflow[(t + 1, s2, w + r)]
+                row[var] = row.get(var, ZERO) - pg
         for t in range(1, mdp.horizon + 1):
             for s, w in aug.layers[t]:
                 coeffs = dict(inflow[(t, s, w)])
@@ -296,14 +290,9 @@ def policy_frequencies(mdp: Mdp, policy: PolicySpec, aug: AugmentedSpace | None 
                 z_sa[(t, s, w, a)] = mass * pa
                 if mass == 0 or pa == 0:
                     continue
-                for s2, p in mdp.transition(t, s, a).items():
-                    if p <= 0:
-                        continue
-                    for r, q in mdp.reward_pmf(t, s, a).items():
-                        if q <= 0:
-                            continue
-                        key = (s2, w + r)
-                        nxt[key] = nxt.get(key, ZERO) + mass * pa * p * q
+                for s2, r, pg in mdp.branches(t, s, a):
+                    key = (s2, w + r)
+                    nxt[key] = nxt.get(key, ZERO) + mass * pa * pg
         dist = nxt
     return FrequencyVector(z_sa=z_sa, z_x=z_x)
 

@@ -59,16 +59,9 @@ def zero_variance_values(
             forcible = set()
             for a in mdp.actions[s]:
                 common = None
-                for s2, p in mdp.transition(t, s, a).items():
-                    if p <= 0:
-                        continue
-                    for r, g in mdp.reward_pmf(t, s, a).items():
-                        if g <= 0:
-                            continue
-                        child = win[t + 1][(s2, w + r)]
-                        common = child if common is None else common & child
-                        if not common:
-                            break
+                for s2, r, _ in mdp.branches(t, s, a):
+                    child = win[t + 1][(s2, w + r)]
+                    common = child if common is None else common & child
                     if not common:
                         break
                 if common:
@@ -90,30 +83,14 @@ def _forcing_policy(mdp: Mdp, win: list, k) -> PolicySpec:
     for t in range(mdp.horizon):
         nxt = set()
         for s, w in sorted(frontier):
-            chosen = None
             for a in mdp.actions[s]:
-                ok = True
-                for s2, p in mdp.transition(t, s, a).items():
-                    if p <= 0:
-                        continue
-                    for r, g in mdp.reward_pmf(t, s, a).items():
-                        if g > 0 and k not in win[t + 1][(s2, w + r)]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    chosen = a
+                branches = mdp.branches(t, s, a)
+                if all(k in win[t + 1][(s2, w + r)] for s2, r, _ in branches):
                     break
-            if chosen is None:
+            else:
                 raise AssertionError(f"no forcing action at ({t}, {s}, {w})")
-            rule[(t, s, w)] = chosen
-            for s2, p in mdp.transition(t, s, chosen).items():
-                if p <= 0:
-                    continue
-                for r, g in mdp.reward_pmf(t, s, chosen).items():
-                    if g > 0:
-                        nxt.add((s2, w + r))
+            rule[(t, s, w)] = a
+            nxt.update((s2, w + r) for s2, r, _ in branches)
         frontier = nxt
     return PolicySpec("TSW", rule)
 
@@ -200,7 +177,6 @@ def class_separation_report(
     variance_cap,
     grid_resolution: int = 16,
     max_policies: int = DEFAULT_POLICY_CAP,
-    max_combinations: int = DEFAULT_POLICY_CAP,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> SeparationReport:
     """Feasibility of (mean >= mean_floor, variance <= variance_cap) per class.
@@ -212,6 +188,7 @@ def class_separation_report(
     sweep of fixed means: the floor itself, an even grid up to the mean
     bound, and every witness mean the other classes produced, so a feasible
     smaller class always propagates to a feasible TSW_U entry.
+    max_policies caps both the enumeration and the TS_U grid.
     """
     lam = Rat(mean_floor)
     cap = Rat(variance_cap)
@@ -235,7 +212,7 @@ def class_separation_report(
             witness_means.append(mean)
 
     entries["TS_U"], mean = _grid_search_state_randomized(
-        mdp, aug, lam, cap, grid_resolution, max_combinations
+        mdp, aug, lam, cap, grid_resolution, max_policies
     )
     if mean is not None:
         witness_means.append(mean)
@@ -263,9 +240,7 @@ def class_separation_report(
     return SeparationReport(mean_floor=lam, variance_cap=cap, entries=entries)
 
 
-def _grid_search_state_randomized(
-    mdp, aug, lam, cap, resolution, max_combinations
-):
+def _grid_search_state_randomized(mdp, aug, lam, cap, resolution, max_policies):
     if resolution < 1:
         raise ValueError("grid resolution must be at least 1")
     points = _state_points(mdp, aug)
@@ -279,10 +254,8 @@ def _grid_search_state_randomized(
         ]
         choice_lists.append(vectors)
         total *= len(vectors)
-        if total > max_combinations:
-            raise EnumerationLimitError(
-                f"more than {max_combinations} grid policies"
-            )
+        if total > max_policies:
+            raise EnumerationLimitError(f"more than {max_policies} grid policies")
     for combo in itertools.product(*choice_lists):
         policy = PolicySpec("TS_U", dict(zip(points, combo)))
         ev = evaluate_policy(mdp, policy)

@@ -107,23 +107,21 @@ class MomentPolygon:
         return chain
 
     def upper_chain(self) -> list:
-        """Upper boundary vertices left to right (strictly increasing x)."""
-        pts = sorted(self.vertices)
-        chain: list = []
-        for p in reversed(pts):
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        chain.reverse()
-        # A vertical left edge leaves the bottom-left corner as a leading
-        # extra point below the graph; the top one is the boundary value.
-        if len(chain) >= 2 and chain[0][0] == chain[1][0]:
-            chain.pop(0)
-        return chain
+        """Upper boundary vertices left to right (strictly increasing x).
 
-    def x_range(self) -> tuple:
-        xs = [v[0] for v in self.vertices]
-        return min(xs), max(xs)
+        Walks the CCW cycle backwards (clockwise) from vertices[0]; a
+        vertical left edge hands the start over to its top end.
+        """
+        vs = self.vertices
+        chain = [vs[0]]
+        for v in reversed(vs[1:]):
+            if v[0] > chain[-1][0]:
+                chain.append(v)
+            elif v[0] == chain[0][0] and len(chain) == 1:
+                chain[0] = v
+            else:
+                break
+        return chain
 
 
 def minkowski_sum(p: MomentPolygon, q: MomentPolygon) -> MomentPolygon:

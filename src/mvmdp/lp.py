@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .rationals import Rat, ZERO, ONE, rat_str
+from .rationals import Rat, ZERO, ONE
 
 
 class LpStatus(Enum):
@@ -75,26 +75,6 @@ class LpSolution:
     status: LpStatus
     value: Rat | None = None
     x: list | None = None
-
-
-def dump_lp(problem: LpProblem) -> str:
-    """Human-readable exact dump for external cross-checking."""
-    lines = ["minimize"]
-    terms = [
-        f"{rat_str(c)}*x{j}" for j, c in enumerate(problem.objective) if c != 0
-    ]
-    lines.append("  " + (" + ".join(terms) if terms else "0"))
-    lines.append("subject to")
-    for coeffs, rhs in problem.rows:
-        body = " + ".join(
-            f"{rat_str(c)}*x{j}" for j, c in sorted(coeffs.items()) if c != 0
-        )
-        lines.append(f"  {body or '0'} = {rat_str(rhs)}")
-    lines.append("bounds")
-    for j in range(problem.num_vars):
-        hi = "+inf" if problem.upper[j] is None else rat_str(problem.upper[j])
-        lines.append(f"  {rat_str(problem.lower[j])} <= x{j} <= {hi}")
-    return "\n".join(lines)
 
 
 def _pivot(rows, obj, basis, r, jc):

@@ -36,7 +36,7 @@ class Mdp:
 
     transitions: (t, s, a) -> {next_state: probability}
     rewards:     (t, s, a) -> {reward_value: probability}
-    Entries with probability zero may be present; consumers skip them.
+    Entries with probability zero may be present; branches() skips them.
     """
 
     horizon: int
@@ -45,12 +45,36 @@ class Mdp:
     actions: dict[str, tuple[str, ...]]
     transitions: dict[tuple[int, str, str], dict[str, Rat]]
     rewards: dict[tuple[int, str, str], dict[Rat, Rat]]
+    _branches: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def transition(self, t: int, s: str, a: str) -> dict[str, Rat]:
         return self.transitions[(t, s, a)]
 
     def reward_pmf(self, t: int, s: str, a: str) -> dict[Rat, Rat]:
         return self.rewards[(t, s, a)]
+
+    def branches(self, t: int, s: str, a: str) -> tuple:
+        """Positive-probability branches of the factored kernel at (t, s, a).
+
+        One (next_state, reward, p * g) triple per next state s2 with
+        p = transitions[(t, s, a)][s2] > 0 and reward r with
+        g = rewards[(t, s, a)][r] > 0; next states in row order, rewards in
+        pmf order within each. Computed once per (t, s, a) and cached.
+        """
+        key = (t, s, a)
+        out = self._branches.get(key)
+        if out is None:
+            pmf = [(r, g) for r, g in self.rewards[key].items() if g > 0]
+            out = tuple(
+                (s2, r, p * g)
+                for s2, p in self.transitions[key].items()
+                if p > 0
+                for r, g in pmf
+            )
+            self._branches[key] = out
+        return out
 
     @property
     def reward_bound(self) -> Rat:
@@ -80,31 +104,39 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
     """Normalizing constructor: coerces numbers to Rat and keys to canonical form.
 
     transitions/rewards may be keyed (t, s, a) or (s, a); (s, a) entries are
-    expanded to every step (stationary dynamics).
+    expanded to every step (stationary dynamics). A step covered by both a
+    stationary and a per-step entry raises ValueError: neither may win
+    silently.
     """
     states = tuple(states)
     actions = {s: tuple(acts) for s, acts in actions.items()}
 
-    def expand(table, convert_key):
+    def expand(table, convert_key, what):
         out = {}
         for key, row in table.items():
             if len(key) == 3:
                 t, s, a = key
-                out[(int(t), s, a)] = convert_key(row)
+                steps = (int(t),)
             elif len(key) == 2:
                 s, a = key
-                converted = convert_key(row)
-                for t in range(horizon):
-                    out[(t, s, a)] = dict(converted)
+                steps = range(horizon)
             else:
                 raise ValueError(f"bad dynamics key {key!r}")
+            converted = convert_key(row)
+            for t in steps:
+                if (t, s, a) in out:
+                    raise ValueError(
+                        f"{what} for ({s!r}, {a!r}) at step {t} given twice: "
+                        "stationary and per-step entries overlap"
+                    )
+                out[(t, s, a)] = dict(converted)
         return out
 
     transitions = expand(
-        transitions, lambda row: {s2: rat(p) for s2, p in row.items()}
+        transitions, lambda row: {s2: rat(p) for s2, p in row.items()}, "transitions"
     )
     rewards = expand(
-        rewards, lambda pmf: {rat(v): rat(p) for v, p in pmf.items()}
+        rewards, lambda pmf: {rat(v): rat(p) for v, p in pmf.items()}, "rewards"
     )
     return Mdp(int(horizon), states, initial_state, actions, transitions, rewards)
 
@@ -215,15 +247,8 @@ def augment(mdp: Mdp, max_nodes: int = DEFAULT_NODE_CAP) -> AugmentedSpace:
         nxt: set[tuple[str, Rat]] = set()
         for s, w in current:
             for a in mdp.actions[s]:
-                row = mdp.transitions[(t, s, a)]
-                pmf = mdp.rewards[(t, s, a)]
-                for s2, p in row.items():
-                    if p <= 0:
-                        continue
-                    for r, q in pmf.items():
-                        if q <= 0:
-                            continue
-                        nxt.add((s2, w + r))
+                for s2, r, _ in mdp.branches(t, s, a):
+                    nxt.add((s2, w + r))
         total += len(nxt)
         if total > max_nodes:
             raise AugmentationLimitError(
@@ -321,21 +346,14 @@ def evaluate_policy(mdp: Mdp, policy: PolicySpec) -> PolicyEvaluation:
                     raise PolicyCoverageError(
                         f"policy picks unknown action {a!r} at (t={t}, s={s})"
                     )
-                row = mdp.transitions[(t, s, a)]
-                pmf = mdp.rewards[(t, s, a)]
                 base = mass * pa
-                for s2, p in row.items():
-                    if p <= 0:
-                        continue
-                    for r, q in pmf.items():
-                        if q <= 0:
-                            continue
-                        key = (s2, w + r)
-                        add = base * p * q
-                        if key in nxt:
-                            nxt[key] += add
-                        else:
-                            nxt[key] = add
+                for s2, r, pg in mdp.branches(t, s, a):
+                    key = (s2, w + r)
+                    add = base * pg
+                    if key in nxt:
+                        nxt[key] += add
+                    else:
+                        nxt[key] = add
         dist = nxt
     terminal: dict[Rat, Rat] = {}
     for (s, w), mass in dist.items():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra (pip install mvmdp[gmpy2])
     Rat = Fraction
 
 ZERO = Rat(0)

@@ -50,18 +50,13 @@ def backward_step(
         per_action = []
         for a in mdp.actions[s]:
             total = MomentPolygon.point(0, 0)
-            for s2, p in mdp.transition(t, s, a).items():
-                if p <= 0:
-                    continue
-                for r, g in mdp.reward_pmf(t, s, a).items():
-                    if g <= 0:
-                        continue
-                    child = next_layer.get((s2, w + r))
-                    if child is None:
-                        raise KeyError(
-                            f"missing moment set for ({t + 1}, {s2}, {w + r})"
-                        )
-                    total = minkowski_sum(total, child.scale(p * g))
+            for s2, r, pg in mdp.branches(t, s, a):
+                child = next_layer.get((s2, w + r))
+                if child is None:
+                    raise KeyError(
+                        f"missing moment set for ({t + 1}, {s2}, {w + r})"
+                    )
+                total = minkowski_sum(total, child.scale(pg))
             per_action.append(total)
         out[(s, w)] = hull_of_union(per_action)
     return out

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .frequency import lower_hull_min_q, terminal_lower_hull
+from .frequency import lower_hull_min_q
 from .model import DEFAULT_NODE_CAP, Mdp
 from .rationals import Rat, ZERO, floor_multiple, rat, rat_str
+from .setdp import compute_pmq
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,12 @@ def _positive_tolerances(epsilon, nu) -> tuple:
 
 
 def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, max_nodes: int, hull):
-    """Shared grid layout: step, grid points, and per-cell cheapest q."""
+    """Shared grid layout: step, grid points, and per-cell cheapest q.
+
+    The cheapest q per cell is read off the lower boundary of the exact root
+    moment polygon; hull may instead carry the same boundary from another
+    engine (terminal_lower_hull), which the cross-checks use.
+    """
     bound = mdp.mean_bound
     # The step keeps both tolerances honored: 3*step*bound bounds the value
     # slack and step itself bounds the argument shift.  Capping at bound
@@ -127,7 +133,7 @@ def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, max_nodes: int, hull):
     while grid[-1] <= bound:
         grid.append(grid[-1] + step)
     if hull is None:
-        hull = terminal_lower_hull(mdp, max_nodes=max_nodes)
+        hull = compute_pmq(mdp, max_nodes=max_nodes).lower_chain()
     qhat = [lower_hull_min_q(hull, lo, hi) for lo, hi in zip(grid, grid[1:])]
     return bound, step, tuple(grid), tuple(qhat)
 
@@ -158,7 +164,8 @@ def approximate_v_star(
         v*(lam - nu) - epsilon <= v-hat(lam) <= v*(lam)
 
     with both curves read as plus infinity past the largest achievable
-    mean.  hull may carry a precomputed terminal lower hull for reuse.
+    mean.  hull may carry a precomputed lower boundary of the moment set,
+    left to right; by default it is read off the root moment polygon.
     """
     eps, slack = _positive_tolerances(epsilon, nu)
     if not mdp.integer_rewards():
@@ -257,14 +264,7 @@ def discretize_rewards(mdp: Mdp, delta) -> Mdp:
             snapped = floor_multiple(value, step)
             merged[snapped] = merged.get(snapped, ZERO) + prob
         rewards[key] = merged
-    return Mdp(
-        horizon=mdp.horizon,
-        states=mdp.states,
-        initial_state=mdp.initial_state,
-        actions=mdp.actions,
-        transitions=mdp.transitions,
-        rewards=rewards,
-    )
+    return replace(mdp, rewards=rewards)
 
 
 def _scale_rewards(mdp: Mdp, factor: Rat) -> Mdp:
@@ -272,14 +272,7 @@ def _scale_rewards(mdp: Mdp, factor: Rat) -> Mdp:
         key: {value * factor: prob for value, prob in pmf.items()}
         for key, pmf in mdp.rewards.items()
     }
-    return Mdp(
-        horizon=mdp.horizon,
-        states=mdp.states,
-        initial_state=mdp.initial_state,
-        actions=mdp.actions,
-        transitions=mdp.transitions,
-        rewards=rewards,
-    )
+    return replace(mdp, rewards=rewards)
 
 
 def _unscale_curve(curve: TradeoffCurve, step: Rat) -> TradeoffCurve:

@@ -10,6 +10,7 @@ vertices, the regime the pruning guarantee is about.
 """
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 from mvmdp.errors import AugmentationLimitError
@@ -113,14 +114,7 @@ def _rescale_rewards(mdp: Mdp, factor: Rat) -> Mdp:
         key: {value * factor: mass for value, mass in pmf.items()}
         for key, pmf in mdp.rewards.items()
     }
-    return Mdp(
-        horizon=mdp.horizon,
-        states=mdp.states,
-        initial_state=mdp.initial_state,
-        actions=mdp.actions,
-        transitions=mdp.transitions,
-        rewards=rewards,
-    )
+    return replace(mdp, rewards=rewards)
 
 
 def deep_instances(count: int = 10, seed: int = SEED) -> list:

@@ -203,6 +203,25 @@ def test_validate_reports_semantic_violations(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_validate_rejects_overlapping_dynamics(capsys, tmp_path):
+    doc = {
+        "horizon": 1,
+        "states": ["s"],
+        "initial_state": "s",
+        "actions": {"s": ["a"]},
+        "transitions": [{"s": "s", "a": "a", "rows": {"s": [1, 1]}}],
+        "rewards": [
+            {"t": 0, "s": "s", "a": "a", "pmf": [[[5, 1], [1, 1]]]},
+            {"s": "s", "a": "a", "pmf": [[[0, 1], [1, 1]]]},
+        ],
+    }
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _invoke(capsys, ["validate", str(path)])
+    assert code == 2
+    assert "overlap" in err
+
+
 def test_validate_accepts_generated(capsys, one_shot_path):
     code, out, _ = _invoke(capsys, ["validate", one_shot_path])
     assert code == 0

@@ -137,6 +137,36 @@ def test_chains_degenerate():
     assert point.lower_chain() == point.upper_chain() == [(1, 1)]
 
 
+def _top_at(poly, x):
+    """Largest y of the polygon on the vertical line through x."""
+    vs = poly.vertices
+    best = max(v[1] for v in vs if v[0] == x)
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        if a[0] != b[0] and min(a[0], b[0]) <= x <= max(a[0], b[0]):
+            best = max(best, a[1] + (b[1] - a[1]) * (x - a[0]) / (b[0] - a[0]))
+    return best
+
+
+def test_upper_chain_matches_brute_force():
+    # A vertex is on the upper boundary iff nothing of the polygon lies above
+    # it. Few distinct x values make vertical left and right edges common.
+    rng = random.Random(0x5EC7)
+    vertical_left = vertical_right = 0
+    for _ in range(300):
+        pts = [
+            (Rat(rng.randrange(-2, 3), rng.randrange(1, 3)),
+             Rat(rng.randrange(-8, 9), rng.randrange(1, 4)))
+            for _ in range(rng.randrange(1, 9))
+        ]
+        poly = MomentPolygon.of(pts)
+        expected = sorted(v for v in poly.vertices if v[1] == _top_at(poly, v[0]))
+        assert poly.upper_chain() == expected
+        xs = [v[0] for v in poly.vertices]
+        vertical_left += xs.count(min(xs)) == 2
+        vertical_right += xs.count(max(xs)) == 2 and min(xs) != max(xs)
+    assert vertical_left > 20 and vertical_right > 20
+
+
 def test_point_segment_dist_sq():
     assert point_segment_dist_sq((0, 1), (0, 0), (2, 0)) == 1
     assert point_segment_dist_sq((1, 1), (0, 0), (2, 0)) == 1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mvmdp.lp import LpProblem, LpStatus, dump_lp, solve
+from mvmdp.lp import LpProblem, LpStatus, solve
 from mvmdp.rationals import Rat, rat
 
 
@@ -150,11 +150,3 @@ def test_weak_duality_against_basic_enumeration():
         assert sol.value <= best
         assert sol.value == best  # simplex optimum is attained at a basic solution
 
-
-def test_dump_lp_mentions_rows_and_bounds():
-    prob = LpProblem(num_vars=2, objective=[rat(1, 2), Rat(0)], upper=[None, Rat(3)])
-    prob.add_row({0: 1, 1: rat(-2, 3)}, rat(1, 6))
-    text = dump_lp(prob)
-    assert "1/2*x0" in text
-    assert "-2/3*x1 = 1/6" in text
-    assert "0 <= x1 <= 3" in text

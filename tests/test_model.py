@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -223,3 +224,68 @@ def test_behavioral_policy_equals_mixture_of_deterministic_ones():
             mixed[w] = mixed.get(w, Rat(0)) + weight * m
     direct = evaluate_policy(mdp, policy).terminal
     assert {w: m for w, m in mixed.items() if m != 0} == direct
+
+
+def _kernel_mdp():
+    return make_mdp(
+        horizon=1,
+        states=["s", "x", "y"],
+        initial_state="s",
+        actions={"s": ["a"], "x": ["stay"], "y": ["stay"]},
+        transitions={
+            ("s", "a"): {"x": rat(1, 3), "y": 0, "s": rat(2, 3)},
+            ("x", "stay"): {"x": 1},
+            ("y", "stay"): {"y": 1},
+        },
+        rewards={
+            ("s", "a"): {5: 0, 1: rat(1, 4), -2: rat(3, 4)},
+            ("x", "stay"): {0: 1},
+            ("y", "stay"): {0: 1},
+        },
+    )
+
+
+def test_branches_skip_zero_mass_and_multiply():
+    mdp = _kernel_mdp()
+    assert mdp.branches(0, "s", "a") == (
+        ("x", 1, rat(1, 12)),
+        ("x", -2, rat(1, 4)),
+        ("s", 1, rat(1, 6)),
+        ("s", -2, rat(1, 2)),
+    )
+    assert mdp.branches(0, "s", "a") is mdp.branches(0, "s", "a")
+    assert mdp.branches(0, "y", "stay") == (("y", 0, 1),)
+
+
+def test_branches_cache_is_per_instance():
+    mdp = _kernel_mdp()
+    mdp.branches(0, "s", "a")
+    rewards = dict(mdp.rewards)
+    rewards[(0, "s", "a")] = {7: 1}
+    other = dataclasses.replace(mdp, rewards=rewards)
+    assert other.branches(0, "s", "a") == (
+        ("x", 7, rat(1, 3)),
+        ("s", 7, rat(2, 3)),
+    )
+
+
+@pytest.mark.parametrize("table", ["transitions", "rewards"])
+@pytest.mark.parametrize("stationary_first", [True, False])
+def test_make_mdp_rejects_stationary_and_per_step_overlap(table, stationary_first):
+    dynamics = {
+        "transitions": {("s", "a"): {"s": 1}},
+        "rewards": {("s", "a"): {0: 1}},
+    }
+    row = {"s": 1} if table == "transitions" else {5: 1}
+    entries = [(("s", "a"), dynamics[table][("s", "a")]), ((1, "s", "a"), row)]
+    if not stationary_first:
+        entries.reverse()
+    dynamics[table] = dict(entries)
+    with pytest.raises(ValueError, match="overlap"):
+        make_mdp(
+            horizon=2,
+            states=["s"],
+            initial_state="s",
+            actions={"s": ["a"]},
+            **dynamics,
+        )

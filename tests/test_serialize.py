@@ -51,6 +51,9 @@ def test_nonstationary_dynamics_round_trip():
     assert serialize.loads(serialize.dumps(mdp)) == mdp
 
 
+_STEP0_REWARD = {"t": 0, "s": "s0", "a": "a", "pmf": [[[5, 1], [1, 1]]]}
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
@@ -59,6 +62,9 @@ def test_nonstationary_dynamics_round_trip():
         (lambda d: d["transitions"].append({"s": "s0", "a": "a", "rows": {"s0": [1, 1]}}), "duplicate"),
         (lambda d: d["rewards"][0]["pmf"].append([[0, 1]]), "pmf item"),
         (lambda d: d["transitions"][0]["rows"].update(s0=[1, 0]), "bad rational"),
+        # A per-step entry overlapping a stationary one, in either order.
+        (lambda d: d["rewards"].append(_STEP0_REWARD), "overlap"),
+        (lambda d: d["rewards"].insert(0, _STEP0_REWARD), "overlap"),
     ],
 )
 def test_malformed_documents_raise_input_errors(mutate, needle):

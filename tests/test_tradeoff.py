@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpus import integer_instances
 from mvmdp.fixtures import all_zero, offset_chain, one_shot_two_arms
 from mvmdp.frequency import lower_hull_min_q, terminal_lower_hull
 from mvmdp.games import enumerate_policies
@@ -477,3 +478,17 @@ def test_csv_rows_and_writer():
     lines = out.getvalue().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == len(rows) + 1
+
+
+def test_polygon_hull_matches_lp_hull_on_integer_corpus():
+    # The default grid reads the lower boundary off the moment polygon; the
+    # occupation-measure LP hull must give the same curves, field for field.
+    for mdp in integer_instances(count=50):
+        hull = terminal_lower_hull(mdp)
+        for eps, nu in ((Rat(1), Rat(1)), (Rat(1, 2), Rat(1, 3))):
+            assert approximate_v_star(mdp, eps, nu) == approximate_v_star(
+                mdp, eps, nu, hull=hull
+            )
+            assert approximate_lambda_star(mdp, eps, nu) == approximate_lambda_star(
+                mdp, eps, nu, hull=hull
+            )

@@ -21,13 +21,13 @@ from .frequency import (
     check_frequency,
     exact_pair_feasible,
     frequencies_to_policy,
-    lower_hull_min_q,
     mean_fixed_var_bounded,
     min_q_over_interval,
     policy_frequencies,
     terminal_lower_hull,
 )
 from .games import (
+    class_feasibility,
     class_separation_report,
     enumerate_policies,
     gen_3sat,
@@ -52,7 +52,6 @@ from .setdp import (
     exact_frontier,
     max_variance,
     min_variance,
-    moment_layers,
 )
 from .tradeoff import (
     MeanCurve,
@@ -87,6 +86,7 @@ __all__ = [
     "build_polytope",
     "check_frequency",
     "check_policy",
+    "class_feasibility",
     "class_separation_report",
     "compute_pmq",
     "curve_rows",
@@ -104,13 +104,11 @@ __all__ = [
     "hausdorff_sq",
     "load",
     "loads",
-    "lower_hull_min_q",
     "make_mdp",
     "max_variance",
     "mean_fixed_var_bounded",
     "min_q_over_interval",
     "min_variance",
-    "moment_layers",
     "policy_frequencies",
     "prune_polygon",
     "rat",

@@ -29,6 +29,7 @@ from .frequency import (
 )
 from .games import (
     DEFAULT_POLICY_CAP,
+    class_feasibility,
     class_separation_report,
     gen_3sat,
     gen_subset_sum,
@@ -282,9 +283,9 @@ def _cmd_feasible_mean_var(args) -> int:
 
 
 def _exact_frontier_rows(frontier) -> list:
-    points = {frontier.lam_min, frontier.lam_max}
-    for lo, hi, _, _, _ in frontier.pieces:
-        points.update((lo, hi, (lo + hi) / 2))
+    means = [m for m, _ in frontier.chain]
+    points = set(means)
+    points.update((lo + hi) / 2 for lo, hi in zip(means, means[1:]))
     return [(lam, frontier.value(lam)) for lam in sorted(points)]
 
 
@@ -410,15 +411,15 @@ def _cmd_oracle(args) -> int:
     mdp = _load_mdp(args)
     lam = _parse_exact(args.lam, "--lambda")
     cap = _parse_exact(args.v, "--v")
-    report = class_separation_report(
+    entry = class_feasibility(
         mdp,
+        args.policy_class,
         lam,
         cap,
         grid_resolution=args.grid_resolution,
         max_policies=args.max_policies,
         max_nodes=args.max_nodes,
     )
-    entry = report[args.policy_class]
     payload = {
         "class": args.policy_class,
         "mean_floor": _num(lam),
@@ -594,7 +595,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="randomization grid levels (default %(default)s)")
     searchy.add_argument("--max-policies", type=int,
                          default=DEFAULT_POLICY_CAP,
-                         help="enumeration cap (default %(default)s)")
+                         help="cap on the TS/TSW enumeration and the TS_U "
+                              "grid; TSW_U enumerates nothing "
+                              "(default %(default)s)")
 
     p = sub.add_parser(
         "oracle",

@@ -298,15 +298,13 @@ def policy_frequencies(mdp: Mdp, policy: PolicySpec, aug: AugmentedSpace | None 
 
 
 def terminal_lower_hull(
-    mdp: Mdp,
-    max_nodes: int = DEFAULT_NODE_CAP,
-    skeleton: PolytopeSkeleton | None = None,
+    mdp: Mdp, max_nodes: int = DEFAULT_NODE_CAP
 ) -> list[tuple[Rat, Rat]]:
     """Vertices of the lower boundary of the achievable (mean, second moment)
     set, left to right. Purely LP-driven (support directions with an exact
     lexicographic second stage), independent of the geometric DP engine.
     """
-    sk = skeleton if skeleton is not None else _skeleton(mdp, max_nodes)
+    sk = _skeleton(mdp, max_nodes)
 
     lo_sol = sk.run(objective=sk.mean_coeffs)
     hi_sol = sk.run(objective={j: -c for j, c in sk.mean_coeffs.items()})
@@ -346,35 +344,3 @@ def terminal_lower_hull(
         return between(a, c) + [c] + between(c, b)
 
     return [left] + between(left, right) + [right]
-
-
-def lower_hull_min_q(hull: list, lo: Rat, hi: Rat) -> Rat | None:
-    """min q over the lower hull with mean in [lo, hi]; None if out of range.
-
-    The hull is convex piecewise linear, so the minimum over an interval is
-    attained at an interval endpoint or an interior hull vertex.
-    """
-    lam_min = hull[0][0]
-    lam_max = hull[-1][0]
-    if hi < lam_min or lo > lam_max:
-        return None
-    lo = max(lo, lam_min)
-    hi = min(hi, lam_max)
-    best = None
-    for lam in (lo, hi):
-        q = _hull_at(hull, lam)
-        if best is None or q < best:
-            best = q
-    for lam, q in hull:
-        if lo <= lam <= hi and q < best:
-            best = q
-    return best
-
-
-def _hull_at(hull: list, lam: Rat) -> Rat:
-    if lam == hull[0][0]:
-        return hull[0][1]
-    for (l1, q1), (l2, q2) in zip(hull, hull[1:]):
-        if l1 <= lam <= l2:
-            return q1 + (q2 - q1) * (lam - l1) / (l2 - l1)
-    raise ValueError("mean outside hull range")

@@ -28,6 +28,7 @@ from .model import (
     make_mdp,
 )
 from .rationals import Rat, ZERO, ONE
+from .setdp import compute_pmq, exact_frontier
 
 DEFAULT_POLICY_CAP = 10**6
 
@@ -179,71 +180,77 @@ def class_separation_report(
     max_policies: int = DEFAULT_POLICY_CAP,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> SeparationReport:
-    """Feasibility of (mean >= mean_floor, variance <= variance_cap) per class.
+    """Feasibility of (mean >= mean_floor, variance <= variance_cap) per class,
+    each decided on its own by class_feasibility, the enumerations first."""
+    entries = {
+        tag: class_feasibility(mdp, tag, mean_floor, variance_cap,
+                               grid_resolution, max_policies, max_nodes)
+        for tag in ("TS", "TSW", "TS_U", "TSW_U")
+    }
+    return SeparationReport(Rat(mean_floor), Rat(variance_cap), entries)
+
+
+def class_feasibility(
+    mdp: Mdp,
+    class_tag: str,
+    mean_floor,
+    variance_cap,
+    grid_resolution: int = 16,
+    max_policies: int = DEFAULT_POLICY_CAP,
+    max_nodes: int = DEFAULT_NODE_CAP,
+) -> ClassFeasibility:
+    """Is there a class_tag policy with mean >= mean_floor and variance <=
+    variance_cap?
 
     TS and TSW are decided exactly by enumeration. TS_U searches behavioral
     probabilities on a grid with grid_resolution levels per simplex: sound
     when it finds a witness, inconclusive otherwise (reported as no witness
-    found at that resolution). TSW_U asks the occupation-measure LP at a
-    sweep of fixed means: the floor itself, an even grid up to the mean
-    bound, and every witness mean the other classes produced, so a feasible
-    smaller class always propagates to a feasible TSW_U entry.
-    max_policies caps both the enumeration and the TS_U grid.
+    found at that resolution). max_policies caps both searches. TSW_U is
+    decided exactly by the root moment polygon's frontier, which gives the
+    least variance at mean >= mean_floor and a mean attaining it; one
+    occupation-measure LP at that mean gives the witness.
     """
     lam = Rat(mean_floor)
     cap = Rat(variance_cap)
-    aug = augment(mdp, max_nodes=max_nodes)
-    entries = {}
-    witness_means = []
-
-    def scan(class_tag):
+    if class_tag in ("TS", "TSW"):
         for policy, mean, _, variance in enumerate_policies(
             mdp, class_tag, max_policies=max_policies, max_nodes=max_nodes
         ):
             if mean >= lam and variance <= cap:
                 return ClassFeasibility(
                     True, policy, f"enumerated witness with mean {mean}"
-                ), mean
-        return ClassFeasibility(False, None, "exhaustive enumeration"), None
-
-    for tag in ("TS", "TSW"):
-        entries[tag], mean = scan(tag)
-        if mean is not None:
-            witness_means.append(mean)
-
-    entries["TS_U"], mean = _grid_search_state_randomized(
-        mdp, aug, lam, cap, grid_resolution, max_policies
+                )
+        return ClassFeasibility(False, None, "exhaustive enumeration")
+    if class_tag == "TS_U":
+        return _grid_search_state_randomized(
+            mdp, lam, cap, grid_resolution, max_policies, max_nodes
+        )
+    if class_tag != "TSW_U":
+        raise ValueError(f"unknown policy class {class_tag!r}")
+    best = exact_frontier(compute_pmq(mdp, max_nodes=max_nodes)).argmin(lam)
+    if best is None or best[0] > cap:
+        return ClassFeasibility(
+            False, None, f"least variance at mean >= {lam} exceeds the cap"
+        )
+    mean = best[1][0]
+    ok, z = mean_fixed_var_bounded(mdp, mean, cap, max_nodes=max_nodes)
+    if not ok:
+        raise AssertionError(
+            f"moment polygon and occupation LP disagree at mean {mean}"
+        )
+    return ClassFeasibility(
+        True,
+        frequencies_to_policy(mdp, z),
+        f"occupation-measure witness with mean {mean}",
     )
-    if mean is not None:
-        witness_means.append(mean)
-
-    means = {lam}
-    bound = mdp.mean_bound
-    if bound > lam:
-        step = (bound - lam) / 16
-        means.update(lam + j * step for j in range(1, 17))
-    means.update(mu for mu in witness_means if mu >= lam)
-    found = None
-    for mu in sorted(means):
-        ok, z = mean_fixed_var_bounded(mdp, mu, cap, max_nodes=max_nodes)
-        if ok:
-            found = (mu, frequencies_to_policy(mdp, z))
-            break
-    if found is not None:
-        entries["TSW_U"] = ClassFeasibility(
-            True, found[1], f"occupation-measure witness with mean {found[0]}"
-        )
-    else:
-        entries["TSW_U"] = ClassFeasibility(
-            False, None, f"no witness at {len(means)} swept means"
-        )
-    return SeparationReport(mean_floor=lam, variance_cap=cap, entries=entries)
 
 
-def _grid_search_state_randomized(mdp, aug, lam, cap, resolution, max_policies):
+def _grid_search_state_randomized(
+    mdp, lam, cap, resolution, max_policies, max_nodes
+):
     if resolution < 1:
         raise ValueError("grid resolution must be at least 1")
-    points = _state_points(mdp, aug)
+    points = _state_points(mdp, augment(mdp, max_nodes=max_nodes))
     choice_lists = []
     total = 1
     for t, s in points:
@@ -262,10 +269,10 @@ def _grid_search_state_randomized(mdp, aug, lam, cap, resolution, max_policies):
         if ev.mean >= lam and ev.variance <= cap:
             return ClassFeasibility(
                 True, policy, f"grid witness with mean {ev.mean}"
-            ), ev.mean
+            )
     return ClassFeasibility(
         False, None, f"no witness found at resolution {resolution}"
-    ), None
+    )
 
 
 def gen_subset_sum(values) -> Mdp:

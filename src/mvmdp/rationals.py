@@ -49,10 +49,6 @@ def rat_pair(value) -> list:
     return [int(value.numerator), int(value.denominator)]
 
 
-def is_integral(value) -> bool:
-    return Rat(value).denominator == 1
-
-
 def floor_multiple(value, step):
     """Largest integer multiple of step that is <= value (step > 0)."""
     step = Rat(step)

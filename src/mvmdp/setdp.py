@@ -21,6 +21,7 @@ stage polygon, which keeps the final polygon within prune_eps of exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .geometry import MomentPolygon, hull_of_union, minkowski_sum, prune_polygon
@@ -34,17 +35,13 @@ def boundary_set(w) -> MomentPolygon:
     return MomentPolygon.point(w, w * w)
 
 
-def backward_step(
-    mdp: Mdp, t: int, next_layer: dict, nodes=None
-) -> dict:
-    """Moment sets for stage-t nodes from the stage-(t+1) sets.
+def backward_step(mdp: Mdp, t: int, next_layer: dict, nodes) -> dict:
+    """Moment sets for the stage-t pairs (s, w) in nodes from the stage-(t+1)
+    sets.
 
-    nodes defaults to the reachable layer-t pairs (s, w). Zero-probability
-    branches are skipped; a reachable child missing from next_layer raises
-    KeyError naming (t + 1, state, cumulative reward).
+    Zero-probability branches are skipped; a reachable child missing from
+    next_layer raises KeyError naming (t + 1, state, cumulative reward).
     """
-    if nodes is None:
-        nodes = augment(mdp).layer(t)
     out = {}
     for s, w in nodes:
         per_action = []
@@ -62,88 +59,112 @@ def backward_step(
     return out
 
 
-def moment_layers(
+def compute_pmq(
     mdp: Mdp, prune_eps=None, max_nodes: int = DEFAULT_NODE_CAP
-) -> list:
-    """All per-stage moment sets, index t -> {(s, w): MomentPolygon}.
+) -> MomentPolygon:
+    """The polygon of achievable (mean, second moment) pairs at the root.
 
-    With prune_eps set, every stage-t polygon (t < horizon) is thinned right
-    after it is computed, so later stages build on the pruned sets.
+    Stages are built backwards, each from the one after it only. With
+    prune_eps set (nonnegative), every stage-t polygon (t < horizon) is
+    thinned right after it is computed, so earlier stages build on the
+    pruned sets.
     """
-    aug = augment(mdp, max_nodes=max_nodes)
-    horizon = mdp.horizon
     threshold_sq = None
     if prune_eps is not None:
-        per_stage = Rat(prune_eps) / (2 * horizon)
+        prune_eps = Rat(prune_eps)
+        if prune_eps < 0:
+            raise ValueError(f"prune budget must be nonnegative: {prune_eps}")
+        per_stage = prune_eps / (2 * mdp.horizon)
         threshold_sq = per_stage * per_stage
-    layers: list = [None] * (horizon + 1)
-    layers[horizon] = {(s, w): boundary_set(w) for s, w in aug.layer(horizon)}
-    for t in reversed(range(horizon)):
-        layer = backward_step(mdp, t, layers[t + 1], nodes=aug.layer(t))
+    aug = augment(mdp, max_nodes=max_nodes)
+    layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
+    for t in reversed(range(mdp.horizon)):
+        layer = backward_step(mdp, t, layer, aug.layer(t))
         if threshold_sq is not None:
             layer = {
                 key: prune_polygon(poly, threshold_sq)
                 for key, poly in layer.items()
             }
-        layers[t] = layer
-    return layers
-
-
-def compute_pmq(
-    mdp: Mdp, prune_eps=None, max_nodes: int = DEFAULT_NODE_CAP
-) -> MomentPolygon:
-    """The polygon of achievable (mean, second moment) pairs at the root."""
-    layers = moment_layers(mdp, prune_eps=prune_eps, max_nodes=max_nodes)
-    return layers[0][(mdp.initial_state, ZERO)]
+    return layer[(mdp.initial_state, ZERO)]
 
 
 @dataclass(frozen=True)
 class ExactFrontier:
     """v(m0) = min variance subject to mean >= m0, exactly.
 
-    Constant at left_value for m0 <= lam_min, +infinity (None) past lam_max.
-    Each piece covers one lower-boundary edge [lo, hi] with the boundary line
-    q = c0 + c1 * m; the piece value is min(c0 + c1*m0 - m0^2, suffix) where
-    suffix is the best vertex variance to the right of the edge.
+    chain is the lower boundary of the moment polygon, left to right, and
+    best[i] = (variance, vertex) is the cheapest vertex of chain[i:]. Left of
+    the chain v is constant at best[0]; past it v is +infinity (None). On the
+    edge ending at chain[i], q - m^2 is concave, so the cheapest point with
+    mean >= m0 is the boundary at m0 itself or the vertex best[i]. lowest is
+    the mean of the chain's vertex with the least second moment.
     """
 
-    lam_min: Rat
-    lam_max: Rat
-    left_value: Rat
-    pieces: tuple
+    chain: tuple
+    best: tuple
+    lowest: Rat
 
-    def value(self, lam) -> Rat | None:
+    @classmethod
+    def of_chain(cls, chain) -> ExactFrontier:
+        """Frontier of a lower boundary given as vertices left to right."""
+        chain = tuple(chain)
+        best = []
+        for m, q in reversed(chain):
+            value = q - m * m
+            if not best or value <= best[-1][0]:
+                best.append((value, (m, q)))
+            else:
+                best.append(best[-1])
+        lowest = min(chain, key=lambda v: v[1])[0]
+        return cls(chain=chain, best=tuple(reversed(best)), lowest=lowest)
+
+    @property
+    def lam_min(self) -> Rat:
+        return self.chain[0][0]
+
+    @property
+    def lam_max(self) -> Rat:
+        return self.chain[-1][0]
+
+    def second_moment(self, m) -> Rat | None:
+        """The boundary's q at mean m: the least second moment of any policy
+        with mean exactly m; None when no policy has mean m."""
+        m = Rat(m)
+        if not self.lam_min <= m <= self.lam_max:
+            return None
+        i = bisect_left(self.chain, m, key=lambda v: v[0])
+        m1, q1 = self.chain[i]
+        if m1 == m:
+            return q1
+        m0, q0 = self.chain[i - 1]
+        return q0 + (q1 - q0) * (m - m0) / (m1 - m0)
+
+    def min_second_moment(self, lo, hi) -> Rat | None:
+        """Least second moment of any policy with mean in [lo, hi]; None
+        when no policy has such a mean. The chain is convex, so that is the
+        chain at its lowest vertex clamped into the interval."""
+        return self.second_moment(min(max(self.lowest, lo), hi))
+
+    def argmin(self, lam) -> tuple | None:
+        """(v(lam), (m, q)): an achievable pair with m >= lam attaining
+        v(lam); None past the largest achievable mean."""
         lam = Rat(lam)
         if lam > self.lam_max:
             return None
         if lam <= self.lam_min:
-            return self.left_value
-        for lo, hi, c0, c1, suffix in self.pieces:
-            if lo <= lam <= hi:
-                cut = c0 + c1 * lam - lam * lam
-                return cut if cut < suffix else suffix
-        raise AssertionError("pieces do not cover the query point")
+            return self.best[0]
+        q = self.second_moment(lam)
+        cut = q - lam * lam
+        tail = self.best[bisect_left(self.chain, lam, key=lambda v: v[0])]
+        return (cut, (lam, q)) if cut < tail[0] else tail
+
+    def value(self, lam) -> Rat | None:
+        hit = self.argmin(lam)
+        return None if hit is None else hit[0]
 
 
 def exact_frontier(polygon: MomentPolygon) -> ExactFrontier:
-    lower = polygon.lower_chain()
-    values = [q - m * m for m, q in lower]
-    suffixes = list(values)
-    for i in range(len(suffixes) - 2, -1, -1):
-        if suffixes[i + 1] < suffixes[i]:
-            suffixes[i] = suffixes[i + 1]
-    pieces = []
-    for i in range(len(lower) - 1):
-        (m0, q0), (m1, q1) = lower[i], lower[i + 1]
-        c1 = (q1 - q0) / (m1 - m0)
-        c0 = q0 - c1 * m0
-        pieces.append((m0, m1, c0, c1, suffixes[i + 1]))
-    return ExactFrontier(
-        lam_min=lower[0][0],
-        lam_max=lower[-1][0],
-        left_value=suffixes[0],
-        pieces=tuple(pieces),
-    )
+    return ExactFrontier.of_chain(polygon.lower_chain())
 
 
 def min_variance(polygon: MomentPolygon) -> tuple:

@@ -30,10 +30,13 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .frequency import lower_hull_min_q
 from .model import DEFAULT_NODE_CAP, Mdp
 from .rationals import Rat, ZERO, floor_multiple, rat, rat_str
-from .setdp import compute_pmq
+from .setdp import ExactFrontier, compute_pmq
+
+# Largest grid a frontier query may build; the step is set by the
+# tolerances, so without a cap a tiny epsilon asks for unbounded work.
+MAX_GRID_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -129,13 +132,18 @@ def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, max_nodes: int, hull):
     # slack and step itself bounds the argument shift.  Capping at bound
     # keeps the squared-endpoint gap of every cell within 3*step*bound.
     step = min(eps / (3 * bound), slack, bound)
-    grid = [-bound]
-    while grid[-1] <= bound:
-        grid.append(grid[-1] + step)
+    # Points -bound + k*step for k = 0..cells: the last is the first > bound.
+    cells = 2 * bound // step + 1
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"{cells} grid cells exceed the cap {MAX_GRID_CELLS}")
+    grid = tuple(-bound + k * step for k in range(cells + 1))
     if hull is None:
         hull = compute_pmq(mdp, max_nodes=max_nodes).lower_chain()
-    qhat = [lower_hull_min_q(hull, lo, hi) for lo, hi in zip(grid, grid[1:])]
-    return bound, step, tuple(grid), tuple(qhat)
+    frontier = ExactFrontier.of_chain(hull)
+    qhat = tuple(
+        frontier.min_second_moment(lo, hi) for lo, hi in zip(grid, grid[1:])
+    )
+    return bound, step, grid, qhat
 
 
 def _suffix_minima(values) -> tuple:

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import deep_instances
 from mvmdp.cli import run
+from mvmdp.model import PolicySpec, evaluate_policy
 from mvmdp.fixtures import one_shot_two_arms, two_point_stage
 from mvmdp.frequency import mean_fixed_var_bounded
 from mvmdp.model import make_mdp
@@ -172,6 +174,27 @@ def test_frontier_rejects_mixed_modes(capsys, one_shot_path):
     assert code == 2
 
 
+def test_frontier_grid_cap_exits_2(capsys, one_shot_path):
+    code, out, err = _invoke(
+        capsys,
+        ["frontier", one_shot_path, "--epsilon", "1/1000000000", "--nu", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "cells" in err
+
+
+def test_negative_prune_budget_exits_2(capsys, one_shot_path):
+    for argv in (
+        ["min-variance", one_shot_path, "--prune-eps=-1/2"],
+        ["frontier", one_shot_path, "--exact", "--prune-eps=-1/2"],
+    ):
+        code, out, err = _invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
+
 def test_validate_rejects_bad_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -263,6 +286,41 @@ def test_oracle_split_verdicts(capsys, one_shot_path):
     payload = json.loads(out)
     assert payload["feasible"] is True
     assert payload["policy"]["class"] == "TS_U"
+
+
+def _policy_from_json(policy):
+    rule = {}
+    for entry in policy["rules"]:
+        key = (entry["t"], entry["s"])
+        if "w" in entry:
+            key += (Rat(Fraction(entry["w"]["pq"])),)
+        rule[key] = {
+            a: Rat(Fraction(p["pq"])) for a, p in entry["choose"].items()
+        }
+    return PolicySpec(policy["class"], rule)
+
+
+def test_oracle_tsw_u_on_deep_instance(capsys, tmp_path):
+    # More than 10^6 reward-aware deterministic policies: deciding TSW_U
+    # must not enumerate them. A lower-chain vertex right of the floor meets
+    # the cap, so the answer is yes.
+    mdp, polygon = deep_instances(1)[0]
+    path = tmp_path / "deep0.json"
+    path.write_text(dumps(mdp))
+    chain = polygon.lower_chain()
+    m, q = chain[len(chain) // 2]
+    lam, cap = m - Rat(1, 3), q - m * m
+    code, out, err = _invoke(
+        capsys,
+        ["oracle", str(path), "--class", "TSW_U",
+         f"--lambda={lam}", f"--v={cap}"],
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["feasible"] is True
+    ev = evaluate_policy(mdp, _policy_from_json(payload["policy"]))
+    assert ev.mean >= lam
+    assert ev.variance <= cap
 
 
 def test_separation_lists_all_classes(capsys, one_shot_path):

@@ -15,7 +15,6 @@ from mvmdp.frequency import (
     check_frequency,
     exact_pair_feasible,
     frequencies_to_policy,
-    lower_hull_min_q,
     mean_fixed_var_bounded,
     min_q_over_interval,
     policy_frequencies,
@@ -24,6 +23,7 @@ from mvmdp.frequency import (
 from mvmdp.lp import LpStatus, solve
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
 from mvmdp.rationals import Rat
+from mvmdp.setdp import ExactFrontier
 
 
 def test_skeleton_counts_one_stage():
@@ -136,13 +136,13 @@ def test_hull_single_point():
     assert terminal_lower_hull(all_zero(horizon=3)) == [(0, 0)]
 
 
-def test_lower_hull_min_q_queries():
-    hull = terminal_lower_hull(one_shot_two_arms())
-    assert lower_hull_min_q(hull, 0, 1) == 0
-    assert lower_hull_min_q(hull, Rat(1, 2), 1) == 1
-    assert lower_hull_min_q(hull, Rat(3, 4), Rat(3, 4)) == Rat(3, 2)
-    assert lower_hull_min_q(hull, -5, 5) == 0
-    assert lower_hull_min_q(hull, 2, 3) is None
+def test_hull_interval_minimum_queries():
+    front = ExactFrontier.of_chain(terminal_lower_hull(one_shot_two_arms()))
+    assert front.min_second_moment(0, 1) == 0
+    assert front.min_second_moment(Rat(1, 2), 1) == 1
+    assert front.min_second_moment(Rat(3, 4), Rat(3, 4)) == Rat(3, 2)
+    assert front.min_second_moment(-5, 5) == 0
+    assert front.min_second_moment(2, 3) is None
 
 
 def _random_mdp(rng, max_states=2, max_actions=2, max_horizon=3):
@@ -270,8 +270,9 @@ def test_interval_minimum_is_monotone_in_the_window():
         status, narrow = min_q_over_interval(mdp, mid, lam_max)
         assert status is LpStatus.OPTIMAL
         assert wide <= narrow
-        assert wide == lower_hull_min_q(hull, lam_min, lam_max)
-        assert narrow == lower_hull_min_q(hull, mid, lam_max)
+        front = ExactFrontier.of_chain(hull)
+        assert wide == front.min_second_moment(lam_min, lam_max)
+        assert narrow == front.min_second_moment(mid, lam_max)
 
 
 def test_exact_pair_implies_bounded_query():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from corpus import integer_instances
+from mvmdp import games
 from mvmdp.errors import EnumerationLimitError
 from mvmdp.fixtures import (
     all_zero,
@@ -9,7 +11,9 @@ from mvmdp.fixtures import (
     offset_chain,
     one_shot_two_arms,
 )
+from mvmdp.frequency import exact_pair_feasible, mean_fixed_var_bounded
 from mvmdp.games import (
+    class_feasibility,
     class_separation_report,
     enumerate_policies,
     gen_3sat,
@@ -254,3 +258,63 @@ def test_separation_containments():
         assert not ts or tsw
         assert not ts_u or tsw_u
         assert not tsw or tsw_u
+
+
+def _target(rng, polygon):
+    """A seeded (mean floor, variance cap) around the polygon's mean range."""
+    means = [m for m, _ in polygon.vertices]
+    lo, hi = min(means) - 1, max(means) + 1
+    lam = lo + (hi - lo) * Rat(rng.randrange(0, 9), 8)
+    return lam, Rat(rng.randrange(0, 9), 4)
+
+
+def test_tsw_u_verdict_is_lp_at_floor_or_tsw_enumeration():
+    rng = random.Random(303)
+    verdicts = []
+    for mdp in integer_instances(30):
+        polygon = compute_pmq(mdp)
+        tsw = enumerate_policies(mdp, "TSW")
+        for _ in range(2):
+            lam, cap = _target(rng, polygon)
+            entry = class_feasibility(mdp, "TSW_U", lam, cap)
+            at_floor, _ = mean_fixed_var_bounded(mdp, lam, cap)
+            by_tsw = any(m >= lam and v <= cap for _, m, _, v in tsw)
+            assert entry.feasible == (at_floor or by_tsw)
+            verdicts.append(entry.feasible)
+            if entry.feasible:
+                assert entry.witness.policy_class == "TSW_U"
+                ev = evaluate_policy(mdp, entry.witness)
+                assert ev.mean >= lam
+                assert ev.variance <= cap
+            else:
+                assert entry.witness is None
+    assert True in verdicts and False in verdicts
+
+
+def test_exact_pair_feasible_agrees_with_polygon_contains():
+    rng = random.Random(505)
+    inside = []
+    for mdp in integer_instances(30):
+        polygon = compute_pmq(mdp)
+        for _ in range(2):
+            a = rng.choice(polygon.vertices)
+            b = rng.choice(polygon.vertices)
+            m = (a[0] + b[0]) / 2
+            v = (a[1] + b[1]) / 2 - m * m + Rat(rng.randrange(-1, 2), 4)
+            ok, _ = exact_pair_feasible(mdp, m, v)
+            assert ok == polygon.contains((m, v + m * m))
+            inside.append(ok)
+    assert True in inside and False in inside
+
+
+def test_class_feasibility_rejects_unknown_class():
+    with pytest.raises(ValueError, match="TSX"):
+        class_feasibility(offset_chain(), "TSX", 0, 1)
+
+
+def test_tsw_u_raises_when_the_engines_disagree(monkeypatch):
+    monkeypatch.setattr(
+        games, "mean_fixed_var_bounded", lambda *args, **kwargs: (False, None)
+    )
+    with pytest.raises(AssertionError, match="disagree"):
+        class_feasibility(offset_chain(), "TSW_U", 1, 0)

@@ -21,7 +21,6 @@ from mvmdp.setdp import (
     exact_frontier,
     max_variance,
     min_variance,
-    moment_layers,
 )
 
 SEGMENT = MomentPolygon.of([(0, 0), (1, 2)])
@@ -40,7 +39,7 @@ def test_backward_step_one_shot():
     next_layer = {
         (s, w): boundary_set(w) for s, w in augment(mdp).layer(1)
     }
-    out = backward_step(mdp, 0, next_layer)
+    out = backward_step(mdp, 0, next_layer, augment(mdp).layer(0))
     # Arm a pins (0,0); arm b averages (0,0) and (2,4) into (1,2).
     assert out[("s0", 0)] == SEGMENT
 
@@ -48,7 +47,7 @@ def test_backward_step_one_shot():
 def test_backward_step_missing_child():
     mdp = one_shot_two_arms()
     with pytest.raises(KeyError, match="end"):
-        backward_step(mdp, 0, {})
+        backward_step(mdp, 0, {}, augment(mdp).layer(0))
 
 
 def test_backward_step_identical_actions_idempotent():
@@ -196,7 +195,12 @@ def test_intermediate_sets_respect_moment_geometry():
     for _ in range(8):
         mdp = _random_mdp(rng)
         bound = mdp.mean_bound
-        layers = moment_layers(mdp)
+        aug = augment(mdp)
+        layers = [
+            {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
+        ]
+        for t in reversed(range(mdp.horizon)):
+            layers.append(backward_step(mdp, t, layers[-1], aug.layer(t)))
         for layer in layers:
             for poly in layer.values():
                 for m, q in poly.vertices:
@@ -252,6 +256,11 @@ def test_pruned_mode_stays_close():
             pruned = compute_pmq(mdp, prune_eps=eps)
             assert hausdorff_sq(exact, pruned) <= eps * eps
             assert len(pruned.vertices) <= len(exact.vertices)
+
+
+def test_negative_prune_budget_is_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        compute_pmq(offset_chain(), prune_eps=Rat(-1, 2))
 
 
 def test_prune_eps_zero_is_exact():

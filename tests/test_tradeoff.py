@@ -4,13 +4,14 @@ import random
 import pytest
 
 from corpus import integer_instances
+from mvmdp import tradeoff
 from mvmdp.fixtures import all_zero, offset_chain, one_shot_two_arms
-from mvmdp.frequency import lower_hull_min_q, terminal_lower_hull
+from mvmdp.frequency import terminal_lower_hull
 from mvmdp.games import enumerate_policies
 from mvmdp.geometry import hausdorff_sq
 from mvmdp.model import evaluate_policy, make_mdp
 from mvmdp.rationals import Rat, ZERO
-from mvmdp.setdp import compute_pmq, exact_frontier
+from mvmdp.setdp import ExactFrontier, compute_pmq, exact_frontier
 from mvmdp.tradeoff import (
     CSV_COLUMNS,
     approximate_lambda_star,
@@ -237,13 +238,14 @@ def test_cell_estimates_below_frontier_samples():
     mdp = offset_chain()
     hull = terminal_lower_hull(mdp)
     curve = approximate_v_star(mdp, Rat(1, 2), Rat(1, 2), hull=hull)
+    front = ExactFrontier.of_chain(hull)
     checked = 0
     for i, u in enumerate(curve.uhat):
         if u is None:
             continue
         lo, hi = curve.grid[i], curve.grid[i + 1]
         for lam in (lo, (lo + hi) / 2, hi):
-            q = lower_hull_min_q(hull, lam, lam)
+            q = front.second_moment(lam)
             if q is None:
                 continue
             assert u <= q - lam * lam
@@ -259,6 +261,23 @@ def test_step_rule_mixed_tolerances():
     wide = approximate_v_star(mdp, 100, 100)
     assert wide.delta == 2
     assert wide.value(0) is not None
+
+
+def test_grid_cell_cap(monkeypatch):
+    mdp = one_shot_two_arms()
+    # KT = 2: epsilon 1/10^9 asks for a step of 1/(6 * 10^9), so 2.4 * 10^10
+    # cells, refused before any of them is built.
+    for build in (approximate_v_star, approximate_lambda_star):
+        with pytest.raises(ValueError, match="cells"):
+            build(mdp, Rat(1, 10**9), 1)
+    # The count is known up front: a grid of exactly the cap is built, one
+    # more cell is refused.
+    cells = len(approximate_v_star(mdp, Rat(1, 2), Rat(1, 2)).qhat)
+    monkeypatch.setattr(tradeoff, "MAX_GRID_CELLS", cells)
+    assert len(approximate_v_star(mdp, Rat(1, 2), Rat(1, 2)).qhat) == cells
+    monkeypatch.setattr(tradeoff, "MAX_GRID_CELLS", cells - 1)
+    with pytest.raises(ValueError, match="cells"):
+        approximate_v_star(mdp, Rat(1, 2), Rat(1, 2))
 
 
 def test_tolerance_and_reward_validation():

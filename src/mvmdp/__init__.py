@@ -10,6 +10,7 @@ randomized) differ in power.
 
 from .errors import (
     AugmentationLimitError,
+    EngineDisagreementError,
     EnumerationLimitError,
     InputFormatError,
     MvmdpError,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentationLimitError",
     "DEFAULT_NODE_CAP",
+    "EngineDisagreementError",
     "EnumerationLimitError",
     "FrequencyVector",
     "InputFormatError",

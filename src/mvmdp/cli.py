@@ -3,9 +3,10 @@
 Every numeric answer is printed both ways: an exact "p/q" string and a float
 rendering of the same value. Decision subcommands (feasible-pair,
 feasible-mean-var, oracle, zero-variance) use the exit code as the answer:
-0 = yes / feasible, 1 = no / infeasible, 2 = bad input. Tolerance flags on
-`frontier` accept floats with a warning; everywhere else numeric flags must
-be exact rationals like 3, -2, or 7/4.
+0 = yes / feasible, 1 = no / infeasible, 2 = bad input, a cap hit or an
+internal engine disagreement. Tolerance flags on `frontier` accept floats
+with a warning; everywhere else numeric flags must be exact rationals like
+3, -2, or 7/4.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from .errors import (
     AugmentationLimitError,
+    EngineDisagreementError,
     EnumerationLimitError,
     InputFormatError,
 )
@@ -668,6 +670,9 @@ def run(argv=None) -> int:
         return BAD
     except EnumerationLimitError as exc:
         print(f"error: policy cap exceeded: {exc}", file=sys.stderr)
+        return BAD
+    except EngineDisagreementError as exc:
+        print(f"error: internal engine disagreement: {exc}", file=sys.stderr)
         return BAD
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

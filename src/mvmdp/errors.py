@@ -19,3 +19,7 @@ class PolicyCoverageError(MvmdpError):
 
 class InputFormatError(MvmdpError):
     """Malformed serialized input (MDP JSON, rational string, CLI argument)."""
+
+
+class EngineDisagreementError(MvmdpError, AssertionError):
+    """Two independent exact engines gave contradictory answers (a bug)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationLimitError
+from .errors import EngineDisagreementError, EnumerationLimitError
 from .frequency import frequencies_to_policy, mean_fixed_var_bounded
 from .model import (
     DEFAULT_NODE_CAP,
@@ -89,7 +89,9 @@ def _forcing_policy(mdp: Mdp, win: list, k) -> PolicySpec:
                 if all(k in win[t + 1][(s2, w + r)] for s2, r, _ in branches):
                     break
             else:
-                raise AssertionError(f"no forcing action at ({t}, {s}, {w})")
+                raise EngineDisagreementError(
+                    f"no forcing action at ({t}, {s}, {w})"
+                )
             rule[(t, s, w)] = a
             nxt.update((s2, w + r) for s2, r, _ in branches)
         frontier = nxt
@@ -121,6 +123,12 @@ def enumerate_policies(
     class_tag is "TS" (decides per reachable (t, state)) or "TSW" (per
     reachable (t, state, cumulative reward)).
     """
+    return list(_iter_policies(mdp, class_tag, max_policies, max_nodes))
+
+
+def _iter_policies(mdp: Mdp, class_tag: str, max_policies: int, max_nodes: int):
+    """Lazy enumerate_policies: the class and the policy count are checked
+    here, each policy is evaluated only when the iterator reaches it."""
     if class_tag not in ("TS", "TSW"):
         raise ValueError(f"enumeration covers TS and TSW, not {class_tag!r}")
     aug = augment(mdp, max_nodes=max_nodes)
@@ -135,12 +143,13 @@ def enumerate_policies(
             raise EnumerationLimitError(
                 f"more than {max_policies} {class_tag} policies"
             )
-    out = []
-    for combo in itertools.product(*(mdp.actions[p[1]] for p in points)):
+
+    def evaluated(combo):
         policy = PolicySpec(class_tag, dict(zip(points, combo)))
         ev = evaluate_policy(mdp, policy)
-        out.append((policy, ev.mean, ev.second_moment, ev.variance))
-    return out
+        return policy, ev.mean, ev.second_moment, ev.variance
+
+    return map(evaluated, itertools.product(*(mdp.actions[p[1]] for p in points)))
 
 
 def _simplex_grid(k: int, m: int):
@@ -213,8 +222,8 @@ def class_feasibility(
     lam = Rat(mean_floor)
     cap = Rat(variance_cap)
     if class_tag in ("TS", "TSW"):
-        for policy, mean, _, variance in enumerate_policies(
-            mdp, class_tag, max_policies=max_policies, max_nodes=max_nodes
+        for policy, mean, _, variance in _iter_policies(
+            mdp, class_tag, max_policies, max_nodes
         ):
             if mean >= lam and variance <= cap:
                 return ClassFeasibility(
@@ -235,7 +244,7 @@ def class_feasibility(
     mean = best[1][0]
     ok, z = mean_fixed_var_bounded(mdp, mean, cap, max_nodes=max_nodes)
     if not ok:
-        raise AssertionError(
+        raise EngineDisagreementError(
             f"moment polygon and occupation LP disagree at mean {mean}"
         )
     return ClassFeasibility(

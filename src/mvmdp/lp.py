@@ -9,6 +9,16 @@ with l >= 0 finite and u either finite or None (unbounded above). All data and
 all pivoting are exact rationals, so statuses and optimal values are exact and
 a given problem always yields the identical solution (fixed pivot order).
 
+The tableau is sparse: each row is a dict column -> nonzero rational, with its
+rhs in a parallel list, and the objective (reduced costs, minus the objective
+value in its rhs cell) is the last such row. A pivot scales the pivot row and
+then updates only the rows that have a nonzero in the entering column, and
+only at the pivot row's nonzero columns; entries that cancel are deleted. The
+flow-conservation rows of an occupation polytope have a handful of nonzeros
+each, so this touches a small fraction of a dense tableau. The pivot path is
+exactly the dense one's: Bland's rule picks the lowest-index enterable column
+with negative reduced cost and breaks ratio ties by the lowest basic index.
+
 The solver is deliberately self-contained (no external LP dependency); callers
 that want to experiment with another engine can shadow `solve`, but everything
 in this package runs against this implementation.
@@ -77,53 +87,63 @@ class LpSolution:
     x: list | None = None
 
 
-def _pivot(rows, obj, basis, r, jc):
-    """Make column jc basic in row r (tableau rows include the rhs cell)."""
-    row = rows[r]
-    inv = ONE / row[jc]
+def _subtract(row, f, src):
+    """row -= f * src on sparse dicts; entries that cancel are deleted."""
+    g = -f
+    for j, v in src.items():
+        a = row.get(j)
+        if a is None:
+            row[j] = g * v
+        else:
+            a += g * v
+            if a:
+                row[j] = a
+            else:
+                del row[j]
+
+
+def _pivot(rows, rhs, basis, r, jc):
+    """Make column jc basic in row r. The last row is the objective."""
+    prow = rows[r]
+    inv = ONE / prow[jc]
     if inv != 1:
-        row = [v * inv for v in row]
-        rows[r] = row
-    for i, other in enumerate(rows):
-        if i == r:
-            continue
-        f = other[jc]
-        if f != 0:
-            rows[i] = [a - f * b for a, b in zip(other, row)]
-    f = obj[jc]
-    if f != 0:
-        obj[:] = [a - f * b for a, b in zip(obj, row)]
+        for j in prow:
+            prow[j] *= inv
+        rhs[r] *= inv
+    b = rhs[r]
+    for i, row in enumerate(rows):
+        f = row.get(jc)
+        if f is not None and i != r:
+            _subtract(row, f, prow)
+            if b:
+                rhs[i] -= f * b
     basis[r] = jc
 
 
-def _bland(rows, obj, basis, enterable) -> LpStatus:
-    """Run simplex to optimality. enterable[j] False blocks column j.
+def _bland(rows, rhs, basis, ncols) -> LpStatus:
+    """Run simplex to optimality; columns >= ncols never enter.
 
     Bland's rule: enter the lowest-index column with negative reduced cost;
     on ratio ties leave the row whose basic variable has the lowest index.
     Basic columns have reduced cost exactly 0, so they never re-enter.
     """
-    ncols = len(obj) - 1
+    obj = rows[-1]
     while True:
-        enter = -1
-        for j in range(ncols):
-            if enterable[j] and obj[j] < 0:
-                enter = j
-                break
+        enter = min((j for j, v in obj.items() if v < 0 and j < ncols), default=-1)
         if enter < 0:
             return LpStatus.OPTIMAL
         leave = -1
         best = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
+        for i in range(len(basis)):
+            a = rows[i].get(enter)
+            if a is not None and a > 0:
+                ratio = rhs[i] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
             return LpStatus.UNBOUNDED
-        _pivot(rows, obj, basis, leave, enter)
+        _pivot(rows, rhs, basis, leave, enter)
 
 
 def solve(problem: LpProblem, initial_basis: dict | None = None) -> LpSolution:
@@ -132,126 +152,92 @@ def solve(problem: LpProblem, initial_basis: dict | None = None) -> LpSolution:
     n = problem.num_vars
     lower = problem.lower
     # Shift x = l + y so y >= 0; finite uppers become extra rows y_j + s = u_j - l_j.
-    extra_rows = []
-    n_slack = 0
-    slack_of = {}
+    base_rows = []
+    base_rhs = []
+    for coeffs, b in problem.rows:
+        base_rows.append({j: c for j, c in coeffs.items() if c})
+        base_rhs.append(b - sum((c * lower[j] for j, c in coeffs.items()), ZERO))
+    n_std = n
     for j in range(n):
         if problem.upper[j] is not None:
-            slack_of[j] = n + n_slack
-            n_slack += 1
-            extra_rows.append((j, problem.upper[j] - lower[j]))
-    n_std = n + n_slack
+            base_rows.append({j: ONE, n_std: ONE})
+            base_rhs.append(problem.upper[j] - lower[j])
+            n_std += 1
 
-    dense_rows = []
-    rhs_list = []
-    for coeffs, rhs in problem.rows:
-        row = [ZERO] * n_std
-        shift = ZERO
-        for j, c in coeffs.items():
-            row[j] += c
-            shift += c * lower[j]
-        dense_rows.append(row)
-        rhs_list.append(rhs - shift)
-    for j, cap in extra_rows:
-        row = [ZERO] * n_std
-        row[j] = ONE
-        row[slack_of[j]] = ONE
-        dense_rows.append(row)
-        rhs_list.append(cap)
-
-    m = len(dense_rows)
+    m = len(base_rows)
     if initial_basis:
         for r, j in initial_basis.items():
             if not (0 <= r < len(problem.rows)) or not (0 <= j < n):
                 raise ValueError("initial basis references unknown row/variable")
 
     def build_tableau(use_warm: bool):
-        rows = [list(row) + [rhs] for row, rhs in zip(dense_rows, rhs_list)]
+        # One row per constraint, then an (empty) objective row.
+        rows = [dict(row) for row in base_rows] + [{}]
+        rhs = base_rhs + [ZERO]
         basis = [-1] * m
         if use_warm:
             # Pivot the suggested columns in; caller guarantees a triangular order
             # exists, but any failure just falls back to the cold start.
-            obj0 = [ZERO] * (n_std + 1)
             for r, j in sorted(initial_basis.items()):
-                if rows[r][j] == 0:
-                    return None, None
-                _pivot(rows, obj0, basis, r, j)
+                if j not in rows[r]:
+                    return None
+                _pivot(rows, rhs, basis, r, j)
             # Covered rows must carry a feasible basic value; uncovered rows
             # receive artificials below and may have either sign.
-            if any(rows[r][-1] < 0 for r in initial_basis):
-                return None, None
-        else:
-            for i in range(m):
-                if rows[i][-1] < 0:
-                    rows[i] = [-v for v in rows[i]]
-        return rows, basis
+            if any(rhs[r] < 0 for r in initial_basis):
+                return None
+        return rows, rhs, basis
 
-    rows = None
-    if initial_basis:
-        rows, basis = build_tableau(True)
-    if rows is None:
-        rows, basis = build_tableau(False)
+    tableau = build_tableau(True) if initial_basis else None
+    rows, rhs, basis = tableau or build_tableau(False)
 
-    # Attach artificials to rows that still lack a basic column.
-    need_art = [i for i in range(m) if basis[i] < 0]
-    n_art = len(need_art)
-    art_col = {}
-    for k, i in enumerate(need_art):
-        art_col[i] = n_std + k
-    ncols = n_std + n_art
+    # Attach artificials, with a nonnegative rhs, to rows that still lack a
+    # basic column; phase 1 minimizes their sum.
+    obj = rows[-1]
+    ncols = n_std
     for i in range(m):
-        pad = [ZERO] * n_art
-        if i in art_col:
-            if rows[i][-1] < 0:
-                rows[i] = [-v for v in rows[i]]
-            pad[art_col[i] - n_std] = ONE
-            basis[i] = art_col[i]
-        rows[i] = rows[i][:-1] + pad + [rows[i][-1]]
+        if basis[i] < 0:
+            row = rows[i]
+            if rhs[i] < 0:
+                for j in row:
+                    row[j] = -row[j]
+                rhs[i] = -rhs[i]
+            _subtract(obj, ONE, row)
+            rhs[-1] -= rhs[i]
+            row[ncols] = ONE
+            basis[i] = ncols
+            ncols += 1
 
-    enterable = [True] * ncols
-
-    if n_art:
-        # Phase 1: minimize the artificial mass.
-        obj = [ZERO] * (ncols + 1)
-        for i in need_art:
-            obj = [a - b for a, b in zip(obj, rows[i])]
-        for i in need_art:
-            obj[basis[i]] = ZERO
-        status = _bland(rows, obj, basis, enterable)
+    if ncols > n_std:
+        status = _bland(rows, rhs, basis, ncols)
         assert status is LpStatus.OPTIMAL  # phase 1 is bounded below by 0
-        if -obj[-1] > 0:
+        if -rhs[-1] > 0:
             return LpSolution(LpStatus.INFEASIBLE)
         # Drive remaining artificials out of the basis; drop redundant rows.
         for i in range(m - 1, -1, -1):
             if basis[i] >= n_std:
-                pivot_col = next(
-                    (j for j in range(n_std) if rows[i][j] != 0), None
-                )
+                pivot_col = min((j for j in rows[i] if j < n_std), default=None)
                 if pivot_col is None:
-                    del rows[i]
-                    del basis[i]
+                    del rows[i], rhs[i], basis[i]
                 else:
-                    obj_dummy = [ZERO] * (ncols + 1)
-                    _pivot(rows, obj_dummy, basis, i, pivot_col)
-        for j in range(n_std, ncols):
-            enterable[j] = False
+                    _pivot(rows, rhs, basis, i, pivot_col)
 
-    # Phase 2.
-    obj = [ZERO] * (ncols + 1)
-    for j in range(n):
-        obj[j] = problem.objective[j]
-    for i, row in enumerate(rows):
-        cb = obj[basis[i]]
-        if cb != 0:
-            obj = [a - cb * b for a, b in zip(obj, row)]
-    status = _bland(rows, obj, basis, enterable)
+    # Phase 2: price the objective out of the basic columns.
+    obj = {j: c for j, c in enumerate(problem.objective) if c}
+    rows[-1] = obj
+    rhs[-1] = ZERO
+    for i in range(len(basis)):
+        cb = obj.get(basis[i])
+        if cb is not None:
+            _subtract(obj, cb, rows[i])
+            rhs[-1] -= cb * rhs[i]
+    status = _bland(rows, rhs, basis, n_std)
     if status is LpStatus.UNBOUNDED:
         return LpSolution(LpStatus.UNBOUNDED)
 
     y = [ZERO] * n_std
-    for i, row in enumerate(rows):
-        if basis[i] < n_std:
-            y[basis[i]] = row[-1]
+    for i, j in enumerate(basis):
+        y[j] = rhs[i]
     x = [y[j] + lower[j] for j in range(n)]
     value = sum((c * v for c, v in zip(problem.objective, x)), ZERO)
     return LpSolution(LpStatus.OPTIMAL, value=value, x=x)

@@ -288,6 +288,23 @@ def test_oracle_split_verdicts(capsys, one_shot_path):
     assert payload["policy"]["class"] == "TS_U"
 
 
+def test_engine_disagreement_exits_2(capsys, one_shot_path, monkeypatch):
+    from mvmdp import games
+
+    monkeypatch.setattr(
+        games, "mean_fixed_var_bounded", lambda *args, **kwargs: (False, None)
+    )
+    code, out, err = _invoke(
+        capsys,
+        ["oracle", one_shot_path, "--class", "TSW_U",
+         "--lambda", "1/8", "--v", "1/2"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: internal engine disagreement: ")
+    assert "Traceback" not in err
+
+
 def _policy_from_json(policy):
     rule = {}
     for entry in policy["rules"]:

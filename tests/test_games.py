@@ -1,10 +1,11 @@
 import random
+from collections import defaultdict
 
 import pytest
 
 from corpus import integer_instances
 from mvmdp import games
-from mvmdp.errors import EnumerationLimitError
+from mvmdp.errors import EngineDisagreementError, EnumerationLimitError
 from mvmdp.fixtures import (
     all_zero,
     forked_path,
@@ -318,3 +319,56 @@ def test_tsw_u_raises_when_the_engines_disagree(monkeypatch):
     )
     with pytest.raises(AssertionError, match="disagree"):
         class_feasibility(offset_chain(), "TSW_U", 1, 0)
+
+
+def test_forcing_policy_raises_a_typed_disagreement():
+    # A win table that forces nothing contradicts a value said to be forcible.
+    mdp = offset_chain()
+    win = [defaultdict(frozenset) for _ in range(mdp.horizon + 1)]
+    with pytest.raises(EngineDisagreementError, match="no forcing action"):
+        games._forcing_policy(mdp, win, 0)
+
+
+def test_ts_and_tsw_deciders_match_the_list_scan():
+    rng = random.Random(707)
+    verdicts = []
+    for mdp in integer_instances(30):
+        polygon = compute_pmq(mdp)
+        for tag in ("TS", "TSW"):
+            policies = enumerate_policies(mdp, tag)
+            for _ in range(2):
+                lam, cap = _target(rng, polygon)
+                entry = class_feasibility(mdp, tag, lam, cap)
+                first = next(
+                    ((p, m) for p, m, _, v in policies if m >= lam and v <= cap),
+                    None,
+                )
+                verdicts.append(entry.feasible)
+                if first is None:
+                    assert entry == games.ClassFeasibility(
+                        False, None, "exhaustive enumeration"
+                    )
+                else:
+                    assert entry == games.ClassFeasibility(
+                        True, first[0], f"enumerated witness with mean {first[1]}"
+                    )
+    assert True in verdicts and False in verdicts
+
+
+def test_enumeration_decider_stops_at_the_first_witness(monkeypatch):
+    calls = []
+    evaluate = games.evaluate_policy
+
+    def counted(mdp, policy):
+        calls.append(policy)
+        return evaluate(mdp, policy)
+
+    monkeypatch.setattr(games, "evaluate_policy", counted)
+    mdp = offset_chain()
+    assert len(enumerate_policies(mdp, "TSW")) > 1
+    calls.clear()
+    entry = class_feasibility(mdp, "TSW", -100, 100)
+    assert entry.feasible and len(calls) == 1
+    with pytest.raises(EnumerationLimitError):
+        class_feasibility(mdp, "TSW", -100, 100, max_policies=1)
+    assert len(calls) == 1

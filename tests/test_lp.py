@@ -150,3 +150,166 @@ def test_weak_duality_against_basic_enumeration():
         assert sol.value <= best
         assert sol.value == best  # simplex optimum is attained at a basic solution
 
+
+
+def _basic_feasible_solutions(matrix, rhs, n):
+    """Every basic feasible solution of {y >= 0 : matrix y = rhs}, by brute
+    force over column subsets (redundant rows allowed)."""
+    out = []
+    for size in range(len(matrix) + 1):
+        for cols in itertools.combinations(range(n), size):
+            # Row-reduce [A_cols | rhs]; keep cols only if independent and
+            # the system is consistent.
+            a = [[row[j] for j in cols] + [b] for row, b in zip(matrix, rhs)]
+            pivots = []
+            for col in range(size):
+                piv = next((i for i in range(len(pivots), len(a)) if a[i][col] != 0), None)
+                if piv is None:
+                    break
+                k = len(pivots)
+                a[k], a[piv] = a[piv], a[k]
+                a[k] = [v / a[k][col] for v in a[k]]
+                for i in range(len(a)):
+                    if i != k and a[i][col] != 0:
+                        f = a[i][col]
+                        a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                pivots.append(col)
+            if len(pivots) < size or any(row[-1] != 0 for row in a[size:]):
+                continue
+            y = [Rat(0)] * n
+            for k, j in enumerate(cols):
+                y[j] = a[k][-1]
+            if all(v >= 0 for v in y):
+                out.append(y)
+    return out
+
+
+def _brute_force(prob):
+    """(status, optimal value) of prob from its basic solutions and rays.
+
+    x = lower + y, and each finite upper bound becomes a slack row
+    y_j + s_j = upper_j - lower_j, so the problem is min c.y over
+    {y >= 0 : A y = b}. It is infeasible without a basic feasible solution,
+    unbounded when an extreme ray (a basic feasible solution of
+    {A d = 0, sum d = 1, d >= 0}) has negative cost, and otherwise optimal
+    at its cheapest basic feasible solution.
+    """
+    n = prob.num_vars
+    zero = Rat(0)
+    capped = [j for j in range(n) if prob.upper[j] is not None]
+    width = n + len(capped)
+    matrix, rhs = [], []
+    for coeffs, b in prob.rows:
+        matrix.append([coeffs.get(j, zero) for j in range(n)] + [zero] * len(capped))
+        rhs.append(b - sum((c * prob.lower[j] for j, c in coeffs.items()), zero))
+    for k, j in enumerate(capped):
+        row = [zero] * width
+        row[j] = row[n + k] = Rat(1)
+        matrix.append(row)
+        rhs.append(prob.upper[j] - prob.lower[j])
+    cost = list(prob.objective) + [zero] * len(capped)
+    base = sum((c * l for c, l in zip(prob.objective, prob.lower)), zero)
+
+    def value(y):
+        return sum((c * v for c, v in zip(cost, y)), zero)
+
+    points = _basic_feasible_solutions(matrix, rhs, width)
+    if not points:
+        return LpStatus.INFEASIBLE, None
+    rays = _basic_feasible_solutions(
+        matrix + [[Rat(1)] * width], [zero] * len(matrix) + [Rat(1)], width
+    )
+    if any(value(d) < 0 for d in rays):
+        return LpStatus.UNBOUNDED, None
+    return LpStatus.OPTIMAL, base + min(value(y) for y in points)
+
+
+def _random_problem(rng):
+    """Small LP with optional lower/upper bounds, negative right-hand sides,
+    duplicated rows and, about half the time, a guaranteed feasible point."""
+    n = rng.randint(1, 4)
+    lower = [Rat(rng.choice((0, 0, 1))) for _ in range(n)]
+    upper = [
+        lo + rng.randint(0, 3) if rng.random() < 0.4 else None for lo in lower
+    ]
+    prob = LpProblem(
+        num_vars=n,
+        objective=[Rat(rng.randint(-3, 3)) for _ in range(n)],
+        lower=lower,
+        upper=upper,
+    )
+    point = [lo + rng.randint(0, 2) if hi is None else hi - rng.randint(0, int(hi - lo))
+             for lo, hi in zip(lower, upper)]
+    planted = rng.random() < 0.5
+    for _ in range(rng.randint(0, 3)):
+        coeffs = {j: Rat(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.8}
+        if planted:
+            rhs = sum((c * point[j] for j, c in coeffs.items()), Rat(0))
+        else:
+            rhs = Rat(rng.randint(-4, 4))
+        prob.add_row(coeffs, rhs)
+        if rng.random() < 0.3:
+            scale = rng.choice((1, -1, 2))
+            prob.add_row({j: c * scale for j, c in coeffs.items()}, rhs * scale)
+    return prob
+
+
+def test_status_and_value_against_basic_enumeration():
+    rng = random.Random(4077)
+    seen = {status: 0 for status in LpStatus}
+    for _ in range(200):
+        prob = _random_problem(rng)
+        status, best = _brute_force(prob)
+        sol = solve(prob)
+        assert sol.status is status
+        seen[status] += 1
+        if status is not LpStatus.OPTIMAL:
+            continue
+        assert sol.value == best
+        assert sol.value == sum(
+            (c * v for c, v in zip(prob.objective, sol.x)), Rat(0)
+        )
+        for coeffs, rhs in prob.rows:
+            assert sum((c * sol.x[j] for j, c in coeffs.items()), Rat(0)) == rhs
+        for v, lo, hi in zip(sol.x, prob.lower, prob.upper):
+            assert lo <= v and (hi is None or v <= hi)
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_solve_leaves_problem_rows_unchanged():
+    prob = LpProblem(
+        num_vars=4,
+        objective=[Rat(1), Rat(-2), Rat(0), Rat(3)],
+        lower=[Rat(0), Rat(1), Rat(0), Rat(0)],
+        upper=[None, Rat(3), None, rat(5, 2)],
+    )
+    prob.add_row({0: 1, 1: 2, 2: -1}, 4)
+    prob.add_row({1: rat(1, 3), 3: 1}, -1)
+    prob.add_row({0: 1, 2: 1, 3: 0}, 2)
+    snapshot = [(dict(coeffs), rhs) for coeffs, rhs in prob.rows]
+    dicts = [coeffs for coeffs, _ in prob.rows]
+    for basis in (None, {0: 0}, {0: 2, 2: 0}):
+        solve(prob, initial_basis=basis)
+        assert prob.rows == snapshot
+        assert all(a is b for a, b in zip(dicts, (c for c, _ in prob.rows)))
+
+
+def test_skeleton_runs_do_not_share_tableau_state():
+    from corpus import integer_instances
+    from mvmdp.frequency import build_polytope
+    from mvmdp.model import augment
+
+    for mdp in integer_instances(10)[::4]:
+        sk = build_polytope(augment(mdp), mdp)
+        rows = [(dict(coeffs), rhs) for coeffs, rhs in sk.rows]
+        queries = [
+            dict(objective=sk.sm_coeffs),
+            dict(objective={j: -c for j, c in sk.mean_coeffs.items()}),
+            dict(objective=sk.sm_coeffs, extra_rows=[(sk.mean_coeffs, 0)]),
+        ]
+        first = [sk.run(**query) for query in queries]
+        again = [sk.run(**query) for query in queries]
+        assert sk.rows == rows
+        for a, b in zip(first, again):
+            assert a.status is b.status
+            assert (a.value, a.x) == (b.value, b.x)

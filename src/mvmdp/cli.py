@@ -666,7 +666,7 @@ def run(argv=None) -> int:
         print(f"error: bad mdp input: {exc}", file=sys.stderr)
         return BAD
     except AugmentationLimitError as exc:
-        print(f"error: augmented-node cap exceeded: {exc}", file=sys.stderr)
+        print(f"error: size cap exceeded: {exc}", file=sys.stderr)
         return BAD
     except EnumerationLimitError as exc:
         print(f"error: policy cap exceeded: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ class MvmdpError(Exception):
 
 
 class AugmentationLimitError(MvmdpError):
-    """Reachable (state, cumulative-reward) space exceeded the node cap."""
+    """Reachable (state, cumulative-reward) space exceeded the node cap, or
+    one stage's moment polygons exceeded the vertex cap."""
 
 
 class EnumerationLimitError(MvmdpError):

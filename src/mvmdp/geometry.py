@@ -7,6 +7,14 @@ meaningful and keeps every operation deterministic. Degenerate polygons with
 one vertex (a point) or two (a segment) are first-class citizens; the
 backward recursion produces them constantly.
 
+MomentPolygon.of builds canonical form from arbitrary points with a sort
+and a monotone chain. The operations of the backward recursion instead rely
+on canonical input and emit canonical output directly, in time linear in
+the vertices read: minkowski_sum merges the two edge sequences by angle,
+hull_of_union merges the inputs' lexicographic vertex runs, and
+prune_polygon keeps a subset of the vertices in their cyclic order. None of
+them sorts or re-hulls.
+
 All coordinates are exact rationals. Distances appear only in squared form,
 which keeps every comparison rational as well.
 """
@@ -23,33 +31,34 @@ def _cross(o, a, b) -> Rat:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _chain(pts) -> list:
+    """One monotone-chain pass over points in lexicographic order (or its
+    reverse): the chain of strict left turns from the first point to the
+    last. Repeated points are skipped."""
+    out: list = []
+    for p in pts:
+        if out and p == out[-1]:
+            continue
+        while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
 def _hull(points) -> list:
     """Monotone chain, strict turns only; CCW starting at the lex-min point."""
-    pts = sorted(set(points))
+    pts = sorted(points)
     if not pts:
         raise ValueError("no points")
-    if len(pts) == 1:
-        return pts
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    out = lower[:-1] + upper[:-1]
-    if len(out) < 2:
-        # All points collinear: the two chain endpoints describe the segment.
-        return [pts[0], pts[-1]]
-    return out
+    lower = _chain(pts)
+    upper = _chain(reversed(pts))
+    # Each chain ends where the other starts; one point is its own hull.
+    return lower[:-1] + upper[:-1] or lower
 
 
 @dataclass(frozen=True)
 class MomentPolygon:
-    """Convex polygon in canonical form. Build through of() or from_points()."""
+    """Convex polygon in canonical form. Build through of() or point()."""
 
     vertices: tuple
 
@@ -124,82 +133,117 @@ class MomentPolygon:
         return chain
 
 
-def minkowski_sum(p: MomentPolygon, q: MomentPolygon) -> MomentPolygon:
-    """Edge-wise merge of the two boundaries; exact.
+def _edges(vs) -> list:
+    """(half, dx, dy) for each boundary edge of a canonical polygon.
 
-    Both boundaries start at their lex-min vertex, so their edge directions
-    each sweep the same angular window once; merging by angle and walking the
-    combined fence traces the sum's boundary. The final hull pass only merges
-    collinear steps (parallel edges from the two inputs).
+    half is 0 for directions in (-90, 90] degrees and 1 for the rest. The
+    boundary starts at the lex-min vertex, so the edges run in increasing
+    (half, angle) order: the half-0 edges climb to the lex-max vertex and
+    the half-1 edges come back.
+    """
+    out = []
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        out.append((0 if dx > 0 or (dx == 0 and dy > 0) else 1, dx, dy))
+    return out
+
+
+def minkowski_sum(p: MomentPolygon, q: MomentPolygon) -> MomentPolygon:
+    """Edge-wise merge of the two canonical boundaries; exact and linear.
+
+    Each boundary starts at its lex-min vertex and its edges run in
+    increasing angle, so merging the two edge lists by angle, with an edge
+    of p and a parallel edge of q added into one step, walks the sum's
+    boundary from the sum of the lex-min vertices. Every turn of that walk
+    is strict, so the walk is already in canonical form.
     """
     if len(p.vertices) == 1:
         return q.translate(*p.vertices[0])
     if len(q.vertices) == 1:
         return p.translate(*q.vertices[0])
-
-    def edge_list(poly):
-        vs = poly.vertices
-        k = len(vs)
-        out = []
-        for i in range(k):
-            a, b = vs[i], vs[(i + 1) % k]
-            out.append((b[0] - a[0], b[1] - a[1]))
-        return out
-
-    def half(d):
-        # 0 for directions in (-90, 90] degrees, 1 for the rest; within the
-        # sweep each polygon's edges have nondecreasing (half, angle).
-        if d[0] > 0 or (d[0] == 0 and d[1] > 0):
-            return 0
-        return 1
-
-    def before(u, v) -> bool:
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return hu < hv
-        return u[0] * v[1] - u[1] * v[0] > 0
-
-    ep = edge_list(p)
-    eq = edge_list(q)
-    cur = (p.vertices[0][0] + q.vertices[0][0], p.vertices[0][1] + q.vertices[0][1])
-    points = [cur]
+    ep = _edges(p.vertices)
+    eq = _edges(q.vertices)
+    x = p.vertices[0][0] + q.vertices[0][0]
+    y = p.vertices[0][1] + q.vertices[0][1]
+    points = [(x, y)]
     i = j = 0
     while i < len(ep) or j < len(eq):
-        if j >= len(eq) or (i < len(ep) and before(ep[i], eq[j])):
-            step = ep[i]
+        if j == len(eq):
+            _, dx, dy = ep[i]
             i += 1
-        else:
-            step = eq[j]
+        elif i == len(ep):
+            _, dx, dy = eq[j]
             j += 1
-        cur = (cur[0] + step[0], cur[1] + step[1])
-        points.append(cur)
-    return MomentPolygon.of(points)
+        else:
+            hu, ux, uy = ep[i]
+            hv, vx, vy = eq[j]
+            turn = ux * vy - uy * vx if hu == hv else hv - hu
+            if turn > 0:
+                dx, dy = ux, uy
+                i += 1
+            elif turn < 0:
+                dx, dy = vx, vy
+                j += 1
+            else:
+                dx, dy = ux + vx, uy + vy
+                i += 1
+                j += 1
+        x += dx
+        y += dy
+        points.append((x, y))
+    return MomentPolygon(tuple(points[:-1]))
 
 
 def hull_of_union(polys) -> MomentPolygon:
-    points = []
+    """Convex hull of the union of canonical polygons, in canonical form.
+
+    A canonical polygon climbs in lexicographic order from vertices[0] to
+    its lex-max vertex, along its lower boundary and any vertical right
+    edge, and then descends back to vertices[0] along the rest. Every
+    vertex of the union's lower chain lies on some input's climb and every
+    vertex of its upper chain on some input's descent, so one
+    monotone-chain pass over the merged climbs and one over the merged
+    descents give the hull, with no sort. A single input is its own hull.
+    """
+    polys = list(polys)
+    if not polys:
+        raise ValueError("no polygons")
+    if len(polys) == 1:
+        return polys[0]
+    climbs = []
+    descents = []
     for poly in polys:
-        points.extend(poly.vertices)
-    return MomentPolygon.of(points)
+        vs = poly.vertices
+        k = 1
+        while k < len(vs) and vs[k - 1] < vs[k]:
+            k += 1
+        climbs.append(vs[:k])
+        descents.append(vs[k - 1:] + vs[:1])
+    lower = _chain(heapq.merge(*climbs))
+    upper = _chain(heapq.merge(*descents, reverse=True))
+    return MomentPolygon(tuple(lower[:-1] + upper[:-1] or lower))
 
 
 def point_segment_dist_sq(p, a, b) -> Rat:
-    px, py = Rat(p[0]), Rat(p[1])
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0:
-        ex, ey = px - ax, py - ay
+    """Squared distance from p to the segment ab (the point a when a == b).
+
+    With e = p - a and d = b - a, the nearest point is a when e.d <= 0, b
+    when e.d >= |d|^2, and otherwise the foot of the perpendicular, at
+    squared distance cross(e, d)^2 / |d|^2 (Lagrange's identity turns the
+    projection formula into this). Coordinates are Rat, as in every
+    MomentPolygon, so the result is exact.
+    """
+    ex, ey = p[0] - a[0], p[1] - a[1]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dot = ex * dx + ey * dy
+    if dot <= 0:
         return ex * ex + ey * ey
-    t = ((px - ax) * dx + (py - ay) * dy) / length_sq
-    if t < 0:
-        t = ZERO
-    elif t > 1:
-        t = Rat(1)
-    ex = px - (ax + t * dx)
-    ey = py - (ay + t * dy)
-    return ex * ex + ey * ey
+    length_sq = dx * dx + dy * dy
+    if dot >= length_sq:
+        fx, fy = p[0] - b[0], p[1] - b[1]
+        return fx * fx + fy * fy
+    cross = ex * dy - ey * dx
+    return cross * cross / length_sq
 
 
 def point_polygon_dist_sq(p, poly: MomentPolygon) -> Rat:
@@ -283,12 +327,12 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
             for j in (p, q):
                 version[j] += 1
                 heapq.heappush(heap, (cost(j), j, version[j]))
-    kept = []
-    i = next(k for k in range(n) if alive[k])
-    start = i
-    while True:
+    # The kept vertices are strictly convex and in CCW order already; the
+    # walk starts at the lex-min one to make them canonical.
+    start = min((k for k in range(n) if alive[k]), key=vs.__getitem__)
+    kept = [vs[start]]
+    i = nxt[start]
+    while i != start:
         kept.append(vs[i])
         i = nxt[i]
-        if i == start:
-            break
-    return MomentPolygon.of(kept)
+    return MomentPolygon(tuple(kept))

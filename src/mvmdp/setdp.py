@@ -24,9 +24,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .errors import AugmentationLimitError
 from .geometry import MomentPolygon, hull_of_union, minkowski_sum, prune_polygon
 from .model import DEFAULT_NODE_CAP, Mdp, augment
 from .rationals import Rat, ZERO
+
+# Largest total vertex count of one stage's polygons, checked before pruning.
+MAX_STAGE_VERTICES = 10**6
 
 
 def boundary_set(w) -> MomentPolygon:
@@ -67,7 +71,8 @@ def compute_pmq(
     Stages are built backwards, each from the one after it only. With
     prune_eps set (nonnegative), every stage-t polygon (t < horizon) is
     thinned right after it is computed, so earlier stages build on the
-    pruned sets.
+    pruned sets. A stage whose polygons hold more than MAX_STAGE_VERTICES
+    vertices in total raises AugmentationLimitError.
     """
     threshold_sq = None
     if prune_eps is not None:
@@ -80,6 +85,12 @@ def compute_pmq(
     layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
     for t in reversed(range(mdp.horizon)):
         layer = backward_step(mdp, t, layer, aug.layer(t))
+        vertices = sum(len(poly.vertices) for poly in layer.values())
+        if vertices > MAX_STAGE_VERTICES:
+            raise AugmentationLimitError(
+                f"stage-{t} moment polygons hold {vertices} vertices, above "
+                f"the cap of {MAX_STAGE_VERTICES}"
+            )
         if threshold_sq is not None:
             layer = {
                 key: prune_polygon(poly, threshold_sq)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import deep_instances
+from mvmdp import setdp
 from mvmdp.cli import run
 from mvmdp.model import PolicySpec, evaluate_policy
 from mvmdp.fixtures import one_shot_two_arms, two_point_stage
@@ -193,6 +194,21 @@ def test_negative_prune_budget_exits_2(capsys, one_shot_path):
         assert code == 2
         assert out == ""
         assert "nonnegative" in err
+
+
+def test_polygon_vertex_cap_exits_2(capsys, one_shot_path, monkeypatch):
+    # The one-shot root polygon is a segment: two vertices at stage 0.
+    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", 1)
+    for argv in (
+        ["frontier", one_shot_path, "--exact"],
+        ["min-variance", one_shot_path],
+    ):
+        code, out, err = _invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "stage-0 moment polygons hold 2 vertices" in err
+    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", 2)
+    assert _invoke(capsys, ["frontier", one_shot_path, "--exact"])[0] == 0
 
 
 def test_validate_rejects_bad_json(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -173,6 +174,57 @@ def test_point_segment_dist_sq():
     assert point_segment_dist_sq((-1, 1), (0, 0), (2, 0)) == 2
     assert point_segment_dist_sq((3, 0), (0, 0), (2, 0)) == 1
     assert point_segment_dist_sq((1, 0), (1, 0), (1, 0)) == 0
+
+
+def _projection_dist_sq(p, a, b):
+    """Squared distance through the clamped projection parameter
+    t = (p - a).(b - a) / |b - a|^2, the nearest point being a + t(b - a)."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy = bx - ax, by - ay
+    length_sq = dx * dx + dy * dy
+    if length_sq == 0:
+        ex, ey = px - ax, py - ay
+        return ex * ex + ey * ey
+    t = min(max(((px - ax) * dx + (py - ay) * dy) / length_sq, 0), 1)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return ex * ex + ey * ey
+
+
+def test_point_segment_dist_sq_matches_projection_formula():
+    # Five kinds of triple in turn: a zero-length segment, a point on the
+    # segment, a point projecting onto a (t <= 0), a point projecting onto
+    # b (t >= 1), and a free point. The endpoint kinds include t = 0 and
+    # t = 1 exactly, where the two branches meet.
+    rng = random.Random(0xD157)
+
+    def coord():
+        return Rat(rng.randrange(-12, 13), rng.randrange(1, 5))
+
+    ts = Counter()
+    for k in range(500):
+        a = (coord(), coord())
+        b = a if k % 5 == 0 else (coord(), coord())
+        d = (b[0] - a[0], b[1] - a[1])
+        normal = (-d[1], d[0])
+        u = Rat(rng.randrange(-3, 4), rng.randrange(1, 4))
+        if k % 5 == 1:
+            t = Rat(rng.randrange(0, 7), 6)
+            p = (a[0] + t * d[0], a[1] + t * d[1])
+        elif k % 5 in (2, 3):
+            s = Rat(rng.randrange(0, 4), rng.randrange(1, 3))
+            t = -s if k % 5 == 2 else 1 + s
+            p = (a[0] + t * d[0] + u * normal[0],
+                 a[1] + t * d[1] + u * normal[1])
+        else:
+            p = (coord(), coord())
+        got = point_segment_dist_sq(p, a, b)
+        assert isinstance(got, Rat)
+        assert got == _projection_dist_sq(p, a, b)
+        if k % 5 == 1:
+            assert got == 0
+        if d != (0, 0) and k % 5 in (1, 2, 3):
+            ts[min(max(t, 0), 1)] += 1
+    assert ts[0] > 20 and ts[1] > 20 and sum(ts.values()) - ts[0] - ts[1] > 20
 
 
 def test_point_polygon_dist_sq():

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+import corpus
+from mvmdp import setdp
+from mvmdp.errors import AugmentationLimitError
 from mvmdp.fixtures import (
     all_zero,
     offset_chain,
@@ -10,10 +13,10 @@ from mvmdp.fixtures import (
     two_point_stage,
 )
 from mvmdp.frequency import min_q_over_interval
-from mvmdp.geometry import MomentPolygon, hausdorff_sq
+from mvmdp.geometry import MomentPolygon, hausdorff_sq, prune_polygon
 from mvmdp.lp import LpStatus
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
-from mvmdp.rationals import Rat
+from mvmdp.rationals import Rat, ZERO
 from mvmdp.setdp import (
     backward_step,
     boundary_set,
@@ -266,3 +269,65 @@ def test_negative_prune_budget_is_rejected():
 def test_prune_eps_zero_is_exact():
     mdp = offset_chain()
     assert compute_pmq(mdp, prune_eps=0) == compute_pmq(mdp)
+
+
+def _reference_pmq(mdp, prune_eps=None):
+    """The backward recursion on the sort-and-hull route: each Minkowski
+    step is MomentPolygon.of of the pairwise vertex sums, each union is
+    MomentPolygon.of of every action polygon's vertices, and each pruned
+    polygon is re-canonicalized by MomentPolygon.of. The prune budget per
+    stage is compute_pmq's."""
+    threshold_sq = None
+    if prune_eps is not None:
+        per_stage = Rat(prune_eps) / (2 * mdp.horizon)
+        threshold_sq = per_stage * per_stage
+    aug = augment(mdp)
+    layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
+    for t in reversed(range(mdp.horizon)):
+        out = {}
+        for s, w in aug.layer(t):
+            points = []
+            for a in mdp.actions[s]:
+                total = MomentPolygon.point(0, 0)
+                for s2, r, pg in mdp.branches(t, s, a):
+                    child = layer[(s2, w + r)].scale(pg)
+                    total = MomentPolygon.of(
+                        [(x0 + x1, y0 + y1)
+                         for x0, y0 in total.vertices
+                         for x1, y1 in child.vertices]
+                    )
+                points.extend(total.vertices)
+            poly = MomentPolygon.of(points)
+            if threshold_sq is not None:
+                poly = MomentPolygon.of(
+                    prune_polygon(poly, threshold_sq).vertices
+                )
+            out[(s, w)] = poly
+        layer = out
+    return layer[(mdp.initial_state, ZERO)]
+
+
+def test_compute_pmq_matches_the_sort_and_hull_recursion():
+    mdps = corpus.integer_instances(40) + corpus.rational_instances(3)
+    sizes = []
+    for mdp in mdps:
+        for eps in (None, Rat(1, 4)):
+            got = compute_pmq(mdp, prune_eps=eps)
+            assert got.vertices == _reference_pmq(mdp, eps).vertices
+            sizes.append(len(got.vertices))
+    assert sum(n >= 3 for n in sizes) >= 10 and max(sizes) >= 8
+
+
+def test_stage_vertex_cap(monkeypatch):
+    mdp = offset_chain()
+    aug = augment(mdp)
+    layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
+    largest = 0
+    for t in reversed(range(mdp.horizon)):
+        layer = backward_step(mdp, t, layer, aug.layer(t))
+        largest = max(largest, sum(len(p.vertices) for p in layer.values()))
+    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", largest)
+    compute_pmq(mdp)
+    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", largest - 1)
+    with pytest.raises(AugmentationLimitError, match=f"hold {largest} vert"):
+        compute_pmq(mdp)

@@ -4,9 +4,10 @@ Every numeric answer is printed both ways: an exact "p/q" string and a float
 rendering of the same value. Decision subcommands (feasible-pair,
 feasible-mean-var, oracle, zero-variance) use the exit code as the answer:
 0 = yes / feasible, 1 = no / infeasible, 2 = bad input, a cap hit or an
-internal engine disagreement. Tolerance flags on `frontier` accept floats
-with a warning; everywhere else numeric flags must be exact rationals like
-3, -2, or 7/4.
+internal engine disagreement. The size caps are fixed constants of the
+library, not flags (see "caps:" in the help). Tolerance flags on `frontier`
+accept floats with a warning; everywhere else numeric flags must be exact
+rationals like 3, -2, or 7/4.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .frequency import (
     mean_fixed_var_bounded,
 )
 from .games import (
-    DEFAULT_POLICY_CAP,
     class_feasibility,
     class_separation_report,
     gen_3sat,
@@ -38,7 +38,6 @@ from .games import (
     zero_variance_values,
 )
 from .model import (
-    DEFAULT_NODE_CAP,
     Mdp,
     POLICY_CLASSES,
     PolicySpec,
@@ -88,6 +87,10 @@ formats:
   policy JSON (witnesses): {"class": "TSW_U", "rules": [{"t": 0, "s": "s0",
   "w": N, "choose": {"a": N, ...}}, ...]}; deterministic classes carry
   "action" instead of "choose"; reward-blind classes omit "w".
+
+caps (fixed, not flags; exceeding one exits 2):
+  10^6 augmented (state, reward) nodes, 10^6 polygon vertices per stage,
+  10^6 TS/TSW or TS_U grid policies, 10^6 frontier grid cells.
 """
 
 
@@ -191,8 +194,8 @@ def _polygon_json(polygon) -> dict:
     }
 
 
-def _witness_policy(mdp: Mdp, mean, variance, max_nodes: int):
-    ok, z = exact_pair_feasible(mdp, mean, variance, max_nodes=max_nodes)
+def _witness_policy(mdp: Mdp, mean, variance):
+    ok, z = exact_pair_feasible(mdp, mean, variance)
     if not ok:
         return None
     return _policy_json(frequencies_to_policy(mdp, z))
@@ -226,7 +229,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_augment_stats(args) -> int:
     mdp = _load_mdp(args)
-    aug = augment(mdp, max_nodes=args.max_nodes)
+    aug = augment(mdp)
     layers = [len(layer) for layer in aug.layers]
     if args.format == "csv":
         lines = ["t,nodes"]
@@ -250,7 +253,7 @@ def _cmd_feasible_pair(args) -> int:
     mdp = _load_mdp(args)
     mean = _parse_exact(args.lam, "--lambda")
     variance = _parse_exact(args.v, "--v")
-    ok, z = exact_pair_feasible(mdp, mean, variance, max_nodes=args.max_nodes)
+    ok, z = exact_pair_feasible(mdp, mean, variance)
     payload = {
         "feasible": ok,
         "mean": _num(mean),
@@ -268,7 +271,7 @@ def _cmd_feasible_mean_var(args) -> int:
     mdp = _load_mdp(args)
     mean = _parse_exact(args.lam, "--lambda")
     cap = _parse_exact(args.v, "--v")
-    ok, z = mean_fixed_var_bounded(mdp, mean, cap, max_nodes=args.max_nodes)
+    ok, z = mean_fixed_var_bounded(mdp, mean, cap)
     payload = {
         "feasible": ok,
         "mean": _num(mean),
@@ -301,7 +304,7 @@ def _cmd_frontier(args) -> int:
             if args.prune_eps is None
             else _parse_exact(args.prune_eps, "--prune-eps")
         )
-        polygon = compute_pmq(mdp, prune_eps=prune, max_nodes=args.max_nodes)
+        polygon = compute_pmq(mdp, prune_eps=prune)
         frontier = exact_frontier(polygon)
         rows = _exact_frontier_rows(frontier)
         if args.format == "json":
@@ -331,9 +334,9 @@ def _cmd_frontier(args) -> int:
     eps = _parse_tolerance(args.epsilon, "--epsilon")
     slack = _parse_tolerance(args.nu, "--nu")
     if mdp.integer_rewards():
-        curve = approximate_v_star(mdp, eps, slack, max_nodes=args.max_nodes)
+        curve = approximate_v_star(mdp, eps, slack)
     else:
-        curve = general_reward_v_hat(mdp, eps, slack, max_nodes=args.max_nodes)
+        curve = general_reward_v_hat(mdp, eps, slack)
     if args.format == "json":
         _emit_json(
             {
@@ -353,7 +356,7 @@ def _cmd_frontier(args) -> int:
 
 def _cmd_zero_variance(args) -> int:
     mdp = _load_mdp(args)
-    result = zero_variance_values(mdp, max_nodes=args.max_nodes)
+    result = zero_variance_values(mdp)
     values = sorted(result.achievable_values)
     _emit_json(
         {
@@ -378,7 +381,7 @@ def _variance_extreme(args, pick) -> int:
         if args.prune_eps is None
         else _parse_exact(args.prune_eps, "--prune-eps")
     )
-    polygon = compute_pmq(mdp, prune_eps=prune, max_nodes=args.max_nodes)
+    polygon = compute_pmq(mdp, prune_eps=prune)
     value, (m, q) = pick(polygon)
     payload = {
         "variance": _num(value),
@@ -388,7 +391,7 @@ def _variance_extreme(args, pick) -> int:
         "polygon": _polygon_json(polygon),
     }
     if prune is None:
-        payload["policy"] = _witness_policy(mdp, m, value, args.max_nodes)
+        payload["policy"] = _witness_policy(mdp, m, value)
     _emit_json(payload, args)
     return OK
 
@@ -414,13 +417,7 @@ def _cmd_oracle(args) -> int:
     lam = _parse_exact(args.lam, "--lambda")
     cap = _parse_exact(args.v, "--v")
     entry = class_feasibility(
-        mdp,
-        args.policy_class,
-        lam,
-        cap,
-        grid_resolution=args.grid_resolution,
-        max_policies=args.max_policies,
-        max_nodes=args.max_nodes,
+        mdp, args.policy_class, lam, cap, grid_resolution=args.grid_resolution
     )
     payload = {
         "class": args.policy_class,
@@ -437,12 +434,7 @@ def _cmd_separation(args) -> int:
     lam = _parse_exact(args.lam, "--lambda")
     cap = _parse_exact(args.v, "--v")
     report = class_separation_report(
-        mdp,
-        lam,
-        cap,
-        grid_resolution=args.grid_resolution,
-        max_policies=args.max_policies,
-        max_nodes=args.max_nodes,
+        mdp, lam, cap, grid_resolution=args.grid_resolution
     )
     _emit_json(
         {
@@ -502,13 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reads.add_argument("input", help="MDP JSON path, or - for stdin")
     writes = argparse.ArgumentParser(add_help=False)
     writes.add_argument("-o", "--output", help="write here instead of stdout")
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument(
-        "--max-nodes",
-        type=int,
-        default=DEFAULT_NODE_CAP,
-        help="cap on augmented (state, reward) nodes (default %(default)s)",
-    )
 
     p = sub.add_parser(
         "validate",
@@ -519,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "augment-stats",
-        parents=[reads, writes, capped],
+        parents=[reads, writes],
         help="per-step counts of reachable (state, cumulative reward) nodes",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -527,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "feasible-pair",
-        parents=[reads, writes, capped],
+        parents=[reads, writes],
         help="is (mean, variance) exactly achievable? exit 0 yes / 1 no",
     )
     p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True,
@@ -538,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "feasible-mean-var",
-        parents=[reads, writes, capped],
+        parents=[reads, writes],
         help="mean exactly lambda with variance <= v? exit 0 yes / 1 no",
     )
     p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True,
@@ -549,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "frontier",
-        parents=[reads, writes, capped],
+        parents=[reads, writes],
         help="minimum variance as a function of the mean floor",
     )
     p.add_argument("--epsilon", metavar="P/Q",
@@ -565,14 +550,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "zero-variance",
-        parents=[reads, writes, capped],
+        parents=[reads, writes],
         help="all surely-forcible terminal values; exit 1 if none",
     )
     p.set_defaults(handler=_cmd_zero_variance)
 
     p = sub.add_parser(
         "min-variance",
-        parents=[reads, writes, capped],
+        parents=[reads, writes],
         help="smallest achievable variance and a witness",
     )
     p.add_argument("--prune-eps", metavar="P/Q",
@@ -581,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "max-variance",
-        parents=[reads, writes, capped],
+        parents=[reads, writes],
         help="largest achievable variance and a witness",
     )
     p.add_argument("--prune-eps", metavar="P/Q",
@@ -595,15 +580,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="variance cap, exact rational")
     searchy.add_argument("--grid-resolution", type=int, default=16,
                          help="randomization grid levels (default %(default)s)")
-    searchy.add_argument("--max-policies", type=int,
-                         default=DEFAULT_POLICY_CAP,
-                         help="cap on the TS/TSW enumeration and the TS_U "
-                              "grid; TSW_U enumerates nothing "
-                              "(default %(default)s)")
 
     p = sub.add_parser(
         "oracle",
-        parents=[reads, writes, capped, searchy],
+        parents=[reads, writes, searchy],
         help="can one policy class reach mean >= lambda with variance <= v?",
     )
     p.add_argument("--class", dest="policy_class", required=True,
@@ -612,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "separation",
-        parents=[reads, writes, capped, searchy],
+        parents=[reads, writes, searchy],
         help="the same question for all four policy classes at once",
     )
     p.set_defaults(handler=_cmd_separation)

@@ -28,7 +28,6 @@ from .lp import LpProblem, LpSolution, LpStatus, solve
 from .model import (
     AugmentedSpace,
     Mdp,
-    DEFAULT_NODE_CAP,
     PolicySpec,
     augment,
 )
@@ -159,8 +158,8 @@ def build_polytope(aug: AugmentedSpace, mdp: Mdp) -> PolytopeSkeleton:
     return PolytopeSkeleton(mdp, aug)
 
 
-def _skeleton(mdp: Mdp, max_nodes: int) -> PolytopeSkeleton:
-    return build_polytope(augment(mdp, max_nodes=max_nodes), mdp)
+def _skeleton(mdp: Mdp) -> PolytopeSkeleton:
+    return build_polytope(augment(mdp), mdp)
 
 
 def check_frequency(skeleton: PolytopeSkeleton, z: FrequencyVector) -> list[str]:
@@ -181,7 +180,7 @@ def check_frequency(skeleton: PolytopeSkeleton, z: FrequencyVector) -> list[str]
 
 
 def exact_pair_feasible(
-    mdp: Mdp, mean, variance, max_nodes: int = DEFAULT_NODE_CAP
+    mdp: Mdp, mean, variance
 ) -> tuple[bool, FrequencyVector | None]:
     """Is there a policy with exactly this (mean, variance) of the cumulative reward?
 
@@ -189,7 +188,7 @@ def exact_pair_feasible(
     """
     mean = Rat(mean)
     variance = Rat(variance)
-    sk = _skeleton(mdp, max_nodes)
+    sk = _skeleton(mdp)
     sol = sk.run(
         extra_rows=[
             (sk.mean_coeffs, mean),
@@ -202,12 +201,12 @@ def exact_pair_feasible(
 
 
 def mean_fixed_var_bounded(
-    mdp: Mdp, mean, variance_cap, max_nodes: int = DEFAULT_NODE_CAP
+    mdp: Mdp, mean, variance_cap
 ) -> tuple[bool, FrequencyVector | None]:
     """Is there a policy with this exact mean and variance <= variance_cap?"""
     mean = Rat(mean)
     variance_cap = Rat(variance_cap)
-    sk = _skeleton(mdp, max_nodes)
+    sk = _skeleton(mdp)
     slack = sk.num_vars
     sm = dict(sk.sm_coeffs)
     sm[slack] = ONE
@@ -223,15 +222,13 @@ def mean_fixed_var_bounded(
     return True, sk.solution_vector(sol)
 
 
-def min_q_over_interval(
-    mdp: Mdp, lo, hi, max_nodes: int = DEFAULT_NODE_CAP
-) -> tuple[LpStatus, Rat | None]:
+def min_q_over_interval(mdp: Mdp, lo, hi) -> tuple[LpStatus, Rat | None]:
     """Smallest achievable second moment with the mean confined to [lo, hi]."""
     lo = Rat(lo)
     hi = Rat(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    sk = _skeleton(mdp, max_nodes)
+    sk = _skeleton(mdp)
     sol = _min_q(sk, lo, hi)
     if sol.status is not LpStatus.OPTIMAL:
         return LpStatus.INFEASIBLE, None
@@ -297,14 +294,12 @@ def policy_frequencies(mdp: Mdp, policy: PolicySpec, aug: AugmentedSpace | None 
     return FrequencyVector(z_sa=z_sa, z_x=z_x)
 
 
-def terminal_lower_hull(
-    mdp: Mdp, max_nodes: int = DEFAULT_NODE_CAP
-) -> list[tuple[Rat, Rat]]:
+def terminal_lower_hull(mdp: Mdp) -> list[tuple[Rat, Rat]]:
     """Vertices of the lower boundary of the achievable (mean, second moment)
     set, left to right. Purely LP-driven (support directions with an exact
     lexicographic second stage), independent of the geometric DP engine.
     """
-    sk = _skeleton(mdp, max_nodes)
+    sk = _skeleton(mdp)
 
     lo_sol = sk.run(objective=sk.mean_coeffs)
     hi_sol = sk.run(objective={j: -c for j, c in sk.mean_coeffs.items()})

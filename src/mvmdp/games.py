@@ -15,12 +15,12 @@ over the reachable decision points and evaluates each exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import EngineDisagreementError, EnumerationLimitError
 from .frequency import frequencies_to_policy, mean_fixed_var_bounded
 from .model import (
-    DEFAULT_NODE_CAP,
     Mdp,
     PolicySpec,
     augment,
@@ -41,16 +41,14 @@ class GameResult:
     winning_policy: dict
 
 
-def zero_variance_values(
-    mdp: Mdp, max_nodes: int = DEFAULT_NODE_CAP
-) -> GameResult:
+def zero_variance_values(mdp: Mdp) -> GameResult:
     """All k such that the cumulative reward can be forced to equal k.
 
     Per node (t, s, w) the recursion keeps the set of values forcible from
     there: at the horizon only w itself; earlier, any value every
     positive-probability branch of some action can force.
     """
-    aug = augment(mdp, max_nodes=max_nodes)
+    aug = augment(mdp)
     horizon = mdp.horizon
     win: list = [None] * (horizon + 1)
     win[horizon] = {(s, w): frozenset((w,)) for s, w in aug.layer(horizon)}
@@ -112,26 +110,22 @@ def _node_points(mdp: Mdp, aug) -> list:
     return [(t, s, w) for t in range(mdp.horizon) for s, w in aug.layer(t)]
 
 
-def enumerate_policies(
-    mdp: Mdp,
-    class_tag: str,
-    max_policies: int = DEFAULT_POLICY_CAP,
-    max_nodes: int = DEFAULT_NODE_CAP,
-) -> list:
+def enumerate_policies(mdp: Mdp, class_tag: str) -> list:
     """Every deterministic policy of the class with its exact (J, Q, V).
 
     class_tag is "TS" (decides per reachable (t, state)) or "TSW" (per
-    reachable (t, state, cumulative reward)).
+    reachable (t, state, cumulative reward)). More than DEFAULT_POLICY_CAP
+    policies raise EnumerationLimitError.
     """
-    return list(_iter_policies(mdp, class_tag, max_policies, max_nodes))
+    return list(_iter_policies(mdp, class_tag))
 
 
-def _iter_policies(mdp: Mdp, class_tag: str, max_policies: int, max_nodes: int):
+def _iter_policies(mdp: Mdp, class_tag: str):
     """Lazy enumerate_policies: the class and the policy count are checked
     here, each policy is evaluated only when the iterator reaches it."""
     if class_tag not in ("TS", "TSW"):
         raise ValueError(f"enumeration covers TS and TSW, not {class_tag!r}")
-    aug = augment(mdp, max_nodes=max_nodes)
+    aug = augment(mdp)
     if class_tag == "TS":
         points = _state_points(mdp, aug)
     else:
@@ -139,9 +133,9 @@ def _iter_policies(mdp: Mdp, class_tag: str, max_policies: int, max_nodes: int):
     count = 1
     for point in points:
         count *= len(mdp.actions[point[1]])
-        if count > max_policies:
+        if count > DEFAULT_POLICY_CAP:
             raise EnumerationLimitError(
-                f"more than {max_policies} {class_tag} policies"
+                f"more than {DEFAULT_POLICY_CAP} {class_tag} policies"
             )
 
     def evaluated(combo):
@@ -186,14 +180,13 @@ def class_separation_report(
     mean_floor,
     variance_cap,
     grid_resolution: int = 16,
-    max_policies: int = DEFAULT_POLICY_CAP,
-    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> SeparationReport:
     """Feasibility of (mean >= mean_floor, variance <= variance_cap) per class,
     each decided on its own by class_feasibility, the enumerations first."""
     entries = {
-        tag: class_feasibility(mdp, tag, mean_floor, variance_cap,
-                               grid_resolution, max_policies, max_nodes)
+        tag: class_feasibility(
+            mdp, tag, mean_floor, variance_cap, grid_resolution
+        )
         for tag in ("TS", "TSW", "TS_U", "TSW_U")
     }
     return SeparationReport(Rat(mean_floor), Rat(variance_cap), entries)
@@ -205,8 +198,6 @@ def class_feasibility(
     mean_floor,
     variance_cap,
     grid_resolution: int = 16,
-    max_policies: int = DEFAULT_POLICY_CAP,
-    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ClassFeasibility:
     """Is there a class_tag policy with mean >= mean_floor and variance <=
     variance_cap?
@@ -214,35 +205,31 @@ def class_feasibility(
     TS and TSW are decided exactly by enumeration. TS_U searches behavioral
     probabilities on a grid with grid_resolution levels per simplex: sound
     when it finds a witness, inconclusive otherwise (reported as no witness
-    found at that resolution). max_policies caps both searches. TSW_U is
-    decided exactly by the root moment polygon's frontier, which gives the
-    least variance at mean >= mean_floor and a mean attaining it; one
+    found at that resolution). DEFAULT_POLICY_CAP caps both searches. TSW_U
+    is decided exactly by the root moment polygon's frontier, which gives
+    the least variance at mean >= mean_floor and a mean attaining it; one
     occupation-measure LP at that mean gives the witness.
     """
     lam = Rat(mean_floor)
     cap = Rat(variance_cap)
     if class_tag in ("TS", "TSW"):
-        for policy, mean, _, variance in _iter_policies(
-            mdp, class_tag, max_policies, max_nodes
-        ):
+        for policy, mean, _, variance in _iter_policies(mdp, class_tag):
             if mean >= lam and variance <= cap:
                 return ClassFeasibility(
                     True, policy, f"enumerated witness with mean {mean}"
                 )
         return ClassFeasibility(False, None, "exhaustive enumeration")
     if class_tag == "TS_U":
-        return _grid_search_state_randomized(
-            mdp, lam, cap, grid_resolution, max_policies, max_nodes
-        )
+        return _grid_search_state_randomized(mdp, lam, cap, grid_resolution)
     if class_tag != "TSW_U":
         raise ValueError(f"unknown policy class {class_tag!r}")
-    best = exact_frontier(compute_pmq(mdp, max_nodes=max_nodes)).argmin(lam)
+    best = exact_frontier(compute_pmq(mdp)).argmin(lam)
     if best is None or best[0] > cap:
         return ClassFeasibility(
             False, None, f"least variance at mean >= {lam} exceeds the cap"
         )
     mean = best[1][0]
-    ok, z = mean_fixed_var_bounded(mdp, mean, cap, max_nodes=max_nodes)
+    ok, z = mean_fixed_var_bounded(mdp, mean, cap)
     if not ok:
         raise EngineDisagreementError(
             f"moment polygon and occupation LP disagree at mean {mean}"
@@ -254,24 +241,27 @@ def class_feasibility(
     )
 
 
-def _grid_search_state_randomized(
-    mdp, lam, cap, resolution, max_policies, max_nodes
-):
+def _grid_search_state_randomized(mdp, lam, cap, resolution):
     if resolution < 1:
         raise ValueError("grid resolution must be at least 1")
-    points = _state_points(mdp, augment(mdp, max_nodes=max_nodes))
-    choice_lists = []
+    points = _state_points(mdp, augment(mdp))
     total = 1
-    for t, s in points:
-        acts = mdp.actions[s]
-        vectors = [
+    for _, s in points:
+        # The grid on the simplex over k actions has C(resolution+k-1, k-1)
+        # points; count them all before building any.
+        k = len(mdp.actions[s])
+        total *= math.comb(resolution + k - 1, k - 1)
+        if total > DEFAULT_POLICY_CAP:
+            raise EnumerationLimitError(
+                f"more than {DEFAULT_POLICY_CAP} grid policies"
+            )
+    choice_lists = [
+        [
             {a: Rat(c, resolution) for a, c in zip(acts, combo)}
             for combo in _simplex_grid(len(acts), resolution)
         ]
-        choice_lists.append(vectors)
-        total *= len(vectors)
-        if total > max_policies:
-            raise EnumerationLimitError(f"more than {max_policies} grid policies")
+        for acts in (mdp.actions[s] for _, s in points)
+    ]
     for combo in itertools.product(*choice_lists):
         policy = PolicySpec("TS_U", dict(zip(points, combo)))
         ev = evaluate_policy(mdp, policy)
@@ -345,10 +335,12 @@ def gen_3sat(clauses) -> Mdp:
         while len(lits) < 3:
             lits.append(lits[-1])
         padded.append(tuple(lits))
-    num_vars = max((abs(l) for c in padded for l in c), default=0)
     m = len(padded)
     clause_states = tuple(f"clause{j}" for j in range(1, m + 1))
-    var_states = tuple(f"var{i}" for i in range(1, num_vars + 1))
+    # Only the variables that occur get a state, so the state count is set
+    # by the clause list, not by the largest literal.
+    var_ids = sorted({abs(l) for c in padded for l in c})
+    var_states = tuple(f"var{i}" for i in var_ids)
     states = ("draw",) + clause_states + var_states + ("out",)
     actions = {"draw": ("go",), "out": ("stay",)}
     share = Rat(1, m + 1)

@@ -230,8 +230,8 @@ def point_segment_dist_sq(p, a, b) -> Rat:
     With e = p - a and d = b - a, the nearest point is a when e.d <= 0, b
     when e.d >= |d|^2, and otherwise the foot of the perpendicular, at
     squared distance cross(e, d)^2 / |d|^2 (Lagrange's identity turns the
-    projection formula into this). Coordinates are Rat, as in every
-    MomentPolygon, so the result is exact.
+    projection formula into this). The quotient is built as a Rat, so the
+    result is exact for int coordinates too.
     """
     ex, ey = p[0] - a[0], p[1] - a[1]
     dx, dy = b[0] - a[0], b[1] - a[1]
@@ -243,7 +243,7 @@ def point_segment_dist_sq(p, a, b) -> Rat:
         fx, fy = p[0] - b[0], p[1] - b[1]
         return fx * fx + fy * fy
     cross = ex * dy - ey * dx
-    return cross * cross / length_sq
+    return Rat(cross * cross, length_sq)
 
 
 def point_polygon_dist_sq(p, poly: MomentPolygon) -> Rat:

@@ -232,13 +232,16 @@ class AugmentedSpace:
         return sorted({w for _, w in self.layers[t]})
 
 
-def augment(mdp: Mdp, max_nodes: int = DEFAULT_NODE_CAP) -> AugmentedSpace:
+def augment(mdp: Mdp, max_nodes: int | None = None) -> AugmentedSpace:
     """Forward reachability over (state, cumulative reward), layer by layer.
 
     With integer rewards layer sizes stay polynomial (each layer's reward values
     lie among the integers within +-reward_bound*t); general rational rewards can
-    grow exponentially, hence the node cap.
+    grow exponentially, hence the node cap: max_nodes, or DEFAULT_NODE_CAP
+    (read at call time) when it is left out.
     """
+    if max_nodes is None:
+        max_nodes = DEFAULT_NODE_CAP
     order = {s: i for i, s in enumerate(mdp.states)}
     current: set[tuple[str, Rat]] = {(mdp.initial_state, ZERO)}
     layers = [current]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import AugmentationLimitError
 from .geometry import MomentPolygon, hull_of_union, minkowski_sum, prune_polygon
-from .model import DEFAULT_NODE_CAP, Mdp, augment
+from .model import Mdp, augment
 from .rationals import Rat, ZERO
 
 # Largest total vertex count of one stage's polygons, checked before pruning.
@@ -63,9 +63,7 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, nodes) -> dict:
     return out
 
 
-def compute_pmq(
-    mdp: Mdp, prune_eps=None, max_nodes: int = DEFAULT_NODE_CAP
-) -> MomentPolygon:
+def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     """The polygon of achievable (mean, second moment) pairs at the root.
 
     Stages are built backwards, each from the one after it only. With
@@ -81,7 +79,7 @@ def compute_pmq(
             raise ValueError(f"prune budget must be nonnegative: {prune_eps}")
         per_stage = prune_eps / (2 * mdp.horizon)
         threshold_sq = per_stage * per_stage
-    aug = augment(mdp, max_nodes=max_nodes)
+    aug = augment(mdp)
     layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
     for t in reversed(range(mdp.horizon)):
         layer = backward_step(mdp, t, layer, aug.layer(t))

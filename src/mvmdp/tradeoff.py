@@ -30,7 +30,7 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .model import DEFAULT_NODE_CAP, Mdp
+from .model import Mdp
 from .rationals import Rat, ZERO, floor_multiple, rat, rat_str
 from .setdp import ExactFrontier, compute_pmq
 
@@ -120,7 +120,7 @@ def _positive_tolerances(epsilon, nu) -> tuple:
     return eps, slack
 
 
-def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, max_nodes: int, hull):
+def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, hull):
     """Shared grid layout: step, grid points, and per-cell cheapest q.
 
     The cheapest q per cell is read off the lower boundary of the exact root
@@ -138,7 +138,7 @@ def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, max_nodes: int, hull):
         raise ValueError(f"{cells} grid cells exceed the cap {MAX_GRID_CELLS}")
     grid = tuple(-bound + k * step for k in range(cells + 1))
     if hull is None:
-        hull = compute_pmq(mdp, max_nodes=max_nodes).lower_chain()
+        hull = compute_pmq(mdp).lower_chain()
     frontier = ExactFrontier.of_chain(hull)
     qhat = tuple(
         frontier.min_second_moment(lo, hi) for lo, hi in zip(grid, grid[1:])
@@ -157,13 +157,7 @@ def _suffix_minima(values) -> tuple:
     return tuple(out)
 
 
-def approximate_v_star(
-    mdp: Mdp,
-    epsilon,
-    nu,
-    max_nodes: int = DEFAULT_NODE_CAP,
-    hull=None,
-) -> TradeoffCurve:
+def approximate_v_star(mdp: Mdp, epsilon, nu, hull=None) -> TradeoffCurve:
     """Tabulate an underestimate of v*(lam) on a uniform mean grid.
 
     Requires integer rewards (use general_reward_v_hat otherwise) and
@@ -183,7 +177,7 @@ def approximate_v_star(
         )
     if mdp.mean_bound == ZERO:
         return TradeoffCurve(ZERO, slack, ZERO, (ZERO,), (), (), ())
-    bound, step, grid, qhat = _grid_cells(mdp, eps, slack, max_nodes, hull)
+    bound, step, grid, qhat = _grid_cells(mdp, eps, slack, hull)
     uhat = []
     for i, q in enumerate(qhat):
         if q is None:
@@ -207,13 +201,7 @@ def approximate_v_star(
     )
 
 
-def approximate_lambda_star(
-    mdp: Mdp,
-    epsilon,
-    nu,
-    max_nodes: int = DEFAULT_NODE_CAP,
-    hull=None,
-) -> MeanCurve:
+def approximate_lambda_star(mdp: Mdp, epsilon, nu, hull=None) -> MeanCurve:
     """Tabulate a reachable underestimate of lambda*(v) on the same grid.
 
     Requires integer rewards and positive tolerances.  Each cell cap
@@ -233,7 +221,7 @@ def approximate_lambda_star(
         )
     if mdp.mean_bound == ZERO:
         return MeanCurve(ZERO, slack, ZERO, (ZERO,), (), ())
-    bound, step, grid, qhat = _grid_cells(mdp, eps, slack, max_nodes, hull)
+    bound, step, grid, qhat = _grid_cells(mdp, eps, slack, hull)
     caps = []
     for i, q in enumerate(qhat):
         if q is None:
@@ -304,12 +292,7 @@ def _unscale_curve(curve: TradeoffCurve, step: Rat) -> TradeoffCurve:
     )
 
 
-def general_reward_v_hat(
-    mdp: Mdp,
-    epsilon,
-    nu,
-    max_nodes: int = DEFAULT_NODE_CAP,
-) -> TradeoffCurve:
+def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
     """Approximate v* for an MDP with arbitrary rational rewards.
 
     Integer-reward inputs short-circuit to approximate_v_star at the halved
@@ -326,7 +309,7 @@ def general_reward_v_hat(
     """
     eps, slack = _positive_tolerances(epsilon, nu)
     if mdp.integer_rewards():
-        return approximate_v_star(mdp, eps / 2, slack / 2, max_nodes=max_nodes)
+        return approximate_v_star(mdp, eps / 2, slack / 2)
     reward_cap = mdp.reward_bound
     horizon = mdp.horizon
     step = min(
@@ -335,10 +318,7 @@ def general_reward_v_hat(
     )
     scaled = _scale_rewards(discretize_rewards(mdp, step), 1 / step)
     inner = approximate_v_star(
-        scaled,
-        (eps / 2) / (step * step),
-        (slack / 2) / step,
-        max_nodes=max_nodes,
+        scaled, (eps / 2) / (step * step), (slack / 2) / step
     )
     return _unscale_curve(inner, step)
 

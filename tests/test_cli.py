@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import deep_instances
-from mvmdp import setdp
+from mvmdp import games, model, setdp
 from mvmdp.cli import run
 from mvmdp.model import PolicySpec, evaluate_policy
 from mvmdp.fixtures import one_shot_two_arms, two_point_stage
@@ -417,7 +417,9 @@ def test_discretize_floors_rewards(capsys, tmp_path):
     assert snapped.rewards[(0, "s", "a")] == {Rat(0): Rat(1, 2), Rat(1, 2): Rat(1, 2)}
 
 
-def test_output_file_and_node_cap(capsys, tmp_path, one_shot_path):
+def test_output_file_and_node_cap(
+    capsys, tmp_path, one_shot_path, monkeypatch
+):
     target = tmp_path / "gen.json"
     code, out, _ = _invoke(
         capsys, ["gen", "subset-sum", "--r", "1", "-o", str(target)]
@@ -425,15 +427,31 @@ def test_output_file_and_node_cap(capsys, tmp_path, one_shot_path):
     assert code == 0 and out == ""
     code, _, _ = _invoke(capsys, ["validate", str(target)])
     assert code == 0
-    code, _, err = _invoke(
-        capsys, ["augment-stats", one_shot_path, "--max-nodes", "2"]
-    )
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 2)
+    code, _, err = _invoke(capsys, ["augment-stats", one_shot_path])
     assert code == 2
     assert "cap" in err
 
 
+def test_policy_caps_exit_2(capsys, one_shot_path, monkeypatch):
+    query = [one_shot_path, "--lambda", "0", "--v", "1"]
+    code, _, err = _invoke(
+        capsys,
+        ["oracle", *query, "--class", "TS_U", "--grid-resolution", "1000000000"],
+    )
+    assert code == 2 and "policy cap exceeded" in err
+    monkeypatch.setattr(games, "DEFAULT_POLICY_CAP", 1)
+    code, _, err = _invoke(capsys, ["separation", *query])
+    assert code == 2 and "policy cap exceeded" in err
+
+
 def test_bad_flags_and_help(capsys, one_shot_path):
     assert _invoke(capsys, ["frontier", one_shot_path, "--bogus"])[0] == 2
+    # the size caps are constants, not flags
+    assert _invoke(capsys, ["augment-stats", one_shot_path,
+                            "--max-nodes", "5"])[0] == 2
+    assert _invoke(capsys, ["separation", one_shot_path, "--lambda", "0",
+                            "--v", "1", "--max-policies", "5"])[0] == 2
     assert _invoke(capsys, ["no-such-command"])[0] == 2
     code, out, _ = _invoke(capsys, ["--help"])
     assert code == 0

@@ -63,9 +63,31 @@ def test_enumerate_tsw_offset_chain():
     assert any((j, q, v) == (1, 1, 0) for _, j, q, v in table)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setattr(games, "DEFAULT_POLICY_CAP", 3)
     with pytest.raises(EnumerationLimitError):
-        enumerate_policies(offset_chain(), "TSW", max_policies=3)
+        enumerate_policies(offset_chain(), "TSW")
+
+
+@pytest.mark.parametrize("tag", ["TS", "TSW", "TS_U"])
+def test_policy_cap_bounds_every_searched_class(monkeypatch, tag):
+    monkeypatch.setattr(games, "DEFAULT_POLICY_CAP", 1)
+    with pytest.raises(EnumerationLimitError, match="more than 1 "):
+        class_feasibility(offset_chain(), tag, -100, 100)
+
+
+def test_grid_cap_counts_before_building_any_vector(monkeypatch):
+    built = []
+    grid = games._simplex_grid
+
+    def spied(k, m):
+        built.append((k, m))
+        return grid(k, m)
+
+    monkeypatch.setattr(games, "_simplex_grid", spied)
+    with pytest.raises(EnumerationLimitError, match="grid policies"):
+        class_feasibility(offset_chain(), "TS_U", 0, 1, grid_resolution=10**9)
+    assert built == []
 
 
 def test_enumerate_rejects_unknown_class():
@@ -191,6 +213,16 @@ def test_3sat_mixed_instance():
 
 def test_3sat_empty_formula():
     mdp = gen_3sat([])
+    assert validate(mdp) == []
+    assert _ts_zero_variance_exists(mdp)
+
+
+def test_3sat_states_are_the_variables_that_occur():
+    big = 10**9
+    mdp = gen_3sat([(1, 2, big), (-1, -2, -big)])
+    assert [s for s in mdp.states if s.startswith("var")] == [
+        "var1", "var2", f"var{big}"
+    ]
     assert validate(mdp) == []
     assert _ts_zero_variance_exists(mdp)
 
@@ -369,6 +401,7 @@ def test_enumeration_decider_stops_at_the_first_witness(monkeypatch):
     calls.clear()
     entry = class_feasibility(mdp, "TSW", -100, 100)
     assert entry.feasible and len(calls) == 1
+    monkeypatch.setattr(games, "DEFAULT_POLICY_CAP", 1)
     with pytest.raises(EnumerationLimitError):
-        class_feasibility(mdp, "TSW", -100, 100, max_policies=1)
+        class_feasibility(mdp, "TSW", -100, 100)
     assert len(calls) == 1

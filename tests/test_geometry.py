@@ -170,10 +170,12 @@ def test_upper_chain_matches_brute_force():
 
 def test_point_segment_dist_sq():
     assert point_segment_dist_sq((0, 1), (0, 0), (2, 0)) == 1
-    assert point_segment_dist_sq((1, 1), (0, 0), (2, 0)) == 1
     assert point_segment_dist_sq((-1, 1), (0, 0), (2, 0)) == 2
     assert point_segment_dist_sq((3, 0), (0, 0), (2, 0)) == 1
     assert point_segment_dist_sq((1, 0), (1, 0), (1, 0)) == 0
+    # int coordinates projecting inside the segment give an exact Rat
+    inside = point_segment_dist_sq((1, 1), (0, 0), (2, 0))
+    assert inside == 1 and isinstance(inside, Rat)
 
 
 def _projection_dist_sq(p, a, b):

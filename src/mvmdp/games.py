@@ -4,8 +4,9 @@ and hardness-reduction instance generators.
 The zero-variance question (can the cumulative reward be made equal to some
 constant k surely?) is a reachability game on the augmented graph: the
 controller picks actions, an adversary picks any positive-probability
-branch. One backward pass computes, for every node, the full set of forcible
-terminal values, answering the question for every k at once.
+branch. What can be forced from (t, s, w) is w plus what can be forced from
+(t, s) with nothing earned, so one backward pass over the reachable
+(t, state) pairs answers the question for every k and every node at once.
 
 Policy enumeration is the brute-force oracle used to validate the optimizing
 modules on small instances: it walks every deterministic policy of a class
@@ -44,47 +45,49 @@ class GameResult:
 def zero_variance_values(mdp: Mdp) -> GameResult:
     """All k such that the cumulative reward can be forced to equal k.
 
-    Per node (t, s, w) the recursion keeps the set of values forcible from
-    there: at the horizon only w itself; earlier, any value every
-    positive-probability branch of some action can force.
+    The values forcible from node (t, s, w) are w + G(t, s), where
+    G(T, s) = {0} and earlier G(t, s) is the union over actions of the
+    intersection over positive-probability branches (s', r) of
+    r + G(t+1, s').
     """
     aug = augment(mdp)
     horizon = mdp.horizon
-    win: list = [None] * (horizon + 1)
-    win[horizon] = {(s, w): frozenset((w,)) for s, w in aug.layer(horizon)}
+    forcible: list = [None] * (horizon + 1)
+    forcible[horizon] = {s: frozenset((ZERO,)) for s, _ in aug.layer(horizon)}
     for t in reversed(range(horizon)):
         layer = {}
-        for s, w in aug.layer(t):
-            forcible = set()
+        for s in dict.fromkeys(s for s, _ in aug.layer(t)):
+            values = set()
             for a in mdp.actions[s]:
                 common = None
                 for s2, r, _ in mdp.branches(t, s, a):
-                    child = win[t + 1][(s2, w + r)]
+                    child = {r + v for v in forcible[t + 1][s2]}
                     common = child if common is None else common & child
                     if not common:
                         break
                 if common:
-                    forcible |= common
-            layer[(s, w)] = frozenset(forcible)
-        win[t] = layer
-    root = win[0][(mdp.initial_state, ZERO)]
+                    values |= common
+            layer[s] = frozenset(values)
+        forcible[t] = layer
+    root = forcible[0][mdp.initial_state]
     policies = {
-        k: _forcing_policy(mdp, win, k) for k in sorted(root)
+        k: _forcing_policy(mdp, forcible, k) for k in sorted(root)
     }
     return GameResult(achievable_values=root, winning_policy=policies)
 
 
-def _forcing_policy(mdp: Mdp, win: list, k) -> PolicySpec:
-    """Forward reconstruction: at each reached node take the first action all
-    of whose branches keep k forcible."""
+def _forcing_policy(mdp: Mdp, forcible: list, k) -> PolicySpec:
+    """Forward reconstruction: at each reached node (t, s, w) take the first
+    action whose branches (s', r) all keep k forcible: k - w - r in G(t+1, s')."""
     rule = {}
     frontier = {(mdp.initial_state, ZERO)}
     for t in range(mdp.horizon):
         nxt = set()
         for s, w in sorted(frontier):
+            need = k - w
             for a in mdp.actions[s]:
                 branches = mdp.branches(t, s, a)
-                if all(k in win[t + 1][(s2, w + r)] for s2, r, _ in branches):
+                if all(need - r in forcible[t + 1][s2] for s2, r, _ in branches):
                     break
             else:
                 raise EngineDisagreementError(
@@ -97,17 +100,11 @@ def _forcing_policy(mdp: Mdp, win: list, k) -> PolicySpec:
 
 
 def _state_points(mdp: Mdp, aug) -> list:
-    """Reachable (t, state) decision points in deterministic order."""
-    order = {s: i for i, s in enumerate(mdp.states)}
-    points = []
-    for t in range(mdp.horizon):
-        seen = sorted({s for s, _ in aug.layer(t)}, key=order.get)
-        points.extend((t, s) for s in seen)
-    return points
-
-
-def _node_points(mdp: Mdp, aug) -> list:
-    return [(t, s, w) for t in range(mdp.horizon) for s, w in aug.layer(t)]
+    """Reachable (t, state) decision points, by t and then state order
+    (each augmented layer lists its nodes in state order)."""
+    return list(dict.fromkeys(
+        (t, s) for t in range(mdp.horizon) for s, _ in aug.layer(t)
+    ))
 
 
 def enumerate_policies(mdp: Mdp, class_tag: str) -> list:
@@ -129,7 +126,7 @@ def _iter_policies(mdp: Mdp, class_tag: str):
     if class_tag == "TS":
         points = _state_points(mdp, aug)
     else:
-        points = _node_points(mdp, aug)
+        points = [(t, s, w) for t in range(mdp.horizon) for s, w in aug.layer(t)]
     count = 1
     for point in points:
         count *= len(mdp.actions[point[1]])
@@ -147,12 +144,11 @@ def _iter_policies(mdp: Mdp, class_tag: str):
 
 
 def _simplex_grid(k: int, m: int):
-    if k == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _simplex_grid(k - 1, m - first):
-            yield (first,) + rest
+    """Every k-vector of nonnegative integers summing to m, in lexicographic
+    order: the gaps around k - 1 bars placed among m + k - 1 slots."""
+    end = m + k - 1
+    for bars in itertools.combinations(range(end), k - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 @dataclass(frozen=True)
@@ -255,15 +251,16 @@ def _grid_search_state_randomized(mdp, lam, cap, resolution):
             raise EnumerationLimitError(
                 f"more than {DEFAULT_POLICY_CAP} grid policies"
             )
-    choice_lists = [
-        [
-            {a: Rat(c, resolution) for a, c in zip(acts, combo)}
-            for combo in _simplex_grid(len(acts), resolution)
-        ]
-        for acts in (mdp.actions[s] for _, s in points)
-    ]
-    for combo in itertools.product(*choice_lists):
-        policy = PolicySpec("TS_U", dict(zip(points, combo)))
+    levels = [Rat(c, resolution) for c in range(resolution + 1)]
+    action_lists = [mdp.actions[s] for _, s in points]
+    grids = [list(_simplex_grid(len(acts), resolution)) for acts in action_lists]
+    for combo in itertools.product(*grids):
+        # Rules are built per policy, so the grids hold integer vectors only.
+        rule = {
+            point: {a: levels[c] for a, c in zip(acts, vector)}
+            for point, acts, vector in zip(points, action_lists, combo)
+        }
+        policy = PolicySpec("TS_U", rule)
         ev = evaluate_policy(mdp, policy)
         if ev.mean >= lam and ev.variance <= cap:
             return ClassFeasibility(

@@ -10,10 +10,10 @@ backward recursion produces them constantly.
 MomentPolygon.of builds canonical form from arbitrary points with a sort
 and a monotone chain. The operations of the backward recursion instead rely
 on canonical input and emit canonical output directly, in time linear in
-the vertices read: minkowski_sum merges the two edge sequences by angle,
-hull_of_union merges the inputs' lexicographic vertex runs, and
-prune_polygon keeps a subset of the vertices in their cyclic order. None of
-them sorts or re-hulls.
+the vertices read: scale maps each vertex through a weighted shear,
+minkowski_sum merges the two edge sequences by angle, hull_of_union merges
+the inputs' lexicographic vertex runs, and prune_polygon keeps a subset of
+the vertices in their cyclic order. None of them sorts or re-hulls.
 
 All coordinates are exact rationals. Distances appear only in squared form,
 which keeps every comparison rational as well.
@@ -71,15 +71,18 @@ class MomentPolygon:
     def point(x, y) -> "MomentPolygon":
         return MomentPolygon(((Rat(x), Rat(y)),))
 
-    def scale(self, alpha) -> "MomentPolygon":
+    def scale(self, alpha, shift=0) -> "MomentPolygon":
+        """alpha * S_shift(self); the shear S_c(m, q) = (m + c, q + 2cm + c^2)
+        adds c to every reward and, like scaling, keeps canonical form."""
         alpha = Rat(alpha)
         if alpha < 0:
             raise ValueError("negative scale")
         if alpha == 0:
             return MomentPolygon.point(0, 0)
-        return MomentPolygon(
-            tuple((alpha * x, alpha * y) for x, y in self.vertices)
-        )
+        vs = self.vertices
+        if shift:
+            vs = [(x + shift, y + (2 * x + shift) * shift) for x, y in vs]
+        return MomentPolygon(tuple((alpha * x, alpha * y) for x, y in vs))
 
     def translate(self, dx, dy) -> "MomentPolygon":
         dx = Rat(dx)

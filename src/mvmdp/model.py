@@ -49,12 +49,6 @@ class Mdp:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def transition(self, t: int, s: str, a: str) -> dict[str, Rat]:
-        return self.transitions[(t, s, a)]
-
-    def reward_pmf(self, t: int, s: str, a: str) -> dict[Rat, Rat]:
-        return self.rewards[(t, s, a)]
-
     def branches(self, t: int, s: str, a: str) -> tuple:
         """Positive-probability branches of the factored kernel at (t, s, a).
 
@@ -227,9 +221,6 @@ class AugmentedSpace:
 
     def layer(self, t: int) -> tuple[tuple[str, Rat], ...]:
         return self.layers[t]
-
-    def reward_values(self, t: int) -> list[Rat]:
-        return sorted({w for _, w in self.layers[t]})
 
 
 def augment(mdp: Mdp, max_nodes: int | None = None) -> AugmentedSpace:

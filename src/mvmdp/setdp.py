@@ -1,12 +1,14 @@
 """Backward recursion over achievable moment sets.
 
-For each augmented node (s, w) at stage t, the set of achievable pairs
-(conditional terminal mean, conditional terminal second moment) is a convex
-polygon. At the horizon it is the single point (w, w^2); one stage earlier it
-is the hull, over actions, of the probability-weighted Minkowski sums of the
-child polygons. The root polygon at (initial state, 0) collects every
-(mean, second moment) pair any randomized reward-aware policy can achieve,
-and variance questions become one-dimensional optimizations over it:
+The achievable pairs (conditional terminal mean, conditional terminal second
+moment) at augmented node (t, s, w) form a convex polygon. The future seen
+from (t, s) does not depend on the reward w earned so far, so that polygon is
+S_w(F(t, s)): the shear S_w(m, q) = (m + w, q + 2wm + w^2) adds w to every
+terminal reward, and the state's reward-to-go polygon F(t, s) is (0, 0) at
+the horizon and earlier the hull over actions of the probability-weighted
+Minkowski sums of the children S_r(F(t+1, s')). The root polygon collects
+every (mean, second moment) pair any randomized reward-aware policy can
+achieve, and variance questions become one-dimensional optimizations over it:
 
     minimize q - m^2   concave, so attained at a polygon vertex;
     maximize q - m^2   linear in q, so attained on the upper boundary,
@@ -17,6 +19,8 @@ and variance questions become one-dimensional optimizations over it:
 An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
+Pruning does not commute with the shear, so that mode keeps one absolute
+polygon per node.
 """
 
 from __future__ import annotations
@@ -33,45 +37,51 @@ from .rationals import Rat, ZERO
 MAX_STAGE_VERTICES = 10**6
 
 
-def boundary_set(w) -> MomentPolygon:
-    """Moment set at the horizon: the cumulative reward is w surely."""
-    w = Rat(w)
-    return MomentPolygon.point(w, w * w)
+def per_state(s, w) -> tuple:
+    """Exact mode: node (s, w) reads its state's polygon, sheared by w."""
+    return (s,), ZERO
 
 
-def backward_step(mdp: Mdp, t: int, next_layer: dict, nodes) -> dict:
-    """Moment sets for the stage-t pairs (s, w) in nodes from the stage-(t+1)
-    sets.
+def per_node(s, w) -> tuple:
+    """Pruned mode: node (s, w) owns its absolute polygon."""
+    return (s, w), w
 
-    Zero-probability branches are skipped; a reachable child missing from
-    next_layer raises KeyError naming (t + 1, state, cumulative reward).
+
+def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dict:
+    """Stage-t polygons, one per key of stage, from the stage-(t+1) layer.
+
+    Node (s, w) lives where place(s, w) = (key, base) says: its polygon is
+    S_{w-base}(layer[key]), and key[0] is s. stage maps each key to its base
+    b; the key's polygon is the hull over actions of the sums over branches
+    (s', r, pg) of pg * S_{b+r-b'}(next_layer[k']), (k', b') = place(s', b+r).
     """
     out = {}
-    for s, w in nodes:
+    for key, base in stage.items():
+        s = key[0]
         per_action = []
         for a in mdp.actions[s]:
             total = MomentPolygon.point(0, 0)
             for s2, r, pg in mdp.branches(t, s, a):
-                child = next_layer.get((s2, w + r))
-                if child is None:
-                    raise KeyError(
-                        f"missing moment set for ({t + 1}, {s2}, {w + r})"
-                    )
-                total = minkowski_sum(total, child.scale(pg))
+                w = base + r
+                key2, base2 = place(s2, w)
+                child = next_layer[key2].scale(pg, w - base2)
+                total = minkowski_sum(total, child)
             per_action.append(total)
-        out[(s, w)] = hull_of_union(per_action)
+        out[key] = hull_of_union(per_action)
     return out
 
 
 def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     """The polygon of achievable (mean, second moment) pairs at the root.
 
-    Stages are built backwards, each from the one after it only. With
-    prune_eps set (nonnegative), every stage-t polygon (t < horizon) is
-    thinned right after it is computed, so earlier stages build on the
-    pruned sets. A stage whose polygons hold more than MAX_STAGE_VERTICES
-    vertices in total raises AugmentationLimitError.
+    Stages are built backwards over the nodes `augment` reaches, each from
+    the one after it only: one polygon per state when exact, one per node
+    when pruned. With prune_eps set (nonnegative), every stage-t polygon
+    (t < horizon) is thinned right after it is computed, so earlier stages
+    build on the pruned sets. A stage whose polygons hold more than
+    MAX_STAGE_VERTICES vertices in total raises AugmentationLimitError.
     """
+    place = per_state
     threshold_sq = None
     if prune_eps is not None:
         prune_eps = Rat(prune_eps)
@@ -79,10 +89,12 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
             raise ValueError(f"prune budget must be nonnegative: {prune_eps}")
         per_stage = prune_eps / (2 * mdp.horizon)
         threshold_sq = per_stage * per_stage
-    aug = augment(mdp)
-    layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
-    for t in reversed(range(mdp.horizon)):
-        layer = backward_step(mdp, t, layer, aug.layer(t))
+        place = per_node
+    layers = reversed(augment(mdp).layers)
+    stages = (dict(place(*node) for node in nodes) for nodes in layers)
+    layer = {key: MomentPolygon.point(b, b * b) for key, b in next(stages).items()}
+    for t, stage in zip(reversed(range(mdp.horizon)), stages):
+        layer = backward_step(mdp, t, layer, stage, place)
         vertices = sum(len(poly.vertices) for poly in layer.values())
         if vertices > MAX_STAGE_VERTICES:
             raise AugmentationLimitError(
@@ -94,7 +106,8 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
                 key: prune_polygon(poly, threshold_sq)
                 for key, poly in layer.items()
             }
-    return layer[(mdp.initial_state, ZERO)]
+    key, _ = place(mdp.initial_state, ZERO)
+    return layer[key]
 
 
 @dataclass(frozen=True)
@@ -178,23 +191,16 @@ def exact_frontier(polygon: MomentPolygon) -> ExactFrontier:
 
 def min_variance(polygon: MomentPolygon) -> tuple:
     """Smallest q - m^2 over the polygon; concave, so a vertex attains it."""
-    best = None
-    witness = None
-    for m, q in polygon.vertices:
-        value = q - m * m
-        if best is None or value < best:
-            best, witness = value, (m, q)
-    return best, witness
+    return min(
+        ((q - m * m, (m, q)) for m, q in polygon.vertices), key=lambda h: h[0]
+    )
 
 
 def max_variance(polygon: MomentPolygon) -> tuple:
     """Largest q - m^2 over the polygon; the witness may sit inside an edge."""
-    best = None
-    witness = None
-    for m, q in polygon.vertices:
-        value = q - m * m
-        if best is None or value > best:
-            best, witness = value, (m, q)
+    best, witness = max(
+        ((q - m * m, (m, q)) for m, q in polygon.vertices), key=lambda h: h[0]
+    )
     chain = polygon.upper_chain()
     for (m0, q0), (m1, q1) in zip(chain, chain[1:]):
         slope = (q1 - q0) / (m1 - m0)

@@ -304,6 +304,35 @@ def test_oracle_split_verdicts(capsys, one_shot_path):
     assert payload["policy"]["class"] == "TS_U"
 
 
+def test_oracle_ts_u_grid_on_a_state_with_many_actions(capsys, tmp_path):
+    # A grid walk that recursed once per action overflowed the stack here.
+    acts = tuple(f"a{i}" for i in range(1500))
+    mdp = make_mdp(
+        horizon=1,
+        states=("s0", "end"),
+        initial_state="s0",
+        actions={"s0": acts, "end": ("stay",)},
+        transitions={
+            **{("s0", a): {"end": 1} for a in acts},
+            ("end", "stay"): {"end": 1},
+        },
+        rewards={
+            **{("s0", a): {0: 1} for a in acts},
+            ("end", "stay"): {0: 1},
+        },
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(mdp))
+    code, out, err = _invoke(
+        capsys,
+        ["oracle", str(path), "--class", "TS_U", "--grid-resolution", "1",
+         "--lambda", "0", "--v", "1"],
+    )
+    assert code in (0, 1)
+    assert json.loads(out)["class"] == "TS_U"
+    assert "Traceback" not in err
+
+
 def test_engine_disagreement_exits_2(capsys, one_shot_path, monkeypatch):
     from mvmdp import games
 

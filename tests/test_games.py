@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from corpus import integer_instances
+from corpus import integer_instances, subset_sum_vectors
 from mvmdp import games
 from mvmdp.errors import EngineDisagreementError, EnumerationLimitError
 from mvmdp.fixtures import (
@@ -21,8 +21,8 @@ from mvmdp.games import (
     gen_subset_sum,
     zero_variance_values,
 )
-from mvmdp.model import evaluate_policy, make_mdp, validate
-from mvmdp.rationals import Rat
+from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, validate
+from mvmdp.rationals import Rat, ZERO
 from mvmdp.setdp import compute_pmq, min_variance
 
 
@@ -90,6 +90,23 @@ def test_grid_cap_counts_before_building_any_vector(monkeypatch):
     assert built == []
 
 
+def _recursive_simplex_grid(k, m):
+    if k == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in _recursive_simplex_grid(k - 1, m - first):
+            yield (first,) + rest
+
+
+def test_simplex_grid_order_matches_the_recursive_walk():
+    for k in range(1, 6):
+        for m in range(7):
+            assert list(games._simplex_grid(k, m)) == list(
+                _recursive_simplex_grid(k, m)
+            )
+
+
 def test_enumerate_rejects_unknown_class():
     with pytest.raises(ValueError):
         enumerate_policies(offset_chain(), "TSW_U")
@@ -155,6 +172,56 @@ def _has_balanced_signs(values):
     for v in values:
         sums = {s + v for s in sums} | {s - v for s in sums}
     return 0 in sums
+
+
+def _per_node_game(mdp):
+    """The game on augmented nodes: each node (t, s, w) keeps the set of
+    terminal values forcible from it, and the forcing policy at k takes, at
+    each reached node, the first action all of whose children keep k."""
+    aug = augment(mdp)
+    win = [None] * (mdp.horizon + 1)
+    win[mdp.horizon] = {(s, w): {w} for s, w in aug.layer(mdp.horizon)}
+    for t in reversed(range(mdp.horizon)):
+        win[t] = {}
+        for s, w in aug.layer(t):
+            forcible = set()
+            for a in mdp.actions[s]:
+                children = [
+                    win[t + 1][(s2, w + r)] for s2, r, _ in mdp.branches(t, s, a)
+                ]
+                forcible |= set.intersection(*children)
+            win[t][(s, w)] = forcible
+    policies = {}
+    for k in sorted(win[0][(mdp.initial_state, ZERO)]):
+        rule = {}
+        frontier = {(mdp.initial_state, ZERO)}
+        for t in range(mdp.horizon):
+            nxt = set()
+            for s, w in sorted(frontier):
+                a = next(
+                    a for a in mdp.actions[s]
+                    if all(k in win[t + 1][(s2, w + r)]
+                           for s2, r, _ in mdp.branches(t, s, a))
+                )
+                rule[(t, s, w)] = a
+                nxt.update((s2, w + r) for s2, r, _ in mdp.branches(t, s, a))
+            frontier = nxt
+        policies[k] = PolicySpec("TSW", rule)
+    return win[0][(mdp.initial_state, ZERO)], policies
+
+
+def test_game_matches_the_per_node_game():
+    mdps = integer_instances(100) + [
+        gen_subset_sum(values) for values in subset_sum_vectors()
+    ]
+    forcing = 0
+    for mdp in mdps:
+        root, policies = _per_node_game(mdp)
+        result = zero_variance_values(mdp)
+        assert result.achievable_values == root
+        assert result.winning_policy == policies
+        forcing += bool(root)
+    assert 40 <= forcing < len(mdps)
 
 
 def test_subset_sum_examples():

@@ -29,8 +29,8 @@ def test_stationary_entries_expand_to_all_steps():
     }
     mdp = serialize.loads(json.dumps(doc))
     for t in range(3):
-        assert mdp.transition(t, "s0", "a") == {"s0": 1}
-        assert mdp.reward_pmf(t, "s0", "a") == {rat(1, 2): 1}
+        assert mdp.transitions[(t, "s0", "a")] == {"s0": 1}
+        assert mdp.rewards[(t, "s0", "a")] == {rat(1, 2): 1}
 
 
 def test_nonstationary_dynamics_round_trip():
@@ -46,8 +46,8 @@ def test_nonstationary_dynamics_round_trip():
         ],
     }
     mdp = serialize.loads(json.dumps(doc))
-    assert mdp.reward_pmf(0, "s0", "a") == {1: 1}
-    assert mdp.reward_pmf(1, "s0", "a") == {-1: 1}
+    assert mdp.rewards[(0, "s0", "a")] == {1: 1}
+    assert mdp.rewards[(1, "s0", "a")] == {-1: 1}
     assert serialize.loads(serialize.dumps(mdp)) == mdp
 
 

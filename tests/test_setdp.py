@@ -19,38 +19,62 @@ from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
 from mvmdp.rationals import Rat, ZERO
 from mvmdp.setdp import (
     backward_step,
-    boundary_set,
     compute_pmq,
     exact_frontier,
     max_variance,
     min_variance,
+    per_node,
+    per_state,
 )
 
 SEGMENT = MomentPolygon.of([(0, 0), (1, 2)])
 
 
-def test_boundary_set():
-    assert boundary_set(0) == MomentPolygon.point(0, 0)
-    assert boundary_set(2) == MomentPolygon.point(2, 4)
-    assert boundary_set(Rat(-3, 2)) == MomentPolygon.point(
-        Rat(-3, 2), Rat(9, 4)
-    )
+def _layers(mdp, place):
+    """compute_pmq's unpruned stage layers under place, the horizon's first."""
+    aug = augment(mdp)
+
+    def stage(t):
+        return dict(place(s, w) for s, w in aug.layer(t))
+
+    layers = [
+        {key: MomentPolygon.point(b, b * b)
+         for key, b in stage(mdp.horizon).items()}
+    ]
+    for t in reversed(range(mdp.horizon)):
+        layers.append(backward_step(mdp, t, layers[-1], stage(t), place))
+    return layers
 
 
 def test_backward_step_one_shot():
     mdp = one_shot_two_arms()
-    next_layer = {
-        (s, w): boundary_set(w) for s, w in augment(mdp).layer(1)
-    }
-    out = backward_step(mdp, 0, next_layer, augment(mdp).layer(0))
+    next_layer = {(s,): MomentPolygon.point(0, 0) for s in ("s0", "end")}
+    out = backward_step(mdp, 0, next_layer, {("s0",): ZERO}, per_state)
     # Arm a pins (0,0); arm b averages (0,0) and (2,4) into (1,2).
+    assert out[("s0",)] == SEGMENT
+    next_layer = {
+        (s, w): MomentPolygon.point(w, w * w) for s, w in augment(mdp).layer(1)
+    }
+    out = backward_step(mdp, 0, next_layer, {("s0", ZERO): ZERO}, per_node)
     assert out[("s0", 0)] == SEGMENT
 
 
 def test_backward_step_missing_child():
     mdp = one_shot_two_arms()
-    with pytest.raises(KeyError, match="end"):
-        backward_step(mdp, 0, {}, augment(mdp).layer(0))
+    for key, place in ((("s0",), per_state), (("s0", ZERO), per_node)):
+        with pytest.raises(KeyError, match="end"):
+            backward_step(mdp, 0, {}, {key: ZERO}, place)
+
+
+def test_node_polygons_are_sheared_state_polygons():
+    # Node (t, s, w)'s polygon is S_w of its state's reward-to-go polygon.
+    for mdp in corpus.integer_instances(15) + corpus.rational_instances(3):
+        by_state = _layers(mdp, per_state)
+        by_node = _layers(mdp, per_node)
+        for states, nodes in zip(by_state, by_node):
+            assert {key[0] for key in nodes} == {key[0] for key in states}
+            for (s, w), poly in nodes.items():
+                assert states[(s,)].scale(1, w) == poly
 
 
 def test_backward_step_identical_actions_idempotent():
@@ -198,18 +222,13 @@ def test_intermediate_sets_respect_moment_geometry():
     for _ in range(8):
         mdp = _random_mdp(rng)
         bound = mdp.mean_bound
-        aug = augment(mdp)
-        layers = [
-            {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
-        ]
-        for t in reversed(range(mdp.horizon)):
-            layers.append(backward_step(mdp, t, layers[-1], aug.layer(t)))
-        for layer in layers:
-            for poly in layer.values():
-                for m, q in poly.vertices:
-                    assert q >= m * m
-                    assert -bound <= m <= bound
-                    assert 0 <= q <= bound * bound
+        for place in (per_state, per_node):
+            for layer in _layers(mdp, place):
+                for poly in layer.values():
+                    for m, q in poly.vertices:
+                        assert q >= m * m
+                        assert -bound <= m <= bound
+                        assert 0 <= q <= bound * bound
 
 
 def test_frontier_matches_deterministic_witnesses():
@@ -282,7 +301,9 @@ def _reference_pmq(mdp, prune_eps=None):
         per_stage = Rat(prune_eps) / (2 * mdp.horizon)
         threshold_sq = per_stage * per_stage
     aug = augment(mdp)
-    layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
+    layer = {
+        (s, w): MomentPolygon.point(w, w * w) for s, w in aug.layer(mdp.horizon)
+    }
     for t in reversed(range(mdp.horizon)):
         out = {}
         for s, w in aug.layer(t):
@@ -320,12 +341,10 @@ def test_compute_pmq_matches_the_sort_and_hull_recursion():
 
 def test_stage_vertex_cap(monkeypatch):
     mdp = offset_chain()
-    aug = augment(mdp)
-    layer = {(s, w): boundary_set(w) for s, w in aug.layer(mdp.horizon)}
-    largest = 0
-    for t in reversed(range(mdp.horizon)):
-        layer = backward_step(mdp, t, layer, aug.layer(t))
-        largest = max(largest, sum(len(p.vertices) for p in layer.values()))
+    largest = max(
+        sum(len(p.vertices) for p in layer.values())
+        for layer in _layers(mdp, per_state)[1:]
+    )
     monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", largest)
     compute_pmq(mdp)
     monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", largest - 1)

@@ -145,7 +145,12 @@ def _iter_policies(mdp: Mdp, class_tag: str):
 
 def _simplex_grid(k: int, m: int):
     """Every k-vector of nonnegative integers summing to m, in lexicographic
-    order: the gaps around k - 1 bars placed among m + k - 1 slots."""
+    order: the gaps around k - 1 bars placed among m + k - 1 slots.
+    combinations copies its pool, so the one vector of k = 1 is yielded
+    directly: its m is not bounded by the grid's point count."""
+    if k == 1:
+        yield (m,)
+        return
     end = m + k - 1
     for bars in itertools.combinations(range(end), k - 1):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
@@ -251,16 +256,15 @@ def _grid_search_state_randomized(mdp, lam, cap, resolution):
             raise EnumerationLimitError(
                 f"more than {DEFAULT_POLICY_CAP} grid policies"
             )
-    levels = [Rat(c, resolution) for c in range(resolution + 1)]
-    action_lists = [mdp.actions[s] for _, s in points]
-    grids = [list(_simplex_grid(len(acts), resolution)) for acts in action_lists]
-    for combo in itertools.product(*grids):
-        # Rules are built per policy, so the grids hold integer vectors only.
-        rule = {
-            point: {a: levels[c] for a, c in zip(acts, vector)}
-            for point, acts, vector in zip(points, action_lists, combo)
-        }
-        policy = PolicySpec("TS_U", rule)
+    choice_lists = [
+        [
+            {a: Rat(c, resolution) for a, c in zip(acts, combo)}
+            for combo in _simplex_grid(len(acts), resolution)
+        ]
+        for acts in (mdp.actions[s] for _, s in points)
+    ]
+    for combo in itertools.product(*choice_lists):
+        policy = PolicySpec("TS_U", dict(zip(points, combo)))
         ev = evaluate_policy(mdp, policy)
         if ev.mean >= lam and ev.variance <= cap:
             return ClassFeasibility(

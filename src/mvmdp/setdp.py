@@ -54,6 +54,9 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dic
     S_{w-base}(layer[key]), and key[0] is s. stage maps each key to its base
     b; the key's polygon is the hull over actions of the sums over branches
     (s', r, pg) of pg * S_{b+r-b'}(next_layer[k']), (k', b') = place(s', b+r).
+
+    Zero-probability branches are skipped; a reachable child missing from
+    next_layer raises KeyError naming (t + 1, s', b + r).
     """
     out = {}
     for key, base in stage.items():
@@ -64,8 +67,10 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dic
             for s2, r, pg in mdp.branches(t, s, a):
                 w = base + r
                 key2, base2 = place(s2, w)
-                child = next_layer[key2].scale(pg, w - base2)
-                total = minkowski_sum(total, child)
+                child = next_layer.get(key2)
+                if child is None:
+                    raise KeyError(f"missing moment set for ({t + 1}, {s2}, {w})")
+                total = minkowski_sum(total, child.scale(pg, w - base2))
             per_action.append(total)
         out[key] = hull_of_union(per_action)
     return out
@@ -191,16 +196,23 @@ def exact_frontier(polygon: MomentPolygon) -> ExactFrontier:
 
 def min_variance(polygon: MomentPolygon) -> tuple:
     """Smallest q - m^2 over the polygon; concave, so a vertex attains it."""
-    return min(
-        ((q - m * m, (m, q)) for m, q in polygon.vertices), key=lambda h: h[0]
-    )
+    best = None
+    witness = None
+    for m, q in polygon.vertices:
+        value = q - m * m
+        if best is None or value < best:
+            best, witness = value, (m, q)
+    return best, witness
 
 
 def max_variance(polygon: MomentPolygon) -> tuple:
     """Largest q - m^2 over the polygon; the witness may sit inside an edge."""
-    best, witness = max(
-        ((q - m * m, (m, q)) for m, q in polygon.vertices), key=lambda h: h[0]
-    )
+    best = None
+    witness = None
+    for m, q in polygon.vertices:
+        value = q - m * m
+        if best is None or value > best:
+            best, witness = value, (m, q)
     chain = polygon.upper_chain()
     for (m0, q0), (m1, q1) in zip(chain, chain[1:]):
         slope = (q1 - q0) / (m1 - m0)

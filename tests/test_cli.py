@@ -333,6 +333,27 @@ def test_oracle_ts_u_grid_on_a_state_with_many_actions(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_ts_u_grid_builds_nothing_sized_by_the_resolution(capsys, tmp_path):
+    # With one action per state the grid has a single policy at any
+    # resolution, so the cap check passes; nothing may then be built per level.
+    mdp = make_mdp(
+        horizon=1,
+        states=("s0", "end"),
+        initial_state="s0",
+        actions={"s0": ("go",), "end": ("stay",)},
+        transitions={("s0", "go"): {"end": 1}, ("end", "stay"): {"end": 1}},
+        rewards={("s0", "go"): {1: 1}, ("end", "stay"): {0: 1}},
+    )
+    path = tmp_path / "single.json"
+    path.write_text(dumps(mdp))
+    query = [str(path), "--lambda", "0", "--v", "1", "--grid-resolution",
+             "1000000000"]
+    code, out, _ = _invoke(capsys, ["oracle", *query, "--class", "TS_U"])
+    assert code == 0 and json.loads(out)["feasible"] is True
+    code, _, _ = _invoke(capsys, ["separation", *query])
+    assert code in (0, 1)
+
+
 def test_engine_disagreement_exits_2(capsys, one_shot_path, monkeypatch):
     from mvmdp import games
 

@@ -62,7 +62,7 @@ def test_backward_step_one_shot():
 def test_backward_step_missing_child():
     mdp = one_shot_two_arms()
     for key, place in ((("s0",), per_state), (("s0", ZERO), per_node)):
-        with pytest.raises(KeyError, match="end"):
+        with pytest.raises(KeyError, match=r"missing moment set for \(1, end, "):
             backward_step(mdp, 0, {}, {key: ZERO}, place)
 
 

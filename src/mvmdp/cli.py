@@ -89,8 +89,10 @@ formats:
   "action" instead of "choose"; reward-blind classes omit "w".
 
 caps (fixed, not flags; exceeding one exits 2):
-  10^6 augmented (state, reward) nodes, 10^6 polygon vertices per stage,
-  10^6 TS/TSW or TS_U grid policies, 10^6 frontier grid cells.
+  10^6 augmented (state, reward) nodes for the witness LPs, the TS/TSW/TS_U
+  searches, pruned polygons and augment-stats; 10^6 polygon vertices or
+  forcible values per stage; 10^6 TS/TSW or TS_U grid policies; 10^6
+  frontier grid cells.
 """
 
 
@@ -240,7 +242,7 @@ def _cmd_augment_stats(args) -> int:
         {
             "node_count": aug.node_count,
             "layer_sizes": layers,
-            "integer_rewards": aug.integer_rewards,
+            "integer_rewards": mdp.integer_rewards(),
             "reward_bound": _num(mdp.reward_bound),
             "mean_bound": _num(mdp.mean_bound),
         },

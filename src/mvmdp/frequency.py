@@ -266,10 +266,9 @@ def frequencies_to_policy(mdp: Mdp, z: FrequencyVector) -> PolicySpec:
     return PolicySpec("TSW_U", rule)
 
 
-def policy_frequencies(mdp: Mdp, policy: PolicySpec, aug: AugmentedSpace | None = None) -> FrequencyVector:
+def policy_frequencies(mdp: Mdp, policy: PolicySpec) -> FrequencyVector:
     """Occupation measures induced by a policy (exact forward propagation)."""
-    if aug is None:
-        aug = augment(mdp)
+    aug = augment(mdp)
     z_sa: dict = {}
     z_x: dict = {}
     dist: dict = {(mdp.initial_state, ZERO): ONE}

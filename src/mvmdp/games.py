@@ -5,12 +5,13 @@ The zero-variance question (can the cumulative reward be made equal to some
 constant k surely?) is a reachability game on the augmented graph: the
 controller picks actions, an adversary picks any positive-probability
 branch. What can be forced from (t, s, w) is w plus what can be forced from
-(t, s) with nothing earned, so one backward pass over the reachable
-(t, state) pairs answers the question for every k and every node at once.
+(t, s) with nothing earned, so one backward pass over the (t, state) pairs
+`model.reach` walks answers the question for every k and every node at once.
 
 Policy enumeration is the brute-force oracle used to validate the optimizing
-modules on small instances: it walks every deterministic policy of a class
-over the reachable decision points and evaluates each exactly.
+modules on small instances: one lazy search yields every TS or TSW policy,
+or every TS_U grid policy, over the reachable decision points, and each is
+evaluated exactly.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .model import (
     augment,
     evaluate_policy,
     make_mdp,
+    per_state,
+    reach,
 )
 from .rationals import Rat, ZERO, ONE
-from .setdp import compute_pmq, exact_frontier
+from .setdp import check_stage_size, compute_pmq, exact_frontier
 
 DEFAULT_POLICY_CAP = 10**6
 
@@ -48,15 +51,16 @@ def zero_variance_values(mdp: Mdp) -> GameResult:
     The values forcible from node (t, s, w) are w + G(t, s), where
     G(T, s) = {0} and earlier G(t, s) is the union over actions of the
     intersection over positive-probability branches (s', r) of
-    r + G(t+1, s').
+    r + G(t+1, s'). A stage whose sets hold more than setdp.MAX_STAGE_SIZE
+    values in total raises AugmentationLimitError.
     """
-    aug = augment(mdp)
+    stages = reach(mdp, per_state)
     horizon = mdp.horizon
     forcible: list = [None] * (horizon + 1)
-    forcible[horizon] = {s: frozenset((ZERO,)) for s, _ in aug.layer(horizon)}
+    forcible[horizon] = {s: frozenset((ZERO,)) for (s,) in stages[horizon]}
     for t in reversed(range(horizon)):
         layer = {}
-        for s in dict.fromkeys(s for s, _ in aug.layer(t)):
+        for (s,) in stages[t]:
             values = set()
             for a in mdp.actions[s]:
                 common = None
@@ -68,6 +72,8 @@ def zero_variance_values(mdp: Mdp) -> GameResult:
                 if common:
                     values |= common
             layer[s] = frozenset(values)
+        size = sum(len(values) for values in layer.values())
+        check_stage_size(t, size, "forcible sets", "values")
         forcible[t] = layer
     root = forcible[0][mdp.initial_state]
     policies = {
@@ -78,7 +84,9 @@ def zero_variance_values(mdp: Mdp) -> GameResult:
 
 def _forcing_policy(mdp: Mdp, forcible: list, k) -> PolicySpec:
     """Forward reconstruction: at each reached node (t, s, w) take the first
-    action whose branches (s', r) all keep k forcible: k - w - r in G(t+1, s')."""
+    action whose branches (s', r) all keep k forcible: k - w - r in G(t+1, s').
+    Every node it reaches has k - w in G(t, s), so each step reaches at most
+    as many nodes as the stage has forcible values."""
     rule = {}
     frontier = {(mdp.initial_state, ZERO)}
     for t in range(mdp.horizon):
@@ -99,14 +107,6 @@ def _forcing_policy(mdp: Mdp, forcible: list, k) -> PolicySpec:
     return PolicySpec("TSW", rule)
 
 
-def _state_points(mdp: Mdp, aug) -> list:
-    """Reachable (t, state) decision points, by t and then state order
-    (each augmented layer lists its nodes in state order)."""
-    return list(dict.fromkeys(
-        (t, s) for t in range(mdp.horizon) for s, _ in aug.layer(t)
-    ))
-
-
 def enumerate_policies(mdp: Mdp, class_tag: str) -> list:
     """Every deterministic policy of the class with its exact (J, Q, V).
 
@@ -114,33 +114,50 @@ def enumerate_policies(mdp: Mdp, class_tag: str) -> list:
     reachable (t, state, cumulative reward)). More than DEFAULT_POLICY_CAP
     policies raise EnumerationLimitError.
     """
-    return list(_iter_policies(mdp, class_tag))
-
-
-def _iter_policies(mdp: Mdp, class_tag: str):
-    """Lazy enumerate_policies: the class and the policy count are checked
-    here, each policy is evaluated only when the iterator reaches it."""
     if class_tag not in ("TS", "TSW"):
         raise ValueError(f"enumeration covers TS and TSW, not {class_tag!r}")
-    aug = augment(mdp)
-    if class_tag == "TS":
-        points = _state_points(mdp, aug)
-    else:
-        points = [(t, s, w) for t in range(mdp.horizon) for s, w in aug.layer(t)]
-    count = 1
-    for point in points:
-        count *= len(mdp.actions[point[1]])
-        if count > DEFAULT_POLICY_CAP:
-            raise EnumerationLimitError(
-                f"more than {DEFAULT_POLICY_CAP} {class_tag} policies"
-            )
-
-    def evaluated(combo):
-        policy = PolicySpec(class_tag, dict(zip(points, combo)))
+    out = []
+    for policy in _policies(mdp, class_tag, 1):
         ev = evaluate_policy(mdp, policy)
-        return policy, ev.mean, ev.second_moment, ev.variance
+        out.append((policy, ev.mean, ev.second_moment, ev.variance))
+    return out
 
-    return map(evaluated, itertools.product(*(mdp.actions[p[1]] for p in points)))
+
+def _policies(mdp: Mdp, class_tag: str, resolution: int):
+    """Every TS, TSW or TS_U grid policy, lazily, in product order over the
+    reachable decision points: (t, state), or (t, state, reward) for TSW.
+
+    A point with k actions has C(resolution + k - 1, k - 1) choices: its
+    actions (k, at resolution 1) or its TS_U grid vectors. Their product is
+    checked against DEFAULT_POLICY_CAP before any choice is built.
+    """
+    layers = augment(mdp).layers[:mdp.horizon]
+    if class_tag == "TSW":
+        points = [(t, s, w) for t, layer in enumerate(layers) for s, w in layer]
+    else:
+        points = list(dict.fromkeys(
+            (t, s) for t, layer in enumerate(layers) for s, _ in layer
+        ))
+    total = 1
+    for point in points:
+        k = len(mdp.actions[point[1]])
+        total *= math.comb(resolution + k - 1, k - 1)
+        if total > DEFAULT_POLICY_CAP:
+            noun = "grid" if class_tag == "TS_U" else class_tag
+            raise EnumerationLimitError(
+                f"more than {DEFAULT_POLICY_CAP} {noun} policies"
+            )
+    choices = [mdp.actions[point[1]] for point in points]
+    if class_tag == "TS_U":
+        choices = [
+            [
+                {a: Rat(c, resolution) for a, c in zip(acts, combo)}
+                for combo in _simplex_grid(len(acts), resolution)
+            ]
+            for acts in choices
+        ]
+    for combo in itertools.product(*choices):
+        yield PolicySpec(class_tag, dict(zip(points, combo)))
 
 
 def _simplex_grid(k: int, m: int):
@@ -213,15 +230,22 @@ def class_feasibility(
     """
     lam = Rat(mean_floor)
     cap = Rat(variance_cap)
-    if class_tag in ("TS", "TSW"):
-        for policy, mean, _, variance in _iter_policies(mdp, class_tag):
-            if mean >= lam and variance <= cap:
+    if class_tag in ("TS", "TSW", "TS_U"):
+        grid = class_tag == "TS_U"
+        if grid and grid_resolution < 1:
+            raise ValueError("grid resolution must be at least 1")
+        for policy in _policies(mdp, class_tag, grid_resolution if grid else 1):
+            ev = evaluate_policy(mdp, policy)
+            if ev.mean >= lam and ev.variance <= cap:
+                found = "grid" if grid else "enumerated"
                 return ClassFeasibility(
-                    True, policy, f"enumerated witness with mean {mean}"
+                    True, policy, f"{found} witness with mean {ev.mean}"
                 )
+        if grid:
+            return ClassFeasibility(
+                False, None, f"no witness found at resolution {grid_resolution}"
+            )
         return ClassFeasibility(False, None, "exhaustive enumeration")
-    if class_tag == "TS_U":
-        return _grid_search_state_randomized(mdp, lam, cap, grid_resolution)
     if class_tag != "TSW_U":
         raise ValueError(f"unknown policy class {class_tag!r}")
     best = exact_frontier(compute_pmq(mdp)).argmin(lam)
@@ -239,39 +263,6 @@ def class_feasibility(
         True,
         frequencies_to_policy(mdp, z),
         f"occupation-measure witness with mean {mean}",
-    )
-
-
-def _grid_search_state_randomized(mdp, lam, cap, resolution):
-    if resolution < 1:
-        raise ValueError("grid resolution must be at least 1")
-    points = _state_points(mdp, augment(mdp))
-    total = 1
-    for _, s in points:
-        # The grid on the simplex over k actions has C(resolution+k-1, k-1)
-        # points; count them all before building any.
-        k = len(mdp.actions[s])
-        total *= math.comb(resolution + k - 1, k - 1)
-        if total > DEFAULT_POLICY_CAP:
-            raise EnumerationLimitError(
-                f"more than {DEFAULT_POLICY_CAP} grid policies"
-            )
-    choice_lists = [
-        [
-            {a: Rat(c, resolution) for a, c in zip(acts, combo)}
-            for combo in _simplex_grid(len(acts), resolution)
-        ]
-        for acts in (mdp.actions[s] for _, s in points)
-    ]
-    for combo in itertools.product(*choice_lists):
-        policy = PolicySpec("TS_U", dict(zip(points, combo)))
-        ev = evaluate_policy(mdp, policy)
-        if ev.mean >= lam and ev.variance <= cap:
-            return ClassFeasibility(
-                True, policy, f"grid witness with mean {ev.mean}"
-            )
-    return ClassFeasibility(
-        False, None, f"no witness found at resolution {resolution}"
     )
 
 

@@ -14,6 +14,8 @@ Policies come in four classes, named by what the decision rule may observe:
     TSW_U  randomized,     sees (t, state, cumulative reward)
 
 All probabilities and rewards are exact rationals; evaluation is exact.
+`reach` is the one forward reachability walk: over augmented (state,
+cumulative reward) nodes for `augment`, or over (t, state) pairs alone.
 """
 
 from __future__ import annotations
@@ -204,6 +206,49 @@ def validate(mdp: Mdp) -> list[Violation]:
     return out
 
 
+def per_state(s, w) -> tuple:
+    """Node (s, w) folds into its state: one key per reachable (t, state)."""
+    return (s,), ZERO
+
+
+def per_node(s, w) -> tuple:
+    """Node (s, w) is its own key, with base w."""
+    return (s, w), w
+
+
+def reach(mdp: Mdp, place, max_nodes: int | None = None) -> list:
+    """Forward reachability: layers[t] maps each key reached at step t
+    (t = 0..horizon) to its base, in the order the walk first meets it.
+
+    Node (s, w) lives at key, where place(s, w) = (key, base) and key[0] is
+    s, and the walk goes on from it as if base had been earned. Rational
+    rewards can make the node layers grow exponentially, hence the cap on
+    the keys: more than max_nodes in all (DEFAULT_NODE_CAP, read at call
+    time, when left out) raise AugmentationLimitError.
+    """
+    if max_nodes is None:
+        max_nodes = DEFAULT_NODE_CAP
+    layer = dict((place(mdp.initial_state, ZERO),))
+    layers = [layer]
+    total = 1
+    for t in range(mdp.horizon):
+        nxt: dict = {}
+        for key, base in layer.items():
+            s = key[0]
+            for a in mdp.actions[s]:
+                for s2, r, _ in mdp.branches(t, s, a):
+                    key2, base2 = place(s2, base + r)
+                    nxt[key2] = base2
+        total += len(nxt)
+        if total > max_nodes:
+            raise AugmentationLimitError(
+                f"augmented space exceeds {max_nodes} nodes at layer {t + 1}"
+            )
+        layers.append(nxt)
+        layer = nxt
+    return layers
+
+
 @dataclass(frozen=True)
 class AugmentedSpace:
     """Reachable (state, cumulative reward) pairs, layered by step.
@@ -213,7 +258,6 @@ class AugmentedSpace:
     """
 
     layers: tuple[tuple[tuple[str, Rat], ...], ...]
-    integer_rewards: bool
 
     @property
     def node_count(self) -> int:
@@ -224,36 +268,13 @@ class AugmentedSpace:
 
 
 def augment(mdp: Mdp, max_nodes: int | None = None) -> AugmentedSpace:
-    """Forward reachability over (state, cumulative reward), layer by layer.
-
-    With integer rewards layer sizes stay polynomial (each layer's reward values
-    lie among the integers within +-reward_bound*t); general rational rewards can
-    grow exponentially, hence the node cap: max_nodes, or DEFAULT_NODE_CAP
-    (read at call time) when it is left out.
-    """
-    if max_nodes is None:
-        max_nodes = DEFAULT_NODE_CAP
+    """The per_node walk of `reach`, each layer sorted by state order and
+    then reward value; max_nodes caps it as in `reach`."""
     order = {s: i for i, s in enumerate(mdp.states)}
-    current: set[tuple[str, Rat]] = {(mdp.initial_state, ZERO)}
-    layers = [current]
-    total = 1
-    for t in range(mdp.horizon):
-        nxt: set[tuple[str, Rat]] = set()
-        for s, w in current:
-            for a in mdp.actions[s]:
-                for s2, r, _ in mdp.branches(t, s, a):
-                    nxt.add((s2, w + r))
-        total += len(nxt)
-        if total > max_nodes:
-            raise AugmentationLimitError(
-                f"augmented space exceeds {max_nodes} nodes at layer {t + 1}"
-            )
-        layers.append(nxt)
-        current = nxt
-    ordered = tuple(
-        tuple(sorted(layer, key=lambda sw: (order[sw[0]], sw[1]))) for layer in layers
-    )
-    return AugmentedSpace(layers=ordered, integer_rewards=mdp.integer_rewards())
+    return AugmentedSpace(layers=tuple(
+        tuple(sorted(layer, key=lambda sw: (order[sw[0]], sw[1])))
+        for layer in reach(mdp, per_node, max_nodes)
+    ))
 
 
 @dataclass(frozen=True)

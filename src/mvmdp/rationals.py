@@ -20,16 +20,21 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
+def is_integer(value) -> bool:
+    """True for an int that is not a bool (JSON true reads as bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rat(value, den=None):
     """Coerce to Rat. Accepts ints, Rat/Fraction, 'p/q' strings, [num, den] pairs."""
     if den is not None:
         return Rat(value) / Rat(den)
     if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError(f"rational pair must have two entries, got {value!r}")
-        return Rat(int(value[0])) / Rat(int(value[1]))
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}; pass an exact rational")
+        if len(value) != 2 or not all(map(is_integer, value)):
+            raise ValueError(f"rational pair must be two integers, got {value!r}")
+        return Rat(value[0]) / Rat(value[1])
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {value!r}; pass an exact rational")
     if isinstance(value, str):
         return Rat(Fraction(value.strip()))
     return Rat(value)

@@ -20,23 +20,36 @@ from __future__ import annotations
 
 import json
 
+from . import model
 from .errors import InputFormatError
 from .model import Mdp, make_mdp, validate
-from .rationals import rat, rat_pair
+from .rationals import is_integer, rat, rat_pair
+
+
+def _names(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputFormatError(f"{what} must be a list of strings, got {value!r}")
+    return value
 
 
 def _entry_key(entry: dict, what: str) -> tuple:
     if not isinstance(entry, dict) or "s" not in entry or "a" not in entry:
         raise InputFormatError(f"{what} entry must be an object with 's' and 'a': {entry!r}")
+    if not isinstance(entry["s"], str) or not isinstance(entry["a"], str):
+        raise InputFormatError(f"{what} entry names must be strings: {entry!r}")
     if "t" in entry:
         t = entry["t"]
-        if not isinstance(t, int) or t < 0:
+        if not is_integer(t) or t < 0:
             raise InputFormatError(f"{what} entry has bad step {t!r}")
         return (t, entry["s"], entry["a"])
     return (entry["s"], entry["a"])
 
 
 def _parse_pair(value, what: str):
+    # Only pairs: rat would also read strings, and "1e999999999" is too
+    # large to build.
+    if not isinstance(value, list):
+        raise InputFormatError(f"bad rational in {what}: {value!r} (not a pair)")
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -55,8 +68,26 @@ def loads(text: str, strict: bool = True) -> Mdp:
     if missing:
         raise InputFormatError(f"missing keys: {', '.join(missing)}")
     horizon = doc["horizon"]
-    if not isinstance(horizon, int):
+    if not is_integer(horizon):
         raise InputFormatError(f"horizon must be an integer, got {horizon!r}")
+    # Every walk keeps horizon + 1 nonempty layers under the node cap, and
+    # stationary entries are expanded to every step below.
+    if horizon >= model.DEFAULT_NODE_CAP:
+        raise InputFormatError(
+            f"horizon {horizon} is not below the node cap {model.DEFAULT_NODE_CAP}"
+        )
+    states = _names(doc["states"], "states")
+    initial = doc["initial_state"]
+    if not isinstance(initial, str):
+        raise InputFormatError(f"initial_state must be a string, got {initial!r}")
+    actions = doc["actions"]
+    if not isinstance(actions, dict):
+        raise InputFormatError(f"actions must be an object, got {actions!r}")
+    for s, acts in actions.items():
+        _names(acts, f"actions of {s!r}")
+    for what in ("transitions", "rewards"):
+        if not isinstance(doc[what], list):
+            raise InputFormatError(f"{what} must be a list, got {doc[what]!r}")
 
     transitions = {}
     for entry in doc["transitions"]:
@@ -88,7 +119,7 @@ def loads(text: str, strict: bool = True) -> Mdp:
         rewards[key] = pmf
 
     try:
-        mdp = make_mdp(horizon, doc["states"], doc["initial_state"], doc["actions"], transitions, rewards)
+        mdp = make_mdp(horizon, states, initial, actions, transitions, rewards)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(str(exc)) from None
     if strict:

@@ -20,7 +20,7 @@ An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
 Pruning does not commute with the shear, so that mode keeps one absolute
-polygon per node.
+polygon per node; exact mode walks the (t, state) pairs alone (`reach`).
 """
 
 from __future__ import annotations
@@ -30,21 +30,21 @@ from dataclasses import dataclass
 
 from .errors import AugmentationLimitError
 from .geometry import MomentPolygon, hull_of_union, minkowski_sum, prune_polygon
-from .model import Mdp, augment
+from .model import Mdp, per_node, per_state, reach
 from .rationals import Rat, ZERO
 
-# Largest total vertex count of one stage's polygons, checked before pruning.
-MAX_STAGE_VERTICES = 10**6
+# Largest total size of one stage, checked before pruning: the vertices of
+# its moment polygons, or the values of its forcible sets in the game.
+MAX_STAGE_SIZE = 10**6
 
 
-def per_state(s, w) -> tuple:
-    """Exact mode: node (s, w) reads its state's polygon, sheared by w."""
-    return (s,), ZERO
-
-
-def per_node(s, w) -> tuple:
-    """Pruned mode: node (s, w) owns its absolute polygon."""
-    return (s, w), w
+def check_stage_size(t: int, size: int, holders: str, items: str) -> None:
+    """Raise AugmentationLimitError if stage t holds more than MAX_STAGE_SIZE."""
+    if size > MAX_STAGE_SIZE:
+        raise AugmentationLimitError(
+            f"stage-{t} {holders} hold {size} {items}, above the cap of "
+            f"{MAX_STAGE_SIZE}"
+        )
 
 
 def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dict:
@@ -79,12 +79,13 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dic
 def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     """The polygon of achievable (mean, second moment) pairs at the root.
 
-    Stages are built backwards over the nodes `augment` reaches, each from
-    the one after it only: one polygon per state when exact, one per node
-    when pruned. With prune_eps set (nonnegative), every stage-t polygon
-    (t < horizon) is thinned right after it is computed, so earlier stages
-    build on the pruned sets. A stage whose polygons hold more than
-    MAX_STAGE_VERTICES vertices in total raises AugmentationLimitError.
+    Stages are built backwards over the keys `reach` walks, each from the
+    one after it only: one polygon per (t, state) when exact, one per
+    augmented node when pruned. With prune_eps set (nonnegative), every
+    stage-t polygon (t < horizon) is thinned right after it is computed, so
+    earlier stages build on the pruned sets. A stage whose polygons hold
+    more than MAX_STAGE_SIZE vertices in total raises
+    AugmentationLimitError.
     """
     place = per_state
     threshold_sq = None
@@ -95,17 +96,12 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         per_stage = prune_eps / (2 * mdp.horizon)
         threshold_sq = per_stage * per_stage
         place = per_node
-    layers = reversed(augment(mdp).layers)
-    stages = (dict(place(*node) for node in nodes) for nodes in layers)
-    layer = {key: MomentPolygon.point(b, b * b) for key, b in next(stages).items()}
-    for t, stage in zip(reversed(range(mdp.horizon)), stages):
-        layer = backward_step(mdp, t, layer, stage, place)
+    stages = reach(mdp, place)
+    layer = {key: MomentPolygon.point(b, b * b) for key, b in stages[-1].items()}
+    for t in reversed(range(mdp.horizon)):
+        layer = backward_step(mdp, t, layer, stages[t], place)
         vertices = sum(len(poly.vertices) for poly in layer.values())
-        if vertices > MAX_STAGE_VERTICES:
-            raise AugmentationLimitError(
-                f"stage-{t} moment polygons hold {vertices} vertices, above "
-                f"the cap of {MAX_STAGE_VERTICES}"
-            )
+        check_stage_size(t, vertices, "moment polygons", "vertices")
         if threshold_sq is not None:
             layer = {
                 key: prune_polygon(poly, threshold_sq)

@@ -112,22 +112,27 @@ class MeanCurve:
         return best
 
 
-def _positive_tolerances(epsilon, nu) -> tuple:
+def _grid_cells(mdp: Mdp, epsilon, nu, hull, square, needs_integers: str):
+    """The grid both curves share: (bound, step, grid, qhat, cells).
+
+    qhat[i] is the cheapest second moment over the means in cell i, read off
+    the lower boundary of the exact root moment polygon; hull may instead
+    carry the same boundary from another engine (terminal_lower_hull),
+    which the cross-checks use. cells[i] is qhat[i] minus square(lo*lo,
+    hi*hi) over the cell's endpoints; both are None when no mean in the
+    cell is achievable. Nonpositive tolerances raise ValueError, and so do
+    rewards that are not all integers, with the message needs_integers.
+    When every reward is zero the grid is the one point 0, with no cells.
+    """
     eps = rat(epsilon)
     slack = rat(nu)
     if eps <= 0 or slack <= 0:
         raise ValueError("epsilon and nu must be positive")
-    return eps, slack
-
-
-def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, hull):
-    """Shared grid layout: step, grid points, and per-cell cheapest q.
-
-    The cheapest q per cell is read off the lower boundary of the exact root
-    moment polygon; hull may instead carry the same boundary from another
-    engine (terminal_lower_hull), which the cross-checks use.
-    """
+    if not mdp.integer_rewards():
+        raise ValueError(needs_integers)
     bound = mdp.mean_bound
+    if bound == ZERO:
+        return ZERO, slack, (ZERO,), (), ()
     # The step keeps both tolerances honored: 3*step*bound bounds the value
     # slack and step itself bounds the argument shift.  Capping at bound
     # keeps the squared-endpoint gap of every cell within 3*step*bound.
@@ -143,7 +148,11 @@ def _grid_cells(mdp: Mdp, eps: Rat, slack: Rat, hull):
     qhat = tuple(
         frontier.min_second_moment(lo, hi) for lo, hi in zip(grid, grid[1:])
     )
-    return bound, step, grid, qhat
+    values = tuple(
+        None if q is None else q - square(lo * lo, hi * hi)
+        for q, lo, hi in zip(qhat, grid, grid[1:])
+    )
+    return bound, step, grid, qhat, values
 
 
 def _suffix_minima(values) -> tuple:
@@ -169,27 +178,15 @@ def approximate_v_star(mdp: Mdp, epsilon, nu, hull=None) -> TradeoffCurve:
     mean.  hull may carry a precomputed lower boundary of the moment set,
     left to right; by default it is read off the root moment polygon.
     """
-    eps, slack = _positive_tolerances(epsilon, nu)
-    if not mdp.integer_rewards():
-        raise ValueError(
-            "approximate_v_star requires integer rewards; "
-            "use general_reward_v_hat for general rational rewards"
-        )
-    if mdp.mean_bound == ZERO:
-        return TradeoffCurve(ZERO, slack, ZERO, (ZERO,), (), (), ())
-    bound, step, grid, qhat = _grid_cells(mdp, eps, slack, hull)
-    uhat = []
-    for i, q in enumerate(qhat):
-        if q is None:
-            uhat.append(None)
-            continue
-        lo, hi = grid[i], grid[i + 1]
-        # Subtract the larger endpoint square: every mean in the cell has
-        # its square between the endpoint squares, so the cell estimate
-        # stays at or below the true minimum variance over the cell (cells
-        # left of zero carry the larger square at their left endpoint).
-        uhat.append(q - max(lo * lo, hi * hi))
-    uhat = tuple(uhat)
+    # Subtract the larger endpoint square: every mean in the cell has its
+    # square between the endpoint squares, so the cell estimate stays at or
+    # below the true minimum variance over the cell (cells left of zero
+    # carry the larger square at their left endpoint).
+    bound, step, grid, qhat, uhat = _grid_cells(
+        mdp, epsilon, nu, hull, max,
+        "approximate_v_star requires integer rewards; "
+        "use general_reward_v_hat for general rational rewards",
+    )
     return TradeoffCurve(
         mean_bound=bound,
         delta=step,
@@ -213,28 +210,16 @@ def approximate_lambda_star(mdp: Mdp, epsilon, nu, hull=None) -> MeanCurve:
     where epsilon = 3*delta*KT is stored on the curve and lambda* of a
     negative argument reads as minus infinity.
     """
-    eps, slack = _positive_tolerances(epsilon, nu)
-    if not mdp.integer_rewards():
-        raise ValueError(
-            "approximate_lambda_star requires integer rewards; "
-            "discretize first for general rational rewards"
-        )
-    if mdp.mean_bound == ZERO:
-        return MeanCurve(ZERO, slack, ZERO, (ZERO,), (), ())
-    bound, step, grid, qhat = _grid_cells(mdp, eps, slack, hull)
-    caps = []
-    for i, q in enumerate(qhat):
-        if q is None:
-            caps.append(None)
-            continue
-        lo, hi = grid[i], grid[i + 1]
-        # Subtract the smaller endpoint square: the cell's cheapest second
-        # moment q is attained at some mean m in the cell with m*m at least
-        # the smaller square, so q - min(...) is a variance that m really
-        # achieves at most.  Reporting the cell's left endpoint therefore
-        # never overstates the reachable mean.
-        caps.append(q - min(lo * lo, hi * hi))
-    caps = tuple(caps)
+    # Subtract the smaller endpoint square: the cell's cheapest second
+    # moment q is attained at some mean m in the cell with m*m at least the
+    # smaller square, so q - min(...) is a variance that m really achieves
+    # at most.  Reporting the cell's left endpoint therefore never
+    # overstates the reachable mean.
+    bound, step, grid, _, caps = _grid_cells(
+        mdp, epsilon, nu, hull, min,
+        "approximate_lambda_star requires integer rewards; "
+        "discretize first for general rational rewards",
+    )
     return MeanCurve(
         mean_bound=bound,
         delta=step,
@@ -307,7 +292,10 @@ def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
 
     against the exact curve of the original MDP.
     """
-    eps, slack = _positive_tolerances(epsilon, nu)
+    eps = rat(epsilon)
+    slack = rat(nu)
+    if eps <= 0 or slack <= 0:
+        raise ValueError("epsilon and nu must be positive")
     if mdp.integer_rewards():
         return approximate_v_star(mdp, eps / 2, slack / 2)
     reward_cap = mdp.reward_bound

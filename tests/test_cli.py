@@ -10,6 +10,7 @@ from mvmdp import games, model, setdp
 from mvmdp.cli import run
 from mvmdp.model import PolicySpec, evaluate_policy
 from mvmdp.fixtures import one_shot_two_arms, two_point_stage
+from mvmdp.games import gen_subset_sum
 from mvmdp.frequency import mean_fixed_var_bounded
 from mvmdp.model import make_mdp
 from mvmdp.rationals import Rat
@@ -198,7 +199,7 @@ def test_negative_prune_budget_exits_2(capsys, one_shot_path):
 
 def test_polygon_vertex_cap_exits_2(capsys, one_shot_path, monkeypatch):
     # The one-shot root polygon is a segment: two vertices at stage 0.
-    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", 1)
+    monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", 1)
     for argv in (
         ["frontier", one_shot_path, "--exact"],
         ["min-variance", one_shot_path],
@@ -207,7 +208,7 @@ def test_polygon_vertex_cap_exits_2(capsys, one_shot_path, monkeypatch):
         assert code == 2
         assert out == ""
         assert "stage-0 moment polygons hold 2 vertices" in err
-    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", 2)
+    monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", 2)
     assert _invoke(capsys, ["frontier", one_shot_path, "--exact"])[0] == 0
 
 
@@ -481,6 +482,126 @@ def test_output_file_and_node_cap(
     code, _, err = _invoke(capsys, ["augment-stats", one_shot_path])
     assert code == 2
     assert "cap" in err
+
+
+def _halving_chain():
+    """One state; at step t the reward is 0 or 2^-(t+1), each with
+    probability 1/2. Horizon 4: 31 augmented nodes, 5 (t, state) pairs."""
+    return make_mdp(
+        horizon=4,
+        states=("s",),
+        initial_state="s",
+        actions={"s": ("a",)},
+        transitions={("s", "a"): {"s": 1}},
+        rewards={
+            (t, "s", "a"): {0: Rat(1, 2), Rat(1, 2 ** (t + 1)): Rat(1, 2)}
+            for t in range(4)
+        },
+    )
+
+
+def test_node_cap_bounds_only_the_node_level_engines(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "halving.json"
+    path.write_text(dumps(_halving_chain()))
+    queries = {
+        "frontier": ["frontier", str(path), "--exact"],
+        "zero-variance": ["zero-variance", str(path)],
+        "min-variance": ["min-variance", str(path)],
+        "augment-stats": ["augment-stats", str(path)],
+    }
+    answers = {name: _invoke(capsys, argv) for name, argv in queries.items()}
+    assert json.loads(answers["augment-stats"][1])["node_count"] == 31
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 10)
+    # The exact polygons and the game walk (t, state) pairs, not nodes.
+    assert _invoke(capsys, queries["frontier"]) == answers["frontier"]
+    assert answers["frontier"][0] == 0
+    assert _invoke(capsys, queries["zero-variance"]) == answers["zero-variance"]
+    assert answers["zero-variance"][0] == 1
+    # The witness LP and the node counts need every node.
+    for name in ("min-variance", "augment-stats"):
+        code, out, err = _invoke(capsys, queries[name])
+        assert (code, out) == (2, "")
+        assert "size cap exceeded: augmented space exceeds 10 nodes" in err
+
+
+def test_stage_cap_bounds_the_game(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "subset.json"
+    path.write_text(dumps(gen_subset_sum([1, 2, 3])))
+    code, out, _ = _invoke(capsys, ["zero-variance", str(path)])
+    assert code == 0 and json.loads(out)["values"]
+    monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", 1)
+    code, out, err = _invoke(capsys, ["zero-variance", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: size cap exceeded: stage-")
+    assert "forcible sets hold" in err and "above the cap of 1" in err
+
+
+# One case per way a document used to be misread or to crash the parser.
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        pytest.param(
+            lambda d: d["rewards"][1]["pmf"][1].__setitem__(0, [2.5, 1]),
+            "two integers",
+            id="float-in-pair",
+        ),
+        pytest.param(
+            lambda d: d["rewards"][1]["pmf"][1].__setitem__(0, [True, 1]),
+            "two integers",
+            id="bool-in-pair",
+        ),
+        pytest.param(
+            lambda d: d.update(states="s0"), "states must be a list",
+            id="states-string",
+        ),
+        pytest.param(
+            lambda d: d["actions"].update(s0="ab"), "actions of 's0'",
+            id="actions-string",
+        ),
+        pytest.param(
+            lambda d: d.update(horizon=True), "horizon must be an integer",
+            id="horizon-bool",
+        ),
+        pytest.param(
+            lambda d: d["rewards"][0].update(t=True), "bad step",
+            id="step-bool",
+        ),
+        pytest.param(
+            lambda d: d.update(states=[["s0"], "end"]), "states must be a list",
+            id="states-nested",
+        ),
+        pytest.param(
+            lambda d: d.update(initial_state=["s0"]), "initial_state",
+            id="initial-state-list",
+        ),
+        pytest.param(
+            lambda d: d["actions"].update(s0=[["a"], "b"]), "actions of 's0'",
+            id="action-name-list",
+        ),
+        pytest.param(
+            lambda d: d["transitions"][0].update(s=["s0"]),
+            "names must be strings",
+            id="entry-state-list",
+        ),
+        pytest.param(
+            lambda d: d.update(actions=[]), "actions must be an object",
+            id="actions-list",
+        ),
+    ],
+)
+def test_malformed_documents_exit_2(capsys, tmp_path, mutate, needle):
+    doc = json.loads(dumps(one_shot_two_arms()))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, ["min-variance", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: bad mdp input:")
+    assert needle in err
 
 
 def test_policy_caps_exit_2(capsys, one_shot_path, monkeypatch):

@@ -251,7 +251,7 @@ def test_policy_frequencies_lie_in_polytope():
                     a: Rat(wt, total) for a, wt in zip(acts, weights)
                 }
         policy = PolicySpec("TSW_U", rule)
-        z = policy_frequencies(mdp, policy, aug)
+        z = policy_frequencies(mdp, policy)
         assert check_frequency(sk, z) == []
         ev = evaluate_policy(mdp, policy)
         assert z.terminal_mean(mdp.horizon) == ev.mean

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import corpus
 from mvmdp.errors import AugmentationLimitError, PolicyCoverageError
 from mvmdp.fixtures import all_zero, forked_path, offset_chain, one_shot_two_arms
 from mvmdp.model import (
@@ -11,6 +12,9 @@ from mvmdp.model import (
     check_policy,
     evaluate_policy,
     make_mdp,
+    per_node,
+    per_state,
+    reach,
     validate,
 )
 from mvmdp.rationals import Rat, rat
@@ -62,10 +66,11 @@ def test_validate_flags_unknown_initial_state():
 
 
 def test_augment_one_shot_layer_values():
-    aug = augment(one_shot_two_arms())
+    mdp = one_shot_two_arms()
+    aug = augment(mdp)
     assert aug.layers[0] == (("s0", Rat(0)),)
     assert sorted({w for _, w in aug.layers[1]}) == [Rat(0), Rat(2)]
-    assert aug.integer_rewards
+    assert mdp.integer_rewards()
 
 
 def test_augment_zero_rewards_single_value_layers():
@@ -82,6 +87,24 @@ def test_augment_is_deterministic():
 def test_augment_respects_node_cap():
     with pytest.raises(AugmentationLimitError):
         augment(forked_path(rat(1, 2)), max_nodes=3)
+
+
+def test_reach_walks_the_augmented_layers():
+    mdps = (
+        corpus.integer_instances(40)
+        + corpus.rational_instances(10)
+        + [mdp for mdp, _ in corpus.deep_instances(5)]
+    )
+    for mdp in mdps:
+        layers = augment(mdp).layers
+        nodes = reach(mdp, per_node)
+        states = reach(mdp, per_state)
+        assert len(nodes) == len(states) == len(layers)
+        for layer, by_node, by_state in zip(layers, nodes, states):
+            assert set(by_node) == set(layer)
+            assert all(base == w for (_, w), base in by_node.items())
+            assert set(by_state) == {(s,) for s, _ in layer}
+            assert set(by_state.values()) == {Rat(0)}
 
 
 def test_augment_integer_bound():

@@ -15,7 +15,7 @@ from mvmdp.fixtures import (
 from mvmdp.frequency import min_q_over_interval
 from mvmdp.geometry import MomentPolygon, hausdorff_sq, prune_polygon
 from mvmdp.lp import LpStatus
-from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
+from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, reach
 from mvmdp.rationals import Rat, ZERO
 from mvmdp.setdp import (
     backward_step,
@@ -32,17 +32,13 @@ SEGMENT = MomentPolygon.of([(0, 0), (1, 2)])
 
 def _layers(mdp, place):
     """compute_pmq's unpruned stage layers under place, the horizon's first."""
-    aug = augment(mdp)
-
-    def stage(t):
-        return dict(place(s, w) for s, w in aug.layer(t))
-
+    stages = reach(mdp, place)
     layers = [
         {key: MomentPolygon.point(b, b * b)
-         for key, b in stage(mdp.horizon).items()}
+         for key, b in stages[mdp.horizon].items()}
     ]
     for t in reversed(range(mdp.horizon)):
-        layers.append(backward_step(mdp, t, layers[-1], stage(t), place))
+        layers.append(backward_step(mdp, t, layers[-1], stages[t], place))
     return layers
 
 
@@ -345,8 +341,8 @@ def test_stage_vertex_cap(monkeypatch):
         sum(len(p.vertices) for p in layer.values())
         for layer in _layers(mdp, per_state)[1:]
     )
-    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", largest)
+    monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", largest)
     compute_pmq(mdp)
-    monkeypatch.setattr(setdp, "MAX_STAGE_VERTICES", largest - 1)
+    monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", largest - 1)
     with pytest.raises(AugmentationLimitError, match=f"hold {largest} vert"):
         compute_pmq(mdp)

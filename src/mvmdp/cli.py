@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -121,6 +122,8 @@ def _parse_tolerance(text: str, flag: str) -> Rat:
         value = float(text)
     except ValueError:
         raise _UsageError(f"{flag} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise _UsageError(f"{flag} must be a finite number")
     approx = rationalize_float(value)
     print(
         f"warning: {flag}={text} is a float; using nearby rational "

@@ -16,8 +16,11 @@ layers is the same. Every terminal statistic of interest (mean and second
 moment of the cumulative reward) is linear in z, which is what makes the
 mean-variance questions below linear programs.
 
-Skeletons are immutable after construction; each query builds a fresh
-LpProblem, so concurrent queries against one skeleton are safe.
+Every query is a standard-form LP (equality rows, nonnegative columns): a
+side condition such as "variance at most v" or "mean in [lo, hi]" is an
+extra row with its own slack column. Skeletons are immutable after
+construction; each query builds a fresh LpProblem, so concurrent queries
+against one skeleton are safe.
 """
 
 from __future__ import annotations
@@ -58,7 +61,10 @@ class PolytopeSkeleton:
     Variables: one per z_sa entry (t < horizon), then one per z_x entry
     (t <= horizon). Rows: initial mass, couplings in layer order, flows in
     layer order. The ordering makes the deterministic-first-action policy a
-    triangular warm basis for the solver.
+    triangular warm basis for the solver (`_warm`, row -> column), which
+    every query passes to `solve`. A query is a standard-form LP: these rows,
+    then its own extra rows, over these columns and its own extra
+    nonnegative columns.
     """
 
     def __init__(self, mdp: Mdp, aug: AugmentedSpace):
@@ -113,30 +119,21 @@ class PolytopeSkeleton:
         self,
         objective: dict | None = None,
         extra_rows: list | None = None,
-        extra_vars: list | None = None,
+        extra_vars: int = 0,
     ) -> LpProblem:
         """Fresh LpProblem: base constraints plus optional extra rows/variables.
 
-        extra_vars is a list of (lower, upper) bounds; extra rows may reference
-        the new variables at indices num_vars, num_vars + 1, ...
+        extra_vars new nonnegative columns get indices num_vars,
+        num_vars + 1, ...; extra rows may reference them.
         """
-        extra_vars = extra_vars or []
-        n = self.num_vars + len(extra_vars)
-        prob = LpProblem(num_vars=n)
-        for coeffs, rhs in self.rows:
-            prob.rows.append((coeffs, rhs))
-        for k, (lo, hi) in enumerate(extra_vars):
-            prob.lower[self.num_vars + k] = Rat(lo)
-            prob.upper[self.num_vars + k] = None if hi is None else Rat(hi)
+        prob = LpProblem(
+            num_vars=self.num_vars + extra_vars,
+            objective=objective or {},
+            rows=list(self.rows),
+        )
         for coeffs, rhs in extra_rows or []:
             prob.add_row(coeffs, rhs)
-        if objective:
-            for j, c in objective.items():
-                prob.objective[j] = Rat(c)
         return prob
-
-    def warm_basis(self) -> dict[int, int]:
-        return dict(self._warm)
 
     def solution_vector(self, sol: LpSolution) -> FrequencyVector:
         z_sa = {k: sol.x[i] for k, i in self.sa_index.items()}
@@ -147,10 +144,10 @@ class PolytopeSkeleton:
         self,
         objective: dict | None = None,
         extra_rows: list | None = None,
-        extra_vars: list | None = None,
+        extra_vars: int = 0,
     ) -> LpSolution:
         prob = self.problem(objective, extra_rows, extra_vars)
-        return solve(prob, initial_basis=self.warm_basis())
+        return solve(prob, initial_basis=self._warm)
 
 
 def build_polytope(aug: AugmentedSpace, mdp: Mdp) -> PolytopeSkeleton:
@@ -186,36 +183,25 @@ def exact_pair_feasible(
 
     Linear in z: mean row = mean and second-moment row = variance + mean^2.
     """
-    mean = Rat(mean)
-    variance = Rat(variance)
-    sk = _skeleton(mdp)
-    sol = sk.run(
-        extra_rows=[
-            (sk.mean_coeffs, mean),
-            (sk.sm_coeffs, variance + mean * mean),
-        ]
-    )
-    if sol.status is not LpStatus.OPTIMAL:
-        return False, None
-    return True, sk.solution_vector(sol)
+    return _moment_witness(mdp, Rat(mean), Rat(variance), capped=False)
 
 
 def mean_fixed_var_bounded(
     mdp: Mdp, mean, variance_cap
 ) -> tuple[bool, FrequencyVector | None]:
     """Is there a policy with this exact mean and variance <= variance_cap?"""
-    mean = Rat(mean)
-    variance_cap = Rat(variance_cap)
+    return _moment_witness(mdp, Rat(mean), Rat(variance_cap), capped=True)
+
+
+def _moment_witness(mdp: Mdp, mean: Rat, variance: Rat, capped: bool):
+    """Feasibility of mean row = mean and second-moment row = variance +
+    mean^2; with capped, the second-moment row gets a slack column, so the
+    variance may lie anywhere at or below the given one."""
     sk = _skeleton(mdp)
-    slack = sk.num_vars
-    sm = dict(sk.sm_coeffs)
-    sm[slack] = ONE
+    sm = {**sk.sm_coeffs, sk.num_vars: ONE} if capped else sk.sm_coeffs
     sol = sk.run(
-        extra_rows=[
-            (sk.mean_coeffs, mean),
-            (sm, variance_cap + mean * mean),
-        ],
-        extra_vars=[(ZERO, None)],
+        extra_rows=[(sk.mean_coeffs, mean), (sm, variance + mean * mean)],
+        extra_vars=int(capped),
     )
     if sol.status is not LpStatus.OPTIMAL:
         return False, None
@@ -238,13 +224,14 @@ def min_q_over_interval(mdp: Mdp, lo, hi) -> tuple[LpStatus, Rat | None]:
 def _min_q(sk: PolytopeSkeleton, lo: Rat, hi: Rat) -> LpSolution:
     if lo == hi:
         return sk.run(objective=sk.sm_coeffs, extra_rows=[(sk.mean_coeffs, lo)])
+    # mean - w = lo with the window 0 <= w <= hi - lo stated as w + s = hi - lo.
     window = sk.num_vars
     mean_row = dict(sk.mean_coeffs)
     mean_row[window] = -ONE
     return sk.run(
         objective=sk.sm_coeffs,
-        extra_rows=[(mean_row, lo)],
-        extra_vars=[(ZERO, hi - lo)],
+        extra_rows=[(mean_row, lo), ({window: ONE, window + 1: ONE}, hi - lo)],
+        extra_vars=2,
     )
 
 

@@ -1,13 +1,15 @@
 """Exact-rational linear programming: two-phase primal simplex, Bland's rule.
 
-Problems are stated as
+Problems are in standard form,
 
     minimize c . x
-    subject to A x = b (sparse equality rows) and l <= x <= u componentwise,
+    subject to A x = b (sparse equality rows) and x >= 0,
 
-with l >= 0 finite and u either finite or None (unbounded above). All data and
-all pivoting are exact rationals, so statuses and optimal values are exact and
-a given problem always yields the identical solution (fixed pivot order).
+with the objective c a sparse {variable: coefficient} dict. Any other
+constraint, such as an upper bound x_j <= u, is stated by the caller as an
+explicit row with a slack column (x_j + s = u). All data and all pivoting are
+exact rationals, so statuses and optimal values are exact and a given problem
+always yields the identical solution (fixed pivot order).
 
 The tableau is sparse: each row is a dict column -> nonzero rational, with its
 rhs in a parallel list, and the objective (reduced costs, minus the objective
@@ -18,10 +20,6 @@ flow-conservation rows of an occupation polytope have a handful of nonzeros
 each, so this touches a small fraction of a dense tableau. The pivot path is
 exactly the dense one's: Bland's rule picks the lowest-index enterable column
 with negative reduced cost and breaks ratio ties by the lowest basic index.
-
-The solver is deliberately self-contained (no external LP dependency); callers
-that want to experiment with another engine can shadow `solve`, but everything
-in this package runs against this implementation.
 
 `solve` accepts an optional partial starting basis (row index -> variable
 index). Covered rows are pivoted in directly; only uncovered rows receive
@@ -48,36 +46,17 @@ class LpStatus(Enum):
 @dataclass
 class LpProblem:
     num_vars: int
-    objective: list = field(default_factory=list)  # dense, length num_vars
+    objective: dict = field(default_factory=dict)  # sparse var -> Rat
     rows: list = field(default_factory=list)  # (coeffs: dict var->Rat, rhs: Rat)
-    lower: list = field(default_factory=list)
-    upper: list = field(default_factory=list)  # None = +inf
-
-    def __post_init__(self):
-        if not self.objective:
-            self.objective = [ZERO] * self.num_vars
-        if not self.lower:
-            self.lower = [ZERO] * self.num_vars
-        if not self.upper:
-            self.upper = [None] * self.num_vars
 
     def add_row(self, coeffs: dict, rhs) -> None:
         self.rows.append(({j: Rat(c) for j, c in coeffs.items()}, Rat(rhs)))
 
     def check(self) -> None:
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length != num_vars")
-        if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
-            raise ValueError("bounds length != num_vars")
-        for j in range(self.num_vars):
-            if self.lower[j] < 0:
-                raise ValueError(f"lower bound of x{j} is negative")
-            if self.upper[j] is not None and self.upper[j] < self.lower[j]:
-                raise ValueError(f"bounds of x{j} are crossed")
-        for coeffs, _ in self.rows:
+        for coeffs in [self.objective] + [coeffs for coeffs, _ in self.rows]:
             for j in coeffs:
                 if not 0 <= j < self.num_vars:
-                    raise ValueError(f"row references unknown variable {j}")
+                    raise ValueError(f"unknown variable {j}")
 
 
 @dataclass
@@ -150,30 +129,17 @@ def solve(problem: LpProblem, initial_basis: dict | None = None) -> LpSolution:
     """Solve to proven optimality/infeasibility/unboundedness. Deterministic."""
     problem.check()
     n = problem.num_vars
-    lower = problem.lower
-    # Shift x = l + y so y >= 0; finite uppers become extra rows y_j + s = u_j - l_j.
-    base_rows = []
-    base_rhs = []
-    for coeffs, b in problem.rows:
-        base_rows.append({j: c for j, c in coeffs.items() if c})
-        base_rhs.append(b - sum((c * lower[j] for j, c in coeffs.items()), ZERO))
-    n_std = n
-    for j in range(n):
-        if problem.upper[j] is not None:
-            base_rows.append({j: ONE, n_std: ONE})
-            base_rhs.append(problem.upper[j] - lower[j])
-            n_std += 1
-
-    m = len(base_rows)
+    m = len(problem.rows)
     if initial_basis:
         for r, j in initial_basis.items():
-            if not (0 <= r < len(problem.rows)) or not (0 <= j < n):
+            if not (0 <= r < m) or not (0 <= j < n):
                 raise ValueError("initial basis references unknown row/variable")
 
     def build_tableau(use_warm: bool):
         # One row per constraint, then an (empty) objective row.
-        rows = [dict(row) for row in base_rows] + [{}]
-        rhs = base_rhs + [ZERO]
+        rows = [{j: c for j, c in coeffs.items() if c} for coeffs, _ in problem.rows]
+        rows.append({})
+        rhs = [b for _, b in problem.rows] + [ZERO]
         basis = [-1] * m
         if use_warm:
             # Pivot the suggested columns in; caller guarantees a triangular order
@@ -194,7 +160,7 @@ def solve(problem: LpProblem, initial_basis: dict | None = None) -> LpSolution:
     # Attach artificials, with a nonnegative rhs, to rows that still lack a
     # basic column; phase 1 minimizes their sum.
     obj = rows[-1]
-    ncols = n_std
+    ncols = n
     for i in range(m):
         if basis[i] < 0:
             row = rows[i]
@@ -208,22 +174,22 @@ def solve(problem: LpProblem, initial_basis: dict | None = None) -> LpSolution:
             basis[i] = ncols
             ncols += 1
 
-    if ncols > n_std:
+    if ncols > n:
         status = _bland(rows, rhs, basis, ncols)
         assert status is LpStatus.OPTIMAL  # phase 1 is bounded below by 0
         if -rhs[-1] > 0:
             return LpSolution(LpStatus.INFEASIBLE)
         # Drive remaining artificials out of the basis; drop redundant rows.
         for i in range(m - 1, -1, -1):
-            if basis[i] >= n_std:
-                pivot_col = min((j for j in rows[i] if j < n_std), default=None)
+            if basis[i] >= n:
+                pivot_col = min((j for j in rows[i] if j < n), default=None)
                 if pivot_col is None:
                     del rows[i], rhs[i], basis[i]
                 else:
                     _pivot(rows, rhs, basis, i, pivot_col)
 
     # Phase 2: price the objective out of the basic columns.
-    obj = {j: c for j, c in enumerate(problem.objective) if c}
+    obj = {j: c for j, c in problem.objective.items() if c}
     rows[-1] = obj
     rhs[-1] = ZERO
     for i in range(len(basis)):
@@ -231,13 +197,12 @@ def solve(problem: LpProblem, initial_basis: dict | None = None) -> LpSolution:
         if cb is not None:
             _subtract(obj, cb, rows[i])
             rhs[-1] -= cb * rhs[i]
-    status = _bland(rows, rhs, basis, n_std)
+    status = _bland(rows, rhs, basis, n)
     if status is LpStatus.UNBOUNDED:
         return LpSolution(LpStatus.UNBOUNDED)
 
-    y = [ZERO] * n_std
+    x = [ZERO] * n
     for i, j in enumerate(basis):
-        y[j] = rhs[i]
-    x = [y[j] + lower[j] for j in range(n)]
-    value = sum((c * v for c, v in zip(problem.objective, x)), ZERO)
+        x[j] = rhs[i]
+    value = sum((c * x[j] for j, c in problem.objective.items()), ZERO)
     return LpSolution(LpStatus.OPTIMAL, value=value, x=x)

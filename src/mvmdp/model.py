@@ -100,8 +100,9 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
     """Normalizing constructor: coerces numbers to Rat and keys to canonical form.
 
     transitions/rewards may be keyed (t, s, a) or (s, a); (s, a) entries are
-    expanded to every step (stationary dynamics). A step covered by both a
-    stationary and a per-step entry raises ValueError: neither may win
+    expanded to every step (stationary dynamics), all steps sharing the one
+    converted row, since no row of an Mdp is ever mutated. A step covered by
+    both a stationary and a per-step entry raises ValueError: neither may win
     silently.
     """
     states = tuple(states)
@@ -125,7 +126,7 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
                         f"{what} for ({s!r}, {a!r}) at step {t} given twice: "
                         "stationary and per-step entries overlap"
                     )
-                out[(t, s, a)] = dict(converted)
+                out[(t, s, a)] = converted
         return out
 
     transitions = expand(

@@ -62,6 +62,7 @@ def floor_multiple(value, step):
     return Rat(math.floor(Rat(value) / step)) * step
 
 
-def rationalize_float(x: float, max_denominator: int = 10**6):
-    """Nearest rational with bounded denominator (continued-fraction truncation)."""
-    return Rat(Fraction(x).limit_denominator(max_denominator))
+def rationalize_float(x: float):
+    """Nearest rational with denominator at most 10^6 (continued-fraction
+    truncation)."""
+    return Rat(Fraction(x).limit_denominator(10**6))

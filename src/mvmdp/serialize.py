@@ -150,7 +150,7 @@ def _dynamics_entries(mdp: Mdp, table, encode_row):
     return entries
 
 
-def dumps(mdp: Mdp, indent: int | None = 2) -> str:
+def dumps(mdp: Mdp) -> str:
     doc = {
         "horizon": mdp.horizon,
         "states": list(mdp.states),
@@ -172,10 +172,10 @@ def dumps(mdp: Mdp, indent: int | None = 2) -> str:
             },
         ),
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
-def dump(mdp: Mdp, path, indent: int | None = 2) -> None:
+def dump(mdp: Mdp, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(mdp, indent=indent))
+        fh.write(dumps(mdp))
         fh.write("\n")

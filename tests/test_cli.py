@@ -134,6 +134,19 @@ def test_frontier_float_tolerance_warns(capsys, one_shot_path):
     assert len(lines) == 34
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--nu"])
+@pytest.mark.parametrize("text", ["inf", "-inf", "1e400", "nan"])
+def test_frontier_rejects_non_finite_tolerance(capsys, one_shot_path, flag, text):
+    tolerances = {"--epsilon": "1/2", "--nu": "1/2", flag: text}
+    argv = ["frontier", one_shot_path]
+    for name, value in tolerances.items():
+        argv.append(f"{name}={value}")
+    code, out, err = _invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be a finite number\n"
+
+
 def test_frontier_json_format(capsys, one_shot_path):
     code, out, _ = _invoke(
         capsys,

@@ -1,0 +1,73 @@
+"""Cross-engine property tests: the occupation-measure LP against the moment
+polygon recursion on hypothesis-drawn MDPs.
+
+Each MDP has at most two states, two actions per state and horizon 3. Its
+rewards are integers or, in about half of the draws, halves and thirds as
+well. The LP's lower hull must equal the polygon's lower chain vertex for
+vertex, and the interval LP (whose mean window is an explicit slack row)
+must give the frontier's least second moment on each drawn window, with an
+infeasible window matching None.
+"""
+
+import pytest
+
+pytest.importorskip(
+    "hypothesis", reason="property tests need hypothesis (the [test] extra)"
+)
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from mvmdp.frequency import min_q_over_interval, terminal_lower_hull  # noqa: E402
+from mvmdp.lp import LpStatus  # noqa: E402
+from mvmdp.model import make_mdp  # noqa: E402
+from mvmdp.rationals import Rat  # noqa: E402
+from mvmdp.setdp import compute_pmq, exact_frontier  # noqa: E402
+
+PROPERTY = settings(
+    max_examples=100, deadline=None, derandomize=True, database=None
+)
+
+
+@st.composite
+def mdps(draw):
+    horizon = draw(st.integers(1, 3))
+    states = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
+    actions = {s: [f"a{j}" for j in range(draw(st.integers(1, 2)))] for s in states}
+    denominators = draw(st.sampled_from(((1,), (1, 2, 3))))
+    values = st.builds(Rat, st.integers(-3, 3), st.sampled_from(denominators))
+    transitions, rewards = {}, {}
+    for t in range(horizon):
+        for s in states:
+            for a in actions[s]:
+                weights = draw(
+                    st.lists(st.integers(0, 2), min_size=len(states),
+                             max_size=len(states)).filter(any)
+                )
+                transitions[(t, s, a)] = {
+                    s2: Rat(w, sum(weights)) for s2, w in zip(states, weights) if w
+                }
+                support = draw(st.lists(values, min_size=1, max_size=2, unique=True))
+                rewards[(t, s, a)] = {v: Rat(1, len(support)) for v in support}
+    return make_mdp(horizon, states, "s0", actions, transitions, rewards)
+
+
+@PROPERTY
+@given(mdps(), st.data())
+def test_lp_engine_matches_the_polygon_engine(mdp, data):
+    polygon = compute_pmq(mdp)
+    assert polygon.lower_chain() == terminal_lower_hull(mdp)
+    frontier = exact_frontier(polygon)
+    # Windows on a grid of eighths over [lam_min - 1, lam_max + 1], so they
+    # fall inside, across and outside the achievable means.
+    start = frontier.lam_min - 1
+    step = (frontier.lam_max - frontier.lam_min + 2) / 8
+    for _ in range(3):
+        lo = start + step * data.draw(st.integers(0, 8))
+        hi = lo + step * data.draw(st.integers(0, 8))
+        status, value = min_q_over_interval(mdp, lo, hi)
+        expected = frontier.min_second_moment(lo, hi)
+        if expected is None:
+            assert (status, value) == (LpStatus.INFEASIBLE, None)
+        else:
+            assert (status, value) == (LpStatus.OPTIMAL, expected)

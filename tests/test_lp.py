@@ -8,15 +8,17 @@ from mvmdp.rationals import Rat, rat
 
 
 def test_single_variable_lower_bound():
-    prob = LpProblem(num_vars=1, objective=[Rat(1)], lower=[Rat(3)])
+    # x >= 3 as the surplus row x - s = 3
+    prob = LpProblem(num_vars=2, objective={0: Rat(1)})
+    prob.add_row({0: 1, 1: -1}, 3)
     sol = solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == 3
-    assert sol.x == [3]
+    assert sol.x == [3, 0]
 
 
 def test_segment_minimum():
-    prob = LpProblem(num_vars=2, objective=[Rat(-1), Rat(-1)])
+    prob = LpProblem(num_vars=2, objective={0: Rat(-1), 1: Rat(-1)})
     prob.add_row({0: 1, 1: 1}, 1)
     sol = solve(prob)
     assert sol.status is LpStatus.OPTIMAL
@@ -31,26 +33,25 @@ def test_contradictory_equalities_infeasible():
 
 
 def test_unbounded_detection():
-    prob = LpProblem(num_vars=2, objective=[Rat(-1), Rat(0)])
+    prob = LpProblem(num_vars=2, objective={0: Rat(-1)})
     prob.add_row({0: 1, 1: -1}, 0)
     assert solve(prob).status is LpStatus.UNBOUNDED
 
 
 def test_upper_bounds_and_exact_rationals():
-    # minimize -x - 2y with x <= 2/3, y <= 1/5 and x + y free below those caps
-    prob = LpProblem(
-        num_vars=2,
-        objective=[Rat(-1), Rat(-2)],
-        upper=[rat(2, 3), rat(1, 5)],
-    )
+    # minimize -x - 2y with x <= 2/3, y <= 1/5 as the slack rows
+    # x + s = 2/3 and y + s' = 1/5, and x + y free below those caps
+    prob = LpProblem(num_vars=4, objective={0: Rat(-1), 1: Rat(-2)})
+    prob.add_row({0: 1, 2: 1}, rat(2, 3))
+    prob.add_row({1: 1, 3: 1}, rat(1, 5))
     sol = solve(prob)
     assert sol.status is LpStatus.OPTIMAL
-    assert sol.x == [rat(2, 3), rat(1, 5)]
+    assert sol.x == [rat(2, 3), rat(1, 5), 0, 0]
     assert sol.value == rat(-2, 3) - rat(2, 5)
 
 
 def test_exact_residuals_on_solution():
-    prob = LpProblem(num_vars=3, objective=[Rat(2), Rat(3), Rat(1)])
+    prob = LpProblem(num_vars=3, objective={0: Rat(2), 1: Rat(3), 2: Rat(1)})
     prob.add_row({0: rat(1, 3), 1: 1}, rat(5, 6))
     prob.add_row({1: rat(1, 2), 2: 1}, rat(3, 4))
     sol = solve(prob)
@@ -60,7 +61,7 @@ def test_exact_residuals_on_solution():
 
 
 def test_redundant_rows_are_tolerated():
-    prob = LpProblem(num_vars=2, objective=[Rat(1), Rat(1)])
+    prob = LpProblem(num_vars=2, objective={0: Rat(1), 1: Rat(1)})
     prob.add_row({0: 1, 1: 1}, 1)
     prob.add_row({0: 2, 1: 2}, 2)
     sol = solve(prob)
@@ -69,7 +70,7 @@ def test_redundant_rows_are_tolerated():
 
 
 def test_determinism():
-    prob1 = LpProblem(num_vars=3, objective=[Rat(0), Rat(-1), Rat(1)])
+    prob1 = LpProblem(num_vars=3, objective={1: Rat(-1), 2: Rat(1)})
     prob1.add_row({0: 1, 1: 2, 2: 1}, 4)
     prob1.add_row({0: 1, 1: -1}, 1)
     sols = [solve(prob1) for _ in range(3)]
@@ -77,7 +78,7 @@ def test_determinism():
 
 
 def test_warm_start_matches_cold_start():
-    prob = LpProblem(num_vars=2, objective=[Rat(1), Rat(2)])
+    prob = LpProblem(num_vars=2, objective={0: Rat(1), 1: Rat(2)})
     prob.add_row({0: 1, 1: 1}, 1)
     cold = solve(prob)
     warm = solve(prob, initial_basis={0: 1})
@@ -86,7 +87,7 @@ def test_warm_start_matches_cold_start():
 
 
 def test_bad_warm_start_falls_back():
-    prob = LpProblem(num_vars=2, objective=[Rat(1), Rat(1)])
+    prob = LpProblem(num_vars=2, objective={0: Rat(1), 1: Rat(1)})
     prob.add_row({0: 1}, 1)
     # variable 1 has a zero pivot in row 0; solver must fall back silently
     sol = solve(prob, initial_basis={0: 1})
@@ -119,7 +120,7 @@ def test_weak_duality_against_basic_enumeration():
         n = rng.randint(3, 6)
         m = rng.randint(1, min(3, n - 1))
         prob = LpProblem(
-            num_vars=n, objective=[Rat(rng.randint(-3, 3)) for _ in range(n)]
+            num_vars=n, objective={j: Rat(rng.randint(-3, 3)) for j in range(n)}
         )
         rows = []
         for _ in range(m):
@@ -143,7 +144,7 @@ def test_weak_duality_against_basic_enumeration():
             x = [Rat(0)] * n
             for j, v in zip(cols, sub):
                 x[j] = v
-            value = sum((c * v for c, v in zip(prob.objective, x)), Rat(0))
+            value = sum((c * x[j] for j, c in prob.objective.items()), Rat(0))
             if best is None or value < best:
                 best = value
         assert best is not None
@@ -187,59 +188,44 @@ def _basic_feasible_solutions(matrix, rhs, n):
 def _brute_force(prob):
     """(status, optimal value) of prob from its basic solutions and rays.
 
-    x = lower + y, and each finite upper bound becomes a slack row
-    y_j + s_j = upper_j - lower_j, so the problem is min c.y over
-    {y >= 0 : A y = b}. It is infeasible without a basic feasible solution,
-    unbounded when an extreme ray (a basic feasible solution of
-    {A d = 0, sum d = 1, d >= 0}) has negative cost, and otherwise optimal
-    at its cheapest basic feasible solution.
+    prob is min c.x over {x >= 0 : A x = b}. It is infeasible without a basic
+    feasible solution, unbounded when an extreme ray (a basic feasible
+    solution of {A d = 0, sum d = 1, d >= 0}) has negative cost, and
+    otherwise optimal at its cheapest basic feasible solution.
     """
     n = prob.num_vars
     zero = Rat(0)
-    capped = [j for j in range(n) if prob.upper[j] is not None]
-    width = n + len(capped)
-    matrix, rhs = [], []
-    for coeffs, b in prob.rows:
-        matrix.append([coeffs.get(j, zero) for j in range(n)] + [zero] * len(capped))
-        rhs.append(b - sum((c * prob.lower[j] for j, c in coeffs.items()), zero))
-    for k, j in enumerate(capped):
-        row = [zero] * width
-        row[j] = row[n + k] = Rat(1)
-        matrix.append(row)
-        rhs.append(prob.upper[j] - prob.lower[j])
-    cost = list(prob.objective) + [zero] * len(capped)
-    base = sum((c * l for c, l in zip(prob.objective, prob.lower)), zero)
+    matrix = [[coeffs.get(j, zero) for j in range(n)] for coeffs, _ in prob.rows]
+    rhs = [b for _, b in prob.rows]
 
-    def value(y):
-        return sum((c * v for c, v in zip(cost, y)), zero)
+    def value(x):
+        return sum((c * x[j] for j, c in prob.objective.items()), zero)
 
-    points = _basic_feasible_solutions(matrix, rhs, width)
+    points = _basic_feasible_solutions(matrix, rhs, n)
     if not points:
         return LpStatus.INFEASIBLE, None
     rays = _basic_feasible_solutions(
-        matrix + [[Rat(1)] * width], [zero] * len(matrix) + [Rat(1)], width
+        matrix + [[Rat(1)] * n], [zero] * len(matrix) + [Rat(1)], n
     )
     if any(value(d) < 0 for d in rays):
         return LpStatus.UNBOUNDED, None
-    return LpStatus.OPTIMAL, base + min(value(y) for y in points)
+    return LpStatus.OPTIMAL, min(value(x) for x in points)
 
 
 def _random_problem(rng):
-    """Small LP with optional lower/upper bounds, negative right-hand sides,
-    duplicated rows and, about half the time, a guaranteed feasible point."""
+    """Small LP with some variables capped by an explicit slack row
+    x_j + s = u, negative right-hand sides, duplicated rows and, about half
+    the time, a guaranteed feasible point."""
     n = rng.randint(1, 4)
-    lower = [Rat(rng.choice((0, 0, 1))) for _ in range(n)]
-    upper = [
-        lo + rng.randint(0, 3) if rng.random() < 0.4 else None for lo in lower
-    ]
+    caps = {j: Rat(rng.randint(0, 3)) for j in range(n) if rng.random() < 0.4}
     prob = LpProblem(
-        num_vars=n,
-        objective=[Rat(rng.randint(-3, 3)) for _ in range(n)],
-        lower=lower,
-        upper=upper,
+        num_vars=n + len(caps),
+        objective={j: Rat(rng.randint(-3, 3)) for j in range(n)},
     )
-    point = [lo + rng.randint(0, 2) if hi is None else hi - rng.randint(0, int(hi - lo))
-             for lo, hi in zip(lower, upper)]
+    point = [
+        caps[j] - rng.randint(0, int(caps[j])) if j in caps else Rat(rng.randint(0, 2))
+        for j in range(n)
+    ]
     planted = rng.random() < 0.5
     for _ in range(rng.randint(0, 3)):
         coeffs = {j: Rat(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.8}
@@ -251,6 +237,8 @@ def _random_problem(rng):
         if rng.random() < 0.3:
             scale = rng.choice((1, -1, 2))
             prob.add_row({j: c * scale for j, c in coeffs.items()}, rhs * scale)
+    for k, (j, cap) in enumerate(caps.items()):
+        prob.add_row({j: 1, n + k: 1}, cap)
     return prob
 
 
@@ -267,25 +255,23 @@ def test_status_and_value_against_basic_enumeration():
             continue
         assert sol.value == best
         assert sol.value == sum(
-            (c * v for c, v in zip(prob.objective, sol.x)), Rat(0)
+            (c * sol.x[j] for j, c in prob.objective.items()), Rat(0)
         )
         for coeffs, rhs in prob.rows:
             assert sum((c * sol.x[j] for j, c in coeffs.items()), Rat(0)) == rhs
-        for v, lo, hi in zip(sol.x, prob.lower, prob.upper):
-            assert lo <= v and (hi is None or v <= hi)
+        assert all(v >= 0 for v in sol.x)
     assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_solve_leaves_problem_rows_unchanged():
-    prob = LpProblem(
-        num_vars=4,
-        objective=[Rat(1), Rat(-2), Rat(0), Rat(3)],
-        lower=[Rat(0), Rat(1), Rat(0), Rat(0)],
-        upper=[None, Rat(3), None, rat(5, 2)],
-    )
+    # 1 <= x1 <= 3 and x3 <= 5/2 as rows over the slack columns 4, 5, 6
+    prob = LpProblem(num_vars=7, objective={0: Rat(1), 1: Rat(-2), 3: Rat(3)})
     prob.add_row({0: 1, 1: 2, 2: -1}, 4)
     prob.add_row({1: rat(1, 3), 3: 1}, -1)
     prob.add_row({0: 1, 2: 1, 3: 0}, 2)
+    prob.add_row({1: 1, 4: -1}, 1)
+    prob.add_row({1: 1, 5: 1}, 3)
+    prob.add_row({3: 1, 6: 1}, rat(5, 2))
     snapshot = [(dict(coeffs), rhs) for coeffs, rhs in prob.rows]
     dicts = [coeffs for coeffs, _ in prob.rows]
     for basis in (None, {0: 0}, {0: 2, 2: 0}):

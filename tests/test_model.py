@@ -312,3 +312,24 @@ def test_make_mdp_rejects_stationary_and_per_step_overlap(table, stationary_firs
             actions={"s": ["a"]},
             **dynamics,
         )
+
+
+def test_make_mdp_shares_one_row_across_stationary_steps():
+    mdp = make_mdp(
+        horizon=4,
+        states=["s"],
+        initial_state="s",
+        actions={"s": ["a", "b"]},
+        transitions={
+            ("s", "a"): {"s": 1},
+            **{(t, "s", "b"): {"s": 1} for t in range(4)},
+        },
+        rewards={
+            ("s", "a"): {0: 1},
+            **{(t, "s", "b"): {1: 1} for t in range(4)},
+        },
+    )
+    for table in (mdp.transitions, mdp.rewards):
+        assert table[(0, "s", "a")] is table[(3, "s", "a")]
+        assert table[(0, "s", "b")] is not table[(3, "s", "b")]
+        assert table[(0, "s", "b")] == table[(3, "s", "b")]

@@ -125,6 +125,10 @@ def _parse_tolerance(text: str, flag: str) -> Rat:
     if not math.isfinite(value):
         raise _UsageError(f"{flag} must be a finite number")
     approx = rationalize_float(value)
+    if value and not approx:
+        raise _UsageError(
+            f"{flag}={text} rounds to 0 at denominator 10^6; give it as p/q"
+        )
     print(
         f"warning: {flag}={text} is a float; using nearby rational "
         f"{rat_str(approx)}",
@@ -199,6 +203,13 @@ def _polygon_json(polygon) -> dict:
     }
 
 
+def _prune_budget(args) -> Rat | None:
+    """--prune-eps as an exact rational; None when the flag is left out."""
+    if args.prune_eps is None:
+        return None
+    return _parse_exact(args.prune_eps, "--prune-eps")
+
+
 def _witness_policy(mdp: Mdp, mean, variance):
     ok, z = exact_pair_feasible(mdp, mean, variance)
     if not ok:
@@ -258,18 +269,16 @@ def _cmd_feasible_pair(args) -> int:
     mdp = _load_mdp(args)
     mean = _parse_exact(args.lam, "--lambda")
     variance = _parse_exact(args.v, "--v")
-    ok, z = exact_pair_feasible(mdp, mean, variance)
+    policy = _witness_policy(mdp, mean, variance)
     payload = {
-        "feasible": ok,
+        "feasible": policy is not None,
         "mean": _num(mean),
         "variance": _num(variance),
     }
-    if not ok:
-        _emit_json(payload, args)
-        return NO
-    payload["policy"] = _policy_json(frequencies_to_policy(mdp, z))
+    if policy is not None:
+        payload["policy"] = policy
     _emit_json(payload, args)
-    return OK
+    return NO if policy is None else OK
 
 
 def _cmd_feasible_mean_var(args) -> int:
@@ -304,11 +313,7 @@ def _cmd_frontier(args) -> int:
     if args.exact:
         if args.epsilon is not None or args.nu is not None:
             raise _UsageError("--epsilon/--nu apply to the approximate mode only")
-        prune = (
-            None
-            if args.prune_eps is None
-            else _parse_exact(args.prune_eps, "--prune-eps")
-        )
+        prune = _prune_budget(args)
         polygon = compute_pmq(mdp, prune_eps=prune)
         frontier = exact_frontier(polygon)
         rows = _exact_frontier_rows(frontier)
@@ -381,11 +386,7 @@ def _cmd_zero_variance(args) -> int:
 
 def _variance_extreme(args, pick) -> int:
     mdp = _load_mdp(args)
-    prune = (
-        None
-        if args.prune_eps is None
-        else _parse_exact(args.prune_eps, "--prune-eps")
-    )
+    prune = _prune_budget(args)
     polygon = compute_pmq(mdp, prune_eps=prune)
     value, (m, q) = pick(polygon)
     payload = {

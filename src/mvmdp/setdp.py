@@ -191,14 +191,9 @@ def exact_frontier(polygon: MomentPolygon) -> ExactFrontier:
 
 
 def min_variance(polygon: MomentPolygon) -> tuple:
-    """Smallest q - m^2 over the polygon; concave, so a vertex attains it."""
-    best = None
-    witness = None
-    for m, q in polygon.vertices:
-        value = q - m * m
-        if best is None or value < best:
-            best, witness = value, (m, q)
-    return best, witness
+    """Smallest q - m^2 over the polygon, with the leftmost vertex attaining
+    it; concave, so a vertex of the lower chain does."""
+    return exact_frontier(polygon).best[0]
 
 
 def max_variance(polygon: MomentPolygon) -> tuple:

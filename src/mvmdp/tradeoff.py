@@ -19,9 +19,10 @@ The mirror curve lambda-hat(v) (largest mean reachable with variance at most
 v) is built from the same grid with the opposite rounding, so every reported
 mean is genuinely reachable at the queried variance budget.
 
-MDPs with non-integer rational rewards are handled by flooring rewards to
-multiples of a small step, rescaling to integers, and running the integer
-machinery; `general_reward_v_hat` wires the pipeline together.
+The root moment polygon is exact for any rational rewards, so both curves
+take any rational rewards as they are. `general_reward_v_hat` adds the
+paper's flooring step: rewards floored to a fine multiple, then the same
+grid at half the tolerances.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class MeanCurve:
         return best
 
 
-def _grid_cells(mdp: Mdp, epsilon, nu, hull, square, needs_integers: str):
+def _grid_cells(mdp: Mdp, epsilon, nu, hull, square):
     """The grid both curves share: (bound, step, grid, qhat, cells).
 
     qhat[i] is the cheapest second moment over the means in cell i, read off
@@ -120,16 +121,13 @@ def _grid_cells(mdp: Mdp, epsilon, nu, hull, square, needs_integers: str):
     carry the same boundary from another engine (terminal_lower_hull),
     which the cross-checks use. cells[i] is qhat[i] minus square(lo*lo,
     hi*hi) over the cell's endpoints; both are None when no mean in the
-    cell is achievable. Nonpositive tolerances raise ValueError, and so do
-    rewards that are not all integers, with the message needs_integers.
-    When every reward is zero the grid is the one point 0, with no cells.
+    cell is achievable. Nonpositive tolerances raise ValueError. When every
+    reward is zero the grid is the one point 0, with no cells.
     """
     eps = rat(epsilon)
     slack = rat(nu)
     if eps <= 0 or slack <= 0:
         raise ValueError("epsilon and nu must be positive")
-    if not mdp.integer_rewards():
-        raise ValueError(needs_integers)
     bound = mdp.mean_bound
     if bound == ZERO:
         return ZERO, slack, (ZERO,), (), ()
@@ -169,24 +167,23 @@ def _suffix_minima(values) -> tuple:
 def approximate_v_star(mdp: Mdp, epsilon, nu, hull=None) -> TradeoffCurve:
     """Tabulate an underestimate of v*(lam) on a uniform mean grid.
 
-    Requires integer rewards (use general_reward_v_hat otherwise) and
-    positive tolerances.  The result satisfies, at every lam,
+    Takes any rational rewards and positive tolerances.  The result
+    satisfies, at every lam,
 
         v*(lam - nu) - epsilon <= v-hat(lam) <= v*(lam)
 
     with both curves read as plus infinity past the largest achievable
-    mean.  hull may carry a precomputed lower boundary of the moment set,
-    left to right; by default it is read off the root moment polygon.
+    mean.  The proof uses no integrality: only that qhat is exact and that
+    every cell's endpoint squares differ by at most 3*delta*KT, which holds
+    since delta <= KT.  hull may carry a precomputed lower boundary of the
+    moment set, left to right; by default it is read off the root moment
+    polygon.
     """
     # Subtract the larger endpoint square: every mean in the cell has its
     # square between the endpoint squares, so the cell estimate stays at or
     # below the true minimum variance over the cell (cells left of zero
     # carry the larger square at their left endpoint).
-    bound, step, grid, qhat, uhat = _grid_cells(
-        mdp, epsilon, nu, hull, max,
-        "approximate_v_star requires integer rewards; "
-        "use general_reward_v_hat for general rational rewards",
-    )
+    bound, step, grid, qhat, uhat = _grid_cells(mdp, epsilon, nu, hull, max)
     return TradeoffCurve(
         mean_bound=bound,
         delta=step,
@@ -201,25 +198,22 @@ def approximate_v_star(mdp: Mdp, epsilon, nu, hull=None) -> TradeoffCurve:
 def approximate_lambda_star(mdp: Mdp, epsilon, nu, hull=None) -> MeanCurve:
     """Tabulate a reachable underestimate of lambda*(v) on the same grid.
 
-    Requires integer rewards and positive tolerances.  Each cell cap
+    Takes any rational rewards and positive tolerances.  Each cell cap
     certifies that some mean in the cell reaches variance at most the cap,
     so every reported mean is reachable within the queried budget:
 
         lambda*(v - epsilon) - delta <= lambda-hat(v) <= lambda*(v)
 
     where epsilon = 3*delta*KT is stored on the curve and lambda* of a
-    negative argument reads as minus infinity.
+    negative argument reads as minus infinity.  As for approximate_v_star,
+    the proof needs an exact qhat and delta <= KT, not integer rewards.
     """
     # Subtract the smaller endpoint square: the cell's cheapest second
     # moment q is attained at some mean m in the cell with m*m at least the
     # smaller square, so q - min(...) is a variance that m really achieves
     # at most.  Reporting the cell's left endpoint therefore never
     # overstates the reachable mean.
-    bound, step, grid, _, caps = _grid_cells(
-        mdp, epsilon, nu, hull, min,
-        "approximate_lambda_star requires integer rewards; "
-        "discretize first for general rational rewards",
-    )
+    bound, step, grid, _, caps = _grid_cells(mdp, epsilon, nu, hull, min)
     return MeanCurve(
         mean_bound=bound,
         delta=step,
@@ -248,45 +242,14 @@ def discretize_rewards(mdp: Mdp, delta) -> Mdp:
     return replace(mdp, rewards=rewards)
 
 
-def _scale_rewards(mdp: Mdp, factor: Rat) -> Mdp:
-    rewards = {
-        key: {value * factor: prob for value, prob in pmf.items()}
-        for key, pmf in mdp.rewards.items()
-    }
-    return replace(mdp, rewards=rewards)
-
-
-def _unscale_curve(curve: TradeoffCurve, step: Rat) -> TradeoffCurve:
-    """Map a curve built on rewards scaled by 1/step back to original units.
-
-    Means scale by step, second moments and variances by step squared.
-    """
-    sq = step * step
-
-    def var(v):
-        return None if v is None else v * sq
-
-    return TradeoffCurve(
-        mean_bound=curve.mean_bound * step,
-        delta=curve.delta * step,
-        epsilon=curve.epsilon * sq,
-        grid=tuple(lam * step for lam in curve.grid),
-        qhat=tuple(var(q) for q in curve.qhat),
-        uhat=tuple(var(u) for u in curve.uhat),
-        cell_values=tuple(var(v) for v in curve.cell_values),
-    )
-
-
 def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
-    """Approximate v* for an MDP with arbitrary rational rewards.
+    """Approximate v* through the paper's reward flooring.
 
-    Integer-reward inputs short-circuit to approximate_v_star at the halved
-    internal tolerances.  Otherwise rewards are floored to multiples of a
-    step small enough that half of each tolerance covers the flooring error
+    Rewards that are not all integers are floored to multiples of a step
+    small enough that half of each tolerance covers the flooring error
     (variance moves by at most 2KT^2 * step under flooring, means by at
-    most T * step), the floored rewards are rescaled to integers, and the
-    integer machinery runs at the remaining half tolerances.  The returned
-    curve is in original units and satisfies, for every lam,
+    most T * step); integer rewards are kept as they are.  The grid is then
+    built at the remaining half tolerances.  For every lam,
 
         v*(lam - nu) - epsilon <= v-hat(lam) <= v*(lam + nu) + epsilon
 
@@ -296,19 +259,14 @@ def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
     slack = rat(nu)
     if eps <= 0 or slack <= 0:
         raise ValueError("epsilon and nu must be positive")
-    if mdp.integer_rewards():
-        return approximate_v_star(mdp, eps / 2, slack / 2)
-    reward_cap = mdp.reward_bound
-    horizon = mdp.horizon
-    step = min(
-        eps / (4 * reward_cap * horizon * horizon),
-        slack / (2 * horizon),
-    )
-    scaled = _scale_rewards(discretize_rewards(mdp, step), 1 / step)
-    inner = approximate_v_star(
-        scaled, (eps / 2) / (step * step), (slack / 2) / step
-    )
-    return _unscale_curve(inner, step)
+    if not mdp.integer_rewards():
+        horizon = mdp.horizon
+        step = min(
+            eps / (4 * mdp.reward_bound * horizon * horizon),
+            slack / (2 * horizon),
+        )
+        mdp = discretize_rewards(mdp, step)
+    return approximate_v_star(mdp, eps / 2, slack / 2)
 
 
 CSV_COLUMNS = (

@@ -147,6 +147,22 @@ def test_frontier_rejects_non_finite_tolerance(capsys, one_shot_path, flag, text
     assert err == f"error: {flag} must be a finite number\n"
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--nu"])
+def test_frontier_rejects_tolerance_rounding_to_zero(capsys, one_shot_path, flag):
+    # 1e-7 is positive, but its nearest rational with denominator at most
+    # 10^6 is 0: the error names the flag, not a later "must be positive".
+    tolerances = {"--epsilon": "1/2", "--nu": "1/2", flag: "1e-7"}
+    argv = ["frontier", one_shot_path]
+    for name, value in tolerances.items():
+        argv.append(f"{name}={value}")
+    code, out, err = _invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {flag}=1e-7 rounds to 0 at denominator 10^6; give it as p/q\n"
+    )
+
+
 def test_frontier_json_format(capsys, one_shot_path):
     code, out, _ = _invoke(
         capsys,

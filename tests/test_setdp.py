@@ -258,8 +258,13 @@ def test_min_variance_matches_enumeration():
         points = _deterministic_points(mdp, augment(mdp))
         if points is None:
             continue
-        value, witness = min_variance(compute_pmq(mdp))
+        polygon = compute_pmq(mdp)
+        value, witness = min_variance(polygon)
         assert value == min(q - m * m for m, q in points)
+        # The frontier's first entry agrees with a scan of every vertex,
+        # ties going to the leftmost.
+        scan = min(polygon.vertices, key=lambda v: (v[1] - v[0] * v[0], v[0]))
+        assert (value, witness) == (scan[1] - scan[0] * scan[0], scan)
         assert value >= 0
         assert witness in points
         checked += 1

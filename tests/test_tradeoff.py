@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import integer_instances
+from corpus import _rescale_rewards, integer_instances, rational_instances
 from mvmdp import tradeoff
 from mvmdp.fixtures import all_zero, offset_chain, one_shot_two_arms
 from mvmdp.frequency import terminal_lower_hull
@@ -289,17 +289,22 @@ def test_tolerance_and_reward_validation():
             approximate_lambda_star(mdp, 1, bad)
         with pytest.raises(ValueError):
             general_reward_v_hat(mdp, bad, bad)
+    # Rational rewards are taken as they are: a sure 1/2 has no variance,
+    # so both curves sit within their slack of that point.
     fractional = _sure_reward_mdp(Rat(1, 2))
-    with pytest.raises(ValueError, match="integer"):
-        approximate_v_star(fractional, 1, 1)
-    with pytest.raises(ValueError, match="integer"):
-        approximate_lambda_star(fractional, 1, 1)
+    curve = approximate_v_star(fractional, 1, 1)
+    assert -curve.epsilon <= curve.value(Rat(1, 2)) <= ZERO
+    mean_curve = approximate_lambda_star(fractional, 1, 1)
+    lam_hat = mean_curve.mean_for(mean_curve.epsilon)
+    assert Rat(1, 2) - mean_curve.delta <= lam_hat <= Rat(1, 2)
 
 
 def test_sandwich_property_random():
+    # Integer and rational rewards alike: the grid never uses integrality.
     rng = random.Random(0x7D41)
-    for _ in range(12):
-        mdp = _random_mdp(rng)
+    mdps = [_random_mdp(rng) for _ in range(12)]
+    mdps += [_random_rational_mdp(rng) for _ in range(8)]
+    for mdp in mdps:
         frontier = exact_frontier(compute_pmq(mdp))
         hull = terminal_lower_hull(mdp)
         for eps in (Rat(1), Rat(1, 2)):
@@ -341,8 +346,9 @@ def test_lambda_star_offset_chain_zero_budget():
 
 def test_lambda_star_guarantees_random():
     rng = random.Random(0x51B3)
-    for _ in range(10):
-        mdp = _random_mdp(rng)
+    mdps = [_random_mdp(rng) for _ in range(10)]
+    mdps += [_random_rational_mdp(rng) for _ in range(8)]
+    for mdp in mdps:
         polygon = compute_pmq(mdp)
         frontier = exact_frontier(polygon)
         hull = terminal_lower_hull(mdp)
@@ -440,7 +446,9 @@ def test_general_reward_pipeline_example():
     )
     eps = Rat(4, 3)
     curve = general_reward_v_hat(mdp, eps, eps)
-    assert curve.delta == Rat(1, 2) * Rat(8, 9)  # inner step times the scale
+    # Rewards floor to halves (step min(eps/4KT^2, nu/2T) = 1/2), so
+    # KT = 1/2 and delta = (eps/2) / 3KT.
+    assert curve.delta == Rat(4, 9)
     frontier = exact_frontier(compute_pmq(mdp))
     assert frontier.value(Rat(1, 2)) == Rat(1, 36)
     for lam in list(curve.grid) + [ZERO, Rat(1, 2), Rat(1, 4)]:
@@ -475,6 +483,44 @@ def test_general_reward_integer_short_circuit():
     assert general_reward_v_hat(mdp, 1, 1) == approximate_v_star(
         mdp, Rat(1, 2), Rat(1, 2)
     )
+
+
+def _scaled_pipeline(mdp, epsilon, nu):
+    # The paper's route: floor, rescale the rewards to integers, build the
+    # integer grid, then map means back by the step and moments by its square.
+    horizon = mdp.horizon
+    step = min(
+        epsilon / (4 * mdp.reward_bound * horizon * horizon), nu / (2 * horizon)
+    )
+    scaled = _rescale_rewards(discretize_rewards(mdp, step), 1 / step)
+    assert scaled.integer_rewards()
+    inner = approximate_v_star(scaled, epsilon / 2 / step**2, nu / 2 / step)
+    sq = step * step
+
+    def var(v):
+        return None if v is None else v * sq
+
+    return tradeoff.TradeoffCurve(
+        mean_bound=inner.mean_bound * step,
+        delta=inner.delta * step,
+        epsilon=inner.epsilon * sq,
+        grid=tuple(lam * step for lam in inner.grid),
+        qhat=tuple(map(var, inner.qhat)),
+        uhat=tuple(map(var, inner.uhat)),
+        cell_values=tuple(map(var, inner.cell_values)),
+    )
+
+
+def test_general_reward_matches_integer_rescaling():
+    # Flooring and building on the rational grid gives the very curve the
+    # rescale-to-integers route gives, field for field.
+    pairs = ((Rat(1), Rat(1)), (Rat(1, 2), Rat(1, 3)), (Rat(2), Rat(1, 4)))
+    for mdp in rational_instances():
+        assert not mdp.integer_rewards()
+        for eps, nu in pairs:
+            assert general_reward_v_hat(mdp, eps, nu) == _scaled_pipeline(
+                mdp, eps, nu
+            )
 
 
 def test_general_reward_all_zero():

@@ -51,7 +51,6 @@ from .setdp import compute_pmq, exact_frontier, max_variance, min_variance
 from .tradeoff import (
     approximate_v_star,
     curve_rows,
-    general_reward_v_hat,
     discretize_rewards,
     write_curve_csv,
 )
@@ -75,7 +74,8 @@ formats:
 
   frontier CSV (approximate mode): columns lambda_lo, lambda_hi, qhat,
   uhat, vhat plus *_float twins; one row per grid cell; "inf" marks an
-  infeasible cell. vhat underestimates the exact frontier on the cell.
+  infeasible cell. For any rational rewards, vhat underestimates the exact
+  frontier on the cell.
 
   frontier CSV (--exact): columns lambda, lambda_float, vstar, vstar_float;
   rows sample every boundary vertex and edge midpoint of the frontier.
@@ -87,7 +87,8 @@ formats:
 
   policy JSON (witnesses): {"class": "TSW_U", "rules": [{"t": 0, "s": "s0",
   "w": N, "choose": {"a": N, ...}}, ...]}; deterministic classes carry
-  "action" instead of "choose"; reward-blind classes omit "w".
+  "action" instead of "choose"; reward-blind classes omit "w". TS_U
+  "choose" lists only actions of positive probability.
 
 caps (fixed, not flags; exceeding one exits 2):
   10^6 augmented (state, reward) nodes for the witness LPs, the TS/TSW/TS_U
@@ -343,10 +344,7 @@ def _cmd_frontier(args) -> int:
         raise _UsageError("the approximate mode needs --epsilon and --nu")
     eps = _parse_tolerance(args.epsilon, "--epsilon")
     slack = _parse_tolerance(args.nu, "--nu")
-    if mdp.integer_rewards():
-        curve = approximate_v_star(mdp, eps, slack)
-    else:
-        curve = general_reward_v_hat(mdp, eps, slack)
+    curve = approximate_v_star(mdp, eps, slack)
     if args.format == "json":
         _emit_json(
             {

@@ -33,6 +33,7 @@ from .model import (
     Mdp,
     PolicySpec,
     augment,
+    played_actions,
 )
 from .rationals import Rat, ZERO, ONE
 
@@ -267,7 +268,7 @@ def policy_frequencies(mdp: Mdp, policy: PolicySpec) -> FrequencyVector:
         nxt: dict = {}
         for s, w in aug.layers[t]:
             mass = dist.get((s, w), ZERO)
-            pmf = policy.action_pmf(t, s, w) if mass > 0 else {}
+            pmf = played_actions(mdp, policy, t, s, w) if mass > 0 else {}
             for a in mdp.actions[s]:
                 pa = pmf.get(a, ZERO)
                 z_sa[(t, s, w, a)] = mass * pa

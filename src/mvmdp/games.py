@@ -151,7 +151,7 @@ def _policies(mdp: Mdp, class_tag: str, resolution: int):
     if class_tag == "TS_U":
         choices = [
             [
-                {a: Rat(c, resolution) for a, c in zip(acts, combo)}
+                {a: Rat(c, resolution) for a, c in zip(acts, combo) if c}
                 for combo in _simplex_grid(len(acts), resolution)
             ]
             for acts in choices
@@ -180,34 +180,21 @@ class ClassFeasibility:
     detail: str
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    """Per-class answers to: is there a policy with mean >= mean_floor and
-    variance <= variance_cap?"""
-
-    mean_floor: Rat
-    variance_cap: Rat
-    entries: dict
-
-    def __getitem__(self, class_tag: str) -> ClassFeasibility:
-        return self.entries[class_tag]
-
-
 def class_separation_report(
     mdp: Mdp,
     mean_floor,
     variance_cap,
     grid_resolution: int = 16,
-) -> SeparationReport:
-    """Feasibility of (mean >= mean_floor, variance <= variance_cap) per class,
-    each decided on its own by class_feasibility, the enumerations first."""
-    entries = {
+) -> dict:
+    """{class tag: ClassFeasibility} for (mean >= mean_floor, variance <=
+    variance_cap) in the order TS, TSW, TS_U, TSW_U, each decided on its own
+    by class_feasibility, the enumerations first."""
+    return {
         tag: class_feasibility(
             mdp, tag, mean_floor, variance_cap, grid_resolution
         )
         for tag in ("TS", "TSW", "TS_U", "TSW_U")
     }
-    return SeparationReport(Rat(mean_floor), Rat(variance_cap), entries)
 
 
 def class_feasibility(

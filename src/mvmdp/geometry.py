@@ -253,8 +253,6 @@ def point_polygon_dist_sq(p, poly: MomentPolygon) -> Rat:
     if poly.contains(p):
         return ZERO
     vs = poly.vertices
-    if len(vs) == 1:
-        return point_segment_dist_sq(p, vs[0], vs[0])
     best = None
     for i, a in enumerate(vs):
         b = vs[(i + 1) % len(vs)]

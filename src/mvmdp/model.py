@@ -337,6 +337,21 @@ def check_policy(mdp: Mdp, policy: PolicySpec) -> list[Violation]:
     return out
 
 
+def played_actions(mdp: Mdp, policy: PolicySpec, t: int, s: str, w) -> dict:
+    """The policy's positive-probability actions at node (t, s, w); raises
+    PolicyCoverageError on a missing rule or an action s does not have."""
+    played = {}
+    for a, pa in policy.action_pmf(t, s, w).items():
+        if pa == 0:
+            continue
+        if a not in mdp.actions[s]:
+            raise PolicyCoverageError(
+                f"policy picks unknown action {a!r} at (t={t}, s={s})"
+            )
+        played[a] = pa
+    return played
+
+
 @dataclass(frozen=True)
 class PolicyEvaluation:
     """Exact performance of a policy: terminal-cumulative-reward statistics."""
@@ -355,13 +370,7 @@ def evaluate_policy(mdp: Mdp, policy: PolicySpec) -> PolicyEvaluation:
         for (s, w), mass in dist.items():
             if mass == 0:
                 continue
-            for a, pa in policy.action_pmf(t, s, w).items():
-                if pa == 0:
-                    continue
-                if a not in mdp.actions[s]:
-                    raise PolicyCoverageError(
-                        f"policy picks unknown action {a!r} at (t={t}, s={s})"
-                    )
+            for a, pa in played_actions(mdp, policy, t, s, w).items():
                 base = mass * pa
                 for s2, r, pg in mdp.branches(t, s, a):
                     key = (s2, w + r)

@@ -20,9 +20,11 @@ v) is built from the same grid with the opposite rounding, so every reported
 mean is genuinely reachable at the queried variance budget.
 
 The root moment polygon is exact for any rational rewards, so both curves
-take any rational rewards as they are. `general_reward_v_hat` adds the
-paper's flooring step: rewards floored to a fine multiple, then the same
-grid at half the tolerances.
+take any rational rewards as they are, and `approximate_v_star` alone meets
+(epsilon, nu) with v-hat <= v* for every MDP; the CLI builds it for every
+MDP. `general_reward_v_hat` is the paper's flooring pipeline: rewards
+floored to a fine multiple, then the same grid at half the tolerances. Its
+upper side is only v*(lam + nu) + epsilon.
 """
 
 from __future__ import annotations
@@ -253,7 +255,10 @@ def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
 
         v*(lam - nu) - epsilon <= v-hat(lam) <= v*(lam + nu) + epsilon
 
-    against the exact curve of the original MDP.
+    against the exact curve of the original MDP.  approximate_v_star on the
+    unfloored MDP meets the same (epsilon, nu) with the one-sided v-hat <=
+    v* on a grid half as fine, so this pipeline stays only as the paper's
+    general-reward algorithm.
     """
     eps = rat(epsilon)
     slack = rat(nu)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import deep_instances
+from corpus import deep_instances, rational_instances
 from mvmdp import games, model, setdp
 from mvmdp.cli import run
 from mvmdp.model import PolicySpec, evaluate_policy
@@ -15,7 +16,8 @@ from mvmdp.frequency import mean_fixed_var_bounded
 from mvmdp.model import make_mdp
 from mvmdp.rationals import Rat
 from mvmdp.serialize import dumps, loads
-from mvmdp.tradeoff import CSV_COLUMNS
+from mvmdp.setdp import compute_pmq, exact_frontier
+from mvmdp.tradeoff import CSV_COLUMNS, approximate_v_star, write_curve_csv
 
 
 @pytest.fixture
@@ -181,6 +183,34 @@ def test_frontier_json_format(capsys, one_shot_path):
     payload = json.loads(out)
     assert payload["delta"]["pq"] == "1/8"
     assert len(payload["rows"]) == 33
+
+
+_RATIONAL_CORPUS = rational_instances()
+
+
+@pytest.mark.parametrize("eps, nu", [("1/4", "1/4"), ("1/2", "1/3"), ("1", "1")])
+@pytest.mark.parametrize("index", [0, 5, 17])
+def test_frontier_grid_underestimates_rational_rewards(
+    capsys, tmp_path, index, eps, nu
+):
+    # The grid is built on the rewards as given, so every finite vhat stays
+    # at or below the exact frontier; a floored grid overshot it here.
+    mdp = _RATIONAL_CORPUS[index]
+    path = tmp_path / "rational.json"
+    path.write_text(dumps(mdp))
+    code, out, _ = _invoke(
+        capsys, ["frontier", str(path), "--epsilon", eps, "--nu", nu]
+    )
+    assert code == 0
+    expected = io.StringIO()
+    write_curve_csv(approximate_v_star(mdp, Rat(eps), Rat(nu)), expected)
+    assert out == expected.getvalue()
+    exact = exact_frontier(compute_pmq(mdp))
+    for row in csv.DictReader(io.StringIO(out)):
+        if row["vhat"] == "inf":
+            continue
+        vstar = exact.value(Rat(row["lambda_hi"]))
+        assert vstar is None or Rat(row["vhat"]) <= vstar
 
 
 def test_frontier_rejects_mixed_modes(capsys, one_shot_path):

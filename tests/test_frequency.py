@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mvmdp.errors import PolicyCoverageError
 from mvmdp.fixtures import (
     all_zero,
     forked_path,
@@ -256,6 +257,16 @@ def test_policy_frequencies_lie_in_polytope():
         ev = evaluate_policy(mdp, policy)
         assert z.terminal_mean(mdp.horizon) == ev.mean
         assert z.terminal_second_moment(mdp.horizon) == ev.second_moment
+
+
+def test_policy_frequencies_rejects_an_unknown_action():
+    mdp = one_shot_two_arms()
+    policy = PolicySpec("TS_U", {(0, "s0"): {"a": Rat(1, 2), "zzz": Rat(1, 2)}})
+    with pytest.raises(PolicyCoverageError) as frequencies_err:
+        policy_frequencies(mdp, policy)
+    with pytest.raises(PolicyCoverageError) as evaluate_err:
+        evaluate_policy(mdp, policy)
+    assert str(frequencies_err.value) == str(evaluate_err.value)
 
 
 def test_interval_minimum_is_monotone_in_the_window():

@@ -90,6 +90,13 @@ def test_grid_cap_counts_before_building_any_vector(monkeypatch):
     assert built == []
 
 
+def test_ts_u_witness_lists_only_positive_probabilities():
+    # Mean 1 needs arm b surely: the grid vector (0, 16), whose rule must not
+    # list arm a at probability 0.
+    entry = class_feasibility(one_shot_two_arms(), "TS_U", 1, 1)
+    assert entry.witness.rule == {(0, "s0"): {"b": Rat(1)}}
+
+
 def _recursive_simplex_grid(k, m):
     if k == 1:
         yield (m,)

@@ -21,10 +21,19 @@ side condition such as "variance at most v" or "mean in [lo, hi]" is an
 extra row with its own slack column. Skeletons are immutable after
 construction; each query builds a fresh LpProblem, so concurrent queries
 against one skeleton are safe.
+
+The simplex starts from the occupation measure of a deterministic policy
+(`PolytopeSkeleton.policy_basis`). The witness LPs (`exact_pair_feasible`,
+`mean_fixed_var_bounded`) let the moment polygon pick it: for a target on
+the polygon's boundary, the policy that is optimal along a line supporting
+the polygon there (`supporting_policy`, one backward DP) starts phase 1 at
+the target vertex or at an end of the target's edge. The polygon only
+places the start; statuses and witness moments are the LP's own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .lp import LpProblem, LpSolution, LpStatus, solve
@@ -36,6 +45,7 @@ from .model import (
     played_actions,
 )
 from .rationals import Rat, ZERO, ONE
+from .setdp import compute_pmq
 
 
 @dataclass(frozen=True)
@@ -61,11 +71,12 @@ class PolytopeSkeleton:
 
     Variables: one per z_sa entry (t < horizon), then one per z_x entry
     (t <= horizon). Rows: initial mass, couplings in layer order, flows in
-    layer order. The ordering makes the deterministic-first-action policy a
-    triangular warm basis for the solver (`_warm`, row -> column), which
-    every query passes to `solve`. A query is a standard-form LP: these rows,
-    then its own extra rows, over these columns and its own extra
-    nonnegative columns.
+    layer order. The ordering makes any deterministic TSW policy a
+    triangular warm basis for the solver (`policy_basis`, row -> column).
+    `run` starts from the policy that always takes the first action
+    (`_warm`); the witness LPs start from the policy the moment polygon
+    picks. A query is a standard-form LP: these rows, then its own extra
+    rows, over these columns and its own extra nonnegative columns.
     """
 
     def __init__(self, mdp: Mdp, aug: AugmentedSpace):
@@ -87,12 +98,15 @@ class PolytopeSkeleton:
 
         s0, w0 = aug.layers[0][0]
         self.rows: list = [({self.x_index[(0, s0, w0)]: ONE}, ONE)]
-        self._warm: dict[int, int] = {0: self.x_index[(0, s0, w0)]}
+        # Basic columns of the mass and flow rows (each its node's z_x) and
+        # each node's coupling row, whose basic column is the policy's action.
+        self._x_basis: dict[int, int] = {0: self.x_index[(0, s0, w0)]}
+        self._coupling: dict = {}
         for t in range(mdp.horizon):
             for s, w in aug.layers[t]:
                 coeffs = {self.sa_index[(t, s, w, a)]: ONE for a in mdp.actions[s]}
                 coeffs[self.x_index[(t, s, w)]] = -ONE
-                self._warm[len(self.rows)] = self.sa_index[(t, s, w, mdp.actions[s][0])]
+                self._coupling[(t, s, w)] = len(self.rows)
                 self.rows.append((coeffs, ZERO))
         inflow: dict = {key: {} for key in self.x_keys if key[0] > 0}
         for var, (t, s, w, a) in enumerate(self.sa_keys):
@@ -103,8 +117,11 @@ class PolytopeSkeleton:
             for s, w in aug.layers[t]:
                 coeffs = dict(inflow[(t, s, w)])
                 coeffs[self.x_index[(t, s, w)]] = ONE
-                self._warm[len(self.rows)] = self.x_index[(t, s, w)]
+                self._x_basis[len(self.rows)] = self.x_index[(t, s, w)]
                 self.rows.append((coeffs, ZERO))
+        self._warm = self.policy_basis(
+            {node: mdp.actions[node[1]][0] for node in self._coupling}
+        )
 
         horizon = mdp.horizon
         self.mean_coeffs = {
@@ -115,6 +132,17 @@ class PolytopeSkeleton:
             for s, w in aug.layers[horizon]
             if w != 0
         }
+
+    def policy_basis(self, rule: dict) -> dict[int, int]:
+        """Starting basis (row -> column) of the deterministic TSW policy
+        rule, (t, s, w) -> action for every node before the horizon: the
+        coupling row of each node takes that action's column, and the mass
+        and flow rows their node's z_x. The row order makes it triangular,
+        and its basic values are the policy's occupation measure."""
+        basis = dict(self._x_basis)
+        for (t, s, w), row in self._coupling.items():
+            basis[row] = self.sa_index[(t, s, w, rule[(t, s, w)])]
+        return basis
 
     def problem(
         self,
@@ -197,16 +225,128 @@ def mean_fixed_var_bounded(
 def _moment_witness(mdp: Mdp, mean: Rat, variance: Rat, capped: bool):
     """Feasibility of mean row = mean and second-moment row = variance +
     mean^2; with capped, the second-moment row gets a slack column, so the
-    variance may lie anywhere at or below the given one."""
+    variance may lie anywhere at or below the given one. The simplex starts
+    from `_guided_basis`."""
     sk = _skeleton(mdp)
-    sm = {**sk.sm_coeffs, sk.num_vars: ONE} if capped else sk.sm_coeffs
-    sol = sk.run(
-        extra_rows=[(sk.mean_coeffs, mean), (sm, variance + mean * mean)],
-        extra_vars=int(capped),
+    second = variance + mean * mean
+    sol = solve(
+        _moment_problem(sk, mean, second, capped),
+        initial_basis=_guided_basis(sk, mean, second, capped),
     )
     if sol.status is not LpStatus.OPTIMAL:
         return False, None
     return True, sk.solution_vector(sol)
+
+
+def _moment_problem(
+    sk: PolytopeSkeleton, mean: Rat, second: Rat, capped: bool
+) -> LpProblem:
+    """The skeleton's rows, then mean row = mean and second-moment row =
+    second, with slack column num_vars on the latter when capped."""
+    sm = {**sk.sm_coeffs, sk.num_vars: ONE} if capped else sk.sm_coeffs
+    return sk.problem(
+        extra_rows=[(sk.mean_coeffs, mean), (sm, second)],
+        extra_vars=int(capped),
+    )
+
+
+def _guided_basis(
+    sk: PolytopeSkeleton, mean: Rat, second: Rat, capped: bool
+) -> dict[int, int]:
+    """Starting basis for `_moment_problem`, placed by the moment polygon.
+
+    A target on the lower chain (any capped query: the chain at mean) has a
+    support line of slope sigma there, and `supporting_policy` minimizing
+    E[R^2 - sigma R] reaches the line's contact point with the polygon; a
+    target on the upper chain likewise, maximizing. At a vertex that point
+    is the target itself, so phase 1 starts on it. A capped query also
+    makes its slack basic when the policy's second moment meets the cap.
+    Any other target starts from the first-action policy.
+    """
+    polygon = compute_pmq(sk.mdp)
+    target = None if capped else second
+    sigma = _support_slope(polygon.lower_chain(), mean, target, 1)
+    maximize = False
+    if sigma is None and not capped:
+        sigma = _support_slope(polygon.upper_chain(), mean, second, -1)
+        maximize = True
+    if sigma is None:
+        return sk._warm
+    rule, (_, q) = supporting_policy(sk, sigma, maximize)
+    basis = sk.policy_basis(rule)
+    if capped and q <= second:
+        basis[len(sk.rows) + 1] = sk.num_vars
+    return basis
+
+
+def _support_slope(chain: list, m: Rat, q: Rat | None, sign: int) -> Rat | None:
+    """Slope of a line supporting chain at (m, q), or None off the chain.
+
+    chain is a lower (sign 1, convex) or upper (sign -1, concave) boundary,
+    vertices left to right; q None stands for the chain's own point at m.
+    Inside an edge the slope is the edge's. At a vertex it lies strictly
+    between its two edges' slopes, or beyond the one edge at an end, so the
+    line touches the polygon at that vertex alone.
+    """
+    if not chain[0][0] <= m <= chain[-1][0]:
+        return None
+
+    def slope(j):
+        (m0, q0), (m1, q1) = chain[j], chain[j + 1]
+        return (q1 - q0) / (m1 - m0)
+
+    i = bisect_left(chain, m, key=lambda v: v[0])
+    mi, qi = chain[i]
+    if mi != m:
+        edge = slope(i - 1)
+        m0, q0 = chain[i - 1]
+        if q is not None and q != q0 + edge * (m - m0):
+            return None
+        return edge
+    if q is not None and q != qi:
+        return None
+    if len(chain) == 1:
+        return ZERO
+    if i == 0:
+        return slope(0) - sign
+    if i == len(chain) - 1:
+        return slope(i - 1) + sign
+    return (slope(i - 1) + slope(i)) / 2
+
+
+def supporting_policy(
+    sk: PolytopeSkeleton, sigma: Rat, maximize: bool
+) -> tuple[dict, tuple[Rat, Rat]]:
+    """A deterministic TSW policy minimizing E[R^2 - sigma R] over all
+    policies (maximizing, with maximize), R the terminal cumulative reward.
+
+    One backward DP over the augmented nodes, first action on ties. Returns
+    the rule (t, s, w) -> action and the policy's (mean, second moment):
+    where the line of slope sigma supporting the moment polygon from below
+    (above) touches it.
+    """
+    mdp = sk.mdp
+    layers = sk.aug.layers
+    sign = -1 if maximize else 1
+    point = {(s, w): (w, w * w) for s, w in layers[mdp.horizon]}
+    rule = {}
+    for t in reversed(range(mdp.horizon)):
+        here = {}
+        for s, w in layers[t]:
+            best = None
+            for a in mdp.actions[s]:
+                m = q = ZERO
+                for s2, r, pg in mdp.branches(t, s, a):
+                    m2, q2 = point[(s2, w + r)]
+                    m += pg * m2
+                    q += pg * q2
+                cost = sign * (q - sigma * m)
+                if best is None or cost < best:
+                    best = cost
+                    rule[(t, s, w)] = a
+                    here[(s, w)] = (m, q)
+        point = here
+    return rule, point[layers[0][0]]
 
 
 def min_q_over_interval(mdp: Mdp, lo, hi) -> tuple[LpStatus, Rat | None]:
@@ -237,20 +377,18 @@ def _min_q(sk: PolytopeSkeleton, lo: Rat, hi: Rat) -> LpSolution:
 
 
 def frequencies_to_policy(mdp: Mdp, z: FrequencyVector) -> PolicySpec:
-    """Behavioral policy with action law z_sa / z_x; first action where z_x = 0.
+    """Behavioral policy with action law z_sa / z_x at each node of positive
+    mass, holding only its actions of positive probability; nodes of zero
+    mass, which the policy never reaches, get no rule.
 
     Evaluating the result reproduces z's terminal moments exactly.
     """
     rule = {}
     for (t, s, w), mass in z.z_x.items():
-        if t >= mdp.horizon:
+        if t >= mdp.horizon or mass == 0:
             continue
-        if mass > 0:
-            rule[(t, s, w)] = {
-                a: z.z_sa.get((t, s, w, a), ZERO) / mass for a in mdp.actions[s]
-            }
-        else:
-            rule[(t, s, w)] = {mdp.actions[s][0]: ONE}
+        played = ((a, z.z_sa.get((t, s, w, a), ZERO)) for a in mdp.actions[s])
+        rule[(t, s, w)] = {a: pa / mass for a, pa in played if pa > 0}
     return PolicySpec("TSW_U", rule)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,14 @@ from mvmdp.cli import run
 from mvmdp.model import PolicySpec, evaluate_policy
 from mvmdp.fixtures import one_shot_two_arms, two_point_stage
 from mvmdp.games import gen_subset_sum
-from mvmdp.frequency import mean_fixed_var_bounded
+from mvmdp.frequency import mean_fixed_var_bounded, policy_frequencies
 from mvmdp.model import make_mdp
 from mvmdp.rationals import Rat
 from mvmdp.serialize import dumps, loads
 from mvmdp.setdp import compute_pmq, exact_frontier
 from mvmdp.tradeoff import CSV_COLUMNS, approximate_v_star, write_curve_csv
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
 
 
 @pytest.fixture
@@ -464,6 +467,27 @@ def test_oracle_tsw_u_on_deep_instance(capsys, tmp_path):
     ev = evaluate_policy(mdp, _policy_from_json(payload["policy"]))
     assert ev.mean >= lam
     assert ev.variance <= cap
+
+
+def test_tsw_u_witness_lists_only_played_actions(capsys):
+    # The LP puts zero mass on action a0 at the root; the witness must not
+    # list it, and must hold rules only at nodes the policy reaches.
+    path = POOL / "small-queries" / "int03.json"
+    code, out, err = _invoke(
+        capsys,
+        ["oracle", str(path), "--class", "TSW_U", "--lambda", "-1", "--v", "5"],
+    )
+    assert code == 0, err
+    rules = json.loads(out)["policy"]["rules"]
+    assert rules
+    assert all(p["pq"] != "0" for r in rules for p in r["choose"].values())
+    mdp = loads(path.read_text())
+    policy = _policy_from_json(json.loads(out)["policy"])
+    ev = evaluate_policy(mdp, policy)
+    assert ev.mean >= -1
+    assert ev.variance <= 5
+    z = policy_frequencies(mdp, policy)
+    assert all(z.z_x[key] > 0 for key in policy.rule)
 
 
 def test_separation_lists_all_classes(capsys, one_shot_path):

@@ -6,7 +6,11 @@ rewards are integers or, in about half of the draws, halves and thirds as
 well. The LP's lower hull must equal the polygon's lower chain vertex for
 vertex, and the interval LP (whose mean window is an explicit slack row)
 must give the frontier's least second moment on each drawn window, with an
-infeasible window matching None.
+infeasible window matching None. The DP behind the witness LP's guided
+start must reach every vertex of both chains: with a slope strictly
+between the vertex's edge slopes (beyond its one edge at an end), the
+deterministic policy that minimizes (on the upper chain, maximizes)
+E[R^2 - sigma R] must replay to exactly that vertex.
 """
 
 import pytest
@@ -18,9 +22,14 @@ pytest.importorskip(
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from mvmdp.frequency import min_q_over_interval, terminal_lower_hull  # noqa: E402
+from mvmdp.frequency import (  # noqa: E402
+    build_polytope,
+    min_q_over_interval,
+    supporting_policy,
+    terminal_lower_hull,
+)
 from mvmdp.lp import LpStatus  # noqa: E402
-from mvmdp.model import make_mdp  # noqa: E402
+from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp  # noqa: E402
 from mvmdp.rationals import Rat  # noqa: E402
 from mvmdp.setdp import compute_pmq, exact_frontier  # noqa: E402
 
@@ -71,3 +80,35 @@ def test_lp_engine_matches_the_polygon_engine(mdp, data):
             assert (status, value) == (LpStatus.INFEASIBLE, None)
         else:
             assert (status, value) == (LpStatus.OPTIMAL, expected)
+
+
+def _slope_at_vertex(chain, i, data, sign):
+    """A drawn slope whose line meets the chain at vertex i alone: strictly
+    between its two edge slopes, or beyond its one edge at an end; sign is
+    1 for the (convex) lower chain and -1 for the (concave) upper one."""
+    slopes = [
+        (q1 - q0) / (m1 - m0) for (m0, q0), (m1, q1) in zip(chain, chain[1:])
+    ]
+    left = slopes[i - 1] if i > 0 else None
+    right = slopes[i] if i < len(slopes) else None
+    step = Rat(data.draw(st.integers(1, 9)), 10)
+    if left is None and right is None:
+        return step
+    if left is None:
+        return right - sign * step
+    if right is None:
+        return left + sign * step
+    return left + step * (right - left)
+
+
+@PROPERTY
+@given(mdps(), st.data())
+def test_supporting_policy_reaches_every_chain_vertex(mdp, data):
+    polygon = compute_pmq(mdp)
+    sk = build_polytope(augment(mdp), mdp)
+    for chain, sign in ((polygon.lower_chain(), 1), (polygon.upper_chain(), -1)):
+        for i, vertex in enumerate(chain):
+            sigma = _slope_at_vertex(chain, i, data, sign)
+            rule, point = supporting_policy(sk, sigma, maximize=sign < 0)
+            ev = evaluate_policy(mdp, PolicySpec("TSW", rule))
+            assert (ev.mean, ev.second_moment) == point == vertex

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpus import deep_instances, integer_instances
 from mvmdp.errors import PolicyCoverageError
 from mvmdp.fixtures import (
     all_zero,
@@ -12,6 +13,9 @@ from mvmdp.fixtures import (
     two_point_stage,
 )
 from mvmdp.frequency import (
+    _guided_basis,
+    _moment_problem,
+    _skeleton,
     build_polytope,
     check_frequency,
     exact_pair_feasible,
@@ -24,7 +28,13 @@ from mvmdp.frequency import (
 from mvmdp.lp import LpStatus, solve
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
 from mvmdp.rationals import Rat
-from mvmdp.setdp import ExactFrontier
+from mvmdp.setdp import (
+    ExactFrontier,
+    compute_pmq,
+    exact_frontier,
+    max_variance,
+    min_variance,
+)
 
 
 def test_skeleton_counts_one_stage():
@@ -296,3 +306,74 @@ def test_exact_pair_implies_bounded_query():
         assert ok
         ok, _ = mean_fixed_var_bounded(mdp, lam, q - lam * lam)
         assert ok
+
+
+def _moment_targets(polygon) -> list:
+    """Every vertex and edge midpoint, one interior point, and three points
+    just outside: below the lower chain, above the upper chain and right of
+    the largest mean."""
+    vs = polygon.vertices
+    out = list(vs)
+    out += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in zip(vs, vs[1:] + vs[:1])]
+    if len(vs) >= 3:
+        out.append((sum(m for m, _ in vs) / len(vs), sum(q for _, q in vs) / len(vs)))
+    lower, upper = polygon.lower_chain(), polygon.upper_chain()
+    m, q = lower[len(lower) // 2]
+    out.append((m, q - Rat(1, 7)))
+    m, q = upper[len(upper) // 2]
+    out.append((m, q + Rat(1, 7)))
+    m, q = lower[-1]
+    out.append((m + Rat(1, 7), q))
+    return out
+
+
+def _replayed(mdp, sk, sol) -> tuple:
+    """The moments the LP solution claims, checked against its witness."""
+    z = sk.solution_vector(sol)
+    claimed = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
+    ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+    assert (ev.mean, ev.second_moment) == claimed
+    return claimed
+
+
+def test_guided_start_agrees_with_first_action_start():
+    # The polygon-guided basis changes only where the simplex starts: the
+    # status must match the first-action start's at every target, and both
+    # witnesses must replay to the target (capped: to its mean, under the cap).
+    for mdp in integer_instances()[:60]:
+        polygon = compute_pmq(mdp)
+        frontier = exact_frontier(polygon)
+        sk = _skeleton(mdp)
+        for m, q in _moment_targets(polygon):
+            for capped in (False, True):
+                prob = _moment_problem(sk, m, q, capped)
+                first = solve(prob, initial_basis=sk._warm)
+                guided = solve(prob, initial_basis=_guided_basis(sk, m, q, capped))
+                assert guided.status is first.status
+                if capped:
+                    floor = frontier.second_moment(m)
+                    feasible = floor is not None and floor <= q
+                else:
+                    feasible = polygon.contains((m, q))
+                assert (guided.status is LpStatus.OPTIMAL) == feasible
+                if not feasible:
+                    continue
+                for sol in (first, guided):
+                    mean, second = _replayed(mdp, sk, sol)
+                    assert mean == m
+                    assert second <= q if capped else second == q
+
+
+def test_variance_extreme_witnesses_on_deep_instances():
+    # Exact witnesses at both variance extremes of T = 5 instances with at
+    # least 20 polygon vertices; five of the ten max-variance peaks lie
+    # inside an upper-chain edge rather than at a vertex.
+    inside_edges = 0
+    for mdp, polygon in deep_instances():
+        for value, (m, q) in (min_variance(polygon), max_variance(polygon)):
+            inside_edges += (m, q) not in polygon.vertices
+            ok, z = exact_pair_feasible(mdp, m, value)
+            assert ok
+            ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+            assert (ev.mean, ev.variance) == (m, value)
+    assert inside_edges > 0

@@ -85,6 +85,9 @@ formats:
   "variance": N}, ...]} where N = {"pq": "p/q", "float": x}; vertices walk
   the achievable (mean, second moment) polygon counterclockwise.
 
+  feasible-mean-var JSON: on yes, "achieved_variance" is the least variance
+  of any policy with mean exactly lambda, and "policy" attains it.
+
   policy JSON (witnesses): {"class": "TSW_U", "rules": [{"t": 0, "s": "s0",
   "w": N, "choose": {"a": N, ...}}, ...]}; deterministic classes carry
   "action" instead of "choose"; reward-blind classes omit "w". TS_U
@@ -100,6 +103,11 @@ caps (fixed, not flags; exceeding one exits 2):
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one `error:` line, as for every exit 2
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _parse_exact(text: str, flag: str) -> Rat:
@@ -292,14 +300,12 @@ def _cmd_feasible_mean_var(args) -> int:
         "mean": _num(mean),
         "variance_cap": _num(cap),
     }
-    if not ok:
-        _emit_json(payload, args)
-        return NO
-    second = z.terminal_second_moment(mdp.horizon)
-    payload["achieved_variance"] = _num(second - mean * mean)
-    payload["policy"] = _policy_json(frequencies_to_policy(mdp, z))
+    if ok:
+        second = z.terminal_second_moment(mdp.horizon)
+        payload["achieved_variance"] = _num(second - mean * mean)
+        payload["policy"] = _policy_json(frequencies_to_policy(mdp, z))
     _emit_json(payload, args)
-    return OK
+    return OK if ok else NO
 
 
 def _exact_frontier_rows(frontier) -> list:
@@ -482,7 +488,7 @@ def _cmd_discretize(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvmdp",
         description=(
             "Exact mean-variance analysis of finite-horizon MDPs: feasibility "
@@ -528,7 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "feasible-mean-var",
         parents=[reads, writes],
-        help="mean exactly lambda with variance <= v? exit 0 yes / 1 no",
+        help="mean exactly lambda with variance <= v? exit 0 yes / 1 no; "
+             "achieved_variance is the least variance at mean lambda",
     )
     p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True,
                    help="target mean, exact rational")
@@ -636,13 +643,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return OK if exc.code in (None, 0) else BAD
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help
+        return OK if exc.code in (None, 0) else BAD
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD

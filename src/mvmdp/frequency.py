@@ -17,18 +17,18 @@ moment of the cumulative reward) is linear in z, which is what makes the
 mean-variance questions below linear programs.
 
 Every query is a standard-form LP (equality rows, nonnegative columns): a
-side condition such as "variance at most v" or "mean in [lo, hi]" is an
-extra row with its own slack column. Skeletons are immutable after
-construction; each query builds a fresh LpProblem, so concurrent queries
-against one skeleton are safe.
+side condition such as "mean in [lo, hi]" is an extra row with its own
+slack column. Skeletons are immutable after construction; each query builds
+a fresh LpProblem, so concurrent queries against one skeleton are safe.
 
-The simplex starts from the occupation measure of a deterministic policy
-(`PolytopeSkeleton.policy_basis`). The witness LPs (`exact_pair_feasible`,
-`mean_fixed_var_bounded`) let the moment polygon pick it: for a target on
-the polygon's boundary, the policy that is optimal along a line supporting
-the polygon there (`supporting_policy`, one backward DP) starts phase 1 at
-the target vertex or at an end of the target's edge. The polygon only
-places the start; statuses and witness moments are the LP's own.
+The witness queries (`exact_pair_feasible`, `mean_fixed_var_bounded`) take
+their answer from the root moment polygon; the LP only builds the witness,
+with two equality rows, mean = m and second moment = q, at a point (m, q) of
+the polygon. Its simplex starts from the occupation measure of a
+deterministic policy (`PolytopeSkeleton.policy_basis`) that the polygon
+picks: for a target on the boundary, the policy that is optimal along a line
+supporting the polygon there (`supporting_policy`, one backward DP) starts
+phase 1 at the target vertex or at an end of the target's edge.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .errors import EngineDisagreementError
+from .geometry import MomentPolygon
 from .lp import LpProblem, LpSolution, LpStatus, solve
 from .model import (
     AugmentedSpace,
@@ -45,7 +47,7 @@ from .model import (
     played_actions,
 )
 from .rationals import Rat, ZERO, ONE
-from .setdp import compute_pmq
+from .setdp import compute_pmq, exact_frontier
 
 
 @dataclass(frozen=True)
@@ -210,83 +212,87 @@ def exact_pair_feasible(
 ) -> tuple[bool, FrequencyVector | None]:
     """Is there a policy with exactly this (mean, variance) of the cumulative reward?
 
-    Linear in z: mean row = mean and second-moment row = variance + mean^2.
+    Yes iff the root moment polygon holds (mean, variance + mean^2); only
+    then does an LP run, to build the witness (`_moment_witness`).
     """
-    return _moment_witness(mdp, Rat(mean), Rat(variance), capped=False)
+    mean = Rat(mean)
+    second = Rat(variance) + mean * mean
+    polygon = compute_pmq(mdp)
+    if not polygon.contains((mean, second)):
+        return False, None
+    return True, _moment_witness(mdp, polygon, mean, second)
 
 
 def mean_fixed_var_bounded(
     mdp: Mdp, mean, variance_cap
 ) -> tuple[bool, FrequencyVector | None]:
-    """Is there a policy with this exact mean and variance <= variance_cap?"""
-    return _moment_witness(mdp, Rat(mean), Rat(variance_cap), capped=True)
+    """Is there a policy with this exact mean and variance <= variance_cap?
+
+    Yes iff the least variance at this mean, read off the root polygon's
+    lower chain, is at most the cap; the witness attains that variance.
+    """
+    mean = Rat(mean)
+    cap = Rat(variance_cap)
+    polygon = compute_pmq(mdp)
+    second = exact_frontier(polygon).second_moment(mean)
+    if second is None or second - mean * mean > cap:
+        return False, None
+    return True, _moment_witness(mdp, polygon, mean, second)
 
 
-def _moment_witness(mdp: Mdp, mean: Rat, variance: Rat, capped: bool):
-    """Feasibility of mean row = mean and second-moment row = variance +
-    mean^2; with capped, the second-moment row gets a slack column, so the
-    variance may lie anywhere at or below the given one. The simplex starts
-    from `_guided_basis`."""
+def _moment_witness(
+    mdp: Mdp, polygon: MomentPolygon, mean: Rat, second: Rat
+) -> FrequencyVector:
+    """Occupation measure of a policy whose terminal moments are exactly
+    (mean, second), a point of polygon, solved from `_guided_basis`. An LP
+    that finds the point infeasible raises EngineDisagreementError."""
     sk = _skeleton(mdp)
-    second = variance + mean * mean
     sol = solve(
-        _moment_problem(sk, mean, second, capped),
-        initial_basis=_guided_basis(sk, mean, second, capped),
+        _moment_problem(sk, mean, second),
+        initial_basis=_guided_basis(sk, polygon, mean, second),
     )
     if sol.status is not LpStatus.OPTIMAL:
-        return False, None
-    return True, sk.solution_vector(sol)
+        raise EngineDisagreementError(
+            f"moment polygon and occupation LP disagree: the polygon holds "
+            f"({mean}, {second}), the LP is {sol.status.value}"
+        )
+    return sk.solution_vector(sol)
 
 
-def _moment_problem(
-    sk: PolytopeSkeleton, mean: Rat, second: Rat, capped: bool
-) -> LpProblem:
+def _moment_problem(sk: PolytopeSkeleton, mean: Rat, second: Rat) -> LpProblem:
     """The skeleton's rows, then mean row = mean and second-moment row =
-    second, with slack column num_vars on the latter when capped."""
-    sm = {**sk.sm_coeffs, sk.num_vars: ONE} if capped else sk.sm_coeffs
-    return sk.problem(
-        extra_rows=[(sk.mean_coeffs, mean), (sm, second)],
-        extra_vars=int(capped),
-    )
+    second."""
+    return sk.problem(extra_rows=[(sk.mean_coeffs, mean), (sk.sm_coeffs, second)])
 
 
 def _guided_basis(
-    sk: PolytopeSkeleton, mean: Rat, second: Rat, capped: bool
+    sk: PolytopeSkeleton, polygon: MomentPolygon, mean: Rat, second: Rat
 ) -> dict[int, int]:
     """Starting basis for `_moment_problem`, placed by the moment polygon.
 
-    A target on the lower chain (any capped query: the chain at mean) has a
-    support line of slope sigma there, and `supporting_policy` minimizing
-    E[R^2 - sigma R] reaches the line's contact point with the polygon; a
-    target on the upper chain likewise, maximizing. At a vertex that point
-    is the target itself, so phase 1 starts on it. A capped query also
-    makes its slack basic when the policy's second moment meets the cap.
-    Any other target starts from the first-action policy.
+    A target on the lower chain has a support line of slope sigma there,
+    and `supporting_policy` minimizing E[R^2 - sigma R] reaches the line's
+    contact point with the polygon; a target on the upper chain likewise,
+    maximizing. At a vertex that point is the target itself, so phase 1
+    starts on it; inside an edge it is an end of the edge. Any other target
+    starts from the first-action policy.
     """
-    polygon = compute_pmq(sk.mdp)
-    target = None if capped else second
-    sigma = _support_slope(polygon.lower_chain(), mean, target, 1)
-    maximize = False
-    if sigma is None and not capped:
-        sigma = _support_slope(polygon.upper_chain(), mean, second, -1)
-        maximize = True
-    if sigma is None:
-        return sk._warm
-    rule, (_, q) = supporting_policy(sk, sigma, maximize)
-    basis = sk.policy_basis(rule)
-    if capped and q <= second:
-        basis[len(sk.rows) + 1] = sk.num_vars
-    return basis
+    for chain, sign in ((polygon.lower_chain(), 1), (polygon.upper_chain(), -1)):
+        sigma = _support_slope(chain, mean, second, sign)
+        if sigma is not None:
+            rule, _ = supporting_policy(sk, sigma, maximize=sign < 0)
+            return sk.policy_basis(rule)
+    return sk._warm
 
 
-def _support_slope(chain: list, m: Rat, q: Rat | None, sign: int) -> Rat | None:
+def _support_slope(chain: list, m: Rat, q: Rat, sign: int) -> Rat | None:
     """Slope of a line supporting chain at (m, q), or None off the chain.
 
     chain is a lower (sign 1, convex) or upper (sign -1, concave) boundary,
-    vertices left to right; q None stands for the chain's own point at m.
-    Inside an edge the slope is the edge's. At a vertex it lies strictly
-    between its two edges' slopes, or beyond the one edge at an end, so the
-    line touches the polygon at that vertex alone.
+    vertices left to right. Inside an edge the slope is the edge's. At a
+    vertex it lies strictly between its two edges' slopes, or beyond the
+    one edge at an end, so the line touches the polygon at that vertex
+    alone.
     """
     if not chain[0][0] <= m <= chain[-1][0]:
         return None
@@ -300,10 +306,10 @@ def _support_slope(chain: list, m: Rat, q: Rat | None, sign: int) -> Rat | None:
     if mi != m:
         edge = slope(i - 1)
         m0, q0 = chain[i - 1]
-        if q is not None and q != q0 + edge * (m - m0):
+        if q != q0 + edge * (m - m0):
             return None
         return edge
-    if q is not None and q != qi:
+    if q != qi:
         return None
     if len(chain) == 1:
         return ZERO

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EngineDisagreementError, EnumerationLimitError
-from .frequency import frequencies_to_policy, mean_fixed_var_bounded
+from .frequency import exact_pair_feasible, frequencies_to_policy
 from .model import (
     Mdp,
     PolicySpec,
@@ -212,8 +212,8 @@ def class_feasibility(
     when it finds a witness, inconclusive otherwise (reported as no witness
     found at that resolution). DEFAULT_POLICY_CAP caps both searches. TSW_U
     is decided exactly by the root moment polygon's frontier, which gives
-    the least variance at mean >= mean_floor and a mean attaining it; one
-    occupation-measure LP at that mean gives the witness.
+    the least variance at mean >= mean_floor and a point (m, q) attaining
+    it; exact_pair_feasible at that point gives the witness.
     """
     lam = Rat(mean_floor)
     cap = Rat(variance_cap)
@@ -240,12 +240,8 @@ def class_feasibility(
         return ClassFeasibility(
             False, None, f"least variance at mean >= {lam} exceeds the cap"
         )
-    mean = best[1][0]
-    ok, z = mean_fixed_var_bounded(mdp, mean, cap)
-    if not ok:
-        raise EngineDisagreementError(
-            f"moment polygon and occupation LP disagree at mean {mean}"
-        )
+    value, (mean, _) = best
+    _, z = exact_pair_feasible(mdp, mean, value)
     return ClassFeasibility(
         True,
         frequencies_to_policy(mdp, z),

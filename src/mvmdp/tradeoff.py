@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from .model import Mdp
 from .rationals import Rat, ZERO, floor_multiple, rat, rat_str
-from .setdp import ExactFrontier, compute_pmq
+from .setdp import compute_pmq, exact_frontier
 
 # Largest grid a frontier query may build; the step is set by the
 # tolerances, so without a cap a tiny epsilon asks for unbounded work.
@@ -115,16 +115,15 @@ class MeanCurve:
         return best
 
 
-def _grid_cells(mdp: Mdp, epsilon, nu, hull, square):
+def _grid_cells(mdp: Mdp, epsilon, nu, square):
     """The grid both curves share: (bound, step, grid, qhat, cells).
 
     qhat[i] is the cheapest second moment over the means in cell i, read off
-    the lower boundary of the exact root moment polygon; hull may instead
-    carry the same boundary from another engine (terminal_lower_hull),
-    which the cross-checks use. cells[i] is qhat[i] minus square(lo*lo,
-    hi*hi) over the cell's endpoints; both are None when no mean in the
-    cell is achievable. Nonpositive tolerances raise ValueError. When every
-    reward is zero the grid is the one point 0, with no cells.
+    the lower boundary of the exact root moment polygon. cells[i] is qhat[i]
+    minus square(lo*lo, hi*hi) over the cell's endpoints; both are None when
+    no mean in the cell is achievable. Nonpositive tolerances raise
+    ValueError. When every reward is zero the grid is the one point 0, with
+    no cells.
     """
     eps = rat(epsilon)
     slack = rat(nu)
@@ -142,9 +141,7 @@ def _grid_cells(mdp: Mdp, epsilon, nu, hull, square):
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"{cells} grid cells exceed the cap {MAX_GRID_CELLS}")
     grid = tuple(-bound + k * step for k in range(cells + 1))
-    if hull is None:
-        hull = compute_pmq(mdp).lower_chain()
-    frontier = ExactFrontier.of_chain(hull)
+    frontier = exact_frontier(compute_pmq(mdp))
     qhat = tuple(
         frontier.min_second_moment(lo, hi) for lo, hi in zip(grid, grid[1:])
     )
@@ -166,7 +163,7 @@ def _suffix_minima(values) -> tuple:
     return tuple(out)
 
 
-def approximate_v_star(mdp: Mdp, epsilon, nu, hull=None) -> TradeoffCurve:
+def approximate_v_star(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
     """Tabulate an underestimate of v*(lam) on a uniform mean grid.
 
     Takes any rational rewards and positive tolerances.  The result
@@ -177,15 +174,13 @@ def approximate_v_star(mdp: Mdp, epsilon, nu, hull=None) -> TradeoffCurve:
     with both curves read as plus infinity past the largest achievable
     mean.  The proof uses no integrality: only that qhat is exact and that
     every cell's endpoint squares differ by at most 3*delta*KT, which holds
-    since delta <= KT.  hull may carry a precomputed lower boundary of the
-    moment set, left to right; by default it is read off the root moment
-    polygon.
+    since delta <= KT.
     """
     # Subtract the larger endpoint square: every mean in the cell has its
     # square between the endpoint squares, so the cell estimate stays at or
     # below the true minimum variance over the cell (cells left of zero
     # carry the larger square at their left endpoint).
-    bound, step, grid, qhat, uhat = _grid_cells(mdp, epsilon, nu, hull, max)
+    bound, step, grid, qhat, uhat = _grid_cells(mdp, epsilon, nu, max)
     return TradeoffCurve(
         mean_bound=bound,
         delta=step,
@@ -197,7 +192,7 @@ def approximate_v_star(mdp: Mdp, epsilon, nu, hull=None) -> TradeoffCurve:
     )
 
 
-def approximate_lambda_star(mdp: Mdp, epsilon, nu, hull=None) -> MeanCurve:
+def approximate_lambda_star(mdp: Mdp, epsilon, nu) -> MeanCurve:
     """Tabulate a reachable underestimate of lambda*(v) on the same grid.
 
     Takes any rational rewards and positive tolerances.  Each cell cap
@@ -215,7 +210,7 @@ def approximate_lambda_star(mdp: Mdp, epsilon, nu, hull=None) -> MeanCurve:
     # smaller square, so q - min(...) is a variance that m really achieves
     # at most.  Reporting the cell's left endpoint therefore never
     # overstates the reachable mean.
-    bound, step, grid, _, caps = _grid_cells(mdp, epsilon, nu, hull, min)
+    bound, step, grid, _, caps = _grid_cells(mdp, epsilon, nu, min)
     return MeanCurve(
         mean_bound=bound,
         delta=step,

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 from corpus import deep_instances, rational_instances
-from mvmdp import games, model, setdp
+from mvmdp import frequency, games, model, setdp
 from mvmdp.cli import run
 from mvmdp.model import PolicySpec, evaluate_policy
 from mvmdp.fixtures import one_shot_two_arms, two_point_stage
 from mvmdp.games import gen_subset_sum
 from mvmdp.frequency import mean_fixed_var_bounded, policy_frequencies
+from mvmdp.lp import LpSolution, LpStatus
 from mvmdp.model import make_mdp
 from mvmdp.rationals import Rat
 from mvmdp.serialize import dumps, loads
@@ -418,20 +419,25 @@ def test_ts_u_grid_builds_nothing_sized_by_the_resolution(capsys, tmp_path):
 
 
 def test_engine_disagreement_exits_2(capsys, one_shot_path, monkeypatch):
-    from mvmdp import games
-
+    # Every witness subcommand, at a target the polygon holds, with an
+    # occupation LP that finds it infeasible.
     monkeypatch.setattr(
-        games, "mean_fixed_var_bounded", lambda *args, **kwargs: (False, None)
+        frequency, "solve", lambda *args, **kwargs: LpSolution(LpStatus.INFEASIBLE)
     )
-    code, out, err = _invoke(
-        capsys,
-        ["oracle", one_shot_path, "--class", "TSW_U",
-         "--lambda", "1/8", "--v", "1/2"],
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: internal engine disagreement: ")
-    assert "Traceback" not in err
+    queries = [
+        ["feasible-pair", "--lambda", "1/2", "--v", "3/4"],
+        ["feasible-mean-var", "--lambda", "1/4", "--v", "1/2"],
+        ["min-variance"],
+        ["max-variance"],
+        ["oracle", "--class", "TSW_U", "--lambda", "1/8", "--v", "1/2"],
+    ]
+    for query in queries:
+        code, out, err = _invoke(capsys, [query[0], one_shot_path, *query[1:]])
+        assert code == 2, query
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error: internal engine disagreement: ")
 
 
 def _policy_from_json(policy):
@@ -591,6 +597,7 @@ def test_node_cap_bounds_only_the_node_level_engines(
     queries = {
         "frontier": ["frontier", str(path), "--exact"],
         "zero-variance": ["zero-variance", str(path)],
+        "feasible-pair": ["feasible-pair", str(path), "--lambda", "0", "--v", "0"],
         "min-variance": ["min-variance", str(path)],
         "augment-stats": ["augment-stats", str(path)],
     }
@@ -602,6 +609,9 @@ def test_node_cap_bounds_only_the_node_level_engines(
     assert answers["frontier"][0] == 0
     assert _invoke(capsys, queries["zero-variance"]) == answers["zero-variance"]
     assert answers["zero-variance"][0] == 1
+    # A target outside the polygon is refused before any LP is built.
+    assert _invoke(capsys, queries["feasible-pair"]) == answers["feasible-pair"]
+    assert answers["feasible-pair"][0] == 1
     # The witness LP and the node counts need every node.
     for name in ("min-variance", "augment-stats"):
         code, out, err = _invoke(capsys, queries[name])
@@ -700,13 +710,21 @@ def test_policy_caps_exit_2(capsys, one_shot_path, monkeypatch):
 
 
 def test_bad_flags_and_help(capsys, one_shot_path):
-    assert _invoke(capsys, ["frontier", one_shot_path, "--bogus"])[0] == 2
-    # the size caps are constants, not flags
-    assert _invoke(capsys, ["augment-stats", one_shot_path,
-                            "--max-nodes", "5"])[0] == 2
-    assert _invoke(capsys, ["separation", one_shot_path, "--lambda", "0",
-                            "--v", "1", "--max-policies", "5"])[0] == 2
-    assert _invoke(capsys, ["no-such-command"])[0] == 2
+    bad = [
+        ["frontier", one_shot_path, "--bogus"],
+        # the size caps are constants, not flags
+        ["augment-stats", one_shot_path, "--max-nodes", "5"],
+        ["separation", one_shot_path, "--lambda", "0", "--v", "1",
+         "--max-policies", "5"],
+        ["no-such-command"],
+        ["feasible-pair", one_shot_path, "--lambda", "-x", "--v", "1"],
+    ]
+    for argv in bad:
+        code, out, err = _invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        # argparse's own rejections read like every other exit 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: mvmdp"), err
     code, out, _ = _invoke(capsys, ["--help"])
     assert code == 0
     assert "formats:" in out

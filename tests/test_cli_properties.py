@@ -1,9 +1,12 @@
-"""Property test for the CLI on malformed MDP documents.
+"""Property tests for the CLI on malformed MDP documents and flag values.
 
 One field of a valid document, at any depth, is replaced by an arbitrary JSON
 value, and the document is read from stdin by `validate` and by
-`frontier --exact`. Every run must answer (exit 0 or 1) or fail with exit 2
-and exactly one `error:` line on stderr; no exception may escape `cli.run`.
+`frontier --exact`. Separately, the valid document is queried with drawn
+numeric flag text, passed as `--flag=TEXT` or as `--flag TEXT` (where text
+like `-x` reads as a flag). Every run must answer (exit 0 or 1) or fail with
+exit 2 and exactly one `error:` line on stderr; no exception may escape
+`cli.run`.
 """
 
 import contextlib
@@ -84,6 +87,14 @@ def _run(argv, text):
     return code, err.getvalue()
 
 
+def _assert_answer_or_one_error(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_base_document_answers():
     text = json.dumps(BASE)
     assert _run(["validate", "-"], text) == (0, "")
@@ -100,9 +111,43 @@ def test_one_replaced_field_gets_an_answer_or_one_error_line(path, value):
     node[path[-1]] = value
     text = json.dumps(doc)
     for argv in (["validate", "-"], ["frontier", "--exact", "-"]):
-        code, err = _run(argv, text)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        if code == 2:
-            lines = err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), err
+        _assert_answer_or_one_error(*_run(argv, text))
+
+
+small = st.integers(-12, 12)
+wide = st.integers(-(10**30), 10**30)
+denominators = st.integers(1, 12) | st.integers(1, 10**30)
+flag_text = st.one_of(
+    small.map(str),
+    st.tuples(small, st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.tuples(wide, denominators).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    small.map(lambda p: f"{p}/0"),
+    st.floats().map(repr),
+    st.sampled_from(["+3", "-0", "+1/2", "-1/2", "--1", "+-1", "1/-2", "-/2"]),
+    st.text(max_size=8),
+)
+
+FLAG_QUERIES = (
+    ["feasible-pair"],
+    ["feasible-mean-var"],
+    ["oracle", "--class", "TSW_U"],
+)
+
+
+def _flag(name, text, joined):
+    return [f"{name}={text}"] if joined else [name, text]
+
+
+@PROPERTY
+@given(st.sampled_from(FLAG_QUERIES), flag_text, flag_text, st.booleans())
+def test_drawn_target_flags_get_an_answer_or_one_error_line(query, lam, v, joined):
+    argv = [query[0], "-", *query[1:]]
+    argv += _flag("--lambda", lam, joined) + _flag("--v", v, joined)
+    _assert_answer_or_one_error(*_run(argv, json.dumps(BASE)))
+
+
+@PROPERTY
+@given(flag_text, st.booleans())
+def test_drawn_prune_budget_gets_an_answer_or_one_error_line(budget, joined):
+    argv = ["min-variance", "-", *_flag("--prune-eps", budget, joined)]
+    _assert_answer_or_one_error(*_run(argv, json.dumps(BASE)))

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from corpus import deep_instances, integer_instances
-from mvmdp.errors import PolicyCoverageError
+from mvmdp import frequency
+from mvmdp.errors import EngineDisagreementError, PolicyCoverageError
 from mvmdp.fixtures import (
     all_zero,
     forked_path,
@@ -25,7 +26,7 @@ from mvmdp.frequency import (
     policy_frequencies,
     terminal_lower_hull,
 )
-from mvmdp.lp import LpStatus, solve
+from mvmdp.lp import LpSolution, LpStatus, solve
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
 from mvmdp.rationals import Rat
 from mvmdp.setdp import (
@@ -337,31 +338,75 @@ def _replayed(mdp, sk, sol) -> tuple:
 
 
 def test_guided_start_agrees_with_first_action_start():
-    # The polygon-guided basis changes only where the simplex starts: the
-    # status must match the first-action start's at every target, and both
-    # witnesses must replay to the target (capped: to its mean, under the cap).
+    # The polygon-guided basis changes only where the simplex starts: at
+    # every target both starts are OPTIMAL exactly when the polygon holds the
+    # target, and both witnesses replay to it.
     for mdp in integer_instances()[:60]:
         polygon = compute_pmq(mdp)
-        frontier = exact_frontier(polygon)
         sk = _skeleton(mdp)
         for m, q in _moment_targets(polygon):
-            for capped in (False, True):
-                prob = _moment_problem(sk, m, q, capped)
-                first = solve(prob, initial_basis=sk._warm)
-                guided = solve(prob, initial_basis=_guided_basis(sk, m, q, capped))
-                assert guided.status is first.status
-                if capped:
-                    floor = frontier.second_moment(m)
-                    feasible = floor is not None and floor <= q
-                else:
-                    feasible = polygon.contains((m, q))
-                assert (guided.status is LpStatus.OPTIMAL) == feasible
-                if not feasible:
-                    continue
+            prob = _moment_problem(sk, m, q)
+            first = solve(prob, initial_basis=sk._warm)
+            guided = solve(prob, initial_basis=_guided_basis(sk, polygon, m, q))
+            feasible = polygon.contains((m, q))
+            assert (first.status is LpStatus.OPTIMAL) == feasible
+            assert (guided.status is LpStatus.OPTIMAL) == feasible
+            if feasible:
                 for sol in (first, guided):
-                    mean, second = _replayed(mdp, sk, sol)
-                    assert mean == m
-                    assert second <= q if capped else second == q
+                    assert _replayed(mdp, sk, sol) == (m, q)
+
+
+def test_targets_outside_the_polygon_run_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(frequency, "solve", no_lp)
+    for mdp in integer_instances()[:20]:
+        polygon = compute_pmq(mdp)
+        for m, q in _moment_targets(polygon)[-3:]:
+            assert not polygon.contains((m, q))
+            assert exact_pair_feasible(mdp, m, q - m * m) == (False, None)
+        lower = polygon.lower_chain()
+        past = lower[-1][0] + Rat(1, 7)
+        assert mean_fixed_var_bounded(mdp, past, 10**6) == (False, None)
+        m, q = lower[len(lower) // 2]
+        assert mean_fixed_var_bounded(mdp, m, q - m * m - Rat(1, 7)) == (
+            False,
+            None,
+        )
+
+
+def test_witness_functions_raise_when_the_lp_disagrees(monkeypatch):
+    monkeypatch.setattr(
+        frequency, "solve", lambda *args, **kwargs: LpSolution(LpStatus.INFEASIBLE)
+    )
+    mdp = one_shot_two_arms()
+    with pytest.raises(EngineDisagreementError, match="occupation LP"):
+        exact_pair_feasible(mdp, Rat(1, 2), Rat(3, 4))
+    with pytest.raises(EngineDisagreementError, match="occupation LP"):
+        mean_fixed_var_bounded(mdp, Rat(1, 4), 1)
+
+
+def test_bounded_witness_is_the_least_variance_at_the_mean():
+    # Inside a lower-chain edge the least second moment at mean lam is the
+    # chain's own point; every cap at or above its variance gets a witness
+    # that replays to exactly that point, not to some point under the cap.
+    checked = 0
+    for mdp in integer_instances()[:40]:
+        frontier = exact_frontier(compute_pmq(mdp))
+        chain = frontier.chain
+        for (m0, _), (m1, _) in zip(chain, chain[1:]):
+            lam = (2 * m0 + m1) / 3
+            q = frontier.second_moment(lam)
+            floor = q - lam * lam
+            for cap in (floor, floor + Rat(1, 3), floor + 5):
+                ok, z = mean_fixed_var_bounded(mdp, lam, cap)
+                assert ok
+                ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+                assert (ev.mean, ev.second_moment) == (lam, q)
+                checked += 1
+            assert not mean_fixed_var_bounded(mdp, lam, floor - Rat(1, 9))[0]
+    assert checked > 0
 
 
 def test_variance_extreme_witnesses_on_deep_instances():

@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 from corpus import integer_instances, subset_sum_vectors
-from mvmdp import games
+from mvmdp import frequency, games
 from mvmdp.errors import EngineDisagreementError, EnumerationLimitError
 from mvmdp.fixtures import (
     all_zero,
@@ -12,7 +12,12 @@ from mvmdp.fixtures import (
     offset_chain,
     one_shot_two_arms,
 )
-from mvmdp.frequency import exact_pair_feasible, mean_fixed_var_bounded
+from mvmdp.frequency import (
+    _moment_problem,
+    _skeleton,
+    exact_pair_feasible,
+    min_q_over_interval,
+)
 from mvmdp.games import (
     class_feasibility,
     class_separation_report,
@@ -21,6 +26,7 @@ from mvmdp.games import (
     gen_subset_sum,
     zero_variance_values,
 )
+from mvmdp.lp import LpSolution, LpStatus, solve
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, validate
 from mvmdp.rationals import Rat, ZERO
 from mvmdp.setdp import compute_pmq, min_variance
@@ -384,7 +390,9 @@ def test_tsw_u_verdict_is_lp_at_floor_or_tsw_enumeration():
         for _ in range(2):
             lam, cap = _target(rng, polygon)
             entry = class_feasibility(mdp, "TSW_U", lam, cap)
-            at_floor, _ = mean_fixed_var_bounded(mdp, lam, cap)
+            # The occupation LP is the status reference, not the polygon.
+            status, floor = min_q_over_interval(mdp, lam, lam)
+            at_floor = status is LpStatus.OPTIMAL and floor - lam * lam <= cap
             by_tsw = any(m >= lam and v <= cap for _, m, _, v in tsw)
             assert entry.feasible == (at_floor or by_tsw)
             verdicts.append(entry.feasible)
@@ -403,12 +411,15 @@ def test_exact_pair_feasible_agrees_with_polygon_contains():
     inside = []
     for mdp in integer_instances(30):
         polygon = compute_pmq(mdp)
+        sk = _skeleton(mdp)
         for _ in range(2):
             a = rng.choice(polygon.vertices)
             b = rng.choice(polygon.vertices)
             m = (a[0] + b[0]) / 2
             v = (a[1] + b[1]) / 2 - m * m + Rat(rng.randrange(-1, 2), 4)
             ok, _ = exact_pair_feasible(mdp, m, v)
+            lp = solve(_moment_problem(sk, m, v + m * m), initial_basis=sk._warm)
+            assert ok == (lp.status is LpStatus.OPTIMAL)
             assert ok == polygon.contains((m, v + m * m))
             inside.append(ok)
     assert True in inside and False in inside
@@ -421,7 +432,7 @@ def test_class_feasibility_rejects_unknown_class():
 
 def test_tsw_u_raises_when_the_engines_disagree(monkeypatch):
     monkeypatch.setattr(
-        games, "mean_fixed_var_bounded", lambda *args, **kwargs: (False, None)
+        frequency, "solve", lambda *args, **kwargs: LpSolution(LpStatus.INFEASIBLE)
     )
     with pytest.raises(AssertionError, match="disagree"):
         class_feasibility(offset_chain(), "TSW_U", 1, 0)

@@ -237,7 +237,8 @@ def test_vhat_nondecreasing_across_cells():
 def test_cell_estimates_below_frontier_samples():
     mdp = offset_chain()
     hull = terminal_lower_hull(mdp)
-    curve = approximate_v_star(mdp, Rat(1, 2), Rat(1, 2), hull=hull)
+    assert hull == compute_pmq(mdp).lower_chain()
+    curve = approximate_v_star(mdp, Rat(1, 2), Rat(1, 2))
     front = ExactFrontier.of_chain(hull)
     checked = 0
     for i, u in enumerate(curve.uhat):
@@ -305,10 +306,11 @@ def test_sandwich_property_random():
     mdps = [_random_mdp(rng) for _ in range(12)]
     mdps += [_random_rational_mdp(rng) for _ in range(8)]
     for mdp in mdps:
-        frontier = exact_frontier(compute_pmq(mdp))
-        hull = terminal_lower_hull(mdp)
+        polygon = compute_pmq(mdp)
+        frontier = exact_frontier(polygon)
+        assert terminal_lower_hull(mdp) == polygon.lower_chain()
         for eps in (Rat(1), Rat(1, 2)):
-            curve = approximate_v_star(mdp, eps, eps, hull=hull)
+            curve = approximate_v_star(mdp, eps, eps)
             for lam in curve.grid:
                 got = curve.value(lam)
                 exact = frontier.value(lam)
@@ -351,8 +353,8 @@ def test_lambda_star_guarantees_random():
     for mdp in mdps:
         polygon = compute_pmq(mdp)
         frontier = exact_frontier(polygon)
-        hull = terminal_lower_hull(mdp)
-        curve = approximate_lambda_star(mdp, Rat(1, 2), Rat(1, 2), hull=hull)
+        assert terminal_lower_hull(mdp) == polygon.lower_chain()
+        curve = approximate_lambda_star(mdp, Rat(1, 2), Rat(1, 2))
         # Soundness: every reported mean is reachable within the budget.
         for budget in (ZERO, Rat(1, 4), Rat(1), Rat(4)):
             lam_hat = curve.mean_for(budget)
@@ -546,14 +548,16 @@ def test_csv_rows_and_writer():
 
 
 def test_polygon_hull_matches_lp_hull_on_integer_corpus():
-    # The default grid reads the lower boundary off the moment polygon; the
-    # occupation-measure LP hull must give the same curves, field for field.
+    # The grid reads the lower boundary off the moment polygon, and a curve
+    # is a function of the MDP and that chain; the occupation-measure LP hull
+    # must be the same chain, and its cell minima the curve's qhat.
     for mdp in integer_instances(count=50):
         hull = terminal_lower_hull(mdp)
+        assert hull == compute_pmq(mdp).lower_chain()
+        front = ExactFrontier.of_chain(hull)
         for eps, nu in ((Rat(1), Rat(1)), (Rat(1, 2), Rat(1, 3))):
-            assert approximate_v_star(mdp, eps, nu) == approximate_v_star(
-                mdp, eps, nu, hull=hull
-            )
-            assert approximate_lambda_star(mdp, eps, nu) == approximate_lambda_star(
-                mdp, eps, nu, hull=hull
+            curve = approximate_v_star(mdp, eps, nu)
+            cells = zip(curve.grid, curve.grid[1:])
+            assert curve.qhat == tuple(
+                front.min_second_moment(lo, hi) for lo, hi in cells
             )

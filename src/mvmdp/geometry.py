@@ -16,12 +16,20 @@ the inputs' lexicographic vertex runs, and prune_polygon keeps a subset of
 the vertices in their cyclic order. None of them sorts or re-hulls.
 
 All coordinates are exact rationals. Distances appear only in squared form,
-which keeps every comparison rational as well.
+which keeps every comparison rational as well. minkowski_sum,
+hull_of_union and prune_polygon lift their input once onto integers over
+one common denominator d, the lcm of every input coordinate's denominator,
+run their loops on those integers, and map back once at the end. Scaling
+by a positive d keeps lexicographic order, equality, the sign of every
+cross product and the order of every squared distance, so each kernel
+returns the same polygon as it would on the rationals themselves, while
+its loops skip the gcd normalization that every rational operation pays.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .rationals import Rat, ZERO
@@ -136,6 +144,28 @@ class MomentPolygon:
         return chain
 
 
+def _lift(polys) -> tuple:
+    """(d, vertex lists): every polygon's vertices times d, the least common
+    denominator of all their coordinates, as integers."""
+    d = math.lcm(
+        *{int(c.denominator) for p in polys for v in p.vertices for c in v}
+    )
+    lifted = [
+        [
+            (x.numerator * (d // x.denominator),
+             y.numerator * (d // y.denominator))
+            for x, y in p.vertices
+        ]
+        for p in polys
+    ]
+    return d, lifted
+
+
+def _lower(d, points) -> MomentPolygon:
+    """The polygon whose vertices, times d, are the integer points."""
+    return MomentPolygon(tuple((Rat(x, d), Rat(y, d)) for x, y in points))
+
+
 def _edges(vs) -> list:
     """(half, dx, dy) for each boundary edge of a canonical polygon.
 
@@ -164,10 +194,11 @@ def minkowski_sum(p: MomentPolygon, q: MomentPolygon) -> MomentPolygon:
         return q.translate(*p.vertices[0])
     if len(q.vertices) == 1:
         return p.translate(*q.vertices[0])
-    ep = _edges(p.vertices)
-    eq = _edges(q.vertices)
-    x = p.vertices[0][0] + q.vertices[0][0]
-    y = p.vertices[0][1] + q.vertices[0][1]
+    d, (pv, qv) = _lift((p, q))
+    ep = _edges(pv)
+    eq = _edges(qv)
+    x = pv[0][0] + qv[0][0]
+    y = pv[0][1] + qv[0][1]
     points = [(x, y)]
     i = j = 0
     while i < len(ep) or j < len(eq):
@@ -194,7 +225,7 @@ def minkowski_sum(p: MomentPolygon, q: MomentPolygon) -> MomentPolygon:
         x += dx
         y += dy
         points.append((x, y))
-    return MomentPolygon(tuple(points[:-1]))
+    return _lower(d, points[:-1])
 
 
 def hull_of_union(polys) -> MomentPolygon:
@@ -213,10 +244,10 @@ def hull_of_union(polys) -> MomentPolygon:
         raise ValueError("no polygons")
     if len(polys) == 1:
         return polys[0]
+    d, lifted = _lift(polys)
     climbs = []
     descents = []
-    for poly in polys:
-        vs = poly.vertices
+    for vs in lifted:
         k = 1
         while k < len(vs) and vs[k - 1] < vs[k]:
             k += 1
@@ -224,7 +255,7 @@ def hull_of_union(polys) -> MomentPolygon:
         descents.append(vs[k - 1:] + vs[:1])
     lower = _chain(heapq.merge(*climbs))
     upper = _chain(heapq.merge(*descents, reverse=True))
-    return MomentPolygon(tuple(lower[:-1] + upper[:-1] or lower))
+    return _lower(d, lower[:-1] + upper[:-1] or lower)
 
 
 def point_segment_dist_sq(p, a, b) -> Rat:
@@ -283,11 +314,13 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     original's, so it is contained in the original and only the
     original-to-pruned direction can be positive.
     """
-    max_err_sq = Rat(max_err_sq)
     vs = poly.vertices
     n = len(vs)
     if n <= 2:
         return poly
+    # Costs run on the lifted vertices, so they and the budget carry d^2.
+    d, (pts,) = _lift((poly,))
+    budget = Rat(max_err_sq) * d * d
     nxt = list(range(1, n)) + [0]
     prv = [n - 1] + list(range(n - 1))
     alive = [True] * n
@@ -296,16 +329,16 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     edge_load: list = [[] for _ in range(n)]
 
     def cost(i) -> Rat:
-        a, b = vs[prv[i]], vs[nxt[i]]
-        worst = point_segment_dist_sq(vs[i], a, b)
+        a, b = pts[prv[i]], pts[nxt[i]]
+        worst = point_segment_dist_sq(pts[i], a, b)
         for p in edge_load[prv[i]]:
-            d = point_segment_dist_sq(p, a, b)
-            if d > worst:
-                worst = d
+            dist = point_segment_dist_sq(p, a, b)
+            if dist > worst:
+                worst = dist
         for p in edge_load[i]:
-            d = point_segment_dist_sq(p, a, b)
-            if d > worst:
-                worst = d
+            dist = point_segment_dist_sq(p, a, b)
+            if dist > worst:
+                worst = dist
         return worst
 
     heap = []
@@ -316,12 +349,12 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
         err, i, stamp = heapq.heappop(heap)
         if not alive[i] or stamp != version[i]:
             continue
-        if err > max_err_sq:
+        if err > budget:
             break
         p, q = prv[i], nxt[i]
         alive[i] = False
         remaining -= 1
-        edge_load[p] = edge_load[p] + edge_load[i] + [vs[i]]
+        edge_load[p] = edge_load[p] + edge_load[i] + [pts[i]]
         edge_load[i] = []
         nxt[p], prv[q] = q, p
         if p != q:

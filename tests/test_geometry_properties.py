@@ -4,7 +4,10 @@ minkowski_sum, hull_of_union and prune_polygon read canonical input and
 emit canonical output without a sort or a re-hull. Each is checked here
 against MomentPolygon.of, which builds canonical form from arbitrary points.
 Small coordinates on a coarse grid make points, segments, collinear
-vertices, parallel edges and vertical edges common.
+vertices, parallel edges and vertical edges common. Signed coordinates over
+coprime and large denominators make each kernel's common denominator, the
+one it lifts its input onto to run on integers, large and different for
+every input.
 """
 
 import pytest
@@ -28,13 +31,19 @@ PROPERTY = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
 )
 
-coords = st.builds(Rat, st.integers(-4, 4), st.sampled_from((1, 2)))
-points = st.tuples(coords, coords)
+GRID = st.builds(Rat, st.integers(-4, 4), st.sampled_from((1, 2)))
+MIXED = st.builds(
+    Rat, st.integers(-60, 60), st.sampled_from((1, 3, 7, 12, 10**9 + 7))
+)
 
 
 @st.composite
-def polygons(draw):
+def polygons(draw, coords=GRID):
+    points = st.tuples(coords, coords)
     return MomentPolygon.of(draw(st.lists(points, min_size=1, max_size=8)))
+
+
+any_polygon = st.one_of(polygons(GRID), polygons(MIXED))
 
 
 @st.composite
@@ -51,15 +60,15 @@ def nested(draw, outer):
 
 
 @st.composite
-def families(draw):
+def families(draw, coords=GRID):
     """One to four polygons; each after the first is fresh, a repeat of an
     earlier one, or nested inside an earlier one."""
-    out = [draw(polygons())]
+    out = [draw(polygons(coords))]
     for _ in range(draw(st.integers(0, 3))):
         earlier = draw(st.sampled_from(out))
         kind = draw(st.sampled_from(("fresh", "same", "nested")))
         if kind == "fresh":
-            out.append(draw(polygons()))
+            out.append(draw(polygons(coords)))
         elif kind == "same":
             out.append(earlier)
         else:
@@ -67,34 +76,60 @@ def families(draw):
     return out
 
 
-def _is_canonical(poly):
-    return MomentPolygon.of(poly.vertices) == poly
+any_family = st.one_of(families(GRID), families(MIXED))
+
+
+def _assert_kernel_output(poly):
+    """Canonical, with every coordinate a Rat: no int of a kernel's integer
+    frame leaks out."""
+    assert all(type(c) is Rat for v in poly.vertices for c in v)
+    assert MomentPolygon.of(poly.vertices) == poly
 
 
 @PROPERTY
-@given(families(), st.sampled_from((1, Rat(1, 2), Rat(2, 3))))
+@given(any_family, st.sampled_from((1, Rat(1, 2), Rat(2, 3))))
 def test_minkowski_sum_is_the_hull_of_vertex_sums(family, weight):
     p, q = family[0], family[-1].scale(weight)
     got = minkowski_sum(p, q)
     assert got == MomentPolygon.of(
         [(a[0] + b[0], a[1] + b[1]) for a in p.vertices for b in q.vertices]
     )
-    assert _is_canonical(got)
+    _assert_kernel_output(got)
 
 
 @PROPERTY
-@given(families())
+@given(any_family)
 def test_hull_of_union_is_the_hull_of_all_vertices(family):
     got = hull_of_union(family)
     assert got == MomentPolygon.of(
         [v for poly in family for v in poly.vertices]
     )
-    assert _is_canonical(got)
+    _assert_kernel_output(got)
+
+
+BUDGETS = st.sampled_from((0, Rat(1, 16), Rat(1, 4), 1, 4))
 
 
 @PROPERTY
-@given(polygons(), st.sampled_from((0, Rat(1, 16), Rat(1, 4), 1, 4)))
+@given(any_polygon, BUDGETS)
 def test_pruned_polygons_are_canonical(poly, budget):
     got = prune_polygon(poly, budget)
-    assert _is_canonical(got)
+    _assert_kernel_output(got)
     assert set(got.vertices) <= set(poly.vertices)
+
+
+@PROPERTY
+@given(
+    any_polygon,
+    BUDGETS,
+    st.builds(Rat, st.integers(1, 30), st.sampled_from((1, 2, 7, 10**9 + 7))),
+    MIXED,
+    MIXED,
+)
+def test_pruning_commutes_with_scaling_and_translation(poly, budget, k, u, v):
+    # Distances scale by k and the vertex order is kept, so the same
+    # vertices are dropped whatever common denominator each side lifts to.
+    moved = poly.scale(k).translate(u, v)
+    assert prune_polygon(moved, k * k * budget) == (
+        prune_polygon(poly, budget).scale(k).translate(u, v)
+    )

@@ -340,6 +340,15 @@ def test_compute_pmq_matches_the_sort_and_hull_recursion():
     assert sum(n >= 3 for n in sizes) >= 10 and max(sizes) >= 8
 
 
+def test_compute_pmq_vertices_are_rats():
+    # The kernels run on integers over a common denominator; every
+    # coordinate they hand back must be a Rat again.
+    for mdp in corpus.integer_instances() + corpus.rational_instances():
+        for eps in (None, Rat(1, 4)):
+            got = compute_pmq(mdp, prune_eps=eps)
+            assert all(type(c) is Rat for v in got.vertices for c in v)
+
+
 def test_stage_vertex_cap(monkeypatch):
     mdp = offset_chain()
     largest = max(

@@ -9,11 +9,17 @@ exact-answer digest (`perfbench/common.answer_digest`) against the stored
 ones and replays every witness policy with `replay_witnesses`. It prints one
 line per mismatch and a summary, and exits 1 on any mismatch. It only reads
 perfbench/.
+
+The summary ends with an identity digest: one sha256 over every stage's exit
+code, full stdout and full stderr, in query order. Two trees that print the
+same digest give byte-identical CLI output on the whole pool, witness
+policies included, where equal answer digests only show equal answers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -40,14 +46,16 @@ def run_stage(argv, stdin_text: str) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def check_query(workload: str, spec: dict) -> str | None:
-    """None if the query answers as stored, else the reason it does not."""
+def check_query(workload: str, spec: dict, identity) -> str | None:
+    """None if the query answers as stored, else the reason it does not.
+    Each stage's exit code, stdout and stderr go into the identity hash."""
     instance = spec["instance"]
     path = None if instance is None else POOL / workload / f"{instance}.json"
     stdout = ""
     for argv in spec["stages"]:
         argv = [str(path) if a == "{instance}" else a for a in argv]
         code, stdout, stderr = run_stage(argv, stdout)
+        identity.update(json.dumps([code, stdout, stderr]).encode() + b"\n")
     if code != spec["exit"]:
         return f"exit {code}, expected {spec['exit']}: {stderr.strip()}"
     if answer_digest(stdout) != spec["digest"]:
@@ -60,17 +68,21 @@ def main() -> int:
     start = time.perf_counter()
     count = 0
     mismatches = 0
+    identity = hashlib.sha256()
     for pool in sorted(POOL.glob("*/queries.json")):
         workload = pool.parent.name
         queries = json.loads(pool.read_text(encoding="utf-8"))["queries"]
         for qid, spec in sorted(queries.items()):
             count += 1
-            problem = check_query(workload, spec)
+            problem = check_query(workload, spec, identity)
             if problem:
                 mismatches += 1
                 print(f"{workload}/{qid}: {problem}")
     elapsed = time.perf_counter() - start
-    print(f"{count} queries, {mismatches} mismatches, {elapsed:.1f} s")
+    print(
+        f"{count} queries, {mismatches} mismatches, {elapsed:.1f} s,"
+        f" identity {identity.hexdigest()}"
+    )
     return 1 if mismatches else 0
 
 

@@ -9,11 +9,12 @@ backward recursion produces them constantly.
 
 MomentPolygon.of builds canonical form from arbitrary points with a sort
 and a monotone chain. The operations of the backward recursion instead rely
-on canonical input and emit canonical output directly, in time linear in
-the vertices read: scale maps each vertex through a weighted shear,
-minkowski_sum merges the two edge sequences by angle, hull_of_union merges
-the inputs' lexicographic vertex runs, and prune_polygon keeps a subset of
-the vertices in their cyclic order. None of them sorts or re-hulls.
+on canonical input and emit canonical output directly: scale maps each
+vertex through a weighted shear, minkowski_sum sorts all its inputs' edges
+by angle and walks them once, hull_of_union merges the inputs'
+lexicographic vertex runs, and prune_polygon keeps a subset of the vertices
+in their cyclic order. None of them re-hulls, and only minkowski_sum sorts:
+each input's edges arrive as one sorted run, which the sort merges.
 
 All coordinates are exact rationals. Distances appear only in squared form,
 which keeps every comparison rational as well. minkowski_sum,
@@ -28,6 +29,7 @@ its loops skip the gcd normalization that every rational operation pays.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -172,60 +174,56 @@ def _edges(vs) -> list:
     half is 0 for directions in (-90, 90] degrees and 1 for the rest. The
     boundary starts at the lex-min vertex, so the edges run in increasing
     (half, angle) order: the half-0 edges climb to the lex-max vertex and
-    the half-1 edges come back.
+    the half-1 edges come back. A point has no edges.
     """
     out = []
-    for a, b in zip(vs, vs[1:] + vs[:1]):
+    for a, b in zip(vs, vs[1:] + vs[:1] if len(vs) > 1 else []):
         dx, dy = b[0] - a[0], b[1] - a[1]
         out.append((0 if dx > 0 or (dx == 0 and dy > 0) else 1, dx, dy))
     return out
 
 
-def minkowski_sum(p: MomentPolygon, q: MomentPolygon) -> MomentPolygon:
-    """Edge-wise merge of the two canonical boundaries; exact and linear.
+def _turn_order(u, v) -> int:
+    """Negative, zero or positive as edge u's direction comes before, with
+    or after edge v's in (half, angle) order. Within a half every two
+    directions lie less than 180 degrees apart, so the sign of their cross
+    product orders them exactly. Neither edge may have zero length."""
+    if u[0] != v[0]:
+        return u[0] - v[0]
+    cross = u[1] * v[2] - u[2] * v[1]
+    return (cross < 0) - (cross > 0)
+
+
+_BY_ANGLE = functools.cmp_to_key(_turn_order)
+
+
+def minkowski_sum(*polys: MomentPolygon) -> MomentPolygon:
+    """Minkowski sum of any number of canonical polygons; exact, and linear
+    in their edges apart from one sort.
 
     Each boundary starts at its lex-min vertex and its edges run in
-    increasing angle, so merging the two edge lists by angle, with an edge
-    of p and a parallel edge of q added into one step, walks the sum's
-    boundary from the sum of the lex-min vertices. Every turn of that walk
-    is strict, so the walk is already in canonical form.
+    increasing angle, so walking all the inputs' edges sorted by angle from
+    the sum of the lex-min vertices traces the sum's boundary. Parallel
+    edges of different inputs sort next to each other and make one step:
+    the walk emits a vertex only where the next edge changes direction, so
+    every turn is strict and the walk is already in canonical form. A
+    point adds only its vertex. A single input is its own sum, and a call
+    with no input returns the sum's identity, the point (0, 0).
     """
-    if len(p.vertices) == 1:
-        return q.translate(*p.vertices[0])
-    if len(q.vertices) == 1:
-        return p.translate(*q.vertices[0])
-    d, (pv, qv) = _lift((p, q))
-    ep = _edges(pv)
-    eq = _edges(qv)
-    x = pv[0][0] + qv[0][0]
-    y = pv[0][1] + qv[0][1]
+    if len(polys) == 1:
+        return polys[0]
+    d, lifted = _lift(polys)
+    x = sum(vs[0][0] for vs in lifted)
+    y = sum(vs[0][1] for vs in lifted)
+    edges = sorted((e for vs in lifted for e in _edges(vs)), key=_BY_ANGLE)
     points = [(x, y)]
-    i = j = 0
-    while i < len(ep) or j < len(eq):
-        if j == len(eq):
-            _, dx, dy = ep[i]
-            i += 1
-        elif i == len(ep):
-            _, dx, dy = eq[j]
-            j += 1
-        else:
-            hu, ux, uy = ep[i]
-            hv, vx, vy = eq[j]
-            turn = ux * vy - uy * vx if hu == hv else hv - hu
-            if turn > 0:
-                dx, dy = ux, uy
-                i += 1
-            elif turn < 0:
-                dx, dy = vx, vy
-                j += 1
-            else:
-                dx, dy = ux + vx, uy + vy
-                i += 1
-                j += 1
-        x += dx
-        y += dy
-        points.append((x, y))
-    return _lower(d, points[:-1])
+    # The last edge closes the walk at its start, so it emits nothing.
+    for e, after in zip(edges, edges[1:]):
+        x += e[1]
+        y += e[2]
+        if _turn_order(e, after):
+            points.append((x, y))
+    return _lower(d, points)
 
 
 def hull_of_union(polys) -> MomentPolygon:

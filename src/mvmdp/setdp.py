@@ -54,6 +54,7 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dic
     S_{w-base}(layer[key]), and key[0] is s. stage maps each key to its base
     b; the key's polygon is the hull over actions of the sums over branches
     (s', r, pg) of pg * S_{b+r-b'}(next_layer[k']), (k', b') = place(s', b+r).
+    Each action's branch polygons are summed in one minkowski_sum call.
 
     Zero-probability branches are skipped; a reachable child missing from
     next_layer raises KeyError naming (t + 1, s', b + r).
@@ -63,15 +64,15 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dic
         s = key[0]
         per_action = []
         for a in mdp.actions[s]:
-            total = MomentPolygon.point(0, 0)
+            parts = []
             for s2, r, pg in mdp.branches(t, s, a):
                 w = base + r
                 key2, base2 = place(s2, w)
                 child = next_layer.get(key2)
                 if child is None:
                     raise KeyError(f"missing moment set for ({t + 1}, {s2}, {w})")
-                total = minkowski_sum(total, child.scale(pg, w - base2))
-            per_action.append(total)
+                parts.append(child.scale(pg, w - base2))
+            per_action.append(minkowski_sum(*parts))
         out[key] = hull_of_union(per_action)
     return out
 

@@ -290,28 +290,14 @@ def _csv_pair(value) -> tuple:
 
 
 def curve_rows(curve: TradeoffCurve) -> list:
-    """One dict per grid cell with exact p/q strings and float renderings."""
+    """One dict per grid cell, keyed by CSV_COLUMNS in order: the exact p/q
+    strings, then their float renderings."""
     rows = []
     for i in range(len(curve.grid) - 1):
-        lo_s, lo_f = _csv_pair(curve.grid[i])
-        hi_s, hi_f = _csv_pair(curve.grid[i + 1])
-        q_s, q_f = _csv_pair(curve.qhat[i])
-        u_s, u_f = _csv_pair(curve.uhat[i])
-        v_s, v_f = _csv_pair(curve.cell_values[i])
-        rows.append(
-            {
-                "lambda_lo": lo_s,
-                "lambda_hi": hi_s,
-                "qhat": q_s,
-                "uhat": u_s,
-                "vhat": v_s,
-                "lambda_lo_float": lo_f,
-                "lambda_hi_float": hi_f,
-                "qhat_float": q_f,
-                "uhat_float": u_f,
-                "vhat_float": v_f,
-            }
-        )
+        cell = (curve.grid[i], curve.grid[i + 1], curve.qhat[i],
+                curve.uhat[i], curve.cell_values[i])
+        exact, floats = zip(*map(_csv_pair, cell))
+        rows.append(dict(zip(CSV_COLUMNS, exact + floats)))
     return rows
 
 

@@ -11,6 +11,12 @@ start must reach every vertex of both chains: with a slope strictly
 between the vertex's edge slopes (beyond its one edge at an end), the
 deterministic policy that minimizes (on the upper chain, maximizes)
 E[R^2 - sigma R] must replay to exactly that vertex.
+
+The polygon recursion is also checked against itself and against
+enumeration: pruning with a zero budget runs it per augmented node and
+must give the per-state root polygon, since a zero budget drops no vertex
+of a strictly convex polygon; and the root polygon must be the hull of the
+(mean, second moment) pairs of every deterministic TSW policy.
 """
 
 import pytest
@@ -19,15 +25,18 @@ pytest.importorskip(
     "hypothesis", reason="property tests need hypothesis (the [test] extra)"
 )
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from corpus import _tsw_policy_count  # noqa: E402
 from mvmdp.frequency import (  # noqa: E402
     build_polytope,
     min_q_over_interval,
     supporting_policy,
     terminal_lower_hull,
 )
+from mvmdp.games import enumerate_policies  # noqa: E402
+from mvmdp.geometry import MomentPolygon  # noqa: E402
 from mvmdp.lp import LpStatus  # noqa: E402
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp  # noqa: E402
 from mvmdp.rationals import Rat  # noqa: E402
@@ -112,3 +121,17 @@ def test_supporting_policy_reaches_every_chain_vertex(mdp, data):
             rule, point = supporting_policy(sk, sigma, maximize=sign < 0)
             ev = evaluate_policy(mdp, PolicySpec("TSW", rule))
             assert (ev.mean, ev.second_moment) == point == vertex
+
+
+@PROPERTY
+@given(mdps())
+def test_zero_budget_per_node_recursion_matches_the_per_state_one(mdp):
+    assert compute_pmq(mdp, 0) == compute_pmq(mdp)
+
+
+@PROPERTY
+@given(mdps())
+def test_root_polygon_is_the_hull_of_deterministic_tsw_policies(mdp):
+    assume(_tsw_policy_count(mdp, augment(mdp)) <= 2000)
+    moments = [(m, q) for _, m, q, _ in enumerate_policies(mdp, "TSW")]
+    assert compute_pmq(mdp) == MomentPolygon.of(moments)

@@ -89,6 +89,23 @@ def test_minkowski_segments():
     assert minkowski_sum(diag_a, diag_b) == MomentPolygon.of([(0, 0), (3, 3)])
 
 
+def test_minkowski_of_one_polygon_is_that_polygon():
+    assert minkowski_sum(SQUARE) is SQUARE
+
+
+def test_minkowski_of_points_is_a_point():
+    points = [
+        MomentPolygon.point(2, 3),
+        MomentPolygon.point(-1, Rat(1, 2)),
+        MomentPolygon.point(Rat(1, 3), 0),
+    ]
+    assert minkowski_sum(*points) == MomentPolygon.point(Rat(4, 3), Rat(7, 2))
+
+
+def test_minkowski_of_nothing_is_the_origin():
+    assert minkowski_sum() == MomentPolygon.point(0, 0)
+
+
 def _pairwise_sum(p, q):
     return MomentPolygon.of(
         [(a[0] + b[0], a[1] + b[1]) for a in p.vertices for b in q.vertices]

@@ -10,6 +10,8 @@ one it lifts its input onto to run on integers, large and different for
 every input.
 """
 
+import itertools
+
 import pytest
 
 pytest.importorskip(
@@ -86,10 +88,22 @@ def _assert_kernel_output(poly):
     assert MomentPolygon.of(poly.vertices) == poly
 
 
+WEIGHTS = st.sampled_from((1, Rat(1, 2), Rat(2, 3)))
+
+
 @PROPERTY
-@given(any_family, st.sampled_from((1, Rat(1, 2), Rat(2, 3))))
-def test_minkowski_sum_is_the_hull_of_vertex_sums(family, weight):
-    p, q = family[0], family[-1].scale(weight)
+@given(any_family, st.lists(WEIGHTS, min_size=4, max_size=4))
+def test_minkowski_sum_is_the_hull_of_vertex_sums(family, weights):
+    parts = [poly.scale(w) for poly, w in zip(family, weights)]
+    got = minkowski_sum(*parts)
+    assert got == MomentPolygon.of(
+        [
+            (sum(v[0] for v in pick), sum(v[1] for v in pick))
+            for pick in itertools.product(*(p.vertices for p in parts))
+        ]
+    )
+    _assert_kernel_output(got)
+    p, q = family[0], parts[-1]
     got = minkowski_sum(p, q)
     assert got == MomentPolygon.of(
         [(a[0] + b[0], a[1] + b[1]) for a in p.vertices for b in q.vertices]

@@ -533,6 +533,7 @@ def test_csv_rows_and_writer():
     curve = approximate_v_star(one_shot_two_arms(), 1, 1)
     rows = curve_rows(curve)
     assert len(rows) == len(curve.grid) - 1
+    assert list(rows[0]) == list(CSV_COLUMNS)
     assert rows[0]["lambda_lo"] == "-2"
     assert rows[0]["qhat"] == "inf"
     assert rows[0]["qhat_float"] == "inf"

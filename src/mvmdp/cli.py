@@ -94,7 +94,7 @@ formats:
   "choose" lists only actions of positive probability.
 
 caps (fixed, not flags; exceeding one exits 2):
-  10^6 augmented (state, reward) nodes for the witness LPs, the TS/TSW/TS_U
+  10^6 augmented (state, reward) nodes for the witnesses, the TS/TSW/TS_U
   searches, pruned polygons and augment-stats; 10^6 polygon vertices or
   forcible values per stage; 10^6 TS/TSW or TS_U grid policies; 10^6
   frontier grid cells.
@@ -219,8 +219,8 @@ def _prune_budget(args) -> Rat | None:
     return _parse_exact(args.prune_eps, "--prune-eps")
 
 
-def _witness_policy(mdp: Mdp, mean, variance):
-    ok, z = exact_pair_feasible(mdp, mean, variance)
+def _witness_policy(mdp: Mdp, mean, variance, polygon=None):
+    ok, z = exact_pair_feasible(mdp, mean, variance, polygon)
     if not ok:
         return None
     return _policy_json(frequencies_to_policy(mdp, z))
@@ -401,7 +401,7 @@ def _variance_extreme(args, pick) -> int:
         "polygon": _polygon_json(polygon),
     }
     if prune is None:
-        payload["policy"] = _witness_policy(mdp, m, value)
+        payload["policy"] = _witness_policy(mdp, m, value, polygon)
     _emit_json(payload, args)
     return OK
 

@@ -22,13 +22,17 @@ slack column. Skeletons are immutable after construction; each query builds
 a fresh LpProblem, so concurrent queries against one skeleton are safe.
 
 The witness queries (`exact_pair_feasible`, `mean_fixed_var_bounded`) take
-their answer from the root moment polygon; the LP only builds the witness,
-with two equality rows, mean = m and second moment = q, at a point (m, q) of
-the polygon. Its simplex starts from the occupation measure of a
-deterministic policy (`PolytopeSkeleton.policy_basis`) that the polygon
-picks: for a target on the boundary, the policy that is optimal along a line
-supporting the polygon there (`supporting_policy`, one backward DP) starts
-phase 1 at the target vertex or at an end of the target's edge.
+their answer from the root moment polygon, and build the witness without
+the polytope's constraint system. The occupation measures are the convex
+hull of the deterministic policies' measures, so a point (m, q) of the
+polygon is a mixture of at most three vertices, and each vertex is
+attained by a deterministic TSW policy that is optimal along a line
+supporting the polygon there (`supporting_policy`, one backward DP). A
+three-row LP over the vertices gives the mixture weights; the witness is
+the weighted sum of those policies' occupation measures, which
+`frequencies_to_policy` turns into one behavioural policy (Kuhn's
+theorem). The constraint system above backs the cross-check LPs
+(`terminal_lower_hull`, `min_q_over_interval`) and `check_frequency`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import EngineDisagreementError
-from .geometry import MomentPolygon
+from .geometry import MomentPolygon, _cross
 from .lp import LpProblem, LpSolution, LpStatus, solve
 from .model import (
     AugmentedSpace,
@@ -76,8 +80,7 @@ class PolytopeSkeleton:
     layer order. The ordering makes any deterministic TSW policy a
     triangular warm basis for the solver (`policy_basis`, row -> column).
     `run` starts from the policy that always takes the first action
-    (`_warm`); the witness LPs start from the policy the moment polygon
-    picks. A query is a standard-form LP: these rows, then its own extra
+    (`_warm`). A query is a standard-form LP: these rows, then its own extra
     rows, over these columns and its own extra nonnegative columns.
     """
 
@@ -208,16 +211,19 @@ def check_frequency(skeleton: PolytopeSkeleton, z: FrequencyVector) -> list[str]
 
 
 def exact_pair_feasible(
-    mdp: Mdp, mean, variance
+    mdp: Mdp, mean, variance, polygon: MomentPolygon | None = None
 ) -> tuple[bool, FrequencyVector | None]:
     """Is there a policy with exactly this (mean, variance) of the cumulative reward?
 
     Yes iff the root moment polygon holds (mean, variance + mean^2); only
-    then does an LP run, to build the witness (`_moment_witness`).
+    then is a witness built (`_moment_witness`). polygon is the exact
+    `compute_pmq(mdp)` when the caller already holds it; left out, it is
+    built here.
     """
     mean = Rat(mean)
     second = Rat(variance) + mean * mean
-    polygon = compute_pmq(mdp)
+    if polygon is None:
+        polygon = compute_pmq(mdp)
     if not polygon.contains((mean, second)):
         return False, None
     return True, _moment_witness(mdp, polygon, mean, second)
@@ -244,75 +250,94 @@ def _moment_witness(
     mdp: Mdp, polygon: MomentPolygon, mean: Rat, second: Rat
 ) -> FrequencyVector:
     """Occupation measure of a policy whose terminal moments are exactly
-    (mean, second), a point of polygon, solved from `_guided_basis`. An LP
-    that finds the point infeasible raises EngineDisagreementError."""
-    sk = _skeleton(mdp)
-    sol = solve(
-        _moment_problem(sk, mean, second),
-        initial_basis=_guided_basis(sk, polygon, mean, second),
-    )
+    (mean, second), a point of polygon: a mixture of at most three
+    vertex policies.
+
+    A three-row LP over the polygon's vertices (`_vertex_weights`) gives
+    the weights alpha. Each vertex of positive weight is attained by the
+    deterministic policy `supporting_policy` finds for a slope strictly
+    inside the vertex's normal cone, and z = sum alpha * (its occupation
+    measure), one forward walk per policy. Occupation measures are linear
+    under mixing, so z lies in the occupation polytope with exactly the
+    target moments. An LP that finds the point infeasible, or a mixture
+    that misses the target, raises EngineDisagreementError.
+    """
+    vs = polygon.vertices
+    sol = _vertex_weights(vs, mean, second)
     if sol.status is not LpStatus.OPTIMAL:
         raise EngineDisagreementError(
             f"moment polygon and occupation LP disagree: the polygon holds "
             f"({mean}, {second}), the LP is {sol.status.value}"
         )
-    return sk.solution_vector(sol)
+    aug = augment(mdp)
+    chains = ((polygon.lower_chain(), 1), (polygon.upper_chain(), -1))
+    z = FrequencyVector(z_sa={}, z_x={})
+    for vertex, alpha in zip(vs, sol.x):
+        if alpha == 0:
+            continue
+        # Every vertex lies on the lower or the upper chain.
+        for chain, sign in chains:
+            i = bisect_left(chain, vertex)
+            if i < len(chain) and chain[i] == vertex:
+                break
+        rule = supporting_policy(mdp, aug, _support_slope(chain, i, sign), sign < 0)
+        _add_occupation(mdp, lambda t, s, w: {rule[(t, s, w)]: ONE}, alpha, z)
+    reached = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
+    if reached != (mean, second):
+        raise EngineDisagreementError(
+            f"moment polygon and vertex policies disagree: the polygon holds "
+            f"({mean}, {second}), the mixture reaches {reached}"
+        )
+    return z
 
 
-def _moment_problem(sk: PolytopeSkeleton, mean: Rat, second: Rat) -> LpProblem:
-    """The skeleton's rows, then mean row = mean and second-moment row =
-    second."""
-    return sk.problem(extra_rows=[(sk.mean_coeffs, mean), (sk.sm_coeffs, second)])
+def _vertex_weights(vertices: tuple, mean: Rat, second: Rat) -> LpSolution:
+    """Weights alpha >= 0 on the vertices with sum alpha = 1 and
+    sum alpha * vertex = (mean, second): a standard-form LP with one
+    column per vertex and these three rows.
 
-
-def _guided_basis(
-    sk: PolytopeSkeleton, polygon: MomentPolygon, mean: Rat, second: Rat
-) -> dict[int, int]:
-    """Starting basis for `_moment_problem`, placed by the moment polygon.
-
-    A target on the lower chain has a support line of slope sigma there,
-    and `supporting_policy` minimizing E[R^2 - sigma R] reaches the line's
-    contact point with the polygon; a target on the upper chain likewise,
-    maximizing. At a vertex that point is the target itself, so phase 1
-    starts on it; inside an edge it is an end of the edge. Any other target
-    starts from the first-action policy.
+    Its simplex starts from the fan triangle (vertices[0], v_i, v_i+1)
+    that holds the target, so phase 1 does not run and `solve` computes
+    the triangle's barycentric weights exactly, checking that they are
+    nonnegative. The unit row takes a vertex, the mean row a vertex of
+    another mean, and the second-moment row the third, so no pivot is
+    zero. A point or a segment has no triangle and takes the cold start.
     """
-    for chain, sign in ((polygon.lower_chain(), 1), (polygon.upper_chain(), -1)):
-        sigma = _support_slope(chain, mean, second, sign)
-        if sigma is not None:
-            rule, _ = supporting_policy(sk, sigma, maximize=sign < 0)
-            return sk.policy_basis(rule)
-    return sk._warm
+    prob = LpProblem(num_vars=len(vertices))
+    prob.add_row({j: ONE for j in range(len(vertices))}, ONE)
+    prob.add_row({j: m for j, (m, _) in enumerate(vertices)}, mean)
+    prob.add_row({j: q for j, (_, q) in enumerate(vertices)}, second)
+    basis = None
+    if len(vertices) >= 3:
+        v0, target = vertices[0], (mean, second)
+        # The first fan ray with the target strictly to its right ends the
+        # triangle; the polygon's first edge has it on or to its left.
+        k = bisect_left(
+            range(2, len(vertices) - 1), True,
+            key=lambda i: _cross(v0, vertices[i], target) < 0,
+        ) + 2
+        a, b = k - 1, k
+        if vertices[a][0] == v0[0]:
+            a, b = b, a
+        basis = {0: 0, 1: a, 2: b}
+    return solve(prob, initial_basis=basis)
 
 
-def _support_slope(chain: list, m: Rat, q: Rat, sign: int) -> Rat | None:
-    """Slope of a line supporting chain at (m, q), or None off the chain.
+def _support_slope(chain: list, i: int, sign: int) -> Rat:
+    """Slope of a line touching chain at its vertex i alone.
 
     chain is a lower (sign 1, convex) or upper (sign -1, concave) boundary,
-    vertices left to right. Inside an edge the slope is the edge's. At a
-    vertex it lies strictly between its two edges' slopes, or beyond the
-    one edge at an end, so the line touches the polygon at that vertex
-    alone.
+    vertices left to right. The slope lies strictly between the vertex's
+    two edges' slopes, or beyond its one edge at an end; a one-vertex
+    chain gets slope 0.
     """
-    if not chain[0][0] <= m <= chain[-1][0]:
-        return None
+    if len(chain) == 1:
+        return ZERO
 
     def slope(j):
         (m0, q0), (m1, q1) = chain[j], chain[j + 1]
         return (q1 - q0) / (m1 - m0)
 
-    i = bisect_left(chain, m, key=lambda v: v[0])
-    mi, qi = chain[i]
-    if mi != m:
-        edge = slope(i - 1)
-        m0, q0 = chain[i - 1]
-        if q != q0 + edge * (m - m0):
-            return None
-        return edge
-    if q != qi:
-        return None
-    if len(chain) == 1:
-        return ZERO
     if i == 0:
         return slope(0) - sign
     if i == len(chain) - 1:
@@ -321,38 +346,37 @@ def _support_slope(chain: list, m: Rat, q: Rat, sign: int) -> Rat | None:
 
 
 def supporting_policy(
-    sk: PolytopeSkeleton, sigma: Rat, maximize: bool
-) -> tuple[dict, tuple[Rat, Rat]]:
+    mdp: Mdp, aug: AugmentedSpace, sigma: Rat, maximize: bool
+) -> dict:
     """A deterministic TSW policy minimizing E[R^2 - sigma R] over all
-    policies (maximizing, with maximize), R the terminal cumulative reward.
+    policies (maximizing, with maximize), R the terminal cumulative reward:
+    it reaches where the line of slope sigma supporting the moment polygon
+    from below (above) touches it.
 
-    One backward DP over the augmented nodes, first action on ties. Returns
-    the rule (t, s, w) -> action and the policy's (mean, second moment):
-    where the line of slope sigma supporting the moment polygon from below
-    (above) touches it.
+    One backward DP over aug, the MDP's augmented nodes, on the value
+    b E[R^2] - a E[R] for sigma = a/b with b > 0, which orders policies as
+    the objective does; first action on ties. Returns the rule
+    (t, s, w) -> action.
     """
-    mdp = sk.mdp
-    layers = sk.aug.layers
+    layers = aug.layers
     sign = -1 if maximize else 1
-    point = {(s, w): (w, w * w) for s, w in layers[mdp.horizon]}
+    a, b = sigma.numerator, sigma.denominator
+    value = {(s, w): sign * w * (b * w - a) for s, w in layers[mdp.horizon]}
     rule = {}
     for t in reversed(range(mdp.horizon)):
         here = {}
         for s, w in layers[t]:
             best = None
-            for a in mdp.actions[s]:
-                m = q = ZERO
-                for s2, r, pg in mdp.branches(t, s, a):
-                    m2, q2 = point[(s2, w + r)]
-                    m += pg * m2
-                    q += pg * q2
-                cost = sign * (q - sigma * m)
-                if best is None or cost < best:
-                    best = cost
-                    rule[(t, s, w)] = a
-                    here[(s, w)] = (m, q)
-        point = here
-    return rule, point[layers[0][0]]
+            for action in mdp.actions[s]:
+                v = ZERO
+                for s2, r, pg in mdp.branches(t, s, action):
+                    v += pg * value[(s2, w + r)]
+                if best is None or v < best:
+                    best = v
+                    rule[(t, s, w)] = action
+            here[(s, w)] = best
+        value = here
+    return rule
 
 
 def min_q_over_interval(mdp: Mdp, lo, hi) -> tuple[LpStatus, Rat | None]:
@@ -399,30 +423,46 @@ def frequencies_to_policy(mdp: Mdp, z: FrequencyVector) -> PolicySpec:
 
 
 def policy_frequencies(mdp: Mdp, policy: PolicySpec) -> FrequencyVector:
-    """Occupation measures induced by a policy (exact forward propagation)."""
+    """Occupation measures induced by a policy (exact forward propagation),
+    with an entry, zero where unreached, for every augmented node."""
     aug = augment(mdp)
-    z_sa: dict = {}
-    z_x: dict = {}
-    dist: dict = {(mdp.initial_state, ZERO): ONE}
+    z = FrequencyVector(
+        z_sa={
+            (t, s, w, a): ZERO
+            for t in range(mdp.horizon)
+            for s, w in aug.layers[t]
+            for a in mdp.actions[s]
+        },
+        z_x={
+            (t, s, w): ZERO
+            for t in range(mdp.horizon + 1)
+            for s, w in aug.layers[t]
+        },
+    )
+    _add_occupation(
+        mdp, lambda t, s, w: played_actions(mdp, policy, t, s, w), ONE, z
+    )
+    return z
+
+
+def _add_occupation(mdp: Mdp, pmf, weight: Rat, z: FrequencyVector) -> None:
+    """Add weight times the occupation measure of the policy whose action
+    law at node (t, s, w) is pmf(t, s, w) into z, in one forward walk over
+    the nodes the policy reaches."""
+    dist = {(mdp.initial_state, ZERO): weight}
     for t in range(mdp.horizon + 1):
-        for s, w in aug.layers[t]:
-            z_x[(t, s, w)] = dist.get((s, w), ZERO)
-        if t == mdp.horizon:
-            break
         nxt: dict = {}
-        for s, w in aug.layers[t]:
-            mass = dist.get((s, w), ZERO)
-            pmf = played_actions(mdp, policy, t, s, w) if mass > 0 else {}
-            for a in mdp.actions[s]:
-                pa = pmf.get(a, ZERO)
-                z_sa[(t, s, w, a)] = mass * pa
-                if mass == 0 or pa == 0:
-                    continue
+        for (s, w), mass in dist.items():
+            z.z_x[(t, s, w)] = z.z_x.get((t, s, w), ZERO) + mass
+            if t == mdp.horizon:
+                continue
+            for a, pa in pmf(t, s, w).items():
+                flow = mass * pa
+                z.z_sa[(t, s, w, a)] = z.z_sa.get((t, s, w, a), ZERO) + flow
                 for s2, r, pg in mdp.branches(t, s, a):
                     key = (s2, w + r)
-                    nxt[key] = nxt.get(key, ZERO) + mass * pa * pg
+                    nxt[key] = nxt.get(key, ZERO) + flow * pg
         dist = nxt
-    return FrequencyVector(z_sa=z_sa, z_x=z_x)
 
 
 def terminal_lower_hull(mdp: Mdp) -> list[tuple[Rat, Rat]]:

@@ -54,6 +54,17 @@ def zero_variance_values(mdp: Mdp) -> GameResult:
     r + G(t+1, s'). A stage whose sets hold more than setdp.MAX_STAGE_SIZE
     values in total raises AugmentationLimitError.
     """
+    forcible = _forcible_sets(mdp)
+    root = forcible[0][mdp.initial_state]
+    policies = {
+        k: _forcing_policy(mdp, forcible, k) for k in sorted(root)
+    }
+    return GameResult(achievable_values=root, winning_policy=policies)
+
+
+def _forcible_sets(mdp: Mdp) -> list:
+    """G(t, s) of `zero_variance_values` for each reachable (t, s), as one
+    {state: frozenset} per step."""
     stages = reach(mdp, per_state)
     horizon = mdp.horizon
     forcible: list = [None] * (horizon + 1)
@@ -75,11 +86,7 @@ def zero_variance_values(mdp: Mdp) -> GameResult:
         size = sum(len(values) for values in layer.values())
         check_stage_size(t, size, "forcible sets", "values")
         forcible[t] = layer
-    root = forcible[0][mdp.initial_state]
-    policies = {
-        k: _forcing_policy(mdp, forcible, k) for k in sorted(root)
-    }
-    return GameResult(achievable_values=root, winning_policy=policies)
+    return forcible
 
 
 def _forcing_policy(mdp: Mdp, forcible: list, k) -> PolicySpec:
@@ -235,13 +242,14 @@ def class_feasibility(
         return ClassFeasibility(False, None, "exhaustive enumeration")
     if class_tag != "TSW_U":
         raise ValueError(f"unknown policy class {class_tag!r}")
-    best = exact_frontier(compute_pmq(mdp)).argmin(lam)
+    polygon = compute_pmq(mdp)
+    best = exact_frontier(polygon).argmin(lam)
     if best is None or best[0] > cap:
         return ClassFeasibility(
             False, None, f"least variance at mean >= {lam} exceeds the cap"
         )
     value, (mean, _) = best
-    _, z = exact_pair_feasible(mdp, mean, value)
+    _, z = exact_pair_feasible(mdp, mean, value, polygon)
     return ClassFeasibility(
         True,
         frequencies_to_policy(mdp, z),

@@ -24,13 +24,13 @@ with negative reduced cost and breaks ratio ties by the lowest basic index.
 `solve` accepts an optional partial starting basis (row index -> variable
 index). Covered rows are pivoted in directly; only uncovered rows receive
 artificial variables, so a caller that knows a structural vertex (for example
-a deterministic-policy occupation measure) skips most of phase 1. The closer
-that vertex is to the answer, the shorter phase 1 and the smaller the
-rationals it builds: the witness LPs of `frequency` start from a policy the
-moment polygon places at or next to their target, and when every row is
-covered phase 1 does not run at all. The warm start is an optimization
-only: if it turns out infeasible it is discarded and the ordinary two-phase
-run decides the problem.
+a deterministic-policy occupation measure) skips most of phase 1. When every
+row is covered phase 1 does not run at all: the vertex-weight LP of
+`frequency` (three rows, one column per moment-polygon vertex) starts from
+the basis of the polygon triangle that holds its target, so `solve` only
+computes that triangle's weights exactly and checks their signs. The warm
+start is an optimization only: if it turns out infeasible it is discarded
+and the ordinary two-phase run decides the problem.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Seeded instance samplers shared by the acceptance tests.
+"""Seeded instance samplers shared by the acceptance tests, and the
+per-node reference for the zero-variance game.
 
 Every sampler is deterministic for a given seed, so the acceptance run is
 reproducible. Rejection rules keep the instances at desk scale: the integer
@@ -14,8 +15,8 @@ from dataclasses import replace
 from itertools import combinations
 
 from mvmdp.errors import AugmentationLimitError
-from mvmdp.model import Mdp, augment, make_mdp
-from mvmdp.rationals import Rat
+from mvmdp.model import Mdp, PolicySpec, augment, make_mdp
+from mvmdp.rationals import Rat, ZERO
 from mvmdp.setdp import compute_pmq
 
 SEED = 20260822
@@ -160,3 +161,44 @@ def has_balancing_partition(values) -> bool:
         for r in range(len(values) + 1)
         for combo in combinations(values, r)
     )
+
+
+def per_node_game(mdp) -> tuple:
+    """The zero-variance game on augmented nodes, as (win, root, policies).
+
+    win[t] maps each node (s, w) to the set of terminal values forcible
+    from it; root is that set at the initial node, and the forcing policy
+    at k takes, at each reached node, the first action all of whose
+    children keep k.
+    """
+    aug = augment(mdp)
+    win = [None] * (mdp.horizon + 1)
+    win[mdp.horizon] = {(s, w): {w} for s, w in aug.layer(mdp.horizon)}
+    for t in reversed(range(mdp.horizon)):
+        win[t] = {}
+        for s, w in aug.layer(t):
+            forcible = set()
+            for a in mdp.actions[s]:
+                children = [
+                    win[t + 1][(s2, w + r)] for s2, r, _ in mdp.branches(t, s, a)
+                ]
+                forcible |= set.intersection(*children)
+            win[t][(s, w)] = forcible
+    root = win[0][(mdp.initial_state, ZERO)]
+    policies = {}
+    for k in sorted(root):
+        rule = {}
+        frontier = {(mdp.initial_state, ZERO)}
+        for t in range(mdp.horizon):
+            nxt = set()
+            for s, w in sorted(frontier):
+                a = next(
+                    a for a in mdp.actions[s]
+                    if all(k in win[t + 1][(s2, w + r)]
+                           for s2, r, _ in mdp.branches(t, s, a))
+                )
+                rule[(t, s, w)] = a
+                nxt.update((s2, w + r) for s2, r, _ in mdp.branches(t, s, a))
+            frontier = nxt
+        policies[k] = PolicySpec("TSW", rule)
+    return win, root, policies

@@ -1,22 +1,29 @@
-"""Cross-engine property tests: the occupation-measure LP against the moment
-polygon recursion on hypothesis-drawn MDPs.
+"""Cross-engine property tests on hypothesis-drawn MDPs: the
+occupation-measure LP against the moment polygon recursion, and the
+per-state zero-variance game against its per-node reference.
 
 Each MDP has at most two states, two actions per state and horizon 3. Its
 rewards are integers or, in about half of the draws, halves and thirds as
 well. The LP's lower hull must equal the polygon's lower chain vertex for
 vertex, and the interval LP (whose mean window is an explicit slack row)
 must give the frontier's least second moment on each drawn window, with an
-infeasible window matching None. The DP behind the witness LP's guided
-start must reach every vertex of both chains: with a slope strictly
+infeasible window matching None. The DP behind every witness's vertex
+policies must reach every vertex of both chains: with a slope strictly
 between the vertex's edge slopes (beyond its one edge at an end), the
 deterministic policy that minimizes (on the upper chain, maximizes)
-E[R^2 - sigma R] must replay to exactly that vertex.
+E[R^2 - sigma R] must replay to exactly that vertex. A witness at a drawn
+convex combination of three root vertices must replay to exactly that
+point and satisfy every row of the occupation polytope.
 
 The polygon recursion is also checked against itself and against
 enumeration: pruning with a zero budget runs it per augmented node and
 must give the per-state root polygon, since a zero budget drops no vertex
 of a strictly convex polygon; and the root polygon must be the hull of the
 (mean, second moment) pairs of every deterministic TSW policy.
+
+The zero-variance game keeps one forcible set per (t, state); on every
+augmented node it must give the same sets and forcing policies as the
+game played node by node.
 """
 
 import pytest
@@ -28,14 +35,21 @@ pytest.importorskip(
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from corpus import _tsw_policy_count  # noqa: E402
+from corpus import _tsw_policy_count, per_node_game  # noqa: E402
 from mvmdp.frequency import (  # noqa: E402
-    build_polytope,
+    _skeleton,
+    check_frequency,
+    exact_pair_feasible,
+    frequencies_to_policy,
     min_q_over_interval,
     supporting_policy,
     terminal_lower_hull,
 )
-from mvmdp.games import enumerate_policies  # noqa: E402
+from mvmdp.games import (  # noqa: E402
+    _forcible_sets,
+    enumerate_policies,
+    zero_variance_values,
+)
 from mvmdp.geometry import MomentPolygon  # noqa: E402
 from mvmdp.lp import LpStatus  # noqa: E402
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp  # noqa: E402
@@ -114,13 +128,36 @@ def _slope_at_vertex(chain, i, data, sign):
 @given(mdps(), st.data())
 def test_supporting_policy_reaches_every_chain_vertex(mdp, data):
     polygon = compute_pmq(mdp)
-    sk = build_polytope(augment(mdp), mdp)
+    aug = augment(mdp)
     for chain, sign in ((polygon.lower_chain(), 1), (polygon.upper_chain(), -1)):
         for i, vertex in enumerate(chain):
             sigma = _slope_at_vertex(chain, i, data, sign)
-            rule, point = supporting_policy(sk, sigma, maximize=sign < 0)
+            rule = supporting_policy(mdp, aug, sigma, maximize=sign < 0)
             ev = evaluate_policy(mdp, PolicySpec("TSW", rule))
-            assert (ev.mean, ev.second_moment) == point == vertex
+            assert (ev.mean, ev.second_moment) == vertex
+
+
+@PROPERTY
+@given(mdps(), st.data())
+def test_mixture_witness_replays_at_interior_points(mdp, data):
+    # Positive weights on three distinct vertices of a strictly convex
+    # polygon put the target strictly inside it; a point or a segment
+    # uses all its vertices.
+    polygon = compute_pmq(mdp)
+    vs = polygon.vertices
+    k = min(3, len(vs))
+    picks = [vs[i] for i in data.draw(st.lists(
+        st.integers(0, len(vs) - 1), min_size=k, max_size=k, unique=True
+    ))]
+    weights = [data.draw(st.integers(1, 9)) for _ in picks]
+    total = sum(weights)
+    m = sum(w * p[0] for w, p in zip(weights, picks)) / total
+    q = sum(w * p[1] for w, p in zip(weights, picks)) / total
+    ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+    assert ok
+    assert check_frequency(_skeleton(mdp), z) == []
+    ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+    assert (ev.mean, ev.second_moment) == (m, q)
 
 
 @PROPERTY
@@ -135,3 +172,18 @@ def test_root_polygon_is_the_hull_of_deterministic_tsw_policies(mdp):
     assume(_tsw_policy_count(mdp, augment(mdp)) <= 2000)
     moments = [(m, q) for _, m, q, _ in enumerate_policies(mdp, "TSW")]
     assert compute_pmq(mdp) == MomentPolygon.of(moments)
+
+
+@PROPERTY
+@given(mdps())
+def test_per_state_game_matches_the_per_node_game(mdp):
+    # Every reached node (t, s, w) can force exactly w + G(t, s), and the
+    # forcing policies are the reference's, rule for rule.
+    win, root, policies = per_node_game(mdp)
+    forcible = _forcible_sets(mdp)
+    for t, layer in enumerate(win):
+        for (s, w), values in layer.items():
+            assert values == {w + v for v in forcible[t][s]}
+    result = zero_variance_values(mdp)
+    assert result.achievable_values == root
+    assert result.winning_policy == policies

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import deep_instances, integer_instances
+from corpus import deep_instances, integer_instances, rational_instances
 from mvmdp import frequency
 from mvmdp.errors import EngineDisagreementError, PolicyCoverageError
 from mvmdp.fixtures import (
@@ -14,8 +14,6 @@ from mvmdp.fixtures import (
     two_point_stage,
 )
 from mvmdp.frequency import (
-    _guided_basis,
-    _moment_problem,
     _skeleton,
     build_polytope,
     check_frequency,
@@ -337,23 +335,108 @@ def _replayed(mdp, sk, sol) -> tuple:
     return claimed
 
 
-def test_guided_start_agrees_with_first_action_start():
-    # The polygon-guided basis changes only where the simplex starts: at
-    # every target both starts are OPTIMAL exactly when the polygon holds the
-    # target, and both witnesses replay to it.
+def test_mixture_witness_agrees_with_the_two_row_lp():
+    # The two-row occupation LP (mean = m, second moment = q), solved from
+    # the first-action start, is the reference: at every target both it and
+    # the vertex mixture exist exactly when the polygon holds the target,
+    # and both witnesses replay to it.
     for mdp in integer_instances()[:60]:
         polygon = compute_pmq(mdp)
         sk = _skeleton(mdp)
         for m, q in _moment_targets(polygon):
-            prob = _moment_problem(sk, m, q)
-            first = solve(prob, initial_basis=sk._warm)
-            guided = solve(prob, initial_basis=_guided_basis(sk, polygon, m, q))
+            prob = sk.problem(extra_rows=[(sk.mean_coeffs, m), (sk.sm_coeffs, q)])
+            lp = solve(prob, initial_basis=sk._warm)
+            ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
             feasible = polygon.contains((m, q))
-            assert (first.status is LpStatus.OPTIMAL) == feasible
-            assert (guided.status is LpStatus.OPTIMAL) == feasible
+            assert (lp.status is LpStatus.OPTIMAL) == feasible
+            assert ok == feasible
             if feasible:
-                for sol in (first, guided):
-                    assert _replayed(mdp, sk, sol) == (m, q)
+                assert _replayed(mdp, sk, lp) == (m, q)
+                ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+                assert (ev.mean, ev.second_moment) == (m, q)
+
+
+def _counting_vertex_policies(monkeypatch) -> list:
+    """Record the slope of every supporting_policy call the witness makes."""
+    calls = []
+    support = frequency.supporting_policy
+
+    def counted(mdp, aug, sigma, maximize):
+        calls.append(sigma)
+        return support(mdp, aug, sigma, maximize)
+
+    monkeypatch.setattr(frequency, "supporting_policy", counted)
+    return calls
+
+
+def test_mixture_witnesses_lie_in_the_polytope(monkeypatch):
+    # On all three corpora, every vertex, edge midpoint and interior target
+    # (every seventh vertex or midpoint on the deep corpus) gets a witness
+    # that satisfies every row of the occupation polytope, mixes at most
+    # three vertex policies and replays exactly.
+    calls = _counting_vertex_policies(monkeypatch)
+    cases = [(mdp, 1) for mdp in integer_instances()[:40] + rational_instances()]
+    cases += [(mdp, 7) for mdp, _ in deep_instances()[:4]]
+    for mdp, stride in cases:
+        polygon = compute_pmq(mdp)
+        sk = _skeleton(mdp)
+        targets = _moment_targets(polygon)[:-3]
+        for m, q in targets[:-1:stride] + targets[-1:]:
+            calls.clear()
+            ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+            assert ok
+            assert 1 <= len(calls) <= 3
+            assert check_frequency(sk, z) == []
+            claimed = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
+            assert claimed == (m, q)
+            ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+            assert (ev.mean, ev.second_moment) == (m, q)
+
+
+def _one_step(arms: dict):
+    """One decision at s0, one arm per action with its reward law."""
+    actions = {"s0": list(arms), "end": ["stay"]}
+    transitions = {(0, "s0", a): {"end": 1} for a in arms}
+    rewards = {(0, "s0", a): law for a, law in arms.items()}
+    return make_mdp(1, ["s0", "end"], "s0", actions, transitions, rewards)
+
+
+@pytest.mark.parametrize(
+    "arms, shape",
+    [
+        ({"a": {0: 1}}, [(0, 0)]),
+        ({"a": {0: 1}, "b": {-1: Rat(1, 2), 1: Rat(1, 2)}}, [(0, 0), (0, 1)]),
+        ({"a": {0: 1}, "b": {1: 1}}, [(0, 0), (1, 1)]),
+        ({"a": {0: 1}, "b": {1: 1}, "c": {2: 1}}, [(0, 0), (1, 1), (2, 4)]),
+    ],
+    ids=["point", "vertical-segment", "sloped-segment", "triangle"],
+)
+def test_mixture_witness_on_degenerate_polygons(arms, shape, monkeypatch):
+    # Every vertex takes one vertex policy, a point inside an edge two and
+    # the triangle's centroid three; a segment's midpoint mixes its two
+    # ends evenly.
+    mdp = _one_step(arms)
+    polygon = compute_pmq(mdp)
+    vs = polygon.vertices
+    assert list(vs) == [(Rat(m), Rat(q)) for m, q in shape]
+    calls = _counting_vertex_policies(monkeypatch)
+    ends = list(zip(vs, vs[1:] + vs[:1])) if len(vs) == 3 else zip(vs, vs[1:])
+    targets = [(v, 1) for v in vs]
+    targets += [(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), 2) for a, b in ends]
+    if len(vs) == 3:
+        targets.append(((sum(m for m, _ in vs) / 3, sum(q for _, q in vs) / 3), 3))
+    sk = _skeleton(mdp)
+    for target, used in targets:
+        calls.clear()
+        m, q = target
+        ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+        assert ok and len(calls) == used
+        assert check_frequency(sk, z) == []
+        policy = frequencies_to_policy(mdp, z)
+        ev = evaluate_policy(mdp, policy)
+        assert (ev.mean, ev.second_moment) == target
+        if used == 2 and len(vs) == 2:
+            assert sorted(policy.rule[(0, "s0", 0)].values()) == [Rat(1, 2)] * 2
 
 
 def test_targets_outside_the_polygon_run_no_lp(monkeypatch):
@@ -385,6 +468,19 @@ def test_witness_functions_raise_when_the_lp_disagrees(monkeypatch):
         exact_pair_feasible(mdp, Rat(1, 2), Rat(3, 4))
     with pytest.raises(EngineDisagreementError, match="occupation LP"):
         mean_fixed_var_bounded(mdp, Rat(1, 4), 1)
+
+
+def test_witness_raises_when_a_vertex_policy_misses_its_vertex(monkeypatch):
+    # Every vertex policy replaced by the one for the lowest second moment:
+    # the mixture then misses a target between the two arms.
+    support = frequency.supporting_policy
+    monkeypatch.setattr(
+        frequency,
+        "supporting_policy",
+        lambda mdp, aug, sigma, maximize: support(mdp, aug, Rat(0), False),
+    )
+    with pytest.raises(EngineDisagreementError, match="vertex policies"):
+        exact_pair_feasible(one_shot_two_arms(), Rat(1, 2), Rat(3, 4))
 
 
 def test_bounded_witness_is_the_least_variance_at_the_mean():

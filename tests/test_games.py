@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from corpus import integer_instances, subset_sum_vectors
+from corpus import integer_instances, per_node_game, subset_sum_vectors
 from mvmdp import frequency, games
 from mvmdp.errors import EngineDisagreementError, EnumerationLimitError
 from mvmdp.fixtures import (
@@ -13,9 +13,9 @@ from mvmdp.fixtures import (
     one_shot_two_arms,
 )
 from mvmdp.frequency import (
-    _moment_problem,
     _skeleton,
     exact_pair_feasible,
+    frequencies_to_policy,
     min_q_over_interval,
 )
 from mvmdp.games import (
@@ -27,8 +27,8 @@ from mvmdp.games import (
     zero_variance_values,
 )
 from mvmdp.lp import LpSolution, LpStatus, solve
-from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, validate
-from mvmdp.rationals import Rat, ZERO
+from mvmdp.model import evaluate_policy, make_mdp, validate
+from mvmdp.rationals import Rat
 from mvmdp.setdp import compute_pmq, min_variance
 
 
@@ -187,49 +187,13 @@ def _has_balanced_signs(values):
     return 0 in sums
 
 
-def _per_node_game(mdp):
-    """The game on augmented nodes: each node (t, s, w) keeps the set of
-    terminal values forcible from it, and the forcing policy at k takes, at
-    each reached node, the first action all of whose children keep k."""
-    aug = augment(mdp)
-    win = [None] * (mdp.horizon + 1)
-    win[mdp.horizon] = {(s, w): {w} for s, w in aug.layer(mdp.horizon)}
-    for t in reversed(range(mdp.horizon)):
-        win[t] = {}
-        for s, w in aug.layer(t):
-            forcible = set()
-            for a in mdp.actions[s]:
-                children = [
-                    win[t + 1][(s2, w + r)] for s2, r, _ in mdp.branches(t, s, a)
-                ]
-                forcible |= set.intersection(*children)
-            win[t][(s, w)] = forcible
-    policies = {}
-    for k in sorted(win[0][(mdp.initial_state, ZERO)]):
-        rule = {}
-        frontier = {(mdp.initial_state, ZERO)}
-        for t in range(mdp.horizon):
-            nxt = set()
-            for s, w in sorted(frontier):
-                a = next(
-                    a for a in mdp.actions[s]
-                    if all(k in win[t + 1][(s2, w + r)]
-                           for s2, r, _ in mdp.branches(t, s, a))
-                )
-                rule[(t, s, w)] = a
-                nxt.update((s2, w + r) for s2, r, _ in mdp.branches(t, s, a))
-            frontier = nxt
-        policies[k] = PolicySpec("TSW", rule)
-    return win[0][(mdp.initial_state, ZERO)], policies
-
-
 def test_game_matches_the_per_node_game():
     mdps = integer_instances(100) + [
         gen_subset_sum(values) for values in subset_sum_vectors()
     ]
     forcing = 0
     for mdp in mdps:
-        root, policies = _per_node_game(mdp)
+        _, root, policies = per_node_game(mdp)
         result = zero_variance_values(mdp)
         assert result.achievable_values == root
         assert result.winning_policy == policies
@@ -407,6 +371,9 @@ def test_tsw_u_verdict_is_lp_at_floor_or_tsw_enumeration():
 
 
 def test_exact_pair_feasible_agrees_with_polygon_contains():
+    # The two-row occupation LP (mean = m, second moment = q) is the status
+    # reference; where it is feasible, the mixture witness and the LP's own
+    # both replay to (m, q).
     rng = random.Random(505)
     inside = []
     for mdp in integer_instances(30):
@@ -417,10 +384,16 @@ def test_exact_pair_feasible_agrees_with_polygon_contains():
             b = rng.choice(polygon.vertices)
             m = (a[0] + b[0]) / 2
             v = (a[1] + b[1]) / 2 - m * m + Rat(rng.randrange(-1, 2), 4)
-            ok, _ = exact_pair_feasible(mdp, m, v)
-            lp = solve(_moment_problem(sk, m, v + m * m), initial_basis=sk._warm)
+            q = v + m * m
+            ok, z = exact_pair_feasible(mdp, m, v)
+            prob = sk.problem(extra_rows=[(sk.mean_coeffs, m), (sk.sm_coeffs, q)])
+            lp = solve(prob, initial_basis=sk._warm)
             assert ok == (lp.status is LpStatus.OPTIMAL)
-            assert ok == polygon.contains((m, v + m * m))
+            assert ok == polygon.contains((m, q))
+            if ok:
+                for witness in (z, sk.solution_vector(lp)):
+                    ev = evaluate_policy(mdp, frequencies_to_policy(mdp, witness))
+                    assert (ev.mean, ev.second_moment) == (m, q)
             inside.append(ok)
     assert True in inside and False in inside
 

@@ -94,10 +94,11 @@ formats:
   "choose" lists only actions of positive probability.
 
 caps (fixed, not flags; exceeding one exits 2):
-  10^6 augmented (state, reward) nodes for the witnesses, the TS/TSW/TS_U
-  searches, pruned polygons and augment-stats; 10^6 polygon vertices or
-  forcible values per stage; 10^6 TS/TSW or TS_U grid policies; 10^6
-  frontier grid cells.
+  10^6 dynamics rows when an MDP is read (two per step and (state, action)
+  pair), and a horizon below 10^6; 10^6 augmented (state, reward) nodes
+  for the witnesses, the TS/TSW/TS_U searches, pruned polygons and
+  augment-stats; 10^6 polygon vertices or forcible values per stage; 10^6
+  TS/TSW or TS_U grid policies; 10^6 frontier grid cells.
 """
 
 

@@ -26,9 +26,10 @@ their answer from the root moment polygon, and build the witness without
 the polytope's constraint system. The occupation measures are the convex
 hull of the deterministic policies' measures, so a point (m, q) of the
 polygon is a mixture of at most three vertices, and each vertex is
-attained by a deterministic TSW policy that is optimal along a line
-supporting the polygon there (`supporting_policy`, one backward DP). A
-three-row LP over the vertices gives the mixture weights; the witness is
+attained by a deterministic TSW policy that minimizes a linear function
+of the two moments whose direction lies strictly inside the vertex's
+normal cone (`supporting_policy`, one backward DP; `_inner_normal` reads
+the direction off the vertex's two neighbours). A three-row LP over the vertices gives the mixture weights; the witness is
 the weighted sum of those policies' occupation measures, which
 `frequencies_to_policy` turns into one behavioural policy (Kuhn's
 theorem). The constraint system above backs the cross-check LPs
@@ -37,6 +38,7 @@ theorem). The constraint system above backs the cross-check LPs
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -77,11 +79,13 @@ class PolytopeSkeleton:
 
     Variables: one per z_sa entry (t < horizon), then one per z_x entry
     (t <= horizon). Rows: initial mass, couplings in layer order, flows in
-    layer order. The ordering makes any deterministic TSW policy a
-    triangular warm basis for the solver (`policy_basis`, row -> column).
-    `run` starts from the policy that always takes the first action
-    (`_warm`). A query is a standard-form LP: these rows, then its own extra
-    rows, over these columns and its own extra nonnegative columns.
+    layer order. The ordering makes the policy that always takes the first
+    action a triangular warm basis for the solver (`_warm`, row -> column):
+    each coupling row takes its node's first action, and the mass and flow
+    rows their node's z_x. Its basic values are that policy's occupation
+    measure, and `run` starts from it. A query is a standard-form LP: these
+    rows, then its own extra rows, over these columns and its own extra
+    nonnegative columns.
     """
 
     def __init__(self, mdp: Mdp, aug: AugmentedSpace):
@@ -103,15 +107,13 @@ class PolytopeSkeleton:
 
         s0, w0 = aug.layers[0][0]
         self.rows: list = [({self.x_index[(0, s0, w0)]: ONE}, ONE)]
-        # Basic columns of the mass and flow rows (each its node's z_x) and
-        # each node's coupling row, whose basic column is the policy's action.
-        self._x_basis: dict[int, int] = {0: self.x_index[(0, s0, w0)]}
-        self._coupling: dict = {}
+        self._warm: dict[int, int] = {0: self.x_index[(0, s0, w0)]}
         for t in range(mdp.horizon):
             for s, w in aug.layers[t]:
                 coeffs = {self.sa_index[(t, s, w, a)]: ONE for a in mdp.actions[s]}
                 coeffs[self.x_index[(t, s, w)]] = -ONE
-                self._coupling[(t, s, w)] = len(self.rows)
+                first = self.sa_index[(t, s, w, mdp.actions[s][0])]
+                self._warm[len(self.rows)] = first
                 self.rows.append((coeffs, ZERO))
         inflow: dict = {key: {} for key in self.x_keys if key[0] > 0}
         for var, (t, s, w, a) in enumerate(self.sa_keys):
@@ -122,11 +124,8 @@ class PolytopeSkeleton:
             for s, w in aug.layers[t]:
                 coeffs = dict(inflow[(t, s, w)])
                 coeffs[self.x_index[(t, s, w)]] = ONE
-                self._x_basis[len(self.rows)] = self.x_index[(t, s, w)]
+                self._warm[len(self.rows)] = self.x_index[(t, s, w)]
                 self.rows.append((coeffs, ZERO))
-        self._warm = self.policy_basis(
-            {node: mdp.actions[node[1]][0] for node in self._coupling}
-        )
 
         horizon = mdp.horizon
         self.mean_coeffs = {
@@ -137,17 +136,6 @@ class PolytopeSkeleton:
             for s, w in aug.layers[horizon]
             if w != 0
         }
-
-    def policy_basis(self, rule: dict) -> dict[int, int]:
-        """Starting basis (row -> column) of the deterministic TSW policy
-        rule, (t, s, w) -> action for every node before the horizon: the
-        coupling row of each node takes that action's column, and the mass
-        and flow rows their node's z_x. The row order makes it triangular,
-        and its basic values are the policy's occupation measure."""
-        basis = dict(self._x_basis)
-        for (t, s, w), row in self._coupling.items():
-            basis[row] = self.sa_index[(t, s, w, rule[(t, s, w)])]
-        return basis
 
     def problem(
         self,
@@ -255,9 +243,9 @@ def _moment_witness(
 
     A three-row LP over the polygon's vertices (`_vertex_weights`) gives
     the weights alpha. Each vertex of positive weight is attained by the
-    deterministic policy `supporting_policy` finds for a slope strictly
-    inside the vertex's normal cone, and z = sum alpha * (its occupation
-    measure), one forward walk per policy. Occupation measures are linear
+    deterministic policy `supporting_policy` finds for its direction
+    `_inner_normal`, and z = sum alpha * (its occupation measure), one
+    forward walk per policy. Occupation measures are linear
     under mixing, so z lies in the occupation polytope with exactly the
     target moments. An LP that finds the point infeasible, or a mixture
     that misses the target, raises EngineDisagreementError.
@@ -270,17 +258,11 @@ def _moment_witness(
             f"({mean}, {second}), the LP is {sol.status.value}"
         )
     aug = augment(mdp)
-    chains = ((polygon.lower_chain(), 1), (polygon.upper_chain(), -1))
     z = FrequencyVector(z_sa={}, z_x={})
-    for vertex, alpha in zip(vs, sol.x):
+    for i, alpha in enumerate(sol.x):
         if alpha == 0:
             continue
-        # Every vertex lies on the lower or the upper chain.
-        for chain, sign in chains:
-            i = bisect_left(chain, vertex)
-            if i < len(chain) and chain[i] == vertex:
-                break
-        rule = supporting_policy(mdp, aug, _support_slope(chain, i, sign), sign < 0)
+        rule = supporting_policy(mdp, aug, _inner_normal(vs, i))
         _add_occupation(mdp, lambda t, s, w: {rule[(t, s, w)]: ONE}, alpha, z)
     reached = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
     if reached != (mean, second):
@@ -323,45 +305,40 @@ def _vertex_weights(vertices: tuple, mean: Rat, second: Rat) -> LpSolution:
     return solve(prob, initial_basis=basis)
 
 
-def _support_slope(chain: list, i: int, sign: int) -> Rat:
-    """Slope of a line touching chain at its vertex i alone.
+def _inner_normal(vs: tuple, i: int) -> tuple[int, int]:
+    """Integers (c0, c1) such that vs[i] alone minimizes c0 m + c1 q over
+    the canonical polygon vs.
 
-    chain is a lower (sign 1, convex) or upper (sign -1, concave) boundary,
-    vertices left to right. The slope lies strictly between the vertex's
-    two edges' slopes, or beyond its one edge at an end; a one-vertex
-    chain gets slope 0.
+    With three or more vertices this is the inward normal of the chord
+    from vs[i-1] to vs[i+1], the sum of the inward normals of the vertex's
+    two edges, so it lies strictly inside the vertex's normal cone. A
+    segment's end takes the direction to the other end, and a point any
+    direction: (0, 0).
     """
-    if len(chain) == 1:
-        return ZERO
-
-    def slope(j):
-        (m0, q0), (m1, q1) = chain[j], chain[j + 1]
-        return (q1 - q0) / (m1 - m0)
-
-    if i == 0:
-        return slope(0) - sign
-    if i == len(chain) - 1:
-        return slope(i - 1) + sign
-    return (slope(i - 1) + slope(i)) / 2
+    if len(vs) == 1:
+        return 0, 0
+    if len(vs) == 2:
+        (m0, q0), (m1, q1) = vs[i], vs[1 - i]
+        c0, c1 = m1 - m0, q1 - q0
+    else:
+        (m0, q0), (m1, q1) = vs[i - 1], vs[(i + 1) % len(vs)]
+        c0, c1 = q0 - q1, m1 - m0
+    d = math.lcm(int(c0.denominator), int(c1.denominator))
+    return int(c0 * d), int(c1 * d)
 
 
-def supporting_policy(
-    mdp: Mdp, aug: AugmentedSpace, sigma: Rat, maximize: bool
-) -> dict:
-    """A deterministic TSW policy minimizing E[R^2 - sigma R] over all
-    policies (maximizing, with maximize), R the terminal cumulative reward:
-    it reaches where the line of slope sigma supporting the moment polygon
-    from below (above) touches it.
+def supporting_policy(mdp: Mdp, aug: AugmentedSpace, direction: tuple) -> dict:
+    """A deterministic TSW policy minimizing E[c0 R + c1 R^2] over all
+    policies, for direction = (c0, c1) and R the terminal cumulative
+    reward: for a direction strictly inside a vertex's normal cone, it
+    reaches that vertex of the moment polygon.
 
-    One backward DP over aug, the MDP's augmented nodes, on the value
-    b E[R^2] - a E[R] for sigma = a/b with b > 0, which orders policies as
-    the objective does; first action on ties. Returns the rule
-    (t, s, w) -> action.
+    One backward DP over aug, the MDP's augmented nodes; first action on
+    ties. Returns the rule (t, s, w) -> action.
     """
     layers = aug.layers
-    sign = -1 if maximize else 1
-    a, b = sigma.numerator, sigma.denominator
-    value = {(s, w): sign * w * (b * w - a) for s, w in layers[mdp.horizon]}
+    c0, c1 = direction
+    value = {(s, w): w * (c0 + c1 * w) for s, w in layers[mdp.horizon]}
     rule = {}
     for t in reversed(range(mdp.horizon)):
         here = {}

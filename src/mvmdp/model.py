@@ -103,10 +103,21 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
     expanded to every step (stationary dynamics), all steps sharing the one
     converted row, since no row of an Mdp is ever mutated. A step covered by
     both a stationary and a per-step entry raises ValueError: neither may win
-    silently.
+    silently. So does a horizon that would give the two tables more than
+    DEFAULT_NODE_CAP (read at call time) rows in all, one transition row and
+    one reward pmf per step and (state, action) pair, declared or keyed by a
+    stationary entry; it is checked before anything is expanded.
     """
     states = tuple(states)
     actions = {s: tuple(acts) for s, acts in actions.items()}
+    pairs = {(s, a) for s, acts in actions.items() for a in acts}
+    pairs.update(k for table in (transitions, rewards) for k in table if len(k) == 2)
+    rows = 2 * int(horizon) * len(pairs)
+    if rows > DEFAULT_NODE_CAP:
+        raise ValueError(
+            f"horizon {horizon} with {len(pairs)} (state, action) pairs gives "
+            f"{rows} dynamics rows, above the cap {DEFAULT_NODE_CAP}"
+        )
 
     def expand(table, convert_key, what):
         out = {}
@@ -170,34 +181,35 @@ def validate(mdp: Mdp) -> list[Violation]:
         if s not in state_set:
             out.append(Violation((s,), "actions given for unknown state"))
 
+    # A state without actions costs nothing per step.
+    pairs = [(s, a) for s in mdp.states for a in mdp.actions.get(s, ())]
     for t in range(max(mdp.horizon, 0)):
-        for s in mdp.states:
-            for a in mdp.actions.get(s, ()):
-                loc = (t, s, a)
-                row = mdp.transitions.get(loc)
-                if row is None:
-                    out.append(Violation(loc, "missing transition row"))
-                else:
-                    total = ZERO
-                    for s2, p in row.items():
-                        if s2 not in state_set:
-                            out.append(Violation(loc, f"transition to unknown state {s2!r}"))
-                        if p < 0:
-                            out.append(Violation(loc, f"negative transition probability {p}"))
-                        total += p
-                    if total != 1:
-                        out.append(Violation(loc, f"transition probabilities sum to {total}, not 1"))
-                pmf = mdp.rewards.get(loc)
-                if pmf is None:
-                    out.append(Violation(loc, "missing reward pmf"))
-                else:
-                    total = ZERO
-                    for _, p in pmf.items():
-                        if p < 0:
-                            out.append(Violation(loc, f"negative reward probability {p}"))
-                        total += p
-                    if total != 1:
-                        out.append(Violation(loc, f"reward probabilities sum to {total}, not 1"))
+        for s, a in pairs:
+            loc = (t, s, a)
+            row = mdp.transitions.get(loc)
+            if row is None:
+                out.append(Violation(loc, "missing transition row"))
+            else:
+                total = ZERO
+                for s2, p in row.items():
+                    if s2 not in state_set:
+                        out.append(Violation(loc, f"transition to unknown state {s2!r}"))
+                    if p < 0:
+                        out.append(Violation(loc, f"negative transition probability {p}"))
+                    total += p
+                if total != 1:
+                    out.append(Violation(loc, f"transition probabilities sum to {total}, not 1"))
+            pmf = mdp.rewards.get(loc)
+            if pmf is None:
+                out.append(Violation(loc, "missing reward pmf"))
+            else:
+                total = ZERO
+                for _, p in pmf.items():
+                    if p < 0:
+                        out.append(Violation(loc, f"negative reward probability {p}"))
+                    total += p
+                if total != 1:
+                    out.append(Violation(loc, f"reward probabilities sum to {total}, not 1"))
 
     for (t, s, a) in list(mdp.transitions) + list(mdp.rewards):
         if not (0 <= t < mdp.horizon):

@@ -70,8 +70,8 @@ def loads(text: str, strict: bool = True) -> Mdp:
     horizon = doc["horizon"]
     if not is_integer(horizon):
         raise InputFormatError(f"horizon must be an integer, got {horizon!r}")
-    # Every walk keeps horizon + 1 nonempty layers under the node cap, and
-    # stationary entries are expanded to every step below.
+    # Every walk keeps horizon + 1 nonempty layers under the node cap; an
+    # MDP without actions would escape make_mdp's row check.
     if horizon >= model.DEFAULT_NODE_CAP:
         raise InputFormatError(
             f"horizon {horizon} is not below the node cap {model.DEFAULT_NODE_CAP}"

@@ -1,5 +1,6 @@
-"""Seeded instance samplers shared by the acceptance tests, and the
-per-node reference for the zero-variance game.
+"""Seeded instance samplers shared by the acceptance tests, the small
+random MDPs of the engine tests (`random_mdp`), and the per-node reference
+for the zero-variance game.
 
 Every sampler is deterministic for a given seed, so the acceptance run is
 reproducible. Rejection rules keep the instances at desk scale: the integer
@@ -55,6 +56,47 @@ def _draw(rng, max_states, max_actions, horizon_range, reward_values,
         horizon=horizon,
         states=states,
         initial_state="s0",
+        actions=actions,
+        transitions=transitions,
+        rewards=rewards,
+    )
+
+
+def random_mdp(rng, max_states=2, max_actions=2, max_horizon=3, spread=2):
+    """Horizon, states and actions drawn up to the given bounds; each
+    (t, s, a) moves to a random subset of the states and draws one or two
+    integer rewards in [-spread, spread], with random small-integer
+    weights."""
+    horizon = rng.randrange(1, max_horizon + 1)
+    n = rng.randrange(1, max_states + 1)
+    states = tuple(f"s{i}" for i in range(n))
+    actions = {
+        s: tuple(f"a{j}" for j in range(rng.randrange(1, max_actions + 1)))
+        for s in states
+    }
+    transitions = {}
+    rewards = {}
+    for t in range(horizon):
+        for s in states:
+            for a in actions[s]:
+                targets = rng.sample(states, rng.randrange(1, n + 1))
+                weights = [rng.randrange(1, 4) for _ in targets]
+                total = sum(weights)
+                transitions[(t, s, a)] = {
+                    s2: Rat(wt, total) for s2, wt in zip(targets, weights)
+                }
+                values = rng.sample(
+                    range(-spread, spread + 1), rng.randrange(1, 3)
+                )
+                weights = [rng.randrange(1, 4) for _ in values]
+                total = sum(weights)
+                rewards[(t, s, a)] = {
+                    Rat(v): Rat(wt, total) for v, wt in zip(values, weights)
+                }
+    return make_mdp(
+        horizon=horizon,
+        states=states,
+        initial_state=states[0],
         actions=actions,
         transitions=transitions,
         rewards=rewards,

@@ -557,9 +557,7 @@ def test_discretize_floors_rewards(capsys, tmp_path):
     assert snapped.rewards[(0, "s", "a")] == {Rat(0): Rat(1, 2), Rat(1, 2): Rat(1, 2)}
 
 
-def test_output_file_and_node_cap(
-    capsys, tmp_path, one_shot_path, monkeypatch
-):
+def test_output_file_and_node_cap(capsys, tmp_path, monkeypatch):
     target = tmp_path / "gen.json"
     code, out, _ = _invoke(
         capsys, ["gen", "subset-sum", "--r", "1", "-o", str(target)]
@@ -567,10 +565,54 @@ def test_output_file_and_node_cap(
     assert code == 0 and out == ""
     code, _, _ = _invoke(capsys, ["validate", str(target)])
     assert code == 0
-    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 2)
-    code, _, err = _invoke(capsys, ["augment-stats", one_shot_path])
+    # Its 8 dynamics rows load under a cap of 8; the walk passes 8 nodes
+    # at layer 3.
+    path = tmp_path / "halving.json"
+    path.write_text(dumps(_halving_chain()))
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 8)
+    code, _, err = _invoke(capsys, ["augment-stats", str(path)])
     assert code == 2
-    assert "cap" in err
+    assert "augmented space exceeds 8 nodes" in err
+
+
+def test_oversized_inputs_are_refused_before_they_are_built(capsys, tmp_path):
+    # Small inputs whose stationary dynamics, expanded to every step, hold
+    # millions of rows: every subcommand refuses them when they are read.
+    states = [f"s{i}" for i in range(20)]
+    doc = {
+        "horizon": 100_000,
+        "states": states,
+        "initial_state": "s0",
+        "actions": {s: ["a"] for s in states},
+        "transitions": [{"s": s, "a": "a", "rows": {s: [1, 1]}} for s in states],
+        "rewards": [{"s": s, "a": "a", "pmf": [[[0, 1], [1, 1]]]} for s in states],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "augment-stats", "min-variance"):
+        code, out, err = _invoke(capsys, [command, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad mdp input:")
+        assert "4000000 dynamics rows, above the cap 1000000" in err
+    values = [str(v) for v in range(1, 701)]
+    code, out, err = _invoke(capsys, ["gen", "subset-sum", "--r", *values])
+    assert (code, out) == (2, "")
+    assert "1967006 dynamics rows, above the cap 1000000" in err
+    # Without actions there are no rows to build, and validate no longer
+    # walks every state at every step.
+    doc = {
+        "horizon": 999_999,
+        "states": [f"s{i}" for i in range(100)],
+        "initial_state": "s0",
+        "actions": {},
+        "transitions": [],
+        "rewards": [],
+    }
+    path.write_text(json.dumps(doc))
+    code, out, _ = _invoke(capsys, ["validate", str(path)])
+    assert code == 2
+    violations = json.loads(out)["violations"]
+    assert violations == [f"[s{i}] state has no actions" for i in range(100)]
 
 
 def _halving_chain():

@@ -8,12 +8,13 @@ well. The LP's lower hull must equal the polygon's lower chain vertex for
 vertex, and the interval LP (whose mean window is an explicit slack row)
 must give the frontier's least second moment on each drawn window, with an
 infeasible window matching None. The DP behind every witness's vertex
-policies must reach every vertex of both chains: with a slope strictly
-between the vertex's edge slopes (beyond its one edge at an end), the
-deterministic policy that minimizes (on the upper chain, maximizes)
-E[R^2 - sigma R] must replay to exactly that vertex. A witness at a drawn
-convex combination of three root vertices must replay to exactly that
-point and satisfy every row of the occupation polytope.
+policies must reach every vertex of the root polygon: for a drawn
+direction strictly inside the vertex's normal cone, the deterministic
+policy that minimizes E[c0 R + c1 R^2] must replay to exactly that vertex.
+So any two such directions give policies that agree wherever they are
+played. A witness at a drawn convex combination of three root vertices
+must replay to exactly that point and satisfy every row of the occupation
+polytope.
 
 The polygon recursion is also checked against itself and against
 enumeration: pruning with a zero budget runs it per augmented node and
@@ -105,36 +106,40 @@ def test_lp_engine_matches_the_polygon_engine(mdp, data):
             assert (status, value) == (LpStatus.OPTIMAL, expected)
 
 
-def _slope_at_vertex(chain, i, data, sign):
-    """A drawn slope whose line meets the chain at vertex i alone: strictly
-    between its two edge slopes, or beyond its one edge at an end; sign is
-    1 for the (convex) lower chain and -1 for the (concave) upper one."""
-    slopes = [
-        (q1 - q0) / (m1 - m0) for (m0, q0), (m1, q1) in zip(chain, chain[1:])
-    ]
-    left = slopes[i - 1] if i > 0 else None
-    right = slopes[i] if i < len(slopes) else None
-    step = Rat(data.draw(st.integers(1, 9)), 10)
-    if left is None and right is None:
-        return step
-    if left is None:
-        return right - sign * step
-    if right is None:
-        return left + sign * step
-    return left + step * (right - left)
+def _direction_at_vertex(vs, i, data):
+    """A drawn direction (c0, c1) such that vs[i] alone minimizes
+    c0 m + c1 q over the canonical polygon vs: a positive combination of
+    the inward normals of the vertex's two edges; at a segment's end, any
+    direction with a positive component towards the other end; at a point,
+    any direction."""
+    coefficient = st.integers(1, 9)
+    if len(vs) == 1:
+        return data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
+    if len(vs) == 2:
+        (m0, q0), (m1, q1) = vs[i], vs[1 - i]
+        along, across = data.draw(coefficient), data.draw(st.integers(-9, 9))
+        return (along * (m1 - m0) - across * (q1 - q0),
+                along * (q1 - q0) + across * (m1 - m0))
+
+    def inward(a, b):
+        return a[1] - b[1], b[0] - a[0]
+
+    before = inward(vs[i - 1], vs[i])
+    after = inward(vs[i], vs[(i + 1) % len(vs)])
+    k0, k1 = data.draw(coefficient), data.draw(coefficient)
+    return k0 * before[0] + k1 * after[0], k0 * before[1] + k1 * after[1]
 
 
 @PROPERTY
 @given(mdps(), st.data())
-def test_supporting_policy_reaches_every_chain_vertex(mdp, data):
+def test_supporting_policy_reaches_every_vertex(mdp, data):
     polygon = compute_pmq(mdp)
     aug = augment(mdp)
-    for chain, sign in ((polygon.lower_chain(), 1), (polygon.upper_chain(), -1)):
-        for i, vertex in enumerate(chain):
-            sigma = _slope_at_vertex(chain, i, data, sign)
-            rule = supporting_policy(mdp, aug, sigma, maximize=sign < 0)
-            ev = evaluate_policy(mdp, PolicySpec("TSW", rule))
-            assert (ev.mean, ev.second_moment) == vertex
+    vs = polygon.vertices
+    for i, vertex in enumerate(vs):
+        rule = supporting_policy(mdp, aug, _direction_at_vertex(vs, i, data))
+        ev = evaluate_policy(mdp, PolicySpec("TSW", rule))
+        assert (ev.mean, ev.second_moment) == vertex
 
 
 @PROPERTY

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from corpus import deep_instances, integer_instances, rational_instances
+from corpus import (
+    deep_instances,
+    integer_instances,
+    random_mdp,
+    rational_instances,
+)
 from mvmdp import frequency
 from mvmdp.errors import EngineDisagreementError, PolicyCoverageError
 from mvmdp.fixtures import (
@@ -155,41 +160,6 @@ def test_hull_interval_minimum_queries():
     assert front.min_second_moment(2, 3) is None
 
 
-def _random_mdp(rng, max_states=2, max_actions=2, max_horizon=3):
-    horizon = rng.randrange(1, max_horizon + 1)
-    n = rng.randrange(1, max_states + 1)
-    states = tuple(f"s{i}" for i in range(n))
-    actions = {
-        s: tuple(f"a{j}" for j in range(rng.randrange(1, max_actions + 1)))
-        for s in states
-    }
-    transitions = {}
-    rewards = {}
-    for t in range(horizon):
-        for s in states:
-            for a in actions[s]:
-                targets = rng.sample(states, rng.randrange(1, n + 1))
-                weights = [rng.randrange(1, 4) for _ in targets]
-                total = sum(weights)
-                transitions[(t, s, a)] = {
-                    s2: Rat(wt, total) for s2, wt in zip(targets, weights)
-                }
-                values = rng.sample(range(-2, 3), rng.randrange(1, 3))
-                weights = [rng.randrange(1, 4) for _ in values]
-                total = sum(weights)
-                rewards[(t, s, a)] = {
-                    Rat(v): Rat(wt, total) for v, wt in zip(values, weights)
-                }
-    return make_mdp(
-        horizon=horizon,
-        states=states,
-        initial_state=states[0],
-        actions=actions,
-        transitions=transitions,
-        rewards=rewards,
-    )
-
-
 def _deterministic_reward_aware_policies(mdp, aug, cap=256):
     points = [
         (t, s, w) for t in range(mdp.horizon) for s, w in aug.layers[t]
@@ -229,7 +199,7 @@ def test_hull_matches_policy_enumeration():
     rng = random.Random(20260822)
     checked = 0
     while checked < 25:
-        mdp = _random_mdp(rng)
+        mdp = random_mdp(rng)
         aug = augment(mdp)
         policies = _deterministic_reward_aware_policies(mdp, aug)
         if policies is None:
@@ -246,7 +216,7 @@ def test_hull_matches_policy_enumeration():
 def test_policy_frequencies_lie_in_polytope():
     rng = random.Random(7)
     for _ in range(15):
-        mdp = _random_mdp(rng, max_states=3, max_horizon=3)
+        mdp = random_mdp(rng, max_states=3)
         aug = augment(mdp)
         sk = build_polytope(aug, mdp)
         rule = {}
@@ -281,7 +251,7 @@ def test_policy_frequencies_rejects_an_unknown_action():
 def test_interval_minimum_is_monotone_in_the_window():
     rng = random.Random(99)
     for _ in range(8):
-        mdp = _random_mdp(rng)
+        mdp = random_mdp(rng)
         hull = terminal_lower_hull(mdp)
         lam_min, lam_max = hull[0][0], hull[-1][0]
         status, wide = min_q_over_interval(mdp, lam_min, lam_max)
@@ -298,7 +268,7 @@ def test_interval_minimum_is_monotone_in_the_window():
 def test_exact_pair_implies_bounded_query():
     rng = random.Random(3)
     for _ in range(6):
-        mdp = _random_mdp(rng)
+        mdp = random_mdp(rng)
         hull = terminal_lower_hull(mdp)
         lam, q = hull[-1]
         ok, _ = exact_pair_feasible(mdp, lam, q - lam * lam)
@@ -357,13 +327,14 @@ def test_mixture_witness_agrees_with_the_two_row_lp():
 
 
 def _counting_vertex_policies(monkeypatch) -> list:
-    """Record the slope of every supporting_policy call the witness makes."""
+    """Record the direction of every supporting_policy call the witness
+    makes."""
     calls = []
     support = frequency.supporting_policy
 
-    def counted(mdp, aug, sigma, maximize):
-        calls.append(sigma)
-        return support(mdp, aug, sigma, maximize)
+    def counted(mdp, aug, direction):
+        calls.append(direction)
+        return support(mdp, aug, direction)
 
     monkeypatch.setattr(frequency, "supporting_policy", counted)
     return calls
@@ -477,7 +448,7 @@ def test_witness_raises_when_a_vertex_policy_misses_its_vertex(monkeypatch):
     monkeypatch.setattr(
         frequency,
         "supporting_policy",
-        lambda mdp, aug, sigma, maximize: support(mdp, aug, Rat(0), False),
+        lambda mdp, aug, direction: support(mdp, aug, (0, 1)),
     )
     with pytest.raises(EngineDisagreementError, match="vertex policies"):
         exact_pair_feasible(one_shot_two_arms(), Rat(1, 2), Rat(3, 4))

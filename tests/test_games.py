@@ -3,7 +3,12 @@ from collections import defaultdict
 
 import pytest
 
-from corpus import integer_instances, per_node_game, subset_sum_vectors
+from corpus import (
+    integer_instances,
+    per_node_game,
+    random_mdp,
+    subset_sum_vectors,
+)
 from mvmdp import frequency, games
 from mvmdp.errors import EngineDisagreementError, EnumerationLimitError
 from mvmdp.fixtures import (
@@ -27,7 +32,7 @@ from mvmdp.games import (
     zero_variance_values,
 )
 from mvmdp.lp import LpSolution, LpStatus, solve
-from mvmdp.model import evaluate_policy, make_mdp, validate
+from mvmdp.model import evaluate_policy, validate
 from mvmdp.rationals import Rat
 from mvmdp.setdp import compute_pmq, min_variance
 
@@ -125,45 +130,10 @@ def test_enumerate_rejects_unknown_class():
         enumerate_policies(offset_chain(), "TSW_U")
 
 
-def _random_mdp(rng, max_states=2, max_actions=2, max_horizon=2):
-    horizon = rng.randrange(1, max_horizon + 1)
-    n = rng.randrange(1, max_states + 1)
-    states = tuple(f"s{i}" for i in range(n))
-    actions = {
-        s: tuple(f"a{j}" for j in range(rng.randrange(1, max_actions + 1)))
-        for s in states
-    }
-    transitions = {}
-    rewards = {}
-    for t in range(horizon):
-        for s in states:
-            for a in actions[s]:
-                targets = rng.sample(states, rng.randrange(1, n + 1))
-                weights = [rng.randrange(1, 4) for _ in targets]
-                total = sum(weights)
-                transitions[(t, s, a)] = {
-                    s2: Rat(wt, total) for s2, wt in zip(targets, weights)
-                }
-                values = rng.sample(range(-2, 3), rng.randrange(1, 3))
-                weights = [rng.randrange(1, 4) for _ in values]
-                total = sum(weights)
-                rewards[(t, s, a)] = {
-                    Rat(v): Rat(wt, total) for v, wt in zip(values, weights)
-                }
-    return make_mdp(
-        horizon=horizon,
-        states=states,
-        initial_state=states[0],
-        actions=actions,
-        transitions=transitions,
-        rewards=rewards,
-    )
-
-
 def test_game_agrees_with_tsw_enumeration():
     rng = random.Random(20260822)
     for _ in range(20):
-        mdp = _random_mdp(rng, max_states=2, max_horizon=3)
+        mdp = random_mdp(rng)
         result = zero_variance_values(mdp)
         zero_var_means = {
             j for _, j, _, v in enumerate_policies(mdp, "TSW") if v == 0
@@ -174,7 +144,7 @@ def test_game_agrees_with_tsw_enumeration():
 def test_game_agrees_with_polygon_minimum():
     rng = random.Random(9)
     for _ in range(12):
-        mdp = _random_mdp(rng, max_states=3, max_horizon=3)
+        mdp = random_mdp(rng, max_states=3)
         game_zero = bool(zero_variance_values(mdp).achievable_values)
         polygon_zero = min_variance(compute_pmq(mdp))[0] == 0
         assert game_zero == polygon_zero
@@ -323,7 +293,7 @@ def test_separation_containments():
     floors = [Rat(-1), Rat(0), Rat(1, 2), Rat(1)]
     caps = [Rat(0), Rat(1, 4), Rat(1)]
     for _ in range(10):
-        mdp = _random_mdp(rng)
+        mdp = random_mdp(rng, max_horizon=2)
         report = class_separation_report(
             mdp, rng.choice(floors), rng.choice(caps), grid_resolution=4
         )

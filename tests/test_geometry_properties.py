@@ -8,6 +8,10 @@ vertices, parallel edges and vertical edges common. Signed coordinates over
 coprime and large denominators make each kernel's common denominator, the
 one it lifts its input onto to run on integers, large and different for
 every input.
+
+The direction behind each witness's vertex policies, `_inner_normal`, is
+checked here too: over a canonical polygon, the linear function it gives
+must be least at its vertex and at no other.
 """
 
 import itertools
@@ -21,6 +25,7 @@ pytest.importorskip(
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from mvmdp.frequency import _inner_normal  # noqa: E402
 from mvmdp.geometry import (  # noqa: E402
     MomentPolygon,
     hull_of_union,
@@ -147,3 +152,16 @@ def test_pruning_commutes_with_scaling_and_translation(poly, budget, k, u, v):
     assert prune_polygon(moved, k * k * budget) == (
         prune_polygon(poly, budget).scale(k).translate(u, v)
     )
+
+
+@PROPERTY
+@given(any_polygon)
+def test_inner_normal_is_least_at_its_vertex_alone(poly):
+    vs = poly.vertices
+    for i, vertex in enumerate(vs):
+        c0, c1 = _inner_normal(vs, i)
+        assert type(c0) is int and type(c1) is int
+        least = c0 * vertex[0] + c1 * vertex[1]
+        for j, (m, q) in enumerate(vs):
+            if j != i:
+                assert c0 * m + c1 * q > least

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import corpus
+from mvmdp import model
 from mvmdp.errors import AugmentationLimitError, PolicyCoverageError
 from mvmdp.fixtures import all_zero, forked_path, offset_chain, one_shot_two_arms
 from mvmdp.model import (
@@ -333,3 +334,21 @@ def test_make_mdp_shares_one_row_across_stationary_steps():
         assert table[(0, "s", "a")] is table[(3, "s", "a")]
         assert table[(0, "s", "b")] is not table[(3, "s", "b")]
         assert table[(0, "s", "b")] == table[(3, "s", "b")]
+
+
+def test_make_mdp_refuses_oversized_dynamics_before_expanding(monkeypatch):
+    # Two rows (a transition row and a reward pmf) per step and (state,
+    # action) pair, declared or keyed by a stationary entry, against the
+    # node cap read at call time.
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 16)
+
+    def build(horizon, extra=()):
+        table = {("s", a): {"s": 1} for a in ("a", "b", *extra)}
+        rewards = {key: {0: 1} for key in table}
+        return make_mdp(horizon, ["s"], "s", {"s": ["a", "b"]}, table, rewards)
+
+    assert len(build(4).transitions) == 8
+    with pytest.raises(ValueError, match="18 dynamics rows, above the cap 16"):
+        build(3, extra=("ghost",))
+    with pytest.raises(ValueError, match="20 dynamics rows, above the cap 16"):
+        build(5)

@@ -139,43 +139,6 @@ def test_max_variance_examples():
     assert max_variance(MomentPolygon.point(0, 0)) == (0, (0, 0))
 
 
-def _random_mdp(rng, max_states=3, max_actions=2, max_horizon=3, spread=2):
-    horizon = rng.randrange(1, max_horizon + 1)
-    n = rng.randrange(1, max_states + 1)
-    states = tuple(f"s{i}" for i in range(n))
-    actions = {
-        s: tuple(f"a{j}" for j in range(rng.randrange(1, max_actions + 1)))
-        for s in states
-    }
-    transitions = {}
-    rewards = {}
-    for t in range(horizon):
-        for s in states:
-            for a in actions[s]:
-                targets = rng.sample(states, rng.randrange(1, n + 1))
-                weights = [rng.randrange(1, 4) for _ in targets]
-                total = sum(weights)
-                transitions[(t, s, a)] = {
-                    s2: Rat(wt, total) for s2, wt in zip(targets, weights)
-                }
-                values = rng.sample(
-                    range(-spread, spread + 1), rng.randrange(1, 3)
-                )
-                weights = [rng.randrange(1, 4) for _ in values]
-                total = sum(weights)
-                rewards[(t, s, a)] = {
-                    Rat(v): Rat(wt, total) for v, wt in zip(values, weights)
-                }
-    return make_mdp(
-        horizon=horizon,
-        states=states,
-        initial_state=states[0],
-        actions=actions,
-        transitions=transitions,
-        rewards=rewards,
-    )
-
-
 def _deterministic_points(mdp, aug, cap=512):
     nodes = [(t, s, w) for t in range(mdp.horizon) for s, w in aug.layers[t]]
     size = 1
@@ -194,7 +157,7 @@ def test_pmq_equals_policy_enumeration_hull():
     rng = random.Random(20260822)
     checked = 0
     while checked < 15:
-        mdp = _random_mdp(rng)
+        mdp = corpus.random_mdp(rng, max_states=3)
         points = _deterministic_points(mdp, augment(mdp))
         if points is None:
             continue
@@ -205,7 +168,7 @@ def test_pmq_equals_policy_enumeration_hull():
 def test_lower_vertices_agree_with_lp():
     rng = random.Random(5)
     for _ in range(6):
-        mdp = _random_mdp(rng, max_states=2)
+        mdp = corpus.random_mdp(rng)
         polygon = compute_pmq(mdp)
         for lam, q in polygon.lower_chain():
             status, value = min_q_over_interval(mdp, lam, lam)
@@ -216,7 +179,7 @@ def test_lower_vertices_agree_with_lp():
 def test_intermediate_sets_respect_moment_geometry():
     rng = random.Random(11)
     for _ in range(8):
-        mdp = _random_mdp(rng)
+        mdp = corpus.random_mdp(rng, max_states=3)
         bound = mdp.mean_bound
         for place in (per_state, per_node):
             for layer in _layers(mdp, place):
@@ -231,7 +194,7 @@ def test_frontier_matches_deterministic_witnesses():
     rng = random.Random(23)
     checked = 0
     while checked < 8:
-        mdp = _random_mdp(rng, max_states=2)
+        mdp = corpus.random_mdp(rng)
         points = _deterministic_points(mdp, augment(mdp))
         if points is None:
             continue
@@ -254,7 +217,7 @@ def test_min_variance_matches_enumeration():
     rng = random.Random(31)
     checked = 0
     while checked < 8:
-        mdp = _random_mdp(rng, max_states=2)
+        mdp = corpus.random_mdp(rng)
         points = _deterministic_points(mdp, augment(mdp))
         if points is None:
             continue
@@ -273,7 +236,7 @@ def test_min_variance_matches_enumeration():
 def test_pruned_mode_stays_close():
     rng = random.Random(41)
     for _ in range(6):
-        mdp = _random_mdp(rng, max_horizon=4)
+        mdp = corpus.random_mdp(rng, max_states=3, max_horizon=4)
         exact = compute_pmq(mdp)
         for eps in (Rat(1, 2), Rat(1, 4)):
             pruned = compute_pmq(mdp, prune_eps=eps)

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from corpus import _rescale_rewards, integer_instances, rational_instances
+from corpus import (
+    _rescale_rewards,
+    integer_instances,
+    random_mdp,
+    rational_instances,
+)
 from mvmdp import tradeoff
 from mvmdp.fixtures import all_zero, offset_chain, one_shot_two_arms
 from mvmdp.frequency import terminal_lower_hull
@@ -34,43 +39,6 @@ def _sure_reward_mdp(value, horizon=1):
         states=("s",),
         initial_state="s",
         actions={"s": ("a",)},
-        transitions=transitions,
-        rewards=rewards,
-    )
-
-
-def _random_mdp(rng, max_states=2, max_actions=2, max_horizon=3, spread=2):
-    horizon = rng.randrange(1, max_horizon + 1)
-    n = rng.randrange(1, max_states + 1)
-    states = tuple(f"s{i}" for i in range(n))
-    actions = {
-        s: tuple(f"a{j}" for j in range(rng.randrange(1, max_actions + 1)))
-        for s in states
-    }
-    transitions = {}
-    rewards = {}
-    for t in range(horizon):
-        for s in states:
-            for a in actions[s]:
-                targets = rng.sample(states, rng.randrange(1, n + 1))
-                weights = [rng.randrange(1, 4) for _ in targets]
-                total = sum(weights)
-                transitions[(t, s, a)] = {
-                    s2: Rat(wt, total) for s2, wt in zip(targets, weights)
-                }
-                values = rng.sample(
-                    range(-spread, spread + 1), rng.randrange(1, 3)
-                )
-                weights = [rng.randrange(1, 4) for _ in values]
-                total = sum(weights)
-                rewards[(t, s, a)] = {
-                    Rat(v): Rat(wt, total) for v, wt in zip(values, weights)
-                }
-    return make_mdp(
-        horizon=horizon,
-        states=states,
-        initial_state=states[0],
-        actions=actions,
         transitions=transitions,
         rewards=rewards,
     )
@@ -303,7 +271,7 @@ def test_tolerance_and_reward_validation():
 def test_sandwich_property_random():
     # Integer and rational rewards alike: the grid never uses integrality.
     rng = random.Random(0x7D41)
-    mdps = [_random_mdp(rng) for _ in range(12)]
+    mdps = [random_mdp(rng) for _ in range(12)]
     mdps += [_random_rational_mdp(rng) for _ in range(8)]
     for mdp in mdps:
         polygon = compute_pmq(mdp)
@@ -348,7 +316,7 @@ def test_lambda_star_offset_chain_zero_budget():
 
 def test_lambda_star_guarantees_random():
     rng = random.Random(0x51B3)
-    mdps = [_random_mdp(rng) for _ in range(10)]
+    mdps = [random_mdp(rng) for _ in range(10)]
     mdps += [_random_rational_mdp(rng) for _ in range(8)]
     for mdp in mdps:
         polygon = compute_pmq(mdp)

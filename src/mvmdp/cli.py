@@ -45,7 +45,8 @@ from .model import (
     augment,
     validate,
 )
-from .rationals import Rat, rat_str, rationalize_float
+from . import __version__
+from .rationals import BACKEND, Rat, rat_str, rationalize_float
 from .serialize import dumps, loads
 from .setdp import compute_pmq, exact_frontier, max_variance, min_variance
 from .tradeoff import (
@@ -96,9 +97,10 @@ formats:
 caps (fixed, not flags; exceeding one exits 2):
   10^6 dynamics rows when an MDP is read (two per step and (state, action)
   pair), and a horizon below 10^6; 10^6 augmented (state, reward) nodes
-  for the witnesses, the TS/TSW/TS_U searches, pruned polygons and
-  augment-stats; 10^6 polygon vertices or forcible values per stage; 10^6
-  TS/TSW or TS_U grid policies; 10^6 frontier grid cells.
+  for the witnesses, the TSW search, pruned polygons and augment-stats;
+  10^6 (time, state) pairs for the TS and TS_U searches; 10^6 polygon
+  vertices or forcible values per stage; 10^6 TS/TSW or TS_U grid
+  policies; 10^6 frontier grid cells.
 """
 
 
@@ -488,6 +490,11 @@ def _cmd_discretize(args) -> int:
     return OK
 
 
+def _version() -> str:
+    python = ".".join(map(str, sys.version_info[:3]))
+    return f"mvmdp {__version__} (Python {python}, rationals {BACKEND})"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mvmdp",
@@ -498,6 +505,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=FORMATS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "--version", action="version", version=_version(),
+        help="print the version, the Python version and the rational backend",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,9 +9,12 @@ branch. What can be forced from (t, s, w) is w plus what can be forced from
 `model.reach` walks answers the question for every k and every node at once.
 
 Policy enumeration is the brute-force oracle used to validate the optimizing
-modules on small instances: one lazy search yields every TS or TSW policy,
-or every TS_U grid policy, over the reachable decision points, and each is
-evaluated exactly.
+modules on small instances: one depth-first walk over the reachable decision
+points yields every TS or TSW policy, or every TS_U grid policy, in product
+order with its exact terminal mean and second moment. It carries each
+stage's moments (P, E[W 1{key}], E[W^2 1{key}]) per (state) or (state,
+reward) key forward under the choices made so far, so a policy costs a few
+additions at its last decision point, not an evaluation from scratch.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from .frequency import exact_pair_feasible, frequencies_to_policy
 from .model import (
     Mdp,
     PolicySpec,
-    augment,
-    evaluate_policy,
     make_mdp,
+    per_node,
     per_state,
     reach,
 )
@@ -115,7 +117,8 @@ def _forcing_policy(mdp: Mdp, forcible: list, k) -> PolicySpec:
 
 
 def enumerate_policies(mdp: Mdp, class_tag: str) -> list:
-    """Every deterministic policy of the class with its exact (J, Q, V).
+    """Every deterministic policy of the class with its exact (J, Q, V), in
+    product order over the decision points (`_DecisionWalk`).
 
     class_tag is "TS" (decides per reachable (t, state)) or "TSW" (per
     reachable (t, state, cumulative reward)). More than DEFAULT_POLICY_CAP
@@ -123,48 +126,199 @@ def enumerate_policies(mdp: Mdp, class_tag: str) -> list:
     """
     if class_tag not in ("TS", "TSW"):
         raise ValueError(f"enumeration covers TS and TSW, not {class_tag!r}")
+    walk = _DecisionWalk(mdp, class_tag, 1)
+    return [
+        (walk.policy(), mean, second, second - mean * mean)
+        for mean, second in walk.leaves()
+    ]
+
+
+class _DecisionWalk:
+    """Every TS, TSW or TS_U grid policy, lazily, in product order over the
+    reachable decision points, each with its exact terminal mean and second
+    moment, from one depth-first walk instead of one evaluation per policy.
+
+    The points are the keys `reach` walks with `per_state` ((t, state), for
+    TS and TS_U) or `per_node` ((t, state, reward), for TSW), sorted by
+    stage, then state order, then reward. A point with k actions has
+    C(resolution + k - 1, k - 1) options: its actions (k, at resolution 1)
+    or its TS_U grid vectors, each kept as its positive entries (action
+    index, c) for probability c / resolution. Their product is checked
+    against DEFAULT_POLICY_CAP before any option is built, and a rule dict
+    is built only by `policy`.
+
+    The walk carries, for each key of a stage, the exact moments (P,
+    E[W 1{key}], E[W^2 1{key}]) under the options chosen so far; a branch
+    (s', r, pg) pushes them one stage forward as pg * (p, m1 + r p,
+    m2 + 2 r m1 + r^2 p). On entering a stage for a given prefix it pushes
+    each point's moments through each action once, over the resolution; an
+    option then adds sum_a c_a * push_a to the next stage. The last stage
+    pushes every key into one terminal pair, so a leaf reads (mean, second
+    moment) there.
+    """
+
+    def __init__(self, mdp: Mdp, class_tag: str, resolution: int):
+        self.mdp = mdp
+        self.class_tag = class_tag
+        self.resolution = resolution
+        self.horizon = mdp.horizon
+        place = per_node if class_tag == "TSW" else per_state
+        order = {s: i for i, s in enumerate(mdp.states)}
+        stages = reach(mdp, place)
+        keys = [
+            sorted(layer, key=lambda key: (order[key[0]],) + key[1:])
+            for layer in stages[:mdp.horizon]
+        ]
+        total = 1
+        for stage in keys:
+            for key in stage:
+                k = len(mdp.actions[key[0]])
+                total *= math.comb(resolution + k - 1, k - 1)
+                if total > DEFAULT_POLICY_CAP:
+                    noun = "grid" if class_tag == "TS_U" else class_tag
+                    raise EnumerationLimitError(
+                        f"more than {DEFAULT_POLICY_CAP} {noun} policies"
+                    )
+        self.points = []
+        self.chosen = []
+        # Per stage, one (position, slot, per-action branch sums, options)
+        # per point; a key's slot is 3 * its index in the stage's keys.
+        self.stages = []
+        for t, stage in enumerate(keys):
+            slot = None
+            if t + 1 < mdp.horizon:
+                slot = {key: 3 * i for i, key in enumerate(keys[t + 1])}
+            entries = []
+            for i, key in enumerate(stage):
+                s = key[0]
+                acts = mdp.actions[s]
+                if class_tag == "TS_U":
+                    options = [
+                        tuple((a, c) for a, c in enumerate(combo) if c)
+                        for combo in _simplex_grid(len(acts), resolution)
+                    ]
+                else:
+                    options = [((a, 1),) for a in range(len(acts))]
+                base = stages[t][key]
+                sums = [
+                    _branch_sums(mdp, t, s, a, base, place, slot, resolution)
+                    for a in acts
+                ]
+                entries.append((len(self.points), 3 * i, sums, options))
+                self.points.append((t,) + key)
+                self.chosen.append(options[0])
+            self.stages.append(entries)
+
+    def leaves(self):
+        """(mean, second moment) of every policy, in product order; `policy`
+        names the one just yielded."""
+        if not self.horizon:  # the one, empty policy earns 0 surely
+            return self._advance(0, [ZERO, ZERO])
+        return self._advance(0, [ONE, ZERO, ZERO])
+
+    def policy(self) -> PolicySpec:
+        """The policy of the leaf last yielded."""
+        grid = self.class_tag == "TS_U"
+        rule = {}
+        for point, option in zip(self.points, self.chosen):
+            acts = self.mdp.actions[point[1]]
+            if grid:
+                rule[point] = {
+                    acts[a]: Rat(c, self.resolution) for a, c in option
+                }
+            else:
+                rule[point] = acts[option[0][0]]
+        return PolicySpec(self.class_tag, rule)
+
+    def _advance(self, t: int, dist: list):
+        """Leaves below stage t, whose keys carry the moments dist. Each
+        point with one option is pushed at once; the others become the
+        (position, options, pushes) levels `_choose` branches on, with
+        pushes None where the prefix gives the point no mass. A stage with
+        no level is passed through without branching."""
+        while t < self.horizon:
+            last = t + 1 == self.horizon
+            acc = [ZERO] * (2 if last else 3 * len(self.stages[t + 1]))
+            levels = []
+            for position, j, sums, options in self.stages[t]:
+                pushes = None
+                if dist[j]:
+                    pushes = _pushes(sums, *dist[j:j + 3], last)
+                if len(options) > 1:
+                    levels.append((position, options, pushes))
+                elif pushes is not None:
+                    _add(acc, options[0], pushes)
+            if levels:
+                yield from self._choose(t, levels, 0, acc)
+                return
+            dist, t = acc, t + 1
+        yield dist[0], dist[1]
+
+    def _choose(self, t: int, levels: list, n: int, acc: list):
+        """Leaves below level n of stage t, one option of the level at a
+        time; acc holds what the earlier levels added to stage t + 1."""
+        position, options, pushes = levels[n]
+        chosen = self.chosen
+        deeper = n + 1 < len(levels)
+        leaf = not deeper and t + 1 == self.horizon
+        for option in options:
+            chosen[position] = option
+            if pushes is None:
+                nxt = acc
+            else:
+                nxt = acc.copy()
+                _add(nxt, option, pushes)
+            if leaf:
+                yield nxt[0], nxt[1]
+            elif deeper:
+                yield from self._choose(t, levels, n + 1, nxt)
+            else:
+                yield from self._advance(t + 1, nxt)
+
+
+def _branch_sums(mdp: Mdp, t: int, s, a, base, place, slot, resolution) -> list:
+    """Action a's branches (s', r, pg) at (t, s) grouped by the next stage's
+    slot, as (slot, g0, g1, 2 g1, g2) with gi = sum pg r^i / resolution;
+    with slot None every branch goes to the terminal pair at 0."""
+    grouped: dict = {}
+    for s2, r, pg in mdp.branches(t, s, a):
+        k = 0 if slot is None else slot[place(s2, base + r)[0]]
+        sums = grouped.setdefault(k, [ZERO, ZERO, ZERO])
+        sums[0] += pg
+        sums[1] += pg * r
+        sums[2] += pg * r * r
     out = []
-    for policy in _policies(mdp, class_tag, 1):
-        ev = evaluate_policy(mdp, policy)
-        out.append((policy, ev.mean, ev.second_moment, ev.variance))
+    for k, sums in grouped.items():
+        if resolution > 1:
+            sums = [g / resolution for g in sums]
+        g0, g1, g2 = sums
+        out.append((k, g0, g1, g1 + g1, g2))
     return out
 
 
-def _policies(mdp: Mdp, class_tag: str, resolution: int):
-    """Every TS, TSW or TS_U grid policy, lazily, in product order over the
-    reachable decision points: (t, state), or (t, state, reward) for TSW.
+def _pushes(sums: list, p, m1, m2, last: bool) -> list:
+    """Per action, the nonzero (index, delta) that moments (p, m1, m2) at a
+    point add to the next stage through that action's branch sums: to a
+    slot's (p, m1, m2), or to the terminal (mean, second moment) pair when
+    last."""
+    out = []
+    for action in sums:
+        entries = []
+        for k, g0, g1, g1x2, g2 in action:
+            deltas = (g0 * m1 + g1 * p, g0 * m2 + g1x2 * m1 + g2 * p)
+            if not last:
+                deltas = (g0 * p,) + deltas
+            entries.extend((i, d) for i, d in enumerate(deltas, k) if d)
+        out.append(entries)
+    return out
 
-    A point with k actions has C(resolution + k - 1, k - 1) choices: its
-    actions (k, at resolution 1) or its TS_U grid vectors. Their product is
-    checked against DEFAULT_POLICY_CAP before any choice is built.
-    """
-    layers = augment(mdp).layers[:mdp.horizon]
-    if class_tag == "TSW":
-        points = [(t, s, w) for t, layer in enumerate(layers) for s, w in layer]
-    else:
-        points = list(dict.fromkeys(
-            (t, s) for t, layer in enumerate(layers) for s, _ in layer
-        ))
-    total = 1
-    for point in points:
-        k = len(mdp.actions[point[1]])
-        total *= math.comb(resolution + k - 1, k - 1)
-        if total > DEFAULT_POLICY_CAP:
-            noun = "grid" if class_tag == "TS_U" else class_tag
-            raise EnumerationLimitError(
-                f"more than {DEFAULT_POLICY_CAP} {noun} policies"
-            )
-    choices = [mdp.actions[point[1]] for point in points]
-    if class_tag == "TS_U":
-        choices = [
-            [
-                {a: Rat(c, resolution) for a, c in zip(acts, combo) if c}
-                for combo in _simplex_grid(len(acts), resolution)
-            ]
-            for acts in choices
-        ]
-    for combo in itertools.product(*choices):
-        yield PolicySpec(class_tag, dict(zip(points, combo)))
+
+def _add(acc: list, option: tuple, pushes: list) -> None:
+    """acc += sum over the option's (action, c) of c * that action's pushes:
+    its probability c / resolution times the action's deltas."""
+    for a, c in option:
+        for i, d in pushes[a]:
+            acc[i] += d if c == 1 else d * c
 
 
 def _simplex_grid(k: int, m: int):
@@ -217,7 +371,9 @@ def class_feasibility(
     TS and TSW are decided exactly by enumeration. TS_U searches behavioral
     probabilities on a grid with grid_resolution levels per simplex: sound
     when it finds a witness, inconclusive otherwise (reported as no witness
-    found at that resolution). DEFAULT_POLICY_CAP caps both searches. TSW_U
+    found at that resolution). Both are one `_DecisionWalk` in product
+    order, stopped at the first policy that meets the target, whose rule is
+    built then and only then; DEFAULT_POLICY_CAP caps both searches. TSW_U
     is decided exactly by the root moment polygon's frontier, which gives
     the least variance at mean >= mean_floor and a point (m, q) attaining
     it; exact_pair_feasible at that point gives the witness.
@@ -228,12 +384,12 @@ def class_feasibility(
         grid = class_tag == "TS_U"
         if grid and grid_resolution < 1:
             raise ValueError("grid resolution must be at least 1")
-        for policy in _policies(mdp, class_tag, grid_resolution if grid else 1):
-            ev = evaluate_policy(mdp, policy)
-            if ev.mean >= lam and ev.variance <= cap:
+        walk = _DecisionWalk(mdp, class_tag, grid_resolution if grid else 1)
+        for mean, second in walk.leaves():
+            if mean >= lam and second - mean * mean <= cap:
                 found = "grid" if grid else "enumerated"
                 return ClassFeasibility(
-                    True, policy, f"{found} witness with mean {ev.mean}"
+                    True, walk.policy(), f"{found} witness with mean {mean}"
                 )
         if grid:
             return ClassFeasibility(

@@ -13,8 +13,11 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Rat
+
+    BACKEND = "gmpy2.mpq"
 except ImportError:  # gmpy2 is an optional extra (pip install mvmdp[gmpy2])
     Rat = Fraction
+    BACKEND = "fractions.Fraction"
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -1,6 +1,7 @@
 """Seeded instance samplers shared by the acceptance tests, the small
-random MDPs of the engine tests (`random_mdp`), and the per-node reference
-for the zero-variance game.
+random MDPs of the engine tests (`random_mdp`), the per-node reference for
+the zero-variance game, and the policy-by-policy reference for the TS, TSW
+and TS_U searches (`decision_choices`).
 
 Every sampler is deterministic for a given seed, so the acceptance run is
 reproducible. Rejection rules keep the instances at desk scale: the integer
@@ -13,10 +14,10 @@ vertices, the regime the pruning guarantee is about.
 
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 from mvmdp.errors import AugmentationLimitError
-from mvmdp.model import Mdp, PolicySpec, augment, make_mdp
+from mvmdp.model import Mdp, PolicySpec, augment, evaluate_policy, make_mdp
 from mvmdp.rationals import Rat, ZERO
 from mvmdp.setdp import compute_pmq
 
@@ -244,3 +245,56 @@ def per_node_game(mdp) -> tuple:
             frontier = nxt
         policies[k] = PolicySpec("TSW", rule)
     return win, root, policies
+
+
+def simplex_grid(k: int, m: int):
+    """Every k-vector of nonnegative integers summing to m, lexicographically,
+    by recursion on the first entry."""
+    if k == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in simplex_grid(k - 1, m - first):
+            yield (first,) + rest
+
+
+def decision_choices(mdp, class_tag: str, resolution: int = 1) -> tuple:
+    """(points, choices) of the TS, TSW or TS_U search, read off `augment`:
+    the points are (t, state) for TS and TS_U and (t, state, reward) for
+    TSW, each layer in state order and then reward order; a point's choices
+    are its actions, or for TS_U its grid vectors with positive entries
+    only."""
+    layers = augment(mdp).layers[:mdp.horizon]
+    if class_tag == "TSW":
+        points = [(t, s, w) for t, layer in enumerate(layers) for s, w in layer]
+    else:
+        points = list(dict.fromkeys(
+            (t, s) for t, layer in enumerate(layers) for s, _ in layer
+        ))
+    choices = [mdp.actions[point[1]] for point in points]
+    if class_tag == "TS_U":
+        choices = [
+            [
+                {a: Rat(c, resolution) for a, c in zip(acts, combo) if c}
+                for combo in simplex_grid(len(acts), resolution)
+            ]
+            for acts in choices
+        ]
+    return points, choices
+
+
+def policy_by_policy_feasibility(mdp, class_tag, lam, cap, resolution=1):
+    """(feasible, witness, detail) of `class_feasibility` for TS, TSW and
+    TS_U, from one `evaluate_policy` per policy in product order over
+    `decision_choices`."""
+    grid = class_tag == "TS_U"
+    points, choices = decision_choices(mdp, class_tag, resolution)
+    for combo in product(*choices):
+        policy = PolicySpec(class_tag, dict(zip(points, combo)))
+        ev = evaluate_policy(mdp, policy)
+        if ev.mean >= lam and ev.variance <= cap:
+            found = "grid" if grid else "enumerated"
+            return True, policy, f"{found} witness with mean {ev.mean}"
+    if grid:
+        return False, None, f"no witness found at resolution {resolution}"
+    return False, None, "exhaustive enumeration"

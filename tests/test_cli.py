@@ -770,3 +770,45 @@ def test_bad_flags_and_help(capsys, one_shot_path):
     code, out, _ = _invoke(capsys, ["--help"])
     assert code == 0
     assert "formats:" in out
+
+
+def test_version_names_the_python_and_the_rational_backend(capsys):
+    import mvmdp
+    from mvmdp.rationals import BACKEND
+
+    code, out, err = _invoke(capsys, ["--version"])
+    python = ".".join(map(str, sys.version_info[:3]))
+    assert (code, err) == (0, "")
+    assert out == f"mvmdp {mvmdp.__version__} (Python {python}, rationals {BACKEND})\n"
+    assert BACKEND in ("fractions.Fraction", "gmpy2.mpq")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert f'version = "{mvmdp.__version__}"' in pyproject.read_text()
+
+
+def test_version_imports_nothing_a_query_does_not(tmp_path, one_shot_path):
+    # Fresh interpreters: the modules --version loads beyond `import
+    # mvmdp.cli` are among those any query loads (argparse's gettext).
+    import subprocess
+
+    def loaded(argv):
+        script = (
+            "import sys, contextlib, io, json\n"
+            "import mvmdp.cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = mvmdp.cli.run({argv!r})\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={"PYTHONPATH": src}, cwd=tmp_path, check=True,
+        )
+        code, modules = json.loads(done.stdout)
+        return code, set(modules)
+
+    code, version = loaded(["--version"])
+    assert code == 0
+    code, query = loaded(["validate", one_shot_path])
+    assert code == 0
+    assert version <= query

@@ -20,12 +20,17 @@ The polygon recursion is also checked against itself and against
 enumeration: pruning with a zero budget runs it per augmented node and
 must give the per-state root polygon, since a zero budget drops no vertex
 of a strictly convex polygon; and the root polygon must be the hull of the
-(mean, second moment) pairs of every deterministic TSW policy.
+(mean, second moment) pairs of every deterministic TSW policy. Every row
+of the TS and TSW enumerations must hold its policy's own exact mean,
+second moment and variance, with the policies in product order over the
+decision points.
 
 The zero-variance game keeps one forcible set per (t, state); on every
 augmented node it must give the same sets and forcing policies as the
 game played node by node.
 """
+
+from itertools import product
 
 import pytest
 
@@ -36,7 +41,7 @@ pytest.importorskip(
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from corpus import _tsw_policy_count, per_node_game  # noqa: E402
+from corpus import _tsw_policy_count, decision_choices, per_node_game  # noqa: E402
 from mvmdp.frequency import (  # noqa: E402
     _skeleton,
     check_frequency,
@@ -177,6 +182,20 @@ def test_root_polygon_is_the_hull_of_deterministic_tsw_policies(mdp):
     assume(_tsw_policy_count(mdp, augment(mdp)) <= 2000)
     moments = [(m, q) for _, m, q, _ in enumerate_policies(mdp, "TSW")]
     assert compute_pmq(mdp) == MomentPolygon.of(moments)
+
+
+@PROPERTY
+@given(mdps(), st.sampled_from(("TS", "TSW")))
+def test_enumerated_rows_are_their_policies_evaluations(mdp, tag):
+    assume(_tsw_policy_count(mdp, augment(mdp)) <= 2000)
+    points, choices = decision_choices(mdp, tag)
+    rows = enumerate_policies(mdp, tag)
+    assert [policy for policy, _, _, _ in rows] == [
+        PolicySpec(tag, dict(zip(points, combo))) for combo in product(*choices)
+    ]
+    for policy, mean, second, variance in rows:
+        ev = evaluate_policy(mdp, policy)
+        assert (mean, second, variance) == (ev.mean, ev.second_moment, ev.variance)
 
 
 @PROPERTY

@@ -1,16 +1,25 @@
+import math
 import random
 from collections import defaultdict
 
 import pytest
 
 from corpus import (
+    decision_choices,
     integer_instances,
     per_node_game,
+    policy_by_policy_feasibility,
     random_mdp,
+    rational_instances,
+    simplex_grid,
     subset_sum_vectors,
 )
-from mvmdp import frequency, games
-from mvmdp.errors import EngineDisagreementError, EnumerationLimitError
+from mvmdp import frequency, games, model
+from mvmdp.errors import (
+    AugmentationLimitError,
+    EngineDisagreementError,
+    EnumerationLimitError,
+)
 from mvmdp.fixtures import (
     all_zero,
     forked_path,
@@ -32,7 +41,7 @@ from mvmdp.games import (
     zero_variance_values,
 )
 from mvmdp.lp import LpSolution, LpStatus, solve
-from mvmdp.model import evaluate_policy, validate
+from mvmdp.model import evaluate_policy, make_mdp, validate
 from mvmdp.rationals import Rat
 from mvmdp.setdp import compute_pmq, min_variance
 
@@ -101,6 +110,26 @@ def test_grid_cap_counts_before_building_any_vector(monkeypatch):
     assert built == []
 
 
+def test_state_only_searches_count_time_state_pairs(monkeypatch):
+    # One state and rewards {0, 1} each step: 4 (t, state) pairs over a
+    # horizon of 3, but 10 augmented (state, reward) nodes. The node cap
+    # bounds the TSW search's nodes and the TS and TS_U searches' pairs.
+    mdp = make_mdp(
+        horizon=3,
+        states=("s",),
+        initial_state="s",
+        actions={"s": ("go",)},
+        transitions={("s", "go"): {"s": 1}},
+        rewards={("s", "go"): {0: Rat(1, 2), 1: Rat(1, 2)}},
+    )
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 5)
+    for tag in ("TS", "TS_U"):
+        entry = class_feasibility(mdp, tag, 0, 1)
+        assert entry.feasible and entry.detail.endswith("with mean 3/2")
+    with pytest.raises(AugmentationLimitError):
+        class_feasibility(mdp, "TSW", 0, 1)
+
+
 def test_ts_u_witness_lists_only_positive_probabilities():
     # Mean 1 needs arm b surely: the grid vector (0, 16), whose rule must not
     # list arm a at probability 0.
@@ -108,21 +137,10 @@ def test_ts_u_witness_lists_only_positive_probabilities():
     assert entry.witness.rule == {(0, "s0"): {"b": Rat(1)}}
 
 
-def _recursive_simplex_grid(k, m):
-    if k == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _recursive_simplex_grid(k - 1, m - first):
-            yield (first,) + rest
-
-
 def test_simplex_grid_order_matches_the_recursive_walk():
     for k in range(1, 6):
         for m in range(7):
-            assert list(games._simplex_grid(k, m)) == list(
-                _recursive_simplex_grid(k, m)
-            )
+            assert list(games._simplex_grid(k, m)) == list(simplex_grid(k, m))
 
 
 def test_enumerate_rejects_unknown_class():
@@ -416,20 +434,54 @@ def test_ts_and_tsw_deciders_match_the_list_scan():
 
 
 def test_enumeration_decider_stops_at_the_first_witness(monkeypatch):
-    calls = []
-    evaluate = games.evaluate_policy
+    leaves = []
+    walk = games._DecisionWalk.leaves
 
-    def counted(mdp, policy):
-        calls.append(policy)
-        return evaluate(mdp, policy)
+    def counted(self):
+        for leaf in walk(self):
+            leaves.append(leaf)
+            yield leaf
 
-    monkeypatch.setattr(games, "evaluate_policy", counted)
+    monkeypatch.setattr(games._DecisionWalk, "leaves", counted)
     mdp = offset_chain()
     assert len(enumerate_policies(mdp, "TSW")) > 1
-    calls.clear()
+    leaves.clear()
     entry = class_feasibility(mdp, "TSW", -100, 100)
-    assert entry.feasible and len(calls) == 1
+    assert entry.feasible and len(leaves) == 1
     monkeypatch.setattr(games, "DEFAULT_POLICY_CAP", 1)
     with pytest.raises(EnumerationLimitError):
         class_feasibility(mdp, "TSW", -100, 100)
-    assert len(calls) == 1
+    assert len(leaves) == 1
+
+
+def test_searched_classes_match_the_policy_by_policy_scan():
+    # The walk against one evaluate_policy per policy in product order:
+    # same verdict, same first witness and same detail. The reference
+    # scans a class only up to 5,000 policies, to bound the test's time;
+    # past DEFAULT_POLICY_CAP the walk must refuse the class.
+    rng = random.Random(1818)
+    mdps = integer_instances(60) + rational_instances(20)
+    verdicts = []
+    compared = set()
+    for index, mdp in enumerate(mdps):
+        polygon = compute_pmq(mdp)
+        lam, cap = _target(rng, polygon)
+        for tag, resolution in (
+            ("TS", 1), ("TSW", 1), ("TS_U", 1), ("TS_U", 2), ("TS_U", 3)
+        ):
+            _, choices = decision_choices(mdp, tag, resolution)
+            count = math.prod(len(c) for c in choices)
+            if count > games.DEFAULT_POLICY_CAP:
+                with pytest.raises(EnumerationLimitError):
+                    class_feasibility(mdp, tag, lam, cap, resolution)
+                continue
+            if count > 5000:
+                continue
+            entry = class_feasibility(mdp, tag, lam, cap, resolution)
+            expected = policy_by_policy_feasibility(mdp, tag, lam, cap, resolution)
+            assert (entry.feasible, entry.witness, entry.detail) == expected
+            verdicts.append(entry.feasible)
+            compared.add(index)
+    assert True in verdicts and False in verdicts
+    assert len(compared & set(range(60))) == 60
+    assert len(compared - set(range(60))) >= 10

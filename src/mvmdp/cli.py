@@ -8,6 +8,10 @@ internal engine disagreement. The size caps are fixed constants of the
 library, not flags (see "caps:" in the help). Tolerance flags on `frontier`
 accept floats with a warning; everywhere else numeric flags must be exact
 rationals like 3, -2, or 7/4.
+
+Only errors, model, rationals and serialize load with this module. Each
+subcommand's handler imports the engines it calls, so `validate` never
+compiles the simplex and `frontier --exact` never loads the game solver.
 """
 
 from __future__ import annotations
@@ -20,41 +24,16 @@ import os
 import re
 import sys
 
+from . import __version__
 from .errors import (
     AugmentationLimitError,
     EngineDisagreementError,
     EnumerationLimitError,
     InputFormatError,
 )
-from .frequency import (
-    exact_pair_feasible,
-    frequencies_to_policy,
-    mean_fixed_var_bounded,
-)
-from .games import (
-    class_feasibility,
-    class_separation_report,
-    gen_3sat,
-    gen_subset_sum,
-    zero_variance_values,
-)
-from .model import (
-    Mdp,
-    POLICY_CLASSES,
-    PolicySpec,
-    augment,
-    validate,
-)
-from . import __version__
+from .model import Mdp, POLICY_CLASSES, PolicySpec
 from .rationals import BACKEND, Rat, rat_str, rationalize_float
 from .serialize import dumps, loads
-from .setdp import compute_pmq, exact_frontier, max_variance, min_variance
-from .tradeoff import (
-    approximate_v_star,
-    curve_rows,
-    discretize_rewards,
-    write_curve_csv,
-)
 
 OK = 0
 NO = 1
@@ -223,6 +202,8 @@ def _prune_budget(args) -> Rat | None:
 
 
 def _witness_policy(mdp: Mdp, mean, variance, polygon=None):
+    from .frequency import exact_pair_feasible, frequencies_to_policy
+
     ok, z = exact_pair_feasible(mdp, mean, variance, polygon)
     if not ok:
         return None
@@ -230,6 +211,8 @@ def _witness_policy(mdp: Mdp, mean, variance, polygon=None):
 
 
 def _cmd_validate(args) -> int:
+    from .model import validate
+
     mdp = loads(_read_text(args.input), strict=False)
     problems = validate(mdp)
     if problems:
@@ -256,6 +239,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_augment_stats(args) -> int:
+    from .model import augment
+
     mdp = _load_mdp(args)
     aug = augment(mdp)
     layers = [len(layer) for layer in aug.layers]
@@ -294,6 +279,8 @@ def _cmd_feasible_pair(args) -> int:
 
 
 def _cmd_feasible_mean_var(args) -> int:
+    from .frequency import frequencies_to_policy, mean_fixed_var_bounded
+
     mdp = _load_mdp(args)
     mean = _parse_exact(args.lam, "--lambda")
     cap = _parse_exact(args.v, "--v")
@@ -323,6 +310,8 @@ def _cmd_frontier(args) -> int:
     if args.exact:
         if args.epsilon is not None or args.nu is not None:
             raise _UsageError("--epsilon/--nu apply to the approximate mode only")
+        from .setdp import compute_pmq, exact_frontier
+
         prune = _prune_budget(args)
         polygon = compute_pmq(mdp, prune_eps=prune)
         frontier = exact_frontier(polygon)
@@ -353,6 +342,8 @@ def _cmd_frontier(args) -> int:
         raise _UsageError("the approximate mode needs --epsilon and --nu")
     eps = _parse_tolerance(args.epsilon, "--epsilon")
     slack = _parse_tolerance(args.nu, "--nu")
+    from .tradeoff import approximate_v_star, curve_rows, write_curve_csv
+
     curve = approximate_v_star(mdp, eps, slack)
     if args.format == "json":
         _emit_json(
@@ -372,6 +363,8 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_zero_variance(args) -> int:
+    from .games import zero_variance_values
+
     mdp = _load_mdp(args)
     result = zero_variance_values(mdp)
     values = sorted(result.achievable_values)
@@ -392,6 +385,8 @@ def _cmd_zero_variance(args) -> int:
 
 
 def _variance_extreme(args, pick) -> int:
+    from .setdp import compute_pmq
+
     mdp = _load_mdp(args)
     prune = _prune_budget(args)
     polygon = compute_pmq(mdp, prune_eps=prune)
@@ -410,10 +405,14 @@ def _variance_extreme(args, pick) -> int:
 
 
 def _cmd_min_variance(args) -> int:
+    from .setdp import min_variance
+
     return _variance_extreme(args, min_variance)
 
 
 def _cmd_max_variance(args) -> int:
+    from .setdp import max_variance
+
     return _variance_extreme(args, max_variance)
 
 
@@ -426,6 +425,8 @@ def _class_entry_json(entry) -> dict:
 
 
 def _cmd_oracle(args) -> int:
+    from .games import class_feasibility
+
     mdp = _load_mdp(args)
     lam = _parse_exact(args.lam, "--lambda")
     cap = _parse_exact(args.v, "--v")
@@ -443,6 +444,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_separation(args) -> int:
+    from .games import class_separation_report
+
     mdp = _load_mdp(args)
     lam = _parse_exact(args.lam, "--lambda")
     cap = _parse_exact(args.v, "--v")
@@ -463,11 +466,15 @@ def _cmd_separation(args) -> int:
 
 
 def _cmd_gen_subset_sum(args) -> int:
+    from .games import gen_subset_sum
+
     _emit(dumps(gen_subset_sum(args.values)), args)
     return OK
 
 
 def _cmd_gen_3sat(args) -> int:
+    from .games import gen_3sat
+
     clauses = []
     for token in args.clauses:
         for piece in token.split(";"):
@@ -484,6 +491,8 @@ def _cmd_gen_3sat(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
+    from .tradeoff import discretize_rewards
+
     mdp = _load_mdp(args)
     step = _parse_exact(args.delta, "--delta")
     _emit(dumps(discretize_rewards(mdp, step)), args)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import EngineDisagreementError, EnumerationLimitError
-from .frequency import exact_pair_feasible, frequencies_to_policy
 from .model import (
     Mdp,
     PolicySpec,
@@ -404,6 +403,8 @@ def class_feasibility(
         return ClassFeasibility(
             False, None, f"least variance at mean >= {lam} exceeds the cap"
         )
+    from .frequency import exact_pair_feasible, frequencies_to_policy
+
     value, (mean, _) = best
     _, z = exact_pair_feasible(mdp, mean, value, polygon)
     return ClassFeasibility(

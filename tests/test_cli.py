@@ -785,30 +785,63 @@ def test_version_names_the_python_and_the_rational_backend(capsys):
     assert f'version = "{mvmdp.__version__}"' in pyproject.read_text()
 
 
-def test_version_imports_nothing_a_query_does_not(tmp_path, one_shot_path):
-    # Fresh interpreters: the modules --version loads beyond `import
-    # mvmdp.cli` are among those any query loads (argparse's gettext).
+def _loaded_by(tmp_path, argv):
+    """Exit code and every module loaded after `import mvmdp.cli` and
+    `run(argv)` in a fresh interpreter."""
     import subprocess
 
-    def loaded(argv):
-        script = (
-            "import sys, contextlib, io, json\n"
-            "import mvmdp.cli\n"
-            "before = set(sys.modules)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = mvmdp.cli.run({argv!r})\n"
-            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={"PYTHONPATH": src}, cwd=tmp_path, check=True,
-        )
-        code, modules = json.loads(done.stdout)
-        return code, set(modules)
+    script = (
+        "import sys, contextlib, io, json\n"
+        "import mvmdp.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = mvmdp.cli.run({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": src}, cwd=tmp_path, check=True,
+    )
+    code, modules = json.loads(done.stdout)
+    return code, set(modules)
 
-    code, version = loaded(["--version"])
+
+def test_version_imports_nothing_a_query_does_not(tmp_path, one_shot_path):
+    # The modules --version loads beyond `import mvmdp.cli` are among those
+    # any query loads (argparse's gettext).
+    code, version = _loaded_by(tmp_path, ["--version"])
     assert code == 0
-    code, query = loaded(["validate", one_shot_path])
+    code, query = _loaded_by(tmp_path, ["validate", one_shot_path])
     assert code == 0
     assert version <= query
+
+
+def test_each_subcommand_loads_only_its_engines(tmp_path, one_shot_path):
+    # Module sets, not times: a query leaves unloaded every engine it never
+    # calls, and loads the one it answers with.
+    witness_skips = {"games", "tradeoff"}
+    polygon_skips = {"frequency", "lp"} | witness_skips
+    reader_skips = {"geometry", "setdp"} | polygon_skips
+    game_skips = {"frequency", "lp"}
+    cases = [
+        (["validate", one_shot_path], reader_skips, "model"),
+        (["augment-stats", one_shot_path], reader_skips, "model"),
+        (["frontier", "--exact", one_shot_path], polygon_skips, "setdp"),
+        (["min-variance", "--prune-eps", "1/8", one_shot_path],
+         polygon_skips, "geometry"),
+        (["feasible-pair", one_shot_path, "--lambda", "1/2", "--v", "3/4"],
+         witness_skips, "lp"),
+        (["feasible-mean-var", one_shot_path, "--lambda", "1/2", "--v", "1"],
+         witness_skips, "lp"),
+        (["min-variance", one_shot_path], witness_skips, "frequency"),
+        (["max-variance", one_shot_path], witness_skips, "frequency"),
+        (["zero-variance", one_shot_path], game_skips, "games"),
+        (["gen", "subset-sum", "--r", "3", "4", "2"], game_skips, "games"),
+        (["gen", "3sat", "--clauses", "1,-2,3"], game_skips, "games"),
+    ]
+    for argv, skips, used in cases:
+        code, modules = _loaded_by(tmp_path, argv)
+        engines = {m[len("mvmdp."):] for m in modules if m.startswith("mvmdp.")}
+        assert code == 0, argv
+        assert not engines & skips, (argv, engines & skips)
+        assert used in engines, argv

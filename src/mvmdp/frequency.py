@@ -28,22 +28,22 @@ hull of the deterministic policies' measures, so a point (m, q) of the
 polygon is a mixture of at most three vertices, and each vertex is
 attained by a deterministic TSW policy that minimizes a linear function
 of the two moments whose direction lies strictly inside the vertex's
-normal cone (`supporting_policy`, one backward DP; `_inner_normal` reads
-the direction off the vertex's two neighbours). A three-row LP over the vertices gives the mixture weights; the witness is
-the weighted sum of those policies' occupation measures, which
-`frequencies_to_policy` turns into one behavioural policy (Kuhn's
-theorem). The constraint system above backs the cross-check LPs
-(`terminal_lower_hull`, `min_q_over_interval`) and `check_frequency`.
+normal cone (`supporting_policy`, one backward DP, for the direction
+`MomentPolygon.inner_normal` gives). `MomentPolygon.locate` finds the
+polygon triangle that holds the point, and a three-row LP over its three
+vertices gives the mixture weights; the witness is the weighted sum of
+those policies' occupation measures, which `frequencies_to_policy` turns
+into one behavioural policy (Kuhn's theorem). The constraint system
+above backs the cross-check LPs (`terminal_lower_hull`,
+`min_q_over_interval`) and `check_frequency`.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import EngineDisagreementError
-from .geometry import MomentPolygon, _cross
+from .geometry import MomentPolygon
 from .lp import LpProblem, LpSolution, LpStatus, solve
 from .model import (
     AugmentedSpace,
@@ -241,17 +241,17 @@ def _moment_witness(
     (mean, second), a point of polygon: a mixture of at most three
     vertex policies.
 
-    A three-row LP over the polygon's vertices (`_vertex_weights`) gives
-    the weights alpha. Each vertex of positive weight is attained by the
-    deterministic policy `supporting_policy` finds for its direction
-    `_inner_normal`, and z = sum alpha * (its occupation measure), one
-    forward walk per policy. Occupation measures are linear
+    A three-row LP over the vertices of the polygon triangle that holds
+    the point (`_vertex_weights`; a point or a segment is its own face)
+    gives the weights alpha. Each vertex of positive weight is attained by
+    the deterministic policy `supporting_policy` finds for its direction
+    `MomentPolygon.inner_normal`, and z = sum alpha * (its occupation
+    measure), one forward walk per policy. Occupation measures are linear
     under mixing, so z lies in the occupation polytope with exactly the
     target moments. An LP that finds the point infeasible, or a mixture
     that misses the target, raises EngineDisagreementError.
     """
-    vs = polygon.vertices
-    sol = _vertex_weights(vs, mean, second)
+    face, sol = _vertex_weights(polygon, mean, second)
     if sol.status is not LpStatus.OPTIMAL:
         raise EngineDisagreementError(
             f"moment polygon and occupation LP disagree: the polygon holds "
@@ -259,10 +259,10 @@ def _moment_witness(
         )
     aug = augment(mdp)
     z = FrequencyVector(z_sa={}, z_x={})
-    for i, alpha in enumerate(sol.x):
+    for i, alpha in zip(face, sol.x):
         if alpha == 0:
             continue
-        rule = supporting_policy(mdp, aug, _inner_normal(vs, i))
+        rule = supporting_policy(mdp, aug, polygon.inner_normal(i))
         _add_occupation(mdp, lambda t, s, w: {rule[(t, s, w)]: ONE}, alpha, z)
     reached = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
     if reached != (mean, second):
@@ -273,58 +273,28 @@ def _moment_witness(
     return z
 
 
-def _vertex_weights(vertices: tuple, mean: Rat, second: Rat) -> LpSolution:
-    """Weights alpha >= 0 on the vertices with sum alpha = 1 and
-    sum alpha * vertex = (mean, second): a standard-form LP with one
-    column per vertex and these three rows.
+def _vertex_weights(polygon: MomentPolygon, mean: Rat, second: Rat) -> tuple:
+    """(face, alpha): weights alpha >= 0 on the vertices of the face that
+    `MomentPolygon.locate` finds for (mean, second), with sum alpha = 1 and
+    sum alpha * vertex = (mean, second). A standard-form LP gives them:
+    one column per face vertex and these three rows.
 
-    Its simplex starts from the fan triangle (vertices[0], v_i, v_i+1)
-    that holds the target, so phase 1 does not run and `solve` computes
-    the triangle's barycentric weights exactly, checking that they are
-    nonnegative. The unit row takes a vertex, the mean row a vertex of
-    another mean, and the second-moment row the third, so no pivot is
-    zero. A point or a segment has no triangle and takes the cold start.
+    A triangle (0, k - 1, k) starts from its full basis, row j on column
+    j, so phase 1 does not run and `solve` computes the barycentric
+    weights exactly, checking that they are nonnegative. No pivot is
+    zero: the triangle is not flat, and vertices[0] is the lexicographic
+    minimum, so only the last vertex can share its mean, which the middle
+    column never is. A point or a segment takes the cold start. A target
+    outside the polygon has no face, and its LP no column.
     """
-    prob = LpProblem(num_vars=len(vertices))
-    prob.add_row({j: ONE for j in range(len(vertices))}, ONE)
-    prob.add_row({j: m for j, (m, _) in enumerate(vertices)}, mean)
-    prob.add_row({j: q for j, (_, q) in enumerate(vertices)}, second)
-    basis = None
-    if len(vertices) >= 3:
-        v0, target = vertices[0], (mean, second)
-        # The first fan ray with the target strictly to its right ends the
-        # triangle; the polygon's first edge has it on or to its left.
-        k = bisect_left(
-            range(2, len(vertices) - 1), True,
-            key=lambda i: _cross(v0, vertices[i], target) < 0,
-        ) + 2
-        a, b = k - 1, k
-        if vertices[a][0] == v0[0]:
-            a, b = b, a
-        basis = {0: 0, 1: a, 2: b}
-    return solve(prob, initial_basis=basis)
-
-
-def _inner_normal(vs: tuple, i: int) -> tuple[int, int]:
-    """Integers (c0, c1) such that vs[i] alone minimizes c0 m + c1 q over
-    the canonical polygon vs.
-
-    With three or more vertices this is the inward normal of the chord
-    from vs[i-1] to vs[i+1], the sum of the inward normals of the vertex's
-    two edges, so it lies strictly inside the vertex's normal cone. A
-    segment's end takes the direction to the other end, and a point any
-    direction: (0, 0).
-    """
-    if len(vs) == 1:
-        return 0, 0
-    if len(vs) == 2:
-        (m0, q0), (m1, q1) = vs[i], vs[1 - i]
-        c0, c1 = m1 - m0, q1 - q0
-    else:
-        (m0, q0), (m1, q1) = vs[i - 1], vs[(i + 1) % len(vs)]
-        c0, c1 = q0 - q1, m1 - m0
-    d = math.lcm(int(c0.denominator), int(c1.denominator))
-    return int(c0 * d), int(c1 * d)
+    vs = polygon.vertices
+    face = polygon.locate((mean, second)) or ()
+    prob = LpProblem(num_vars=len(face))
+    prob.add_row({j: ONE for j in range(len(face))}, ONE)
+    prob.add_row({j: vs[i][0] for j, i in enumerate(face)}, mean)
+    prob.add_row({j: vs[i][1] for j, i in enumerate(face)}, second)
+    basis = {0: 0, 1: 1, 2: 2} if len(face) == 3 else None
+    return face, solve(prob, initial_basis=basis)
 
 
 def supporting_policy(mdp: Mdp, aug: AugmentedSpace, direction: tuple) -> dict:
@@ -401,21 +371,9 @@ def frequencies_to_policy(mdp: Mdp, z: FrequencyVector) -> PolicySpec:
 
 def policy_frequencies(mdp: Mdp, policy: PolicySpec) -> FrequencyVector:
     """Occupation measures induced by a policy (exact forward propagation),
-    with an entry, zero where unreached, for every augmented node."""
-    aug = augment(mdp)
-    z = FrequencyVector(
-        z_sa={
-            (t, s, w, a): ZERO
-            for t in range(mdp.horizon)
-            for s, w in aug.layers[t]
-            for a in mdp.actions[s]
-        },
-        z_x={
-            (t, s, w): ZERO
-            for t in range(mdp.horizon + 1)
-            for s, w in aug.layers[t]
-        },
-    )
+    with entries only for the nodes its forward walk meets;
+    `check_frequency` reads a missing entry as 0."""
+    z = FrequencyVector(z_sa={}, z_x={})
     _add_occupation(
         mdp, lambda t, s, w: played_actions(mdp, policy, t, s, w), ONE, z
     )

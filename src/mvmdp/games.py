@@ -375,14 +375,16 @@ def class_feasibility(
     built then and only then; DEFAULT_POLICY_CAP caps both searches. TSW_U
     is decided exactly by the root moment polygon's frontier, which gives
     the least variance at mean >= mean_floor and a point (m, q) attaining
-    it; exact_pair_feasible at that point gives the witness.
+    it; exact_pair_feasible at that point gives the witness. A
+    grid_resolution below 1 raises ValueError for every class, before any
+    search.
     """
+    if grid_resolution < 1:
+        raise ValueError("grid resolution must be at least 1")
     lam = Rat(mean_floor)
     cap = Rat(variance_cap)
     if class_tag in ("TS", "TSW", "TS_U"):
         grid = class_tag == "TS_U"
-        if grid and grid_resolution < 1:
-            raise ValueError("grid resolution must be at least 1")
         walk = _DecisionWalk(mdp, class_tag, grid_resolution if grid else 1)
         for mean, second in walk.leaves():
             if mean >= lam and second - mean * mean <= cap:

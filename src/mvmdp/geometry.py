@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .rationals import Rat, ZERO
@@ -102,20 +103,57 @@ class MomentPolygon:
         )
 
     def contains(self, point) -> bool:
+        return self.locate(point) is not None
+
+    def locate(self, point) -> tuple | None:
+        """Indices of the vertices of a face that holds point, in increasing
+        order, or None when point lies outside.
+
+        With three or more vertices the face is a triangle of the fan from
+        vertices[0]: (0, k - 1, k), found by bisection over the fan's rays,
+        which turn counterclockwise. A point or a segment is its own face.
+        """
         p = (Rat(point[0]), Rat(point[1]))
         vs = self.vertices
         if len(vs) == 1:
-            return p == vs[0]
+            return (0,) if p == vs[0] else None
         if len(vs) == 2:
-            a, b = vs
-            if _cross(a, b, p) != 0:
-                return False
-            return min(a, b) <= p <= max(a, b)
-        for i, a in enumerate(vs):
-            b = vs[(i + 1) % len(vs)]
-            if _cross(a, b, p) < 0:
-                return False
-        return True
+            on = _cross(*vs, p) == 0 and min(vs) <= p <= max(vs)
+            return (0, 1) if on else None
+        # The wedge at vertices[0] spans less than 180 degrees, so its two
+        # bounding rays decide whether p lies in it. Within it the rays with
+        # p strictly to their right come last, and the first of them (or
+        # the last ray) ends p's sector.
+        v0 = vs[0]
+        if _cross(v0, vs[1], p) < 0 or _cross(v0, vs[-1], p) > 0:
+            return None
+        k = bisect_left(
+            range(2, len(vs) - 1), True,
+            key=lambda i: _cross(v0, vs[i], p) < 0,
+        ) + 2
+        return (0, k - 1, k) if _cross(vs[k - 1], vs[k], p) >= 0 else None
+
+    def inner_normal(self, i: int) -> tuple[int, int]:
+        """Integers (c0, c1) such that vertices[i] alone minimizes
+        c0 m + c1 q over the polygon.
+
+        With three or more vertices this is the inward normal of the chord
+        from vertices[i-1] to vertices[i+1], the sum of the inward normals
+        of the vertex's two edges, so it lies strictly inside the vertex's
+        normal cone. A segment's end takes the direction to the other end,
+        and a point any direction: (0, 0).
+        """
+        vs = self.vertices
+        if len(vs) == 1:
+            return 0, 0
+        if len(vs) == 2:
+            (m0, q0), (m1, q1) = vs[i], vs[1 - i]
+            c0, c1 = m1 - m0, q1 - q0
+        else:
+            (m0, q0), (m1, q1) = vs[i - 1], vs[(i + 1) % len(vs)]
+            c0, c1 = q0 - q1, m1 - m0
+        d = math.lcm(int(c0.denominator), int(c1.denominator))
+        return int(c0 * d), int(c1 * d)
 
     def lower_chain(self) -> list:
         """Lower boundary vertices left to right (strictly increasing x)."""

@@ -26,9 +26,9 @@ index). Covered rows are pivoted in directly; only uncovered rows receive
 artificial variables, so a caller that knows a structural vertex (for example
 a deterministic-policy occupation measure) skips most of phase 1. When every
 row is covered phase 1 does not run at all: the vertex-weight LP of
-`frequency` (three rows, one column per moment-polygon vertex) starts from
-the basis of the polygon triangle that holds its target, so `solve` only
-computes that triangle's weights exactly and checks their signs. The warm
+`frequency` (three rows, one column per vertex of the moment-polygon
+triangle that holds its target) starts from that triangle's full basis, so
+`solve` only computes its weights exactly and checks their signs. The warm
 start is an optimization only: if it turns out infeasible it is discarded
 and the ordinary two-phase run decides the problem.
 """

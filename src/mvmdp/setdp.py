@@ -94,7 +94,8 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         prune_eps = Rat(prune_eps)
         if prune_eps < 0:
             raise ValueError(f"prune budget must be nonnegative: {prune_eps}")
-        per_stage = prune_eps / (2 * mdp.horizon)
+        # A horizon-0 MDP has no stage to prune and keeps its exact point.
+        per_stage = prune_eps / (2 * max(mdp.horizon, 1))
         threshold_sq = per_stage * per_stage
         place = per_node
     stages = reach(mdp, place)

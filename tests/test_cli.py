@@ -397,6 +397,20 @@ def test_oracle_ts_u_grid_on_a_state_with_many_actions(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_grid_resolution_below_one_exits_2_for_every_class(
+    capsys, one_shot_path
+):
+    query = [one_shot_path, "--lambda", "0", "--v", "1", "--grid-resolution"]
+    for argv in (
+        ["oracle", *query, "-5", "--class", "TS"],
+        ["oracle", *query, "0", "--class", "TSW_U"],
+        ["separation", *query, "0"],
+    ):
+        code, out, err = _invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "grid resolution must be at least 1" in err
+
+
 def test_ts_u_grid_builds_nothing_sized_by_the_resolution(capsys, tmp_path):
     # With one action per state the grid has a single policy at any
     # resolution, so the cap check passes; nothing may then be built per level.

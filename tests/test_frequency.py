@@ -9,7 +9,7 @@ from corpus import (
     random_mdp,
     rational_instances,
 )
-from mvmdp import frequency
+from mvmdp import frequency, lp
 from mvmdp.errors import EngineDisagreementError, PolicyCoverageError
 from mvmdp.fixtures import (
     all_zero,
@@ -360,8 +360,11 @@ def test_mixture_witnesses_lie_in_the_polytope(monkeypatch):
             assert check_frequency(sk, z) == []
             claimed = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
             assert claimed == (m, q)
-            ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+            policy = frequencies_to_policy(mdp, z)
+            ev = evaluate_policy(mdp, policy)
             assert (ev.mean, ev.second_moment) == (m, q)
+            # The policy's forward walk meets the witness's nodes alone.
+            assert policy_frequencies(mdp, policy) == z
 
 
 def _one_step(arms: dict):
@@ -408,6 +411,47 @@ def test_mixture_witness_on_degenerate_polygons(arms, shape, monkeypatch):
         assert (ev.mean, ev.second_moment) == target
         if used == 2 and len(vs) == 2:
             assert sorted(policy.rule[(0, "s0", 0)].values()) == [Rat(1, 2)] * 2
+
+
+def test_witness_weighs_one_triangle_without_phase_1(monkeypatch):
+    # On roots of three or more vertices every witness solves one LP over
+    # the three vertices of the fan triangle that holds its target, and
+    # its only pivots are the full basis's three.
+    problems, pivots, phases = [], [], []
+    solve_lp, pivot, bland = frequency.solve, lp._pivot, lp._bland
+
+    def spied_solve(problem, initial_basis=None):
+        problems.append(problem)
+        return solve_lp(problem, initial_basis)
+
+    def spied_pivot(rows, rhs, basis, r, jc):
+        pivots.append((r, jc))
+        return pivot(rows, rhs, basis, r, jc)
+
+    def spied_bland(rows, rhs, basis, ncols):
+        phases.append(ncols)
+        return bland(rows, rhs, basis, ncols)
+
+    monkeypatch.setattr(frequency, "solve", spied_solve)
+    monkeypatch.setattr(lp, "_pivot", spied_pivot)
+    monkeypatch.setattr(lp, "_bland", spied_bland)
+    checked = 0
+    for mdp in integer_instances()[:20] + [mdp for mdp, _ in deep_instances()[:1]]:
+        polygon = compute_pmq(mdp)
+        if len(polygon.vertices) < 3:
+            continue
+        for m, q in _moment_targets(polygon)[:-3]:
+            for log in (problems, pivots, phases):
+                log.clear()
+            ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+            assert ok
+            (prob,) = problems
+            assert prob.num_vars == 3 and len(prob.rows) == 3
+            # Phase 2 alone, with no artificial column, and no pivot past
+            # the basis's own.
+            assert phases == [3] and len(pivots) == 3
+            checked += 1
+    assert checked > 50
 
 
 def test_targets_outside_the_polygon_run_no_lp(monkeypatch):

@@ -110,6 +110,29 @@ def test_grid_cap_counts_before_building_any_vector(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("resolution", [0, -5])
+def test_grid_resolution_below_one_is_refused_before_any_search(
+    resolution, monkeypatch
+):
+    # For every class, and for the separation report, which would otherwise
+    # run the TS and TSW searches before reaching TS_U.
+    walks = []
+    walk = games._DecisionWalk
+
+    def spied(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(games, "_DecisionWalk", spied)
+    mdp = one_shot_two_arms()
+    for tag in ("TS", "TSW", "TS_U", "TSW_U"):
+        with pytest.raises(ValueError, match="grid resolution must be at least 1"):
+            class_feasibility(mdp, tag, 0, 1, grid_resolution=resolution)
+    with pytest.raises(ValueError, match="grid resolution must be at least 1"):
+        class_separation_report(mdp, 0, 1, grid_resolution=resolution)
+    assert walks == []
+
+
 def test_state_only_searches_count_time_state_pairs(monkeypatch):
     # One state and rewards {0, 1} each step: 4 (t, state) pairs over a
     # horizon of 3, but 10 augmented (state, reward) nodes. The node cap

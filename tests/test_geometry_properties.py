@@ -9,9 +9,11 @@ coprime and large denominators make each kernel's common denominator, the
 one it lifts its input onto to run on integers, large and different for
 every input.
 
-The direction behind each witness's vertex policies, `_inner_normal`, is
-checked here too: over a canonical polygon, the linear function it gives
-must be least at its vertex and at no other.
+The direction behind each witness's vertex policies,
+`MomentPolygon.inner_normal`, is checked here too: over a canonical
+polygon, the linear function it gives must be least at its vertex and at
+no other. So is the point locator behind `contains` and the witness's
+vertex weights, `MomentPolygon.locate`, against an every-edge test.
 """
 
 import itertools
@@ -25,7 +27,6 @@ pytest.importorskip(
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from mvmdp.frequency import _inner_normal  # noqa: E402
 from mvmdp.geometry import (  # noqa: E402
     MomentPolygon,
     hull_of_union,
@@ -159,9 +160,102 @@ def test_pruning_commutes_with_scaling_and_translation(poly, budget, k, u, v):
 def test_inner_normal_is_least_at_its_vertex_alone(poly):
     vs = poly.vertices
     for i, vertex in enumerate(vs):
-        c0, c1 = _inner_normal(vs, i)
+        c0, c1 = poly.inner_normal(i)
         assert type(c0) is int and type(c1) is int
         least = c0 * vertex[0] + c1 * vertex[1]
         for j, (m, q) in enumerate(vs):
             if j != i:
                 assert c0 * m + c1 * q > least
+
+
+def _inside_every_edge(poly, p):
+    """Reference containment: on the left of (or on) every edge."""
+    vs = poly.vertices
+    if len(vs) == 1:
+        return p == vs[0]
+    if len(vs) == 2:
+        a, b = vs
+        return _cross(a, b, p) == 0 and min(a, b) <= p <= max(a, b)
+    return all(_cross(a, b, p) >= 0 for a, b in zip(vs, vs[1:] + vs[:1]))
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _face_weights(face, p):
+    """Weights of p over the face's vertices (1, 2 or 3 of them), summing
+    to 1, exactly; barycentric for a triangle."""
+    if len(face) == 1:
+        return [Rat(1)]
+    if len(face) == 2:
+        a, b = face
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        return [1 - t, t]
+    a, b, c = face
+    area = _cross(a, b, c)
+    return [_cross(b, c, p) / area, _cross(c, a, p) / area, _cross(a, b, p) / area]
+
+
+INTEGERS = st.integers(-4, 4)
+NUDGE = Rat(1, 1000)
+
+
+@st.composite
+def located_points(draw):
+    """A canonical polygon on integer points, the points inside it to
+    locate (its vertices, edge midpoints and vertex mixtures, which put
+    some on the fan's rays) and points just outside each edge (or next to
+    a point)."""
+    poly = MomentPolygon.of(
+        draw(st.lists(st.tuples(INTEGERS, INTEGERS), min_size=1, max_size=8))
+    )
+    vs = poly.vertices
+    inside = list(vs)
+    outside = []
+    if len(vs) == 1:
+        outside += [(vs[0][0] + NUDGE, vs[0][1]), (vs[0][0], vs[0][1] - NUDGE)]
+    # A segment's edges run both ways, so its two sides and ends are met.
+    for a, b in zip(vs, vs[1:] + vs[:1]) if len(vs) > 1 else ():
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        inside.append(mid)
+        # (dy, -dx) points to the right of a -> b, out of the polygon; past
+        # b along the edge is outside too, as the boundary turns left at b.
+        outside.append((mid[0] + NUDGE * dy, mid[1] - NUDGE * dx))
+        outside.append((b[0] + NUDGE * dx, b[1] + NUDGE * dy))
+    for _ in range(draw(st.integers(0, 4))):
+        size = st.lists(st.integers(0, 5), min_size=len(vs), max_size=len(vs))
+        weights = draw(size)
+        total = sum(weights)
+        if total:
+            inside.append(tuple(
+                sum(w * v[k] for w, v in zip(weights, vs)) / total
+                for k in (0, 1)
+            ))
+    return poly, inside, outside
+
+
+@PROPERTY
+@given(located_points())
+def test_locate_finds_a_face_that_holds_the_point(case):
+    poly, inside, outside = case
+    vs = poly.vertices
+    for p in outside:
+        assert not _inside_every_edge(poly, p)
+        assert poly.locate(p) is None and not poly.contains(p)
+    for p in inside:
+        assert _inside_every_edge(poly, p) and poly.contains(p)
+        face = poly.locate(p)
+        assert list(face) == sorted(set(face))
+        if len(vs) >= 3:
+            assert len(face) == 3 and face[0] == 0
+            assert face[2] == face[1] + 1
+        else:
+            assert face == tuple(range(len(vs)))
+        weights = _face_weights([vs[i] for i in face], p)
+        assert all(w >= 0 for w in weights) and sum(weights) == 1
+        assert tuple(
+            sum(w * vs[i][k] for w, i in zip(weights, face)) for k in (0, 1)
+        ) == p

@@ -249,6 +249,14 @@ def test_negative_prune_budget_is_rejected():
         compute_pmq(offset_chain(), prune_eps=Rat(-1, 2))
 
 
+def test_pruning_a_horizon_zero_mdp_keeps_its_root_point():
+    # No stage to prune: any budget returns the exact point (0, 0).
+    mdp = all_zero(horizon=0)
+    for eps in (0, Rat(1, 3), 5):
+        assert compute_pmq(mdp, prune_eps=eps) == compute_pmq(mdp)
+    assert compute_pmq(mdp) == MomentPolygon.point(0, 0)
+
+
 def test_prune_eps_zero_is_exact():
     mdp = offset_chain()
     assert compute_pmq(mdp, prune_eps=0) == compute_pmq(mdp)

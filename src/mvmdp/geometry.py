@@ -9,22 +9,27 @@ backward recursion produces them constantly.
 
 MomentPolygon.of builds canonical form from arbitrary points with a sort
 and a monotone chain. The operations of the backward recursion instead rely
-on canonical input and emit canonical output directly: scale maps each
-vertex through a weighted shear, minkowski_sum sorts all its inputs' edges
-by angle and walks them once, hull_of_union merges the inputs'
-lexicographic vertex runs, and prune_polygon keeps a subset of the vertices
-in their cyclic order. None of them re-hulls, and only minkowski_sum sorts:
-each input's edges arrive as one sorted run, which the sort merges.
+on canonical input and emit canonical output directly: sheared_sum shears,
+weighs and sums polygons by sorting all their edges by angle and walking
+them once, hull_lifted merges the inputs' lexicographic vertex runs, and
+prune_lifted keeps a subset of the vertices in their cyclic order. None of
+them re-hulls, and only sheared_sum sorts: each input's edges arrive as
+one sorted run, which the sort merges.
 
 All coordinates are exact rationals. Distances appear only in squared form,
-which keeps every comparison rational as well. minkowski_sum,
-hull_of_union and prune_polygon lift their input once onto integers over
-one common denominator d, the lcm of every input coordinate's denominator,
-run their loops on those integers, and map back once at the end. Scaling
-by a positive d keeps lexicographic order, equality, the sign of every
-cross product and the order of every squared distance, so each kernel
-returns the same polygon as it would on the rationals themselves, while
-its loops skip the gcd normalization that every rational operation pays.
+which keeps every comparison rational as well. The three kernels run on
+Lifted polygons: integer vertices over one positive denominator d, with
+the factor d shares with every coordinate divided out, so the integers
+stay no larger than the rational form. Scaling by a positive d keeps
+lexicographic order, equality, the sign of every cross product and the
+order of every squared distance, so each kernel returns the same polygon
+as it would on the rationals themselves, while its loops skip the gcd
+normalization that every rational operation pays. The backward recursion
+(setdp) holds every stage Lifted and lowers only its root to rationals.
+minkowski_sum, hull_of_union and prune_polygon are the same kernels on
+MomentPolygons: lift, run, lower. MomentPolygon's constructors, scale and
+translate take exact rationals only (rationals.rat) and refuse floats and
+bools.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .rationals import Rat, ZERO
+from .rationals import ONE, Rat, ZERO, rat
 
 
 def _cross(o, a, b) -> Rat:
@@ -75,17 +80,18 @@ class MomentPolygon:
 
     @staticmethod
     def of(points) -> "MomentPolygon":
-        pts = [(Rat(x), Rat(y)) for x, y in points]
+        pts = [(rat(x), rat(y)) for x, y in points]
         return MomentPolygon(tuple(_hull(pts)))
 
     @staticmethod
     def point(x, y) -> "MomentPolygon":
-        return MomentPolygon(((Rat(x), Rat(y)),))
+        return MomentPolygon(((rat(x), rat(y)),))
 
     def scale(self, alpha, shift=0) -> "MomentPolygon":
         """alpha * S_shift(self); the shear S_c(m, q) = (m + c, q + 2cm + c^2)
         adds c to every reward and, like scaling, keeps canonical form."""
-        alpha = Rat(alpha)
+        alpha = rat(alpha)
+        shift = rat(shift)
         if alpha < 0:
             raise ValueError("negative scale")
         if alpha == 0:
@@ -96,8 +102,8 @@ class MomentPolygon:
         return MomentPolygon(tuple((alpha * x, alpha * y) for x, y in vs))
 
     def translate(self, dx, dy) -> "MomentPolygon":
-        dx = Rat(dx)
-        dy = Rat(dy)
+        dx = rat(dx)
+        dy = rat(dy)
         return MomentPolygon(
             tuple((x + dx, y + dy) for x, y in self.vertices)
         )
@@ -184,26 +190,64 @@ class MomentPolygon:
         return chain
 
 
-def _lift(polys) -> tuple:
-    """(d, vertex lists): every polygon's vertices times d, the least common
-    denominator of all their coordinates, as integers."""
-    d = math.lcm(
-        *{int(c.denominator) for p in polys for v in p.vertices for c in v}
-    )
-    lifted = [
-        [
-            (x.numerator * (d // x.denominator),
-             y.numerator * (d // y.denominator))
-            for x, y in p.vertices
-        ]
-        for p in polys
-    ]
-    return d, lifted
+class Lifted:
+    """A canonical polygon held on integers: vertex i is vertices[i] / d.
+
+    d is positive and shares no factor with every coordinate at once, so
+    these integers are no larger than the numerators of the polygon's
+    common-denominator form. edges is _edges(vertices), built on first use
+    and then kept, because the backward recursion sums one child polygon
+    into every branch that reaches it.
+    """
+
+    __slots__ = ("d", "vertices", "_edges")
+
+    def __init__(self, d: int, vertices: list):
+        self.d = d
+        self.vertices = vertices
+        self._edges = None
+
+    @staticmethod
+    def sure(b) -> "Lifted":
+        """The moment point (b, b^2) of the sure reward b: over m^2 when
+        b = n/m in lowest terms, which shares no factor with n m and n^2."""
+        n, m = int(b.numerator), int(b.denominator)
+        return Lifted(m * m, [(n * m, n * n)])
+
+    @property
+    def edges(self) -> list:
+        if self._edges is None:
+            self._edges = _edges(self.vertices)
+        return self._edges
+
+    def lower(self) -> MomentPolygon:
+        """The same polygon on rationals."""
+        d = self.d
+        return MomentPolygon(
+            tuple((Rat(x, d), Rat(y, d)) for x, y in self.vertices)
+        )
 
 
-def _lower(d, points) -> MomentPolygon:
-    """The polygon whose vertices, times d, are the integer points."""
-    return MomentPolygon(tuple((Rat(x, d), Rat(y, d)) for x, y in points))
+def lift(poly: MomentPolygon) -> Lifted:
+    """poly on integers over the least common denominator of its
+    coordinates, which shares no factor with all of them."""
+    vs = poly.vertices
+    d = math.lcm(*(int(c.denominator) for v in vs for c in v))
+    return Lifted(d, [
+        (int(x.numerator) * (d // int(x.denominator)),
+         int(y.numerator) * (d // int(y.denominator)))
+        for x, y in vs
+    ])
+
+
+def _reduced(d: int, points: list) -> Lifted:
+    """Lifted(d, points) with the common factor of d and every coordinate
+    divided out."""
+    g = math.gcd(d, *(c for v in points for c in v))
+    if g > 1:
+        d //= g
+        points = [(x // g, y // g) for x, y in points]
+    return Lifted(d, points)
 
 
 def _edges(vs) -> list:
@@ -235,25 +279,48 @@ def _turn_order(u, v) -> int:
 _BY_ANGLE = functools.cmp_to_key(_turn_order)
 
 
-def minkowski_sum(*polys: MomentPolygon) -> MomentPolygon:
-    """Minkowski sum of any number of canonical polygons; exact, and linear
-    in their edges apart from one sort.
+def sheared_sum(parts) -> Lifted:
+    """The Minkowski sum of weight * S_shift(poly) over the (poly, weight,
+    shift) parts: poly Lifted, weight a positive rational and shift a
+    rational. No part gives the sum's identity, the point (0, 0).
 
-    Each boundary starts at its lex-min vertex and its edges run in
-    increasing angle, so walking all the inputs' edges sorted by angle from
-    the sum of the lex-min vertices traces the sum's boundary. Parallel
-    edges of different inputs sort next to each other and make one step:
+    S_c(m, q) = (m + c, q + 2cm + c^2) adds c to every reward. On an edge
+    it is linear, (dx, dy) -> (dx, dy + 2c dx), with determinant 1, so it
+    keeps each edge's half and the order of the edges within a half: the
+    sheared edges stay one sorted run, and only the lex-min vertex, which
+    stays lex-min, is sheared as a point. With c = a/b and weight p/q, a
+    part over d becomes, over q d b^2, the vertex
+    (p b (b X + a d), p (b^2 Y + 2 a b X + a^2 d)) and the edges
+    (p b^2 dx, p b (b dy + 2 a dx)).
+
+    The parts are brought to one common denominator, their edges sorted by
+    angle and walked once from the sum of their lex-min vertices. Parallel
+    edges of different parts sort next to each other and make one step:
     the walk emits a vertex only where the next edge changes direction, so
-    every turn is strict and the walk is already in canonical form. A
-    point adds only its vertex. A single input is its own sum, and a call
-    with no input returns the sum's identity, the point (0, 0).
+    every turn is strict and the walk is already in canonical form.
     """
-    if len(polys) == 1:
-        return polys[0]
-    d, lifted = _lift(polys)
-    x = sum(vs[0][0] for vs in lifted)
-    y = sum(vs[0][1] for vs in lifted)
-    edges = sorted((e for vs in lifted for e in _edges(vs)), key=_BY_ANGLE)
+    terms = []
+    for poly, weight, shift in parts:
+        a, b = int(shift.numerator), int(shift.denominator)
+        terms.append((int(weight.denominator) * poly.d * b * b, poly,
+                      int(weight.numerator), a, b))
+    if not terms:
+        return Lifted(1, [(0, 0)])
+    d = math.lcm(*(term[0] for term in terms))
+    x = y = 0
+    edges: list = []
+    for den, poly, p, a, b in terms:
+        k = d // den * p
+        kb = k * b
+        x0, y0 = poly.vertices[0]
+        x += kb * (b * x0 + a * poly.d)
+        y += k * (b * (b * y0 + 2 * a * x0) + a * a * poly.d)
+        kbb, a2 = kb * b, 2 * a
+        edges += [
+            (h, kbb * dx, kb * (b * dy + a2 * dx)) for h, dx, dy in poly.edges
+        ]
+    # Each part's edges are one sorted run, which the sort merges.
+    edges.sort(key=_BY_ANGLE)
     points = [(x, y)]
     # The last edge closes the walk at its start, so it emits nothing.
     for e, after in zip(edges, edges[1:]):
@@ -261,11 +328,11 @@ def minkowski_sum(*polys: MomentPolygon) -> MomentPolygon:
         y += e[2]
         if _turn_order(e, after):
             points.append((x, y))
-    return _lower(d, points)
+    return _reduced(d, points)
 
 
-def hull_of_union(polys) -> MomentPolygon:
-    """Convex hull of the union of canonical polygons, in canonical form.
+def hull_lifted(polys) -> Lifted:
+    """Convex hull of the union of Lifted polygons, in canonical form.
 
     A canonical polygon climbs in lexicographic order from vertices[0] to
     its lex-max vertex, along its lower boundary and any vertical right
@@ -273,25 +340,48 @@ def hull_of_union(polys) -> MomentPolygon:
     vertex of the union's lower chain lies on some input's climb and every
     vertex of its upper chain on some input's descent, so one
     monotone-chain pass over the merged climbs and one over the merged
-    descents give the hull, with no sort. A single input is its own hull.
+    descents, on integers over one common denominator, give the hull, with
+    no sort. A single input is its own hull.
     """
-    polys = list(polys)
     if not polys:
         raise ValueError("no polygons")
     if len(polys) == 1:
         return polys[0]
-    d, lifted = _lift(polys)
+    d = math.lcm(*(poly.d for poly in polys))
     climbs = []
     descents = []
-    for vs in lifted:
-        k = 1
-        while k < len(vs) and vs[k - 1] < vs[k]:
-            k += 1
-        climbs.append(vs[:k])
-        descents.append(vs[k - 1:] + vs[:1])
+    for poly in polys:
+        k = d // poly.d
+        vs = poly.vertices
+        if k != 1:
+            vs = [(k * x, k * y) for x, y in vs]
+        n = 1
+        while n < len(vs) and vs[n - 1] < vs[n]:
+            n += 1
+        climbs.append(vs[:n])
+        descents.append(vs[n - 1:] + vs[:1])
     lower = _chain(heapq.merge(*climbs))
     upper = _chain(heapq.merge(*descents, reverse=True))
-    return _lower(d, lower[:-1] + upper[:-1] or lower)
+    return _reduced(d, lower[:-1] + upper[:-1] or lower)
+
+
+def minkowski_sum(*polys: MomentPolygon) -> MomentPolygon:
+    """Minkowski sum of any number of canonical polygons; exact, and linear
+    in their edges apart from one sort (see sheared_sum). A single input is
+    its own sum, and a call with no input returns the point (0, 0).
+    """
+    if len(polys) == 1:
+        return polys[0]
+    return sheared_sum((lift(p), ONE, ZERO) for p in polys).lower()
+
+
+def hull_of_union(polys) -> MomentPolygon:
+    """Convex hull of the union of canonical polygons, in canonical form
+    (see hull_lifted). A single input is its own hull."""
+    polys = list(polys)
+    if len(polys) == 1:
+        return polys[0]
+    return hull_lifted([lift(p) for p in polys]).lower()
 
 
 def point_segment_dist_sq(p, a, b) -> Rat:
@@ -338,7 +428,7 @@ def hausdorff_sq(p: MomentPolygon, q: MomentPolygon) -> Rat:
     return max(directed_hausdorff_sq(p, q), directed_hausdorff_sq(q, p))
 
 
-def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
+def prune_lifted(poly: Lifted, max_err_sq) -> Lifted:
     """Greedy inner approximation: drop vertices while every dropped original
     vertex stays within the given squared Hausdorff distance of the result.
 
@@ -350,13 +440,12 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     original's, so it is contained in the original and only the
     original-to-pruned direction can be positive.
     """
-    vs = poly.vertices
-    n = len(vs)
+    pts = poly.vertices
+    n = len(pts)
     if n <= 2:
         return poly
-    # Costs run on the lifted vertices, so they and the budget carry d^2.
-    d, (pts,) = _lift((poly,))
-    budget = Rat(max_err_sq) * d * d
+    # Costs run on the integers, so they and the budget carry d^2.
+    budget = Rat(max_err_sq) * poly.d * poly.d
     nxt = list(range(1, n)) + [0]
     prv = [n - 1] + list(range(n - 1))
     alive = [True] * n
@@ -399,10 +488,17 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
                 heapq.heappush(heap, (cost(j), j, version[j]))
     # The kept vertices are strictly convex and in CCW order already; the
     # walk starts at the lex-min one to make them canonical.
-    start = min((k for k in range(n) if alive[k]), key=vs.__getitem__)
-    kept = [vs[start]]
+    start = min((k for k in range(n) if alive[k]), key=pts.__getitem__)
+    kept = [pts[start]]
     i = nxt[start]
     while i != start:
-        kept.append(vs[i])
+        kept.append(pts[i])
         i = nxt[i]
-    return MomentPolygon(tuple(kept))
+    return _reduced(poly.d, kept)
+
+
+def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
+    """prune_lifted on a MomentPolygon: the same vertex subset."""
+    if len(poly.vertices) <= 2:
+        return poly
+    return prune_lifted(lift(poly), max_err_sq).lower()

@@ -16,6 +16,13 @@ achieve, and variance questions become one-dimensional optimizations over it:
     v*(m0) = min variance subject to mean >= m0: piecewise, from the lower
              boundary and a suffix minimum over its vertices.
 
+Every stage is held in one integer frame: each key's polygon is a
+geometry.Lifted, integer vertices over one denominator. An action's
+branches are sheared, weighed and summed in one walk over their integer
+edges (geometry.sheared_sum), so no branch rebuilds its child's vertices
+as rationals; the hull over actions and pruning run on the same integers,
+and only the root is lowered to rationals.
+
 An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
@@ -29,9 +36,15 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import AugmentationLimitError
-from .geometry import MomentPolygon, hull_of_union, minkowski_sum, prune_polygon
+from .geometry import (
+    Lifted,
+    MomentPolygon,
+    hull_lifted,
+    prune_lifted,
+    sheared_sum,
+)
 from .model import Mdp, per_node, per_state, reach
-from .rationals import Rat, ZERO
+from .rationals import Rat, ZERO, rat
 
 # Largest total size of one stage, checked before pruning: the vertices of
 # its moment polygons, or the values of its forcible sets in the game.
@@ -50,11 +63,14 @@ def check_stage_size(t: int, size: int, holders: str, items: str) -> None:
 def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dict:
     """Stage-t polygons, one per key of stage, from the stage-(t+1) layer.
 
-    Node (s, w) lives where place(s, w) = (key, base) says: its polygon is
-    S_{w-base}(layer[key]), and key[0] is s. stage maps each key to its base
-    b; the key's polygon is the hull over actions of the sums over branches
-    (s', r, pg) of pg * S_{b+r-b'}(next_layer[k']), (k', b') = place(s', b+r).
-    Each action's branch polygons are summed in one minkowski_sum call.
+    Both layers hold Lifted polygons. Node (s, w) lives where place(s, w) =
+    (key, base) says: its polygon is S_{w-base}(layer[key]), and key[0] is
+    s. stage maps each key to its base b; the key's polygon is the hull
+    over actions of the sums over branches (s', r, pg) of
+    pg * S_{b+r-b'}(next_layer[k']), (k', b') = place(s', b+r). Each
+    action's branches are sheared and summed in one walk over their
+    integer edges (sheared_sum), and the actions' sums hulled on the same
+    integers (hull_lifted).
 
     Zero-probability branches are skipped; a reachable child missing from
     next_layer raises KeyError naming (t + 1, s', b + r).
@@ -71,9 +87,9 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dic
                 child = next_layer.get(key2)
                 if child is None:
                     raise KeyError(f"missing moment set for ({t + 1}, {s2}, {w})")
-                parts.append(child.scale(pg, w - base2))
-            per_action.append(minkowski_sum(*parts))
-        out[key] = hull_of_union(per_action)
+                parts.append((child, pg, w - base2))
+            per_action.append(sheared_sum(parts))
+        out[key] = hull_lifted(per_action)
     return out
 
 
@@ -82,16 +98,17 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
 
     Stages are built backwards over the keys `reach` walks, each from the
     one after it only: one polygon per (t, state) when exact, one per
-    augmented node when pruned. With prune_eps set (nonnegative), every
-    stage-t polygon (t < horizon) is thinned right after it is computed, so
-    earlier stages build on the pruned sets. A stage whose polygons hold
-    more than MAX_STAGE_SIZE vertices in total raises
-    AugmentationLimitError.
+    augmented node when pruned. With prune_eps set (a nonnegative exact
+    rational), every stage-t polygon (t < horizon) is thinned right after
+    it is computed, so earlier stages build on the pruned sets. A stage
+    whose polygons hold more than MAX_STAGE_SIZE vertices in total raises
+    AugmentationLimitError. Every stage stays Lifted; only the root is
+    lowered to rationals.
     """
     place = per_state
     threshold_sq = None
     if prune_eps is not None:
-        prune_eps = Rat(prune_eps)
+        prune_eps = rat(prune_eps)
         if prune_eps < 0:
             raise ValueError(f"prune budget must be nonnegative: {prune_eps}")
         # A horizon-0 MDP has no stage to prune and keeps its exact point.
@@ -99,18 +116,18 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         threshold_sq = per_stage * per_stage
         place = per_node
     stages = reach(mdp, place)
-    layer = {key: MomentPolygon.point(b, b * b) for key, b in stages[-1].items()}
+    layer = {key: Lifted.sure(b) for key, b in stages[-1].items()}
     for t in reversed(range(mdp.horizon)):
         layer = backward_step(mdp, t, layer, stages[t], place)
         vertices = sum(len(poly.vertices) for poly in layer.values())
         check_stage_size(t, vertices, "moment polygons", "vertices")
         if threshold_sq is not None:
             layer = {
-                key: prune_polygon(poly, threshold_sq)
+                key: prune_lifted(poly, threshold_sq)
                 for key, poly in layer.items()
             }
     key, _ = place(mdp.initial_state, ZERO)
-    return layer[key]
+    return layer[key].lower()
 
 
 @dataclass(frozen=True)

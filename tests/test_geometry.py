@@ -56,6 +56,35 @@ def test_translate():
     assert moved.vertices == ((2, -1), (3, -1), (3, 0), (2, 0))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MomentPolygon.of([(0.1, 0.2), (1, 1)]),
+        lambda: MomentPolygon.of([(0, 0), (1, True)]),
+        lambda: MomentPolygon.point(True, 0.5),
+        lambda: MomentPolygon.point(0, 0.5),
+        lambda: SQUARE.scale(0.5),
+        lambda: SQUARE.scale(True),
+        lambda: SQUARE.scale(1, 0.5),
+        lambda: SQUARE.translate(0.25, 0),
+        lambda: SQUARE.translate(0, False),
+    ],
+    ids=["of-float", "of-bool", "point-bool", "point-float", "scale-float",
+         "scale-bool", "shift-float", "translate-float", "translate-bool"],
+)
+def test_polygons_refuse_floats_and_bools(build):
+    # 0.1 would silently become 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="exact rational"):
+        build()
+
+
+def test_polygons_take_exact_rationals_in_every_form():
+    assert MomentPolygon.point("1/2", (3, 4)) == MomentPolygon.point(
+        Rat(1, 2), Rat(3, 4)
+    )
+    assert SQUARE.scale("1/2", Rat(1, 3)) == SQUARE.scale(Rat(1, 2), "1/3")
+
+
 def test_contains():
     assert SQUARE.contains((Rat(1, 2), Rat(1, 2)))
     assert SQUARE.contains((0, 0))

@@ -3,6 +3,9 @@
 minkowski_sum, hull_of_union and prune_polygon read canonical input and
 emit canonical output without a sort or a re-hull. Each is checked here
 against MomentPolygon.of, which builds canonical form from arbitrary points.
+The backward recursion's fused kernel, sheared_sum, which shears and
+weighs each input on its integer edges, is checked against minkowski_sum
+of MomentPolygon.scale's outputs.
 Small coordinates on a coarse grid make points, segments, collinear
 vertices, parallel edges and vertical edges common. Signed coordinates over
 coprime and large denominators make each kernel's common denominator, the
@@ -17,6 +20,7 @@ vertex weights, `MomentPolygon.locate`, against an every-edge test.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -28,10 +32,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mvmdp.geometry import (  # noqa: E402
+    Lifted,
     MomentPolygon,
     hull_of_union,
+    lift,
     minkowski_sum,
     prune_polygon,
+    sheared_sum,
 )
 from mvmdp.rationals import Rat  # noqa: E402
 
@@ -125,6 +132,43 @@ def test_hull_of_union_is_the_hull_of_all_vertices(family):
         [v for poly in family for v in poly.vertices]
     )
     _assert_kernel_output(got)
+
+
+@st.composite
+def shapes(draw):
+    """A point, a segment or a polygon, on either grid."""
+    coords = draw(st.sampled_from((GRID, MIXED)))
+    size = draw(st.sampled_from((1, 2, 8)))
+    points = st.tuples(coords, coords)
+    return MomentPolygon.of(draw(st.lists(points, min_size=size, max_size=size)))
+
+
+DENOMINATORS = st.sampled_from((1, 2, 3, 7, 12, 10**9 + 7))
+POSITIVE = st.builds(Rat, st.integers(1, 12), DENOMINATORS)
+SHIFTS = st.one_of(
+    st.just(Rat(0)),
+    st.builds(Rat, st.integers(-20, 20), st.just(1)),
+    st.builds(Rat, st.integers(-20, 20), DENOMINATORS),
+)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(shapes(), POSITIVE, SHIFTS), max_size=4))
+def test_sheared_sum_is_the_sum_of_scaled_polygons(parts):
+    lifted = sheared_sum([(lift(p), w, c) for p, w, c in parts])
+    assert lifted.d > 0
+    assert math.gcd(lifted.d, *(c for v in lifted.vertices for c in v)) == 1
+    got = lifted.lower()
+    want = minkowski_sum(*(p.scale(w, c) for p, w, c in parts))
+    assert got.vertices == want.vertices
+    _assert_kernel_output(got)
+
+
+@PROPERTY
+@given(MIXED)
+def test_a_sure_reward_lifts_to_its_moment_point(b):
+    got, want = Lifted.sure(b), lift(MomentPolygon.point(b, b * b))
+    assert (got.d, got.vertices) == (want.d, want.vertices)
 
 
 BUDGETS = st.sampled_from((0, Rat(1, 16), Rat(1, 4), 1, 4))

@@ -13,7 +13,7 @@ from mvmdp.fixtures import (
     two_point_stage,
 )
 from mvmdp.frequency import min_q_over_interval
-from mvmdp.geometry import MomentPolygon, hausdorff_sq, prune_polygon
+from mvmdp.geometry import MomentPolygon, hausdorff_sq, lift, prune_polygon
 from mvmdp.lp import LpStatus
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, reach
 from mvmdp.rationals import Rat, ZERO
@@ -34,24 +34,31 @@ def _layers(mdp, place):
     """compute_pmq's unpruned stage layers under place, the horizon's first."""
     stages = reach(mdp, place)
     layers = [
-        {key: MomentPolygon.point(b, b * b)
+        {key: lift(MomentPolygon.point(b, b * b))
          for key, b in stages[mdp.horizon].items()}
     ]
     for t in reversed(range(mdp.horizon)):
         layers.append(backward_step(mdp, t, layers[-1], stages[t], place))
-    return layers
+    return [_lowered(layer) for layer in layers]
+
+
+def _lowered(layer):
+    return {key: poly.lower() for key, poly in layer.items()}
 
 
 def test_backward_step_one_shot():
     mdp = one_shot_two_arms()
-    next_layer = {(s,): MomentPolygon.point(0, 0) for s in ("s0", "end")}
-    out = backward_step(mdp, 0, next_layer, {("s0",): ZERO}, per_state)
+    next_layer = {(s,): lift(MomentPolygon.point(0, 0)) for s in ("s0", "end")}
+    out = _lowered(backward_step(mdp, 0, next_layer, {("s0",): ZERO}, per_state))
     # Arm a pins (0,0); arm b averages (0,0) and (2,4) into (1,2).
     assert out[("s0",)] == SEGMENT
     next_layer = {
-        (s, w): MomentPolygon.point(w, w * w) for s, w in augment(mdp).layer(1)
+        (s, w): lift(MomentPolygon.point(w, w * w))
+        for s, w in augment(mdp).layer(1)
     }
-    out = backward_step(mdp, 0, next_layer, {("s0", ZERO): ZERO}, per_node)
+    out = _lowered(
+        backward_step(mdp, 0, next_layer, {("s0", ZERO): ZERO}, per_node)
+    )
     assert out[("s0", 0)] == SEGMENT
 
 
@@ -312,12 +319,24 @@ def test_compute_pmq_matches_the_sort_and_hull_recursion():
 
 
 def test_compute_pmq_vertices_are_rats():
-    # The kernels run on integers over a common denominator; every
-    # coordinate they hand back must be a Rat again.
-    for mdp in corpus.integer_instances() + corpus.rational_instances():
-        for eps in (None, Rat(1, 4)):
+    # Every stage stays on integers; the root is the one place that maps
+    # back, and each of its coordinates must be a Rat again, never an int.
+    # The fixtures add roots the kernels hand through unchanged: a horizon-0
+    # point, one action, one branch.
+    fixtures = [all_zero(horizon=0), all_zero(horizon=3), one_shot_two_arms(),
+                offset_chain()]
+    mdps = corpus.integer_instances() + corpus.rational_instances() + fixtures
+    for mdp in mdps:
+        for eps in (None, 0, Rat(1, 4), 1):
             got = compute_pmq(mdp, prune_eps=eps)
-            assert all(type(c) is Rat for v in got.vertices for c in v)
+            for v in got.vertices:
+                assert all(type(c) is Rat and not isinstance(c, int) for c in v)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0, True])
+def test_compute_pmq_refuses_a_float_or_bool_budget(eps):
+    with pytest.raises(TypeError, match="exact rational"):
+        compute_pmq(offset_chain(), prune_eps=eps)
 
 
 def test_stage_vertex_cap(monkeypatch):

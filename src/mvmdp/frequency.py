@@ -52,7 +52,7 @@ from .model import (
     augment,
     played_actions,
 )
-from .rationals import Rat, ZERO, ONE
+from .rationals import Rat, ZERO, ONE, rat
 from .setdp import compute_pmq, exact_frontier
 
 
@@ -208,8 +208,8 @@ def exact_pair_feasible(
     `compute_pmq(mdp)` when the caller already holds it; left out, it is
     built here.
     """
-    mean = Rat(mean)
-    second = Rat(variance) + mean * mean
+    mean = rat(mean)
+    second = rat(variance) + mean * mean
     if polygon is None:
         polygon = compute_pmq(mdp)
     if not polygon.contains((mean, second)):
@@ -225,8 +225,8 @@ def mean_fixed_var_bounded(
     Yes iff the least variance at this mean, read off the root polygon's
     lower chain, is at most the cap; the witness attains that variance.
     """
-    mean = Rat(mean)
-    cap = Rat(variance_cap)
+    mean = rat(mean)
+    cap = rat(variance_cap)
     polygon = compute_pmq(mdp)
     second = exact_frontier(polygon).second_moment(mean)
     if second is None or second - mean * mean > cap:
@@ -328,8 +328,8 @@ def supporting_policy(mdp: Mdp, aug: AugmentedSpace, direction: tuple) -> dict:
 
 def min_q_over_interval(mdp: Mdp, lo, hi) -> tuple[LpStatus, Rat | None]:
     """Smallest achievable second moment with the mean confined to [lo, hi]."""
-    lo = Rat(lo)
-    hi = Rat(hi)
+    lo = rat(lo)
+    hi = rat(hi)
     if lo > hi:
         raise ValueError("empty interval")
     sk = _skeleton(mdp)

@@ -32,7 +32,7 @@ from .model import (
     per_state,
     reach,
 )
-from .rationals import Rat, ZERO, ONE
+from .rationals import Rat, ZERO, ONE, rat
 from .setdp import check_stage_size, compute_pmq, exact_frontier
 
 DEFAULT_POLICY_CAP = 10**6
@@ -381,8 +381,8 @@ def class_feasibility(
     """
     if grid_resolution < 1:
         raise ValueError("grid resolution must be at least 1")
-    lam = Rat(mean_floor)
-    cap = Rat(variance_cap)
+    lam = rat(mean_floor)
+    cap = rat(variance_cap)
     if class_tag in ("TS", "TSW", "TS_U"):
         grid = class_tag == "TS_U"
         walk = _DecisionWalk(mdp, class_tag, grid_resolution if grid else 1)

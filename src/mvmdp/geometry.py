@@ -7,29 +7,27 @@ meaningful and keeps every operation deterministic. Degenerate polygons with
 one vertex (a point) or two (a segment) are first-class citizens; the
 backward recursion produces them constantly.
 
+All coordinates are exact rationals, held on integers: a MomentPolygon's
+vertex i is points[i] / d, over the least common denominator d of its
+coordinates, which shares no factor with all of them. That frame is
+canonical, so equality and hashing compare (d, points), and the rational
+vertices are built only when something reads them. Scaling by a positive
+d keeps lexicographic order, the sign of every cross product and the
+order of every squared distance, so the kernels below run on the integers
+and skip the gcd normalization that every rational operation pays.
+Distances appear only in squared form, which keeps every comparison
+rational as well.
+
 MomentPolygon.of builds canonical form from arbitrary points with a sort
-and a monotone chain. The operations of the backward recursion instead rely
+and a monotone chain. The kernels of the backward recursion instead rely
 on canonical input and emit canonical output directly: sheared_sum shears,
 weighs and sums polygons by sorting all their edges by angle and walking
-them once, hull_lifted merges the inputs' lexicographic vertex runs, and
-prune_lifted keeps a subset of the vertices in their cyclic order. None of
-them re-hulls, and only sheared_sum sorts: each input's edges arrive as
-one sorted run, which the sort merges.
-
-All coordinates are exact rationals. Distances appear only in squared form,
-which keeps every comparison rational as well. The three kernels run on
-Lifted polygons: integer vertices over one positive denominator d, with
-the factor d shares with every coordinate divided out, so the integers
-stay no larger than the rational form. Scaling by a positive d keeps
-lexicographic order, equality, the sign of every cross product and the
-order of every squared distance, so each kernel returns the same polygon
-as it would on the rationals themselves, while its loops skip the gcd
-normalization that every rational operation pays. The backward recursion
-(setdp) holds every stage Lifted and lowers only its root to rationals.
-minkowski_sum, hull_of_union and prune_polygon are the same kernels on
-MomentPolygons: lift, run, lower. MomentPolygon's constructors, scale and
-translate take exact rationals only (rationals.rat) and refuse floats and
-bools.
+them once (minkowski_sum is its unit-weight, unsheared case),
+hull_of_union merges the inputs' lexicographic vertex runs, and
+prune_polygon keeps a subset of the vertices in their cyclic order. None
+of them re-hulls, and only sheared_sum sorts: each input's edges arrive
+as one sorted run, which the sort merges. Every numeric argument a caller
+passes is coerced by rationals.rat, which refuses floats and bools.
 """
 
 from __future__ import annotations
@@ -38,9 +36,8 @@ import functools
 import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .rationals import ONE, Rat, ZERO, rat
+from .rationals import Rat, ZERO, rat
 
 
 def _cross(o, a, b) -> Rat:
@@ -72,22 +69,81 @@ def _hull(points) -> list:
     return lower[:-1] + upper[:-1] or lower
 
 
-@dataclass(frozen=True)
 class MomentPolygon:
-    """Convex polygon in canonical form. Build through of() or point()."""
+    """Convex polygon in canonical form, vertex i at points[i] / d. Build
+    through of(), point() or sure(); the kernels build the rest.
 
-    vertices: tuple
+    d is positive and shares no factor with every coordinate at once.
+    vertices (the Rat pairs), unless the constructor is given them, and
+    edges are built on first read and then kept: the backward recursion
+    sums one child polygon into every branch that reaches it, and reads no
+    stage's rationals.
+    """
+
+    __slots__ = ("d", "points", "_vertices", "_edges")
+
+    def __init__(self, d: int, points: tuple, vertices: tuple | None = None):
+        self.d = d
+        self.points = points
+        self._vertices = vertices
+        self._edges = None
+
+    def __eq__(self, other):
+        if not isinstance(other, MomentPolygon):
+            return NotImplemented
+        return self.d == other.d and self.points == other.points
+
+    def __hash__(self):
+        return hash((self.d, self.points))
+
+    def __repr__(self):
+        return f"MomentPolygon.of({list(self.vertices)!r})"
 
     @staticmethod
-    def of(points) -> "MomentPolygon":
+    def _framed(vertices) -> MomentPolygon:
+        """The polygon with these canonical Rat vertices, on integers over
+        their least common denominator, which shares no factor with all of
+        them."""
+        vertices = tuple(vertices)
+        d = math.lcm(*(int(c.denominator) for v in vertices for c in v))
+        return MomentPolygon(d, tuple(
+            (int(x.numerator) * (d // int(x.denominator)),
+             int(y.numerator) * (d // int(y.denominator)))
+            for x, y in vertices
+        ), vertices)
+
+    @staticmethod
+    def of(points) -> MomentPolygon:
         pts = [(rat(x), rat(y)) for x, y in points]
-        return MomentPolygon(tuple(_hull(pts)))
+        return MomentPolygon._framed(_hull(pts))
 
     @staticmethod
-    def point(x, y) -> "MomentPolygon":
-        return MomentPolygon(((rat(x), rat(y)),))
+    def point(x, y) -> MomentPolygon:
+        return MomentPolygon._framed(((rat(x), rat(y)),))
 
-    def scale(self, alpha, shift=0) -> "MomentPolygon":
+    @staticmethod
+    def sure(b) -> MomentPolygon:
+        """The moment point (b, b^2) of the sure reward b: over m^2 when
+        b = n/m in lowest terms, which shares no factor with n m and n^2."""
+        n, m = int(b.numerator), int(b.denominator)
+        return MomentPolygon(m * m, ((n * m, n * n),))
+
+    @property
+    def vertices(self) -> tuple:
+        if self._vertices is None:
+            d = self.d
+            self._vertices = tuple(
+                (Rat(x, d), Rat(y, d)) for x, y in self.points
+            )
+        return self._vertices
+
+    @property
+    def edges(self) -> list:
+        if self._edges is None:
+            self._edges = _edges(self.points)
+        return self._edges
+
+    def scale(self, alpha, shift=0) -> MomentPolygon:
         """alpha * S_shift(self); the shear S_c(m, q) = (m + c, q + 2cm + c^2)
         adds c to every reward and, like scaling, keeps canonical form."""
         alpha = rat(alpha)
@@ -99,14 +155,13 @@ class MomentPolygon:
         vs = self.vertices
         if shift:
             vs = [(x + shift, y + (2 * x + shift) * shift) for x, y in vs]
-        return MomentPolygon(tuple((alpha * x, alpha * y) for x, y in vs))
+        return MomentPolygon._framed((alpha * x, alpha * y) for x, y in vs)
 
-    def translate(self, dx, dy) -> "MomentPolygon":
+    def translate(self, dx, dy) -> MomentPolygon:
         dx = rat(dx)
         dy = rat(dy)
-        return MomentPolygon(
-            tuple((x + dx, y + dy) for x, y in self.vertices)
-        )
+        vs = self.vertices
+        return MomentPolygon._framed((x + dx, y + dy) for x, y in vs)
 
     def contains(self, point) -> bool:
         return self.locate(point) is not None
@@ -119,7 +174,7 @@ class MomentPolygon:
         vertices[0]: (0, k - 1, k), found by bisection over the fan's rays,
         which turn counterclockwise. A point or a segment is its own face.
         """
-        p = (Rat(point[0]), Rat(point[1]))
+        p = (rat(point[0]), rat(point[1]))
         vs = self.vertices
         if len(vs) == 1:
             return (0,) if p == vs[0] else None
@@ -190,64 +245,14 @@ class MomentPolygon:
         return chain
 
 
-class Lifted:
-    """A canonical polygon held on integers: vertex i is vertices[i] / d.
-
-    d is positive and shares no factor with every coordinate at once, so
-    these integers are no larger than the numerators of the polygon's
-    common-denominator form. edges is _edges(vertices), built on first use
-    and then kept, because the backward recursion sums one child polygon
-    into every branch that reaches it.
-    """
-
-    __slots__ = ("d", "vertices", "_edges")
-
-    def __init__(self, d: int, vertices: list):
-        self.d = d
-        self.vertices = vertices
-        self._edges = None
-
-    @staticmethod
-    def sure(b) -> "Lifted":
-        """The moment point (b, b^2) of the sure reward b: over m^2 when
-        b = n/m in lowest terms, which shares no factor with n m and n^2."""
-        n, m = int(b.numerator), int(b.denominator)
-        return Lifted(m * m, [(n * m, n * n)])
-
-    @property
-    def edges(self) -> list:
-        if self._edges is None:
-            self._edges = _edges(self.vertices)
-        return self._edges
-
-    def lower(self) -> MomentPolygon:
-        """The same polygon on rationals."""
-        d = self.d
-        return MomentPolygon(
-            tuple((Rat(x, d), Rat(y, d)) for x, y in self.vertices)
-        )
-
-
-def lift(poly: MomentPolygon) -> Lifted:
-    """poly on integers over the least common denominator of its
-    coordinates, which shares no factor with all of them."""
-    vs = poly.vertices
-    d = math.lcm(*(int(c.denominator) for v in vs for c in v))
-    return Lifted(d, [
-        (int(x.numerator) * (d // int(x.denominator)),
-         int(y.numerator) * (d // int(y.denominator)))
-        for x, y in vs
-    ])
-
-
-def _reduced(d: int, points: list) -> Lifted:
-    """Lifted(d, points) with the common factor of d and every coordinate
-    divided out."""
+def _reduced(d: int, points: list) -> MomentPolygon:
+    """The canonical polygon with vertices points / d, once the factor d
+    shares with every coordinate is divided out."""
     g = math.gcd(d, *(c for v in points for c in v))
     if g > 1:
         d //= g
         points = [(x // g, y // g) for x, y in points]
-    return Lifted(d, points)
+    return MomentPolygon(d, tuple(points))
 
 
 def _edges(vs) -> list:
@@ -279,10 +284,10 @@ def _turn_order(u, v) -> int:
 _BY_ANGLE = functools.cmp_to_key(_turn_order)
 
 
-def sheared_sum(parts) -> Lifted:
+def sheared_sum(parts) -> MomentPolygon:
     """The Minkowski sum of weight * S_shift(poly) over the (poly, weight,
-    shift) parts: poly Lifted, weight a positive rational and shift a
-    rational. No part gives the sum's identity, the point (0, 0).
+    shift) parts: weight a positive rational and shift a rational. No
+    part gives the sum's identity, the point (0, 0).
 
     S_c(m, q) = (m + c, q + 2cm + c^2) adds c to every reward. On an edge
     it is linear, (dx, dy) -> (dx, dy + 2c dx), with determinant 1, so it
@@ -305,14 +310,14 @@ def sheared_sum(parts) -> Lifted:
         terms.append((int(weight.denominator) * poly.d * b * b, poly,
                       int(weight.numerator), a, b))
     if not terms:
-        return Lifted(1, [(0, 0)])
+        return MomentPolygon(1, ((0, 0),))
     d = math.lcm(*(term[0] for term in terms))
     x = y = 0
     edges: list = []
     for den, poly, p, a, b in terms:
         k = d // den * p
         kb = k * b
-        x0, y0 = poly.vertices[0]
+        x0, y0 = poly.points[0]
         x += kb * (b * x0 + a * poly.d)
         y += k * (b * (b * y0 + 2 * a * x0) + a * a * poly.d)
         kbb, a2 = kb * b, 2 * a
@@ -331,8 +336,8 @@ def sheared_sum(parts) -> Lifted:
     return _reduced(d, points)
 
 
-def hull_lifted(polys) -> Lifted:
-    """Convex hull of the union of Lifted polygons, in canonical form.
+def hull_of_union(polys) -> MomentPolygon:
+    """Convex hull of the union of polygons, in canonical form.
 
     A canonical polygon climbs in lexicographic order from vertices[0] to
     its lex-max vertex, along its lower boundary and any vertical right
@@ -352,7 +357,7 @@ def hull_lifted(polys) -> Lifted:
     descents = []
     for poly in polys:
         k = d // poly.d
-        vs = poly.vertices
+        vs = poly.points
         if k != 1:
             vs = [(k * x, k * y) for x, y in vs]
         n = 1
@@ -366,22 +371,13 @@ def hull_lifted(polys) -> Lifted:
 
 
 def minkowski_sum(*polys: MomentPolygon) -> MomentPolygon:
-    """Minkowski sum of any number of canonical polygons; exact, and linear
-    in their edges apart from one sort (see sheared_sum). A single input is
-    its own sum, and a call with no input returns the point (0, 0).
+    """Minkowski sum of any number of canonical polygons: sheared_sum with
+    unit weights and no shear. A single input is its own sum, and a call
+    with no input returns the point (0, 0).
     """
     if len(polys) == 1:
         return polys[0]
-    return sheared_sum((lift(p), ONE, ZERO) for p in polys).lower()
-
-
-def hull_of_union(polys) -> MomentPolygon:
-    """Convex hull of the union of canonical polygons, in canonical form
-    (see hull_lifted). A single input is its own hull."""
-    polys = list(polys)
-    if len(polys) == 1:
-        return polys[0]
-    return hull_lifted([lift(p) for p in polys]).lower()
+    return sheared_sum((poly, 1, 0) for poly in polys)
 
 
 def point_segment_dist_sq(p, a, b) -> Rat:
@@ -428,7 +424,7 @@ def hausdorff_sq(p: MomentPolygon, q: MomentPolygon) -> Rat:
     return max(directed_hausdorff_sq(p, q), directed_hausdorff_sq(q, p))
 
 
-def prune_lifted(poly: Lifted, max_err_sq) -> Lifted:
+def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     """Greedy inner approximation: drop vertices while every dropped original
     vertex stays within the given squared Hausdorff distance of the result.
 
@@ -440,12 +436,12 @@ def prune_lifted(poly: Lifted, max_err_sq) -> Lifted:
     original's, so it is contained in the original and only the
     original-to-pruned direction can be positive.
     """
-    pts = poly.vertices
+    pts = poly.points
     n = len(pts)
     if n <= 2:
         return poly
     # Costs run on the integers, so they and the budget carry d^2.
-    budget = Rat(max_err_sq) * poly.d * poly.d
+    budget = rat(max_err_sq) * poly.d * poly.d
     nxt = list(range(1, n)) + [0]
     prv = [n - 1] + list(range(n - 1))
     alive = [True] * n
@@ -495,10 +491,3 @@ def prune_lifted(poly: Lifted, max_err_sq) -> Lifted:
         kept.append(pts[i])
         i = nxt[i]
     return _reduced(poly.d, kept)
-
-
-def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
-    """prune_lifted on a MomentPolygon: the same vertex subset."""
-    if len(poly.vertices) <= 2:
-        return poly
-    return prune_lifted(lift(poly), max_err_sq).lower()

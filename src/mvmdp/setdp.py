@@ -16,12 +16,11 @@ achieve, and variance questions become one-dimensional optimizations over it:
     v*(m0) = min variance subject to mean >= m0: piecewise, from the lower
              boundary and a suffix minimum over its vertices.
 
-Every stage is held in one integer frame: each key's polygon is a
-geometry.Lifted, integer vertices over one denominator. An action's
-branches are sheared, weighed and summed in one walk over their integer
-edges (geometry.sheared_sum), so no branch rebuilds its child's vertices
-as rationals; the hull over actions and pruning run on the same integers,
-and only the root is lowered to rationals.
+An action's branches are sheared, weighed and summed in one walk over
+their children's edges (geometry.sheared_sum), and the actions' sums
+hulled (geometry.hull_of_union). These and pruning (geometry.prune_polygon)
+run on the integer frame every MomentPolygon holds, so no stage builds
+rationals; only the root's vertices are built, when the caller reads them.
 
 An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
@@ -36,13 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import AugmentationLimitError
-from .geometry import (
-    Lifted,
-    MomentPolygon,
-    hull_lifted,
-    prune_lifted,
-    sheared_sum,
-)
+from .geometry import MomentPolygon, hull_of_union, prune_polygon, sheared_sum
 from .model import Mdp, per_node, per_state, reach
 from .rationals import Rat, ZERO, rat
 
@@ -63,14 +56,11 @@ def check_stage_size(t: int, size: int, holders: str, items: str) -> None:
 def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dict:
     """Stage-t polygons, one per key of stage, from the stage-(t+1) layer.
 
-    Both layers hold Lifted polygons. Node (s, w) lives where place(s, w) =
-    (key, base) says: its polygon is S_{w-base}(layer[key]), and key[0] is
-    s. stage maps each key to its base b; the key's polygon is the hull
-    over actions of the sums over branches (s', r, pg) of
-    pg * S_{b+r-b'}(next_layer[k']), (k', b') = place(s', b+r). Each
-    action's branches are sheared and summed in one walk over their
-    integer edges (sheared_sum), and the actions' sums hulled on the same
-    integers (hull_lifted).
+    Node (s, w) lives where place(s, w) = (key, base) says: its polygon
+    is S_{w-base}(layer[key]), and key[0] is s. stage maps each key to its
+    base b; the key's polygon is the hull over actions (hull_of_union) of
+    the sums over branches (s', r, pg) of pg * S_{b+r-b'}(next_layer[k']),
+    (k', b') = place(s', b+r), each action's in one sheared_sum.
 
     Zero-probability branches are skipped; a reachable child missing from
     next_layer raises KeyError naming (t + 1, s', b + r).
@@ -89,7 +79,7 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dic
                     raise KeyError(f"missing moment set for ({t + 1}, {s2}, {w})")
                 parts.append((child, pg, w - base2))
             per_action.append(sheared_sum(parts))
-        out[key] = hull_lifted(per_action)
+        out[key] = hull_of_union(per_action)
     return out
 
 
@@ -102,8 +92,8 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     rational), every stage-t polygon (t < horizon) is thinned right after
     it is computed, so earlier stages build on the pruned sets. A stage
     whose polygons hold more than MAX_STAGE_SIZE vertices in total raises
-    AugmentationLimitError. Every stage stays Lifted; only the root is
-    lowered to rationals.
+    AugmentationLimitError. No stage builds its rationals, so the root's
+    vertices are the only ones built, when the caller reads them.
     """
     place = per_state
     threshold_sq = None
@@ -116,18 +106,18 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         threshold_sq = per_stage * per_stage
         place = per_node
     stages = reach(mdp, place)
-    layer = {key: Lifted.sure(b) for key, b in stages[-1].items()}
+    layer = {key: MomentPolygon.sure(b) for key, b in stages[-1].items()}
     for t in reversed(range(mdp.horizon)):
         layer = backward_step(mdp, t, layer, stages[t], place)
-        vertices = sum(len(poly.vertices) for poly in layer.values())
+        vertices = sum(len(poly.points) for poly in layer.values())
         check_stage_size(t, vertices, "moment polygons", "vertices")
         if threshold_sq is not None:
             layer = {
-                key: prune_lifted(poly, threshold_sq)
+                key: prune_polygon(poly, threshold_sq)
                 for key, poly in layer.items()
             }
     key, _ = place(mdp.initial_state, ZERO)
-    return layer[key].lower()
+    return layer[key]
 
 
 @dataclass(frozen=True)
@@ -171,7 +161,7 @@ class ExactFrontier:
     def second_moment(self, m) -> Rat | None:
         """The boundary's q at mean m: the least second moment of any policy
         with mean exactly m; None when no policy has mean m."""
-        m = Rat(m)
+        m = rat(m)
         if not self.lam_min <= m <= self.lam_max:
             return None
         i = bisect_left(self.chain, m, key=lambda v: v[0])
@@ -190,7 +180,7 @@ class ExactFrontier:
     def argmin(self, lam) -> tuple | None:
         """(v(lam), (m, q)): an achievable pair with m >= lam attaining
         v(lam); None past the largest achievable mean."""
-        lam = Rat(lam)
+        lam = rat(lam)
         if lam > self.lam_max:
             return None
         if lam <= self.lam_min:

@@ -3,6 +3,13 @@ from collections import Counter
 
 import pytest
 
+from mvmdp.fixtures import offset_chain
+from mvmdp.frequency import (
+    exact_pair_feasible,
+    mean_fixed_var_bounded,
+    min_q_over_interval,
+)
+from mvmdp.games import class_feasibility
 from mvmdp.geometry import (
     MomentPolygon,
     directed_hausdorff_sq,
@@ -14,6 +21,7 @@ from mvmdp.geometry import (
     prune_polygon,
 )
 from mvmdp.rationals import Rat
+from mvmdp.setdp import exact_frontier
 
 SQUARE = MomentPolygon.of([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -76,6 +84,61 @@ def test_polygons_refuse_floats_and_bools(build):
     # 0.1 would silently become 3602879701896397/36028797018963968.
     with pytest.raises(TypeError, match="exact rational"):
         build()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SQUARE.contains((0.1, 0.1)),
+        lambda: SQUARE.locate((0, True)),
+        lambda: prune_polygon(SQUARE, 0.5),
+        lambda: prune_polygon(SQUARE, False),
+    ],
+    ids=["contains-float", "locate-bool", "prune-float", "prune-bool"],
+)
+def test_polygon_queries_refuse_floats_and_bools(call):
+    with pytest.raises(TypeError, match="exact rational"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: f.second_moment(0.5),
+        lambda f: f.second_moment(True),
+        lambda f: f.argmin(0.25),
+        lambda f: f.value(False),
+    ],
+    ids=["second-float", "second-bool", "argmin-float", "value-bool"],
+)
+def test_exact_frontier_refuses_floats_and_bools(call):
+    with pytest.raises(TypeError, match="exact rational"):
+        call(exact_frontier(SQUARE))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mdp: exact_pair_feasible(mdp, 0.5, 0),
+        lambda mdp: exact_pair_feasible(mdp, 0, True),
+        lambda mdp: mean_fixed_var_bounded(mdp, 0.5, 1),
+        lambda mdp: mean_fixed_var_bounded(mdp, 0, 1.0),
+        lambda mdp: min_q_over_interval(mdp, 0.1, 1),
+        lambda mdp: min_q_over_interval(mdp, 0, True),
+    ],
+    ids=["pair-mean-float", "pair-variance-bool", "fixed-mean-float",
+         "fixed-cap-float", "interval-lo-float", "interval-hi-bool"],
+)
+def test_frequency_queries_refuse_floats_and_bools(call):
+    with pytest.raises(TypeError, match="exact rational"):
+        call(offset_chain())
+
+
+@pytest.mark.parametrize("tag", ["TS", "TSW", "TS_U", "TSW_U"])
+@pytest.mark.parametrize("floor, cap", [(0.5, 1), (0, 0.5), (True, 1)])
+def test_class_feasibility_refuses_floats_and_bools(tag, floor, cap):
+    with pytest.raises(TypeError, match="exact rational"):
+        class_feasibility(offset_chain(), tag, floor, cap)
 
 
 def test_polygons_take_exact_rationals_in_every_form():

@@ -1,16 +1,16 @@
 """Property tests for the canonical-form polygon kernel.
 
-minkowski_sum, hull_of_union and prune_polygon read canonical input and
-emit canonical output without a sort or a re-hull. Each is checked here
-against MomentPolygon.of, which builds canonical form from arbitrary points.
-The backward recursion's fused kernel, sheared_sum, which shears and
-weighs each input on its integer edges, is checked against minkowski_sum
-of MomentPolygon.scale's outputs.
+sheared_sum (with minkowski_sum, its unit-weight case), hull_of_union and
+prune_polygon read canonical input and emit canonical output without a
+sort or a re-hull. Each is checked here against MomentPolygon.of, which
+builds canonical form from arbitrary points: sheared_sum against the hull
+of the sums of its parts' weighted, sheared vertices. Every output must
+hold the reduced integer frame that MomentPolygon.of builds, since
+equality and hashing compare that frame.
 Small coordinates on a coarse grid make points, segments, collinear
 vertices, parallel edges and vertical edges common. Signed coordinates over
 coprime and large denominators make each kernel's common denominator, the
-one it lifts its input onto to run on integers, large and different for
-every input.
+one its integers run over, large and different for every input.
 
 The direction behind each witness's vertex policies,
 `MomentPolygon.inner_normal`, is checked here too: over a canonical
@@ -32,10 +32,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mvmdp.geometry import (  # noqa: E402
-    Lifted,
     MomentPolygon,
     hull_of_union,
-    lift,
     minkowski_sum,
     prune_polygon,
     sheared_sum,
@@ -95,10 +93,13 @@ any_family = st.one_of(families(GRID), families(MIXED))
 
 
 def _assert_kernel_output(poly):
-    """Canonical, with every coordinate a Rat: no int of a kernel's integer
-    frame leaks out."""
+    """Canonical, in the reduced integer frame, with every vertex
+    coordinate a Rat: no int of that frame leaks out."""
+    assert poly.d > 0
+    assert math.gcd(poly.d, *(c for v in poly.points for c in v)) == 1
     assert all(type(c) is Rat for v in poly.vertices for c in v)
-    assert MomentPolygon.of(poly.vertices) == poly
+    want = MomentPolygon.of(poly.vertices)
+    assert (want.d, want.points) == (poly.d, poly.points)
 
 
 WEIGHTS = st.sampled_from((1, Rat(1, 2), Rat(2, 3)))
@@ -155,11 +156,16 @@ SHIFTS = st.one_of(
 @PROPERTY
 @given(st.lists(st.tuples(shapes(), POSITIVE, SHIFTS), max_size=4))
 def test_sheared_sum_is_the_sum_of_scaled_polygons(parts):
-    lifted = sheared_sum([(lift(p), w, c) for p, w, c in parts])
-    assert lifted.d > 0
-    assert math.gcd(lifted.d, *(c for v in lifted.vertices for c in v)) == 1
-    got = lifted.lower()
-    want = minkowski_sum(*(p.scale(w, c) for p, w, c in parts))
+    got = sheared_sum(parts)
+    # A sum of convex polygons is the hull of its vertex sums, so the parts
+    # are folded in one at a time: w * S_c(m, q) = w (m + c, q + 2cm + c^2).
+    want = MomentPolygon.point(0, 0)
+    for poly, w, c in parts:
+        want = MomentPolygon.of(
+            (x + w * (m + c), y + w * (q + (2 * m + c) * c))
+            for x, y in want.vertices
+            for m, q in poly.vertices
+        )
     assert got.vertices == want.vertices
     _assert_kernel_output(got)
 
@@ -167,8 +173,36 @@ def test_sheared_sum_is_the_sum_of_scaled_polygons(parts):
 @PROPERTY
 @given(MIXED)
 def test_a_sure_reward_lifts_to_its_moment_point(b):
-    got, want = Lifted.sure(b), lift(MomentPolygon.point(b, b * b))
-    assert (got.d, got.vertices) == (want.d, want.vertices)
+    got, want = MomentPolygon.sure(b), MomentPolygon.point(b, b * b)
+    assert (got.d, got.points) == (want.d, want.points)
+    assert got.vertices == want.vertices
+
+
+def _rebuilt(poly):
+    """poly again, through every constructor and kernel."""
+    return [
+        MomentPolygon.of(reversed(poly.vertices)),
+        poly.scale(3).scale(Rat(1, 3)),
+        poly.scale(1, Rat(1, 7)).scale(1, Rat(-1, 7)),
+        poly.translate(1, Rat(1, 2)).translate(-1, Rat(-1, 2)),
+        sheared_sum([(poly, Rat(1, 2), 0), (poly, Rat(1, 2), 0)]),
+        sheared_sum([(poly.scale(1, Rat(-1, 3)), 1, Rat(1, 3))]),
+        minkowski_sum(poly, MomentPolygon.point(0, 0)),
+        hull_of_union([poly, poly]),
+        prune_polygon(poly, 0),
+    ]
+
+
+@PROPERTY
+@given(any_polygon, any_polygon)
+def test_polygons_are_equal_exactly_when_their_vertices_are(p, q):
+    # Equality and hashing compare the integer frame, which is canonical.
+    for a, b in [(p, q), (p, p.scale(2))] + [(p, r) for r in _rebuilt(p)]:
+        assert (a == b) is (a.vertices == b.vertices)
+        if a == b:
+            assert hash(a) == hash(b)
+    for r in _rebuilt(p):
+        assert r == p
 
 
 BUDGETS = st.sampled_from((0, Rat(1, 16), Rat(1, 4), 1, 4))
@@ -192,7 +226,7 @@ def test_pruned_polygons_are_canonical(poly, budget):
 )
 def test_pruning_commutes_with_scaling_and_translation(poly, budget, k, u, v):
     # Distances scale by k and the vertex order is kept, so the same
-    # vertices are dropped whatever common denominator each side lifts to.
+    # vertices are dropped whatever common denominator each side runs over.
     moved = poly.scale(k).translate(u, v)
     assert prune_polygon(moved, k * k * budget) == (
         prune_polygon(poly, budget).scale(k).translate(u, v)

@@ -13,7 +13,7 @@ from mvmdp.fixtures import (
     two_point_stage,
 )
 from mvmdp.frequency import min_q_over_interval
-from mvmdp.geometry import MomentPolygon, hausdorff_sq, lift, prune_polygon
+from mvmdp.geometry import MomentPolygon, hausdorff_sq, prune_polygon
 from mvmdp.lp import LpStatus
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, reach
 from mvmdp.rationals import Rat, ZERO
@@ -34,31 +34,25 @@ def _layers(mdp, place):
     """compute_pmq's unpruned stage layers under place, the horizon's first."""
     stages = reach(mdp, place)
     layers = [
-        {key: lift(MomentPolygon.point(b, b * b))
+        {key: MomentPolygon.point(b, b * b)
          for key, b in stages[mdp.horizon].items()}
     ]
     for t in reversed(range(mdp.horizon)):
         layers.append(backward_step(mdp, t, layers[-1], stages[t], place))
-    return [_lowered(layer) for layer in layers]
-
-
-def _lowered(layer):
-    return {key: poly.lower() for key, poly in layer.items()}
+    return layers
 
 
 def test_backward_step_one_shot():
     mdp = one_shot_two_arms()
-    next_layer = {(s,): lift(MomentPolygon.point(0, 0)) for s in ("s0", "end")}
-    out = _lowered(backward_step(mdp, 0, next_layer, {("s0",): ZERO}, per_state))
+    next_layer = {(s,): MomentPolygon.point(0, 0) for s in ("s0", "end")}
+    out = backward_step(mdp, 0, next_layer, {("s0",): ZERO}, per_state)
     # Arm a pins (0,0); arm b averages (0,0) and (2,4) into (1,2).
     assert out[("s0",)] == SEGMENT
     next_layer = {
-        (s, w): lift(MomentPolygon.point(w, w * w))
+        (s, w): MomentPolygon.point(w, w * w)
         for s, w in augment(mdp).layer(1)
     }
-    out = _lowered(
-        backward_step(mdp, 0, next_layer, {("s0", ZERO): ZERO}, per_node)
-    )
+    out = backward_step(mdp, 0, next_layer, {("s0", ZERO): ZERO}, per_node)
     assert out[("s0", 0)] == SEGMENT
 
 
@@ -319,8 +313,8 @@ def test_compute_pmq_matches_the_sort_and_hull_recursion():
 
 
 def test_compute_pmq_vertices_are_rats():
-    # Every stage stays on integers; the root is the one place that maps
-    # back, and each of its coordinates must be a Rat again, never an int.
+    # Every stage stays on integers; the root's vertices are built from
+    # them, and each of its coordinates must be a Rat, never an int.
     # The fixtures add roots the kernels hand through unchanged: a horizon-0
     # point, one action, one branch.
     fixtures = [all_zero(horizon=0), all_zero(horizon=3), one_shot_two_arms(),
@@ -331,6 +325,28 @@ def test_compute_pmq_vertices_are_rats():
             got = compute_pmq(mdp, prune_eps=eps)
             for v in got.vertices:
                 assert all(type(c) is Rat and not isinstance(c, int) for c in v)
+
+
+def test_compute_pmq_builds_rationals_for_the_root_only(monkeypatch):
+    # No stage reads its vertices, so the returned root is the only polygon
+    # whose Rat pairs get built, exact or pruned.
+    built = []
+    read = MomentPolygon.vertices.fget
+
+    def counted(poly):
+        if poly._vertices is None:
+            built.append(poly)
+        return read(poly)
+
+    monkeypatch.setattr(MomentPolygon, "vertices", property(counted))
+    mdps = corpus.integer_instances(8) + corpus.rational_instances(4)
+    for mdp in mdps + [offset_chain(), one_shot_two_arms()]:
+        for eps in (None, Rat(1, 4)):
+            built.clear()
+            root = compute_pmq(mdp, prune_eps=eps)
+            assert built == []
+            assert len(root.vertices) == len(root.points)
+            assert built == [root]
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.0, True])

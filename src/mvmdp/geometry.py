@@ -74,18 +74,18 @@ class MomentPolygon:
     through of(), point() or sure(); the kernels build the rest.
 
     d is positive and shares no factor with every coordinate at once.
-    vertices (the Rat pairs), unless the constructor is given them, and
-    edges are built on first read and then kept: the backward recursion
+    vertices (the Rat pairs) and edges are built on first read and then
+    kept: the backward recursion
     sums one child polygon into every branch that reaches it, and reads no
     stage's rationals.
     """
 
     __slots__ = ("d", "points", "_vertices", "_edges")
 
-    def __init__(self, d: int, points: tuple, vertices: tuple | None = None):
+    def __init__(self, d: int, points: tuple):
         self.d = d
         self.points = points
-        self._vertices = vertices
+        self._vertices = None
         self._edges = None
 
     def __eq__(self, other):
@@ -110,7 +110,7 @@ class MomentPolygon:
             (int(x.numerator) * (d // int(x.denominator)),
              int(y.numerator) * (d // int(y.denominator)))
             for x, y in vertices
-        ), vertices)
+        ))
 
     @staticmethod
     def of(points) -> MomentPolygon:
@@ -436,12 +436,13 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     original's, so it is contained in the original and only the
     original-to-pruned direction can be positive.
     """
+    budget = rat(max_err_sq)
     pts = poly.points
     n = len(pts)
     if n <= 2:
         return poly
     # Costs run on the integers, so they and the budget carry d^2.
-    budget = rat(max_err_sq) * poly.d * poly.d
+    budget *= poly.d * poly.d
     nxt = list(range(1, n)) + [0]
     prv = [n - 1] + list(range(n - 1))
     alive = [True] * n

@@ -93,8 +93,13 @@ def test_polygons_refuse_floats_and_bools(build):
         lambda: SQUARE.locate((0, True)),
         lambda: prune_polygon(SQUARE, 0.5),
         lambda: prune_polygon(SQUARE, False),
+        lambda: prune_polygon(MomentPolygon.point(0, 0), 0.5),
+        lambda: prune_polygon(MomentPolygon.of([(0, 0), (1, 1)]), True),
     ],
-    ids=["contains-float", "locate-bool", "prune-float", "prune-bool"],
+    ids=[
+        "contains-float", "locate-bool", "prune-float", "prune-bool",
+        "prune-point-float", "prune-segment-bool",
+    ],
 )
 def test_polygon_queries_refuse_floats_and_bools(call):
     with pytest.raises(TypeError, match="exact rational"):

@@ -5,9 +5,9 @@ rendering of the same value. Decision subcommands (feasible-pair,
 feasible-mean-var, oracle, zero-variance) use the exit code as the answer:
 0 = yes / feasible, 1 = no / infeasible, 2 = bad input, a cap hit or an
 internal engine disagreement. The size caps are fixed constants of the
-library, not flags (see "caps:" in the help). Tolerance flags on `frontier`
-accept floats with a warning; everywhere else numeric flags must be exact
-rationals like 3, -2, or 7/4.
+library, not flags (see "caps:" in the help). Numeric flags are read by
+`rationals.rat` in its one grammar, exact rationals like 3, -2, or 7/4;
+only the tolerance flags on `frontier` also accept floats, with a warning.
 
 Only errors, model, rationals and serialize load with this module. Each
 subcommand's handler imports the engines it calls, so `validate` never
@@ -21,7 +21,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 
 from . import __version__
@@ -32,14 +31,12 @@ from .errors import (
     InputFormatError,
 )
 from .model import Mdp, POLICY_CLASSES, PolicySpec
-from .rationals import BACKEND, Rat, rat_str, rationalize_float
+from .rationals import BACKEND, RATIONAL_TEXT, Rat, rat, rat_str, rationalize_float
 from .serialize import dumps, loads
 
 OK = 0
 NO = 1
 BAD = 2
-
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 FORMATS = """\
 formats:
@@ -94,20 +91,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_exact(text: str, flag: str) -> Rat:
     """p/q only; floats are an error here so answers stay exact."""
-    if not _RATIONAL.match(text):
-        raise _UsageError(
-            f"{flag} needs an exact rational like 3, -2, or 7/4, got {text!r}"
-        )
-    num, _, den = text.partition("/")
-    if den:
-        if int(den) == 0:
-            raise _UsageError(f"{flag} has denominator zero: {text!r}")
-        return Rat(int(num), int(den))
-    return Rat(int(num))
+    if not RATIONAL_TEXT.match(text):
+        raise _UsageError(f"{flag} needs an exact rational like 3, -2, or 7/4, got {text!r}")
+    try:
+        return rat(text)
+    except ZeroDivisionError:
+        raise _UsageError(f"{flag} has denominator zero: {text!r}") from None
 
 
 def _parse_tolerance(text: str, flag: str) -> Rat:
-    if _RATIONAL.match(text):
+    if RATIONAL_TEXT.match(text):
         return _parse_exact(text, flag)
     try:
         value = float(text)
@@ -163,7 +156,7 @@ def _emit_json(payload, args) -> None:
 
 
 def _num(value) -> dict:
-    return {"pq": rat_str(value), "float": float(Rat(value))}
+    return {"pq": rat_str(value), "float": float(value)}
 
 
 def _policy_json(policy: PolicySpec) -> dict:

@@ -212,9 +212,10 @@ def exact_pair_feasible(
     second = rat(variance) + mean * mean
     if polygon is None:
         polygon = compute_pmq(mdp)
-    if not polygon.contains((mean, second)):
+    face = polygon.locate((mean, second))
+    if face is None:
         return False, None
-    return True, _moment_witness(mdp, polygon, mean, second)
+    return True, _moment_witness(mdp, polygon, face, mean, second)
 
 
 def mean_fixed_var_bounded(
@@ -231,19 +232,21 @@ def mean_fixed_var_bounded(
     second = exact_frontier(polygon).second_moment(mean)
     if second is None or second - mean * mean > cap:
         return False, None
-    return True, _moment_witness(mdp, polygon, mean, second)
+    face = polygon.locate((mean, second))
+    return True, _moment_witness(mdp, polygon, face, mean, second)
 
 
 def _moment_witness(
-    mdp: Mdp, polygon: MomentPolygon, mean: Rat, second: Rat
+    mdp: Mdp, polygon: MomentPolygon, face: tuple | None, mean: Rat, second: Rat
 ) -> FrequencyVector:
     """Occupation measure of a policy whose terminal moments are exactly
     (mean, second), a point of polygon: a mixture of at most three
     vertex policies.
 
-    A three-row LP over the vertices of the polygon triangle that holds
-    the point (`_vertex_weights`; a point or a segment is its own face)
-    gives the weights alpha. Each vertex of positive weight is attained by
+    face is what `MomentPolygon.locate` found for the point: the polygon
+    triangle that holds it, or the point or segment that is its own face.
+    A three-row LP over the face's vertices (`_vertex_weights`) gives the
+    weights alpha. Each vertex of positive weight is attained by
     the deterministic policy `supporting_policy` finds for its direction
     `MomentPolygon.inner_normal`, and z = sum alpha * (its occupation
     measure), one forward walk per policy. Occupation measures are linear
@@ -251,7 +254,7 @@ def _moment_witness(
     target moments. An LP that finds the point infeasible, or a mixture
     that misses the target, raises EngineDisagreementError.
     """
-    face, sol = _vertex_weights(polygon, mean, second)
+    sol = _vertex_weights(polygon, face, mean, second)
     if sol.status is not LpStatus.OPTIMAL:
         raise EngineDisagreementError(
             f"moment polygon and occupation LP disagree: the polygon holds "
@@ -273,9 +276,11 @@ def _moment_witness(
     return z
 
 
-def _vertex_weights(polygon: MomentPolygon, mean: Rat, second: Rat) -> tuple:
-    """(face, alpha): weights alpha >= 0 on the vertices of the face that
-    `MomentPolygon.locate` finds for (mean, second), with sum alpha = 1 and
+def _vertex_weights(
+    polygon: MomentPolygon, face: tuple | None, mean: Rat, second: Rat
+) -> LpSolution:
+    """Weights alpha >= 0 on the vertices of face, the face that
+    `MomentPolygon.locate` found for (mean, second), with sum alpha = 1 and
     sum alpha * vertex = (mean, second). A standard-form LP gives them:
     one column per face vertex and these three rows.
 
@@ -288,13 +293,13 @@ def _vertex_weights(polygon: MomentPolygon, mean: Rat, second: Rat) -> tuple:
     outside the polygon has no face, and its LP no column.
     """
     vs = polygon.vertices
-    face = polygon.locate((mean, second)) or ()
+    face = face or ()
     prob = LpProblem(num_vars=len(face))
     prob.add_row({j: ONE for j in range(len(face))}, ONE)
     prob.add_row({j: vs[i][0] for j, i in enumerate(face)}, mean)
     prob.add_row({j: vs[i][1] for j, i in enumerate(face)}, second)
     basis = {0: 0, 1: 1, 2: 2} if len(face) == 3 else None
-    return face, solve(prob, initial_basis=basis)
+    return solve(prob, initial_basis=basis)
 
 
 def supporting_policy(mdp: Mdp, aug: AugmentedSpace, direction: tuple) -> dict:

@@ -32,7 +32,7 @@ from .model import (
     per_state,
     reach,
 )
-from .rationals import Rat, ZERO, ONE, rat
+from .rationals import Rat, ZERO, ONE, is_integer, rat
 from .setdp import check_stage_size, compute_pmq, exact_frontier
 
 DEFAULT_POLICY_CAP = 10**6
@@ -376,9 +376,13 @@ def class_feasibility(
     is decided exactly by the root moment polygon's frontier, which gives
     the least variance at mean >= mean_floor and a point (m, q) attaining
     it; exact_pair_feasible at that point gives the witness. A
-    grid_resolution below 1 raises ValueError for every class, before any
-    search.
+    grid_resolution that is not an int, or is below 1, raises ValueError
+    for every class, before any search.
     """
+    if not is_integer(grid_resolution):
+        raise ValueError(
+            f"grid resolution must be an integer, got {grid_resolution!r}"
+        )
     if grid_resolution < 1:
         raise ValueError("grid resolution must be at least 1")
     lam = rat(mean_floor)
@@ -419,8 +423,11 @@ def class_feasibility(
 def gen_subset_sum(values) -> Mdp:
     """Walk instance: one fair coin step to an absorbing exit, else a chain
     where step i adds or subtracts values[i]. Forcing total 0 surely needs
-    the exit branch's 0 and a sign assignment balancing the values."""
-    values = [int(v) for v in values]
+    the exit branch's 0 and a sign assignment balancing the values, which
+    must be positive ints (anything else raises ValueError)."""
+    values = list(values)
+    if not all(map(is_integer, values)):
+        raise ValueError(f"values must be integers, got {values!r}")
     if not values:
         raise ValueError("need at least one value")
     if any(v <= 0 for v in values):
@@ -459,7 +466,8 @@ def gen_subset_sum(values) -> Mdp:
 
 def gen_3sat(clauses) -> Mdp:
     """Satisfiability instance over signed integer literals (3 per clause,
-    shorter clauses padded by repeating the last literal).
+    shorter clauses padded by repeating the last literal); a literal that
+    is not a nonzero int raises ValueError.
 
     One uniform draw sends the process to an absorbing exit or to a clause;
     at a clause, picking a literal pays its sign; at the literal's variable,
@@ -469,7 +477,9 @@ def gen_3sat(clauses) -> Mdp:
     """
     padded = []
     for clause in clauses:
-        lits = [int(l) for l in clause]
+        lits = list(clause)
+        if not all(map(is_integer, lits)):
+            raise ValueError(f"literals must be integers, got {clause!r}")
         if not lits or len(lits) > 3:
             raise ValueError("clauses need one to three literals")
         if any(l == 0 for l in lits):

@@ -437,6 +437,8 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     original-to-pruned direction can be positive.
     """
     budget = rat(max_err_sq)
+    if budget < 0:
+        raise ValueError(f"prune budget must be nonnegative: {budget}")
     pts = poly.points
     n = len(pts)
     if n <= 2:

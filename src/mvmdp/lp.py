@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .rationals import Rat, ZERO, ONE
+from .rationals import Rat, ZERO, ONE, rat
 
 
 class LpStatus(Enum):
@@ -54,7 +54,7 @@ class LpProblem:
     rows: list = field(default_factory=list)  # (coeffs: dict var->Rat, rhs: Rat)
 
     def add_row(self, coeffs: dict, rhs) -> None:
-        self.rows.append(({j: Rat(c) for j, c in coeffs.items()}, Rat(rhs)))
+        self.rows.append(({j: rat(c) for j, c in coeffs.items()}, rat(rhs)))
 
     def check(self) -> None:
         for coeffs in [self.objective] + [coeffs for coeffs, _ in self.rows]:

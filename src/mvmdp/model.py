@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import AugmentationLimitError, PolicyCoverageError
-from .rationals import Rat, ZERO, rat
+from .rationals import Rat, ZERO, ONE, is_integer, rat
 
 POLICY_CLASSES = ("TS", "TS_U", "TSW", "TSW_U")
 RANDOMIZED_CLASSES = ("TS_U", "TSW_U")
@@ -108,11 +108,13 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
     one reward pmf per step and (state, action) pair, declared or keyed by a
     stationary entry; it is checked before anything is expanded.
     """
+    if not is_integer(horizon):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     states = tuple(states)
     actions = {s: tuple(acts) for s, acts in actions.items()}
     pairs = {(s, a) for s, acts in actions.items() for a in acts}
     pairs.update(k for table in (transitions, rewards) for k in table if len(k) == 2)
-    rows = 2 * int(horizon) * len(pairs)
+    rows = 2 * horizon * len(pairs)
     if rows > DEFAULT_NODE_CAP:
         raise ValueError(
             f"horizon {horizon} with {len(pairs)} (state, action) pairs gives "
@@ -124,7 +126,9 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
         for key, row in table.items():
             if len(key) == 3:
                 t, s, a = key
-                steps = (int(t),)
+                if not is_integer(t):
+                    raise ValueError(f"{what} step must be an integer, got {t!r}")
+                steps = (t,)
             elif len(key) == 2:
                 s, a = key
                 steps = range(horizon)
@@ -146,7 +150,7 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
     rewards = expand(
         rewards, lambda pmf: {rat(v): rat(p) for v, p in pmf.items()}, "rewards"
     )
-    return Mdp(int(horizon), states, initial_state, actions, transitions, rewards)
+    return Mdp(horizon, states, initial_state, actions, transitions, rewards)
 
 
 @dataclass(frozen=True)
@@ -296,6 +300,8 @@ class PolicySpec:
 
     rule keys are (t, s) for TS/TS_U and (t, s, w) for TSW/TSW_U; values are an
     action name (deterministic classes) or {action: probability} (randomized).
+    A randomized rule's probabilities enter through `rationals.rat`, here and
+    only here, so a float or bool raises TypeError.
     """
 
     policy_class: str
@@ -304,6 +310,9 @@ class PolicySpec:
     def __post_init__(self):
         if self.policy_class not in POLICY_CLASSES:
             raise ValueError(f"unknown policy class {self.policy_class!r}")
+        if self.randomized:
+            rule = {k: {a: rat(p) for a, p in c.items()} for k, c in self.rule.items()}
+            object.__setattr__(self, "rule", rule)
 
     @property
     def randomized(self) -> bool:
@@ -324,7 +333,7 @@ class PolicySpec:
             ) from None
         if self.randomized:
             return choice
-        return {choice: Rat(1)}
+        return {choice: ONE}
 
 
 def check_policy(mdp: Mdp, policy: PolicySpec) -> list[Violation]:
@@ -376,7 +385,7 @@ class PolicyEvaluation:
 
 def evaluate_policy(mdp: Mdp, policy: PolicySpec) -> PolicyEvaluation:
     """Exact forward propagation of the joint (state, cumulative reward) law."""
-    dist: dict[tuple[str, Rat], Rat] = {(mdp.initial_state, ZERO): Rat(1)}
+    dist: dict[tuple[str, Rat], Rat] = {(mdp.initial_state, ZERO): ONE}
     for t in range(mdp.horizon):
         nxt: dict[tuple[str, Rat], Rat] = {}
         for (s, w), mass in dist.items():

@@ -4,11 +4,16 @@ Everything numeric in this package is an exact rational. `Rat` is gmpy2's mpq
 when available (about an order of magnitude faster) and fractions.Fraction
 otherwise; the two interoperate and agree on normalization, ordering, equality
 and hashing, so either backend yields identical results.
+
+`rat` is the one door for a caller's number: this module alone decides what
+an exact number is. Text must match RATIONAL_TEXT, an optional sign, digits
+and an optional /digits, before any integer is built; floats and bools are
+refused.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from fractions import Fraction
 
 try:
@@ -22,6 +27,8 @@ except ImportError:  # gmpy2 is an optional extra (pip install mvmdp[gmpy2])
 ZERO = Rat(0)
 ONE = Rat(1)
 
+RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+
 
 def is_integer(value) -> bool:
     """True for an int that is not a bool (JSON true reads as bool)."""
@@ -29,23 +36,33 @@ def is_integer(value) -> bool:
 
 
 def rat(value, den=None):
-    """Coerce to Rat. Accepts ints, Rat/Fraction, 'p/q' strings, [num, den] pairs."""
+    """Coerce to Rat: ints, Rat/Fraction, [num, den] integer pairs, and
+    'p' or 'p/q' text (RATIONAL_TEXT; anything else raises ValueError).
+    Floats and bools raise TypeError, a zero denominator ZeroDivisionError.
+    rat(value, den) is rat(value) / rat(den)."""
     if den is not None:
-        return Rat(value) / Rat(den)
+        return rat(value) / rat(den)
+    if type(value) is Rat:
+        return value
+    if isinstance(value, str):
+        if not RATIONAL_TEXT.match(value):
+            raise ValueError(f"not an exact rational like 3, -2 or 7/4: {value!r}")
+        num, _, den = value.partition("/")
+        if den and not int(den):
+            raise ZeroDivisionError(f"denominator zero: {value!r}")
+        return Rat(int(num), int(den or 1))
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {value!r}; pass an exact rational")
     if isinstance(value, (list, tuple)):
         if len(value) != 2 or not all(map(is_integer, value)):
             raise ValueError(f"rational pair must be two integers, got {value!r}")
         return Rat(value[0]) / Rat(value[1])
-    if isinstance(value, (float, bool)):
-        raise TypeError(f"refusing {value!r}; pass an exact rational")
-    if isinstance(value, str):
-        return Rat(Fraction(value.strip()))
     return Rat(value)
 
 
 def rat_str(value) -> str:
     """Render as 'p' or 'p/q'."""
-    value = Rat(value)
+    value = rat(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -53,19 +70,11 @@ def rat_str(value) -> str:
 
 def rat_pair(value) -> list:
     """[numerator, denominator] with positive denominator, for JSON."""
-    value = Rat(value)
+    value = rat(value)
     return [int(value.numerator), int(value.denominator)]
-
-
-def floor_multiple(value, step):
-    """Largest integer multiple of step that is <= value (step > 0)."""
-    step = Rat(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return Rat(math.floor(Rat(value) / step)) * step
 
 
 def rationalize_float(x: float):
     """Nearest rational with denominator at most 10^6 (continued-fraction
-    truncation)."""
-    return Rat(Fraction(x).limit_denominator(10**6))
+    truncation). Only a float or an int: text goes through rat."""
+    return Rat(Fraction.from_float(x).limit_denominator(10**6))

@@ -46,8 +46,7 @@ def _entry_key(entry: dict, what: str) -> tuple:
 
 
 def _parse_pair(value, what: str):
-    # Only pairs: rat would also read strings, and "1e999999999" is too
-    # large to build.
+    # Only pairs, because that is the format: rat would also read "p/q" text.
     if not isinstance(value, list):
         raise InputFormatError(f"bad rational in {what}: {value!r} (not a pair)")
     try:

@@ -174,7 +174,12 @@ class ExactFrontier:
     def min_second_moment(self, lo, hi) -> Rat | None:
         """Least second moment of any policy with mean in [lo, hi]; None
         when no policy has such a mean. The chain is convex, so that is the
-        chain at its lowest vertex clamped into the interval."""
+        chain at its lowest vertex clamped into the interval. lo > hi
+        raises ValueError."""
+        lo = rat(lo)
+        hi = rat(hi)
+        if lo > hi:
+            raise ValueError("empty interval")
         return self.second_moment(min(max(self.lowest, lo), hi))
 
     def argmin(self, lam) -> tuple | None:

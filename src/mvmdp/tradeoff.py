@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .model import Mdp
-from .rationals import Rat, ZERO, floor_multiple, rat, rat_str
+from .rationals import Rat, ZERO, rat, rat_str
 from .setdp import compute_pmq, exact_frontier
 
 # Largest grid a frontier query may build; the step is set by the
@@ -115,6 +115,14 @@ class MeanCurve:
         return best
 
 
+def _tolerances(epsilon, nu) -> tuple:
+    """(epsilon, nu) as exact rationals; a nonpositive one raises ValueError."""
+    eps, slack = rat(epsilon), rat(nu)
+    if eps <= 0 or slack <= 0:
+        raise ValueError("epsilon and nu must be positive")
+    return eps, slack
+
+
 def _grid_cells(mdp: Mdp, epsilon, nu, square):
     """The grid both curves share: (bound, step, grid, qhat, cells).
 
@@ -125,10 +133,7 @@ def _grid_cells(mdp: Mdp, epsilon, nu, square):
     ValueError. When every reward is zero the grid is the one point 0, with
     no cells.
     """
-    eps = rat(epsilon)
-    slack = rat(nu)
-    if eps <= 0 or slack <= 0:
-        raise ValueError("epsilon and nu must be positive")
+    eps, slack = _tolerances(epsilon, nu)
     bound = mdp.mean_bound
     if bound == ZERO:
         return ZERO, slack, (ZERO,), (), ()
@@ -233,7 +238,7 @@ def discretize_rewards(mdp: Mdp, delta) -> Mdp:
     for key, pmf in mdp.rewards.items():
         merged: dict = {}
         for value, prob in pmf.items():
-            snapped = floor_multiple(value, step)
+            snapped = value // step * step
             merged[snapped] = merged.get(snapped, ZERO) + prob
         rewards[key] = merged
     return replace(mdp, rewards=rewards)
@@ -255,10 +260,7 @@ def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
     v* on a grid half as fine, so this pipeline stays only as the paper's
     general-reward algorithm.
     """
-    eps = rat(epsilon)
-    slack = rat(nu)
-    if eps <= 0 or slack <= 0:
-        raise ValueError("epsilon and nu must be positive")
+    eps, slack = _tolerances(epsilon, nu)
     if not mdp.integer_rewards():
         horizon = mdp.horizon
         step = min(

@@ -508,3 +508,38 @@ def test_searched_classes_match_the_policy_by_policy_scan():
     assert True in verdicts and False in verdicts
     assert len(compared & set(range(60))) == 60
     assert len(compared - set(range(60))) >= 10
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_subset_sum([Rat(29, 10), 3]),
+        lambda: gen_subset_sum([2.9, 3]),
+        lambda: gen_subset_sum([True, 3]),
+        lambda: gen_3sat([(1.7, 2, 3)]),
+        lambda: gen_3sat([(1, 2, False)]),
+    ],
+    ids=["subset-rat", "subset-float", "subset-bool", "3sat-float", "3sat-bool"],
+)
+def test_generators_refuse_non_integers(build):
+    # int() would build the chain with the value 2, and read the literal 1.
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+@pytest.mark.parametrize("resolution", [True, 2.0, "4"])
+def test_grid_resolution_must_be_an_integer(resolution, monkeypatch):
+    # True would search at resolution 1; checked for every class before any
+    # search, as a resolution below 1 is.
+    walks = []
+    walk = games._DecisionWalk
+    monkeypatch.setattr(
+        games, "_DecisionWalk", lambda *args: walks.append(args) or walk(*args)
+    )
+    mdp = one_shot_two_arms()
+    for tag in ("TS", "TSW", "TS_U", "TSW_U"):
+        with pytest.raises(ValueError, match="grid resolution must be an integer"):
+            class_feasibility(mdp, tag, 0, 1, grid_resolution=resolution)
+    with pytest.raises(ValueError, match="grid resolution must be an integer"):
+        class_separation_report(mdp, 0, 1, grid_resolution=resolution)
+    assert walks == []

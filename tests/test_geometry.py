@@ -113,8 +113,13 @@ def test_polygon_queries_refuse_floats_and_bools(call):
         lambda f: f.second_moment(True),
         lambda f: f.argmin(0.25),
         lambda f: f.value(False),
+        # Both ends, not only the one the clamp keeps.
+        lambda f: f.min_second_moment(2, 2.5),
+        lambda f: f.min_second_moment(0.5, Rat(3, 4)),
+        lambda f: f.min_second_moment(0, True),
     ],
-    ids=["second-float", "second-bool", "argmin-float", "value-bool"],
+    ids=["second-float", "second-bool", "argmin-float", "value-bool",
+         "interval-hi-float", "interval-lo-float", "interval-hi-bool"],
 )
 def test_exact_frontier_refuses_floats_and_bools(call):
     with pytest.raises(TypeError, match="exact rational"):
@@ -380,3 +385,21 @@ def test_prune_is_an_inner_approximation():
         assert set(pruned.vertices) <= set(poly.vertices)
         assert directed_hausdorff_sq(pruned, poly) == 0
         assert directed_hausdorff_sq(poly, pruned) <= budget
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [SQUARE, MomentPolygon.point(0, 0), MomentPolygon.of([(0, 0), (1, 1)])],
+    ids=["square", "point", "segment"],
+)
+def test_prune_polygon_refuses_a_negative_budget(poly):
+    # compute_pmq refuses a negative budget with the same message.
+    with pytest.raises(ValueError, match="prune budget must be nonnegative"):
+        prune_polygon(poly, -1)
+
+
+def test_min_second_moment_refuses_an_empty_interval():
+    # As min_q_over_interval does; the clamp would answer 0.
+    with pytest.raises(ValueError, match="empty interval"):
+        exact_frontier(SQUARE).min_second_moment(3, 1)
+    assert exact_frontier(SQUARE).min_second_moment("1/2", "1/2") == 0

@@ -299,3 +299,21 @@ def test_skeleton_runs_do_not_share_tableau_state():
         for a, b in zip(first, again):
             assert a.status is b.status
             assert (a.value, a.x) == (b.value, b.x)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rhs",
+    [({0: 0.1}, 1), ({0: 1}, 0.5), ({0: True}, 1), ({0: 1}, False)],
+    ids=["coefficient-float", "rhs-float", "coefficient-bool", "rhs-bool"],
+)
+def test_rows_refuse_floats_and_bools(coeffs, rhs):
+    # 0.1 would be stored as 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="exact rational"):
+        LpProblem(num_vars=1).add_row(coeffs, rhs)
+
+
+def test_rows_take_exact_rationals_in_every_form():
+    prob = LpProblem(num_vars=2)
+    prob.add_row({0: "1/3", 1: [2, 4]}, 2)
+    assert prob.rows == [({0: Rat(1, 3), 1: Rat(1, 2)}, Rat(2))]
+    assert all(type(c) is Rat for c in prob.rows[0][0].values())

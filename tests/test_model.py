@@ -352,3 +352,35 @@ def test_make_mdp_refuses_oversized_dynamics_before_expanding(monkeypatch):
         build(3, extra=("ghost",))
     with pytest.raises(ValueError, match="20 dynamics rows, above the cap 16"):
         build(5)
+
+
+@pytest.mark.parametrize("use", [evaluate_policy, check_policy])
+@pytest.mark.parametrize("probs", [(0.3, 0.7), (True, 0)], ids=["float", "bool"])
+def test_policy_probabilities_refuse_floats_and_bools(use, probs):
+    # At 0.3/0.7 the mean would be the float 0.7 and the variance
+    # 0.9099999999999999, and check_policy would pass the policy.
+    rule = {(0, "s0"): dict(zip("ab", probs))}
+    with pytest.raises(TypeError, match="exact rational"):
+        use(one_shot_two_arms(), PolicySpec("TS_U", rule))
+
+
+def test_policy_probabilities_enter_as_exact_rationals():
+    mdp = one_shot_two_arms()
+    policy = PolicySpec("TS_U", {(0, "s0"): {"a": "3/10", "b": [7, 10]}})
+    assert all(type(p) is Rat for p in policy.rule[(0, "s0")].values())
+    assert check_policy(mdp, policy) == []
+    res = evaluate_policy(mdp, policy)
+    assert (res.mean, res.variance) == (rat(7, 10), rat(91, 100))
+
+
+@pytest.mark.parametrize(
+    "horizon, step",
+    [(1, 0.5), (1, True), (True, 0), (1.0, 0)],
+    ids=["step-float", "step-bool", "horizon-bool", "horizon-float"],
+)
+def test_make_mdp_refuses_non_integer_horizons_and_steps(horizon, step):
+    # int() would read step 0.5 as 0 and horizon True as 1, and both MDPs
+    # would validate clean.
+    key = (step, "s", "a")
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_mdp(horizon, ["s"], "s", {"s": ["a"]}, {key: {"s": 1}}, {key: {0: 1}})

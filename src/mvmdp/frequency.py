@@ -151,7 +151,7 @@ class PolytopeSkeleton:
         prob = LpProblem(
             num_vars=self.num_vars + extra_vars,
             objective=objective or {},
-            rows=list(self.rows),
+            rows=self.rows,
         )
         for coeffs, rhs in extra_rows or []:
             prob.add_row(coeffs, rhs)

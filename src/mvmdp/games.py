@@ -138,8 +138,9 @@ class _DecisionWalk:
     moment, from one depth-first walk instead of one evaluation per policy.
 
     The points are the keys `reach` walks with `per_state` ((t, state), for
-    TS and TS_U) or `per_node` ((t, state, reward), for TSW), sorted by
-    stage, then state order, then reward. A point with k actions has
+    TS and TS_U) or `per_node` ((t, state, reward), for TSW, the reward
+    built as a Rat from `reach`'s integer), sorted by stage, then state
+    order, then reward. A point with k actions has
     C(resolution + k - 1, k - 1) options: its actions (k, at resolution 1)
     or its TS_U grid vectors, each kept as its positive entries (action
     index, c) for probability c / resolution. Their product is checked
@@ -204,7 +205,10 @@ class _DecisionWalk:
                     for a in acts
                 ]
                 entries.append((len(self.points), 3 * i, sums, options))
-                self.points.append((t,) + key)
+                if place is per_node:
+                    self.points.append((t, s, Rat(key[1], mdp.reward_den)))
+                else:
+                    self.points.append((t, s))
                 self.chosen.append(options[0])
             self.stages.append(entries)
 
@@ -276,12 +280,13 @@ class _DecisionWalk:
 
 
 def _branch_sums(mdp: Mdp, t: int, s, a, base, place, slot, resolution) -> list:
-    """Action a's branches (s', r, pg) at (t, s) grouped by the next stage's
-    slot, as (slot, g0, g1, 2 g1, g2) with gi = sum pg r^i / resolution;
+    """Action a's branches (s', R, r, pg) at (t, s) grouped by the next
+    stage's slot, the one of key place(s', base + R) (`reach`'s integer
+    rewards), as (slot, g0, g1, 2 g1, g2) with gi = sum pg r^i / resolution;
     with slot None every branch goes to the terminal pair at 0."""
     grouped: dict = {}
-    for s2, r, pg in mdp.branches(t, s, a):
-        k = 0 if slot is None else slot[place(s2, base + r)[0]]
+    for s2, step, r, pg in mdp.int_branches(t, s, a):
+        k = 0 if slot is None else slot[place(s2, base + step)[0]]
         sums = grouped.setdefault(k, [ZERO, ZERO, ZERO])
         sums[0] += pg
         sums[1] += pg * r

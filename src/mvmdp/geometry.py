@@ -26,8 +26,12 @@ them once (minkowski_sum is its unit-weight, unsheared case),
 hull_of_union merges the inputs' lexicographic vertex runs, and
 prune_polygon keeps a subset of the vertices in their cyclic order. None
 of them re-hulls, and only sheared_sum sorts: each input's edges arrive
-as one sorted run, which the sort merges. Every numeric argument a caller
-passes is coerced by rationals.rat, which refuses floats and bools.
+as one sorted run, which the sort merges. prune_polygon builds no
+rational: every distance it measures is to one chord, so it is an integer
+numerator over the chord's squared length (_scaled_dist_sq, which
+point_segment_dist_sq shares), compared by cross-multiplying. Every
+numeric argument a caller passes is coerced by rationals.rat, which
+refuses floats and bools.
 """
 
 from __future__ import annotations
@@ -122,10 +126,13 @@ class MomentPolygon:
         return MomentPolygon._framed(((rat(x), rat(y)),))
 
     @staticmethod
-    def sure(b) -> MomentPolygon:
-        """The moment point (b, b^2) of the sure reward b: over m^2 when
-        b = n/m in lowest terms, which shares no factor with n m and n^2."""
-        n, m = int(b.numerator), int(b.denominator)
+    def sure(b, den: int = 1) -> MomentPolygon:
+        """The moment point (w, w^2) of the sure reward w = b / den, b an
+        exact rational or an int and den a positive int: over m^2 when
+        w = n/m in lowest terms, which shares no factor with n m and n^2."""
+        n, m = int(b.numerator), int(b.denominator) * den
+        g = math.gcd(n, m)
+        n, m = n // g, m // g
         return MomentPolygon(m * m, ((n * m, n * n),))
 
     @property
@@ -380,26 +387,35 @@ def minkowski_sum(*polys: MomentPolygon) -> MomentPolygon:
     return sheared_sum((poly, 1, 0) for poly in polys)
 
 
-def point_segment_dist_sq(p, a, b) -> Rat:
-    """Squared distance from p to the segment ab (the point a when a == b).
+def _scaled_dist_sq(p, a, b, dx, dy, length):
+    """length times the squared distance from p to the segment ab, where
+    (dx, dy) = b - a and length is |b - a|^2, or 1 when a == b.
 
-    With e = p - a and d = b - a, the nearest point is a when e.d <= 0, b
-    when e.d >= |d|^2, and otherwise the foot of the perpendicular, at
-    squared distance cross(e, d)^2 / |d|^2 (Lagrange's identity turns the
-    projection formula into this). The quotient is built as a Rat, so the
-    result is exact for int coordinates too.
+    With e = p - a, the nearest point is a when e.(dx, dy) <= 0, b when
+    e.(dx, dy) >= length, and otherwise the foot of the perpendicular, at
+    squared distance cross(e, (dx, dy))^2 / length (Lagrange's identity
+    turns the projection formula into this). So every distance to one
+    segment is a numerator over the same length, and integer coordinates
+    give an integer.
     """
     ex, ey = p[0] - a[0], p[1] - a[1]
-    dx, dy = b[0] - a[0], b[1] - a[1]
     dot = ex * dx + ey * dy
     if dot <= 0:
-        return ex * ex + ey * ey
-    length_sq = dx * dx + dy * dy
-    if dot >= length_sq:
+        return (ex * ex + ey * ey) * length
+    if dot >= length:
         fx, fy = p[0] - b[0], p[1] - b[1]
-        return fx * fx + fy * fy
+        return (fx * fx + fy * fy) * length
     cross = ex * dy - ey * dx
-    return Rat(cross * cross, length_sq)
+    return cross * cross
+
+
+def point_segment_dist_sq(p, a, b) -> Rat:
+    """Squared distance from p to the segment ab (the point a when a == b),
+    as a Rat: _scaled_dist_sq over the segment's squared length, so the
+    result is exact for int coordinates too."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    length = dx * dx + dy * dy or 1
+    return rat(_scaled_dist_sq(p, a, b, dx, dy, length)) / length
 
 
 def point_polygon_dist_sq(p, poly: MomentPolygon) -> Rat:
@@ -424,6 +440,23 @@ def hausdorff_sq(p: MomentPolygon, q: MomentPolygon) -> Rat:
     return max(directed_hausdorff_sq(p, q), directed_hausdorff_sq(q, p))
 
 
+class _Cost:
+    """The exact cost num / length of a heap entry, ordered by
+    cross-multiplying; compared only when two entries' float keys tie."""
+
+    __slots__ = ("num", "length")
+
+    def __init__(self, num: int, length: int):
+        self.num = num
+        self.length = length
+
+    def __eq__(self, other):
+        return self.num * other.length == other.num * self.length
+
+    def __lt__(self, other):
+        return self.num * other.length < other.num * self.length
+
+
 def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     """Greedy inner approximation: drop vertices while every dropped original
     vertex stays within the given squared Hausdorff distance of the result.
@@ -435,6 +468,12 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     certificate stays sound. The result's vertex set is a subset of the
     original's, so it is contained in the original and only the
     original-to-pruned direction can be positive.
+
+    The cheapest vertex goes first, ties to the lowest index. A vertex's
+    cost is measured against one chord, so it is one integer numerator over
+    the chord's squared length (_scaled_dist_sq), and it is compared with
+    the budget by cross-multiplying; no rational is built. A vertex over
+    the budget is not queued until a neighbor's removal changes its cost.
     """
     budget = rat(max_err_sq)
     if budget < 0:
@@ -443,48 +482,53 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     n = len(pts)
     if n <= 2:
         return poly
-    # Costs run on the integers, so they and the budget carry d^2.
-    budget *= poly.d * poly.d
+    # Costs run on the integers, so they carry d^2: num / length is within
+    # the budget when num * den <= cap * length.
+    cap = int(budget.numerator) * poly.d * poly.d
+    den = int(budget.denominator)
     nxt = list(range(1, n)) + [0]
     prv = [n - 1] + list(range(n - 1))
     alive = [True] * n
     version = [0] * n
     # original points charged to the surviving edge (i, nxt[i])
     edge_load: list = [[] for _ in range(n)]
+    heap: list = []
 
-    def cost(i) -> Rat:
+    def push(i):
         a, b = pts[prv[i]], pts[nxt[i]]
-        worst = point_segment_dist_sq(pts[i], a, b)
-        for p in edge_load[prv[i]]:
-            dist = point_segment_dist_sq(p, a, b)
-            if dist > worst:
-                worst = dist
-        for p in edge_load[i]:
-            dist = point_segment_dist_sq(p, a, b)
-            if dist > worst:
-                worst = dist
-        return worst
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        length = dx * dx + dy * dy or 1
+        worst = _scaled_dist_sq(pts[i], a, b, dx, dy, length)
+        for load in (edge_load[prv[i]], edge_load[i]):
+            for p in load:
+                dist = _scaled_dist_sq(p, a, b, dx, dy, length)
+                if dist > worst:
+                    worst = dist
+        over, limit = worst * den, cap * length
+        if over <= limit:
+            # cost / budget, correctly rounded into [0, 1], orders the heap;
+            # the exact cost breaks ties between equal floats.
+            key = over / limit if limit else 0.0
+            heapq.heappush(heap, (key, _Cost(worst, length), i, version[i]))
 
-    heap = []
     for i in range(n):
-        heapq.heappush(heap, (cost(i), i, 0))
+        push(i)
     remaining = n
     while heap and remaining > 1:
-        err, i, stamp = heapq.heappop(heap)
+        _, _, i, stamp = heapq.heappop(heap)
         if not alive[i] or stamp != version[i]:
             continue
-        if err > budget:
-            break
         p, q = prv[i], nxt[i]
         alive[i] = False
         remaining -= 1
-        edge_load[p] = edge_load[p] + edge_load[i] + [pts[i]]
+        edge_load[p].extend(edge_load[i])
+        edge_load[p].append(pts[i])
         edge_load[i] = []
         nxt[p], prv[q] = q, p
         if p != q:
             for j in (p, q):
                 version[j] += 1
-                heapq.heappush(heap, (cost(j), j, version[j]))
+                push(j)
     # The kept vertices are strictly convex and in CCW order already; the
     # walk starts at the lex-min one to make them canonical.
     start = min((k for k in range(n) if alive[k]), key=pts.__getitem__)

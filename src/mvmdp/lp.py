@@ -53,6 +53,14 @@ class LpProblem:
     objective: dict = field(default_factory=dict)  # sparse var -> Rat
     rows: list = field(default_factory=list)  # (coeffs: dict var->Rat, rhs: Rat)
 
+    def __post_init__(self):
+        # The constructor is a door too: the objective and every row given
+        # enter through rat, so floats and bools raise TypeError.
+        self.objective = {j: rat(c) for j, c in self.objective.items()}
+        rows, self.rows = self.rows, []
+        for coeffs, rhs in rows:
+            self.add_row(coeffs, rhs)
+
     def add_row(self, coeffs: dict, rhs) -> None:
         self.rows.append(({j: rat(c) for j, c in coeffs.items()}, rat(rhs)))
 

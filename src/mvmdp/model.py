@@ -15,12 +15,18 @@ Policies come in four classes, named by what the decision rule may observe:
 
 All probabilities and rewards are exact rationals; evaluation is exact.
 `reach` is the one forward reachability walk: over augmented (state,
-cumulative reward) nodes for `augment`, or over (t, state) pairs alone.
+cumulative reward) nodes for `augment`, or over (t, state) pairs alone. It
+walks rewards as integers: each positive-probability reward is an integer
+numerator over the MDP's reward denominator D (`Mdp.reward_den`, the least
+common denominator of those rewards), so a node's cumulative reward W / D
+is carried as W, and sums of rewards are sums of integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AugmentationLimitError, PolicyCoverageError
 from .rationals import Rat, ZERO, ONE, is_integer, rat
@@ -50,6 +56,9 @@ class Mdp:
     _branches: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _int_branches: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def branches(self, t: int, s: str, a: str) -> tuple:
         """Positive-probability branches of the factored kernel at (t, s, a).
@@ -70,6 +79,32 @@ class Mdp:
                 for r, g in pmf
             )
             self._branches[key] = out
+        return out
+
+    @cached_property
+    def reward_den(self) -> int:
+        """D: the least common denominator of the positive-probability
+        reward values (1 if none), computed once."""
+        return math.lcm(*(
+            int(value.denominator)
+            for pmf in self.rewards.values()
+            for value, prob in pmf.items()
+            if prob > 0
+        ))
+
+    def int_branches(self, t: int, s: str, a: str) -> tuple:
+        """branches(t, s, a) with each reward also on the integers: one
+        (next_state, R, reward, p * g) per branch, R = reward * reward_den.
+        Computed once per (t, s, a) and cached."""
+        key = (t, s, a)
+        out = self._int_branches.get(key)
+        if out is None:
+            den = self.reward_den
+            out = tuple(
+                (s2, int(r.numerator) * (den // int(r.denominator)), r, pg)
+                for s2, r, pg in self.branches(t, s, a)
+            )
+            self._int_branches[key] = out
         return out
 
     @property
@@ -225,7 +260,7 @@ def validate(mdp: Mdp) -> list[Violation]:
 
 def per_state(s, w) -> tuple:
     """Node (s, w) folds into its state: one key per reachable (t, state)."""
-    return (s,), ZERO
+    return (s,), 0
 
 
 def per_node(s, w) -> tuple:
@@ -237,15 +272,18 @@ def reach(mdp: Mdp, place, max_nodes: int | None = None) -> list:
     """Forward reachability: layers[t] maps each key reached at step t
     (t = 0..horizon) to its base, in the order the walk first meets it.
 
-    Node (s, w) lives at key, where place(s, w) = (key, base) and key[0] is
-    s, and the walk goes on from it as if base had been earned. Rational
-    rewards can make the node layers grow exponentially, hence the cap on
-    the keys: more than max_nodes in all (DEFAULT_NODE_CAP, read at call
-    time, when left out) raise AugmentationLimitError.
+    Cumulative rewards are integers over mdp.reward_den: node (s, w) has
+    earned w / reward_den, and a branch with integer reward R takes it to
+    (s', w + R) (`Mdp.int_branches`). Node (s, w) lives at key, where
+    place(s, w) = (key, base) and key[0] is s, and the walk goes on from it
+    as if base had been earned. Rational rewards can make the node layers
+    grow exponentially, hence the cap on the keys: more than max_nodes in
+    all (DEFAULT_NODE_CAP, read at call time, when left out) raise
+    AugmentationLimitError.
     """
     if max_nodes is None:
         max_nodes = DEFAULT_NODE_CAP
-    layer = dict((place(mdp.initial_state, ZERO),))
+    layer = dict((place(mdp.initial_state, 0),))
     layers = [layer]
     total = 1
     for t in range(mdp.horizon):
@@ -253,8 +291,8 @@ def reach(mdp: Mdp, place, max_nodes: int | None = None) -> list:
         for key, base in layer.items():
             s = key[0]
             for a in mdp.actions[s]:
-                for s2, r, _ in mdp.branches(t, s, a):
-                    key2, base2 = place(s2, base + r)
+                for s2, step, _, _ in mdp.int_branches(t, s, a):
+                    key2, base2 = place(s2, base + step)
                     nxt[key2] = base2
         total += len(nxt)
         if total > max_nodes:
@@ -286,10 +324,15 @@ class AugmentedSpace:
 
 def augment(mdp: Mdp, max_nodes: int | None = None) -> AugmentedSpace:
     """The per_node walk of `reach`, each layer sorted by state order and
-    then reward value; max_nodes caps it as in `reach`."""
+    then reward value, with each reward built as a Rat here; max_nodes caps
+    it as in `reach`."""
     order = {s: i for i, s in enumerate(mdp.states)}
+    den = mdp.reward_den
     return AugmentedSpace(layers=tuple(
-        tuple(sorted(layer, key=lambda sw: (order[sw[0]], sw[1])))
+        tuple(
+            (s, Rat(w, den))
+            for s, w in sorted(layer, key=lambda sw: (order[sw[0]], sw[1]))
+        )
         for layer in reach(mdp, per_node, max_nodes)
     ))
 

@@ -27,6 +27,10 @@ thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
 Pruning does not commute with the shear, so that mode keeps one absolute
 polygon per node; exact mode walks the (t, state) pairs alone (`reach`).
+A node's key is (state, W), W its cumulative reward as an integer over
+the MDP's reward denominator (`Mdp.reward_den`), so keys hash and compare
+as ints; the child shifts are then ZERO in that mode and each branch's
+own reward in exact mode, and neither builds a rational.
 """
 
 from __future__ import annotations
@@ -56,28 +60,37 @@ def check_stage_size(t: int, size: int, holders: str, items: str) -> None:
 def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dict:
     """Stage-t polygons, one per key of stage, from the stage-(t+1) layer.
 
+    Rewards are integers over D = mdp.reward_den, as `reach` walks them.
     Node (s, w) lives where place(s, w) = (key, base) says: its polygon
-    is S_{w-base}(layer[key]), and key[0] is s. stage maps each key to its
-    base b; the key's polygon is the hull over actions (hull_of_union) of
-    the sums over branches (s', r, pg) of pg * S_{b+r-b'}(next_layer[k']),
-    (k', b') = place(s', b+r), each action's in one sheared_sum.
+    is S_{(w-base)/D}(layer[key]), and key[0] is s. stage maps each key to
+    its base b; the key's polygon is the hull over actions (hull_of_union)
+    of the sums over branches (s', R, r, pg) of pg * S_c(next_layer[k']),
+    (k', b') = place(s', b+R) and c = (b+R-b')/D, each action's in one
+    sheared_sum. c is the branch's own reward r when b' = b (per_state)
+    and ZERO when b' = b+R (per_node), so neither mode builds a rational.
 
     Zero-probability branches are skipped; a reachable child missing from
-    next_layer raises KeyError naming (t + 1, s', b + r).
+    next_layer raises KeyError naming (t + 1, s', (b + R) / D).
     """
+    den = mdp.reward_den
     out = {}
     for key, base in stage.items():
         s = key[0]
         per_action = []
         for a in mdp.actions[s]:
             parts = []
-            for s2, r, pg in mdp.branches(t, s, a):
-                w = base + r
+            for s2, step, r, pg in mdp.int_branches(t, s, a):
+                w = base + step
                 key2, base2 = place(s2, w)
                 child = next_layer.get(key2)
                 if child is None:
-                    raise KeyError(f"missing moment set for ({t + 1}, {s2}, {w})")
-                parts.append((child, pg, w - base2))
+                    raise KeyError(
+                        f"missing moment set for ({t + 1}, {s2}, {Rat(w, den)})"
+                    )
+                shift = w - base2
+                if shift != step:
+                    r = Rat(shift, den) if shift else ZERO
+                parts.append((child, pg, r))
             per_action.append(sheared_sum(parts))
         out[key] = hull_of_union(per_action)
     return out
@@ -106,7 +119,8 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         threshold_sq = per_stage * per_stage
         place = per_node
     stages = reach(mdp, place)
-    layer = {key: MomentPolygon.sure(b) for key, b in stages[-1].items()}
+    den = mdp.reward_den
+    layer = {key: MomentPolygon.sure(b, den) for key, b in stages[-1].items()}
     for t in reversed(range(mdp.horizon)):
         layer = backward_step(mdp, t, layer, stages[t], place)
         vertices = sum(len(poly.points) for poly in layer.values())
@@ -116,7 +130,7 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
                 key: prune_polygon(poly, threshold_sq)
                 for key, poly in layer.items()
             }
-    key, _ = place(mdp.initial_state, ZERO)
+    key, _ = place(mdp.initial_state, 0)
     return layer[key]
 
 

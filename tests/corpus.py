@@ -174,6 +174,31 @@ def deep_instances(count: int = 10, seed: int = SEED) -> list:
     return out
 
 
+def mixed_frame_mdp(horizon: int) -> Mdp:
+    """Two states whose positive-probability rewards mix denominators and
+    signs (1/2, -1/3, 2/7 and 3, so a reward denominator of 42), with a
+    zero-probability reward 5/11 that must not enter that denominator."""
+    half, third, sevenths = Rat(1, 2), Rat(-1, 3), Rat(2, 7)
+    return make_mdp(
+        horizon=horizon,
+        states=("s0", "s1"),
+        initial_state="s0",
+        actions={"s0": ("a", "b"), "s1": ("a", "b")},
+        transitions={
+            ("s0", "a"): {"s0": Rat(1, 2), "s1": Rat(1, 2)},
+            ("s0", "b"): {"s1": 1},
+            ("s1", "a"): {"s0": Rat(1, 3), "s1": Rat(2, 3)},
+            ("s1", "b"): {"s1": 1},
+        },
+        rewards={
+            ("s0", "a"): {half: Rat(1, 3), third: Rat(2, 3), Rat(5, 11): 0},
+            ("s0", "b"): {sevenths: 1},
+            ("s1", "a"): {3: Rat(1, 2), third: Rat(1, 2)},
+            ("s1", "b"): {half: Rat(1, 4), sevenths: Rat(3, 4)},
+        },
+    )
+
+
 def subset_sum_vectors(count: int = 30, seed: int = SEED) -> list:
     """Positive integer vectors, n <= 12, entries <= 20.
 

@@ -7,6 +7,7 @@ import pytest
 from corpus import (
     decision_choices,
     integer_instances,
+    mixed_frame_mdp,
     per_node_game,
     policy_by_policy_feasibility,
     random_mdp,
@@ -475,6 +476,30 @@ def test_enumeration_decider_stops_at_the_first_witness(monkeypatch):
     with pytest.raises(EnumerationLimitError):
         class_feasibility(mdp, "TSW", -100, 100)
     assert len(leaves) == 1
+
+
+@pytest.mark.parametrize(
+    "lam, cap, feasible, detail",
+    [
+        (0, 1, True, "enumerated witness with mean 29/336"),
+        (1, 2, False, "exhaustive enumeration"),
+        (Rat(1, 2), Rat(1, 4), True, "enumerated witness with mean 5/8"),
+        (2, 5, False, "exhaustive enumeration"),
+    ],
+)
+def test_tsw_search_over_mixed_reward_denominators(lam, cap, feasible, detail):
+    # The walk keys its decision points on integer rewards over the
+    # denominator 42; the rule keys and the answers are the Rat-keyed ones
+    # (verdicts and details as the Rat-keyed walk gave them, and the
+    # witness is the reference scan's).
+    mdp = mixed_frame_mdp(2)
+    entry = class_feasibility(mdp, "TSW", lam, cap)
+    assert (entry.feasible, entry.detail) == (feasible, detail)
+    assert (entry.feasible, entry.witness, entry.detail) == (
+        policy_by_policy_feasibility(mdp, "TSW", lam, cap)
+    )
+    if feasible:
+        assert Rat(-1, 3) in {w for _, _, w in entry.witness.rule}
 
 
 def test_searched_classes_match_the_policy_by_policy_scan():

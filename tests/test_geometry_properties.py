@@ -19,6 +19,7 @@ no other. So is the point locator behind `contains` and the witness's
 vertex weights, `MomentPolygon.locate`, against an every-edge test.
 """
 
+import heapq
 import itertools
 import math
 
@@ -231,6 +232,125 @@ def test_pruning_commutes_with_scaling_and_translation(poly, budget, k, u, v):
     assert prune_polygon(moved, k * k * budget) == (
         prune_polygon(poly, budget).scale(k).translate(u, v)
     )
+
+
+def _rational_dist_sq(p, a, b):
+    """Squared distance from p to the segment ab as a Rat, through the
+    quotient cross^2 / |b - a|^2 for an interior foot."""
+    ex, ey = p[0] - a[0], p[1] - a[1]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dot = ex * dx + ey * dy
+    if dot <= 0:
+        return ex * ex + ey * ey
+    length_sq = dx * dx + dy * dy
+    if dot >= length_sq:
+        fx, fy = p[0] - b[0], p[1] - b[1]
+        return fx * fx + fy * fy
+    cross = ex * dy - ey * dx
+    return Rat(cross * cross, length_sq)
+
+
+def _rational_greedy(poly, budget):
+    """The pruning greedy with a Rat cost per vertex, a heap of (cost,
+    index, stamp) and a stop at the first live entry over the budget: the
+    reference prune_polygon must match exactly."""
+    pts = poly.points
+    n = len(pts)
+    if n <= 2:
+        return poly
+    budget = Rat(budget) * poly.d * poly.d
+    nxt = list(range(1, n)) + [0]
+    prv = [n - 1] + list(range(n - 1))
+    alive = [True] * n
+    version = [0] * n
+    edge_load = [[] for _ in range(n)]
+
+    def cost(i):
+        a, b = pts[prv[i]], pts[nxt[i]]
+        charged = [pts[i]] + edge_load[prv[i]] + edge_load[i]
+        return max(_rational_dist_sq(p, a, b) for p in charged)
+
+    heap = [(cost(i), i, 0) for i in range(n)]
+    heapq.heapify(heap)
+    remaining = n
+    while heap and remaining > 1:
+        err, i, stamp = heapq.heappop(heap)
+        if not alive[i] or stamp != version[i]:
+            continue
+        if err > budget:
+            break
+        p, q = prv[i], nxt[i]
+        alive[i] = False
+        remaining -= 1
+        edge_load[p] = edge_load[p] + edge_load[i] + [pts[i]]
+        edge_load[i] = []
+        nxt[p], prv[q] = q, p
+        if p != q:
+            for j in (p, q):
+                version[j] += 1
+                heapq.heappush(heap, (cost(j), j, version[j]))
+    d = poly.d
+    return MomentPolygon.of(
+        (Rat(x, d), Rat(y, d)) for k, (x, y) in enumerate(pts) if alive[k]
+    )
+
+
+@st.composite
+def symmetric_polygons(draw, coords=GRID):
+    """Polygons mirrored in both axes, so mirrored vertices tie in cost and
+    the index decides which goes first."""
+    quadrant = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=4))
+    return MomentPolygon.of(
+        (sx * x, sy * y) for x, y in quadrant for sx in (1, -1) for sy in (1, -1)
+    )
+
+
+# 10**6 exceeds every squared distance the strategies draw, so the greedy
+# goes down to one vertex, through the two-vertex remnant's zero-length
+# chord.
+ORACLE_BUDGETS = st.sampled_from((0, Rat(1, 16), Rat(1, 4), 1, 4, 10**6))
+
+
+@PROPERTY
+@given(
+    st.one_of(any_polygon, symmetric_polygons(), symmetric_polygons(MIXED)),
+    ORACLE_BUDGETS,
+)
+def test_prune_polygon_matches_the_rational_greedy(poly, budget):
+    got = prune_polygon(poly, budget)
+    want = _rational_greedy(poly, budget)
+    assert (got.d, got.points) == (want.d, want.points)
+    # A point or a segment is returned as it is.
+    if len(poly.points) > 2:
+        if budget == 10**6:
+            assert len(got.points) == 1
+        if budget == 0:
+            assert got == poly
+
+
+def test_pruning_breaks_float_ties_by_the_exact_cost():
+    # B and C are adjacent with costs 1/5 - O(e) and 1/5 + O(e), e = 10^-18:
+    # equal as floats, and the budget 1/2 lets only one of them go. The
+    # exact order drops B (index 4) although C's index (3) is lower.
+    e = Rat(1, 10**18)
+    a, b, c = (0, 0), (1, 1), (2, 1 + e)
+    poly = MomentPolygon.of([a, b, c, (3, 0), (Rat(3, 2), -10)])
+    assert poly.vertices.index(b) == 4 and poly.vertices.index(c) == 3
+    cost_b = _rational_dist_sq(b, a, c)
+    cost_c = _rational_dist_sq(c, b, (3, 0))
+    assert cost_b < cost_c and float(cost_b * 2) == float(cost_c * 2)
+    got = prune_polygon(poly, Rat(1, 2))
+    assert got == _rational_greedy(poly, Rat(1, 2))
+    assert got == MomentPolygon.of([a, c, (3, 0), (Rat(3, 2), -10)])
+
+
+@PROPERTY
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_a_sure_reward_over_a_denominator_is_its_moment_point(b, den):
+    w = Rat(b, den)
+    got, want = MomentPolygon.sure(b, den), MomentPolygon.sure(w)
+    assert (got.d, got.points) == (want.d, want.points)
+    assert got.vertices == ((w, w * w),)
 
 
 @PROPERTY

@@ -312,6 +312,38 @@ def test_rows_refuse_floats_and_bools(coeffs, rhs):
         LpProblem(num_vars=1).add_row(coeffs, rhs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"objective": {0: 0.1}},
+        {"objective": {0: True}},
+        {"rows": [({0: 0.5}, 1)]},
+        {"rows": [({0: 1}, 0.5)]},
+        {"rows": [({0: False}, 1)]},
+    ],
+    ids=["objective-float", "objective-bool", "row-coefficient-float",
+         "row-rhs-float", "row-coefficient-bool"],
+)
+def test_constructor_refuses_floats_and_bools(kwargs):
+    # The constructor is a door like add_row: LpProblem(num_vars=1,
+    # objective={0: 0.1}) with the row x = 1 would solve to the float 0.1.
+    with pytest.raises(TypeError, match="exact rational"):
+        LpProblem(num_vars=1, **kwargs)
+
+
+def test_constructor_takes_exact_rationals_in_every_form():
+    rows = [({0: "1/3", 1: [2, 4]}, 2)]
+    prob = LpProblem(num_vars=2, objective={0: 1, 1: "-1/2"}, rows=rows)
+    assert prob.objective == {0: Rat(1), 1: Rat(-1, 2)}
+    assert prob.rows == [({0: Rat(1, 3), 1: Rat(1, 2)}, Rat(2))]
+    assert all(type(c) is Rat for c in prob.objective.values())
+    assert all(type(c) is Rat for c in prob.rows[0][0].values())
+    # The caller's list is read, not adopted.
+    assert rows == [({0: "1/3", 1: [2, 4]}, 2)]
+    sol = solve(LpProblem(num_vars=1, objective={0: 1}, rows=[({0: 1}, 1)]))
+    assert sol.value == 1 and type(sol.value) is Rat
+
+
 def test_rows_take_exact_rationals_in_every_form():
     prob = LpProblem(num_vars=2)
     prob.add_row({0: "1/3", 1: [2, 4]}, 2)

@@ -101,11 +101,51 @@ def test_reach_walks_the_augmented_layers():
         nodes = reach(mdp, per_node)
         states = reach(mdp, per_state)
         assert len(nodes) == len(states) == len(layers)
+        den = mdp.reward_den
         for layer, by_node, by_state in zip(layers, nodes, states):
-            assert set(by_node) == set(layer)
+            # reach walks rewards as integers over the reward denominator.
+            assert all(type(w) is int for _, w in by_node)
+            assert {(s, Rat(w, den)) for s, w in by_node} == set(layer)
             assert all(base == w for (_, w), base in by_node.items())
             assert set(by_state) == {(s,) for s, _ in layer}
             assert set(by_state.values()) == {Rat(0)}
+
+
+def _rational_walk(mdp) -> list:
+    """The reachable (state, cumulative reward) nodes of each step, summed
+    as Rats: the walk `reach` did before it ran on integers."""
+    layer = {(mdp.initial_state, Rat(0))}
+    layers = [layer]
+    for t in range(mdp.horizon):
+        layer = {
+            (s2, w + r)
+            for s, w in layer
+            for a in mdp.actions[s]
+            for s2, r, _ in mdp.branches(t, s, a)
+        }
+        layers.append(layer)
+    return layers
+
+
+def test_reach_walks_rewards_over_one_integer_frame():
+    mdp = corpus.mixed_frame_mdp(3)
+    # 5/11 has probability 0, so only 2, 3 and 7 enter the denominator.
+    assert mdp.reward_den == 42
+    assert [(r, step) for _, step, r, _ in mdp.int_branches(0, "s0", "a")] == [
+        (Rat(1, 2), 21), (Rat(-1, 3), -14), (Rat(1, 2), 21), (Rat(-1, 3), -14)
+    ]
+    assert [step for _, step, _, _ in mdp.int_branches(2, "s1", "a")] == [
+        126, -14, 126, -14
+    ]
+    layers = augment(mdp).layers
+    assert [set(layer) for layer in layers] == _rational_walk(mdp)
+    order = {s: i for i, s in enumerate(mdp.states)}
+    for layer in layers:
+        assert list(layer) == sorted(layer, key=lambda sw: (order[sw[0]], sw[1]))
+        assert all(type(w) is Rat for _, w in layer)
+    assert [len(layer) for layer in layers] == [1, 5, 16, 35]
+    for by_node in reach(mdp, per_node):
+        assert all(type(w) is int for _, w in by_node)
 
 
 def test_augment_integer_bound():

@@ -16,7 +16,7 @@ from mvmdp.frequency import min_q_over_interval
 from mvmdp.geometry import MomentPolygon, hausdorff_sq, prune_polygon
 from mvmdp.lp import LpStatus
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, reach
-from mvmdp.rationals import Rat, ZERO
+from mvmdp.rationals import Rat, ZERO, rat
 from mvmdp.setdp import (
     backward_step,
     compute_pmq,
@@ -31,10 +31,12 @@ SEGMENT = MomentPolygon.of([(0, 0), (1, 2)])
 
 
 def _layers(mdp, place):
-    """compute_pmq's unpruned stage layers under place, the horizon's first."""
+    """compute_pmq's unpruned stage layers under place, the horizon's first.
+    reach's bases are integers over the reward denominator."""
     stages = reach(mdp, place)
+    den = mdp.reward_den
     layers = [
-        {key: MomentPolygon.point(b, b * b)
+        {key: MomentPolygon.point(Rat(b, den), Rat(b, den) ** 2)
          for key, b in stages[mdp.horizon].items()}
     ]
     for t in reversed(range(mdp.horizon)):
@@ -71,7 +73,7 @@ def test_node_polygons_are_sheared_state_polygons():
         for states, nodes in zip(by_state, by_node):
             assert {key[0] for key in nodes} == {key[0] for key in states}
             for (s, w), poly in nodes.items():
-                assert states[(s,)].scale(1, w) == poly
+                assert states[(s,)].scale(1, Rat(w, mdp.reward_den)) == poly
 
 
 def test_backward_step_identical_actions_idempotent():
@@ -97,6 +99,35 @@ def test_compute_pmq_examples():
     assert polygon == MomentPolygon.of(
         [(0, 0), (1, 1), (Rat(3, 2), Rat(5, 2)), (1, 2)]
     )
+
+
+def test_pruned_roots_over_mixed_reward_denominators():
+    # Per-node keys are integer rewards over the denominator 42; the
+    # pruned roots are the ones the Rat-keyed recursion gave, vertex for
+    # vertex, and stay within the budget of the exact root.
+    mdp = corpus.mixed_frame_mdp(3)
+    expected = {
+        Rat(1, 3): [
+            ("659/2016", "62851/127008"), ("9533/18144", "9913/23814"),
+            ("27/28", "1485/1568"), ("1145/504", "18805/2352"),
+            ("164/63", "15413/1323"), ("275/108", "41165/3528"),
+            ("1565/1512", "980879/190512"),
+        ],
+        Rat(1, 10): [
+            ("659/2016", "62851/127008"), ("6619/18144", "166081/381024"),
+            ("9533/18144", "9913/23814"), ("27/28", "1485/1568"),
+            ("1145/504", "18805/2352"), ("164/63", "15413/1323"),
+            ("275/108", "41165/3528"), ("433/378", "540853/95256"),
+            ("2963/3024", "1860931/381024"), ("9713/18144", "541073/254016"),
+        ],
+    }
+    exact = compute_pmq(mdp)
+    assert len(exact.vertices) == 15
+    for eps, vertices in expected.items():
+        pruned = compute_pmq(mdp, eps)
+        assert pruned.vertices == tuple((rat(m), rat(q)) for m, q in vertices)
+        assert hausdorff_sq(pruned, exact) <= eps * eps
+    assert compute_pmq(mdp, 0) == exact
 
 
 def test_exact_frontier_one_shot():

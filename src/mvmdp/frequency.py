@@ -40,8 +40,6 @@ above backs the cross-check LPs (`terminal_lower_hull`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EngineDisagreementError
 from .geometry import MomentPolygon
 from .lp import LpProblem, LpSolution, LpStatus, solve
@@ -56,12 +54,19 @@ from .rationals import Rat, ZERO, ONE, rat
 from .setdp import compute_pmq, exact_frontier
 
 
-@dataclass(frozen=True)
 class FrequencyVector:
     """Occupation measures keyed (t, s, w, a) and (t, s, w)."""
 
-    z_sa: dict
-    z_x: dict
+    __slots__ = ("z_sa", "z_x")
+
+    def __init__(self, z_sa: dict, z_x: dict):
+        self.z_sa = z_sa
+        self.z_x = z_x
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.z_sa, self.z_x) == (other.z_sa, other.z_x)
 
     def terminal_mean(self, horizon: int) -> Rat:
         return sum(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import EngineDisagreementError, EnumerationLimitError
 from .model import (
@@ -38,12 +37,14 @@ from .setdp import check_stage_size, compute_pmq, exact_frontier
 DEFAULT_POLICY_CAP = 10**6
 
 
-@dataclass(frozen=True)
 class GameResult:
     """Forcible terminal values and a deterministic forcing policy for each."""
 
-    achievable_values: frozenset
-    winning_policy: dict
+    __slots__ = ("achievable_values", "winning_policy")
+
+    def __init__(self, achievable_values: frozenset, winning_policy: dict):
+        self.achievable_values = achievable_values
+        self.winning_policy = winning_policy
 
 
 def zero_variance_values(mdp: Mdp) -> GameResult:
@@ -338,11 +339,19 @@ def _simplex_grid(k: int, m: int):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
-@dataclass(frozen=True)
 class ClassFeasibility:
-    feasible: bool
-    witness: PolicySpec | None
-    detail: str
+    __slots__ = ("feasible", "witness", "detail")
+
+    def __init__(self, feasible: bool, witness: PolicySpec | None, detail: str):
+        self.feasible = feasible
+        self.witness = witness
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.feasible, self.witness, self.detail)
+                == (other.feasible, other.witness, other.detail))
 
 
 def class_separation_report(

@@ -35,7 +35,6 @@ and the ordinary two-phase run decides the problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .rationals import Rat, ZERO, ONE, rat
@@ -47,18 +46,20 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass
 class LpProblem:
-    num_vars: int
-    objective: dict = field(default_factory=dict)  # sparse var -> Rat
-    rows: list = field(default_factory=list)  # (coeffs: dict var->Rat, rhs: Rat)
+    """objective is sparse var -> Rat; rows holds (coeffs: dict var -> Rat,
+    rhs: Rat) pairs."""
 
-    def __post_init__(self):
+    __slots__ = ("num_vars", "objective", "rows")
+
+    def __init__(self, num_vars: int, objective: dict | None = None,
+                 rows: list | None = None):
         # The constructor is a door too: the objective and every row given
         # enter through rat, so floats and bools raise TypeError.
-        self.objective = {j: rat(c) for j, c in self.objective.items()}
-        rows, self.rows = self.rows, []
-        for coeffs, rhs in rows:
+        self.num_vars = num_vars
+        self.objective = {j: rat(c) for j, c in (objective or {}).items()}
+        self.rows = []
+        for coeffs, rhs in rows or ():
             self.add_row(coeffs, rhs)
 
     def add_row(self, coeffs: dict, rhs) -> None:
@@ -71,11 +72,14 @@ class LpProblem:
                     raise ValueError(f"unknown variable {j}")
 
 
-@dataclass
 class LpSolution:
-    status: LpStatus
-    value: Rat | None = None
-    x: list | None = None
+    __slots__ = ("status", "value", "x")
+
+    def __init__(self, status: LpStatus, value: Rat | None = None,
+                 x: list | None = None):
+        self.status = status
+        self.value = value
+        self.x = x
 
 
 def _subtract(row, f, src):

@@ -20,12 +20,17 @@ walks rewards as integers: each positive-probability reward is an integer
 numerator over the MDP's reward denominator D (`Mdp.reward_den`, the least
 common denominator of those rewards), so a node's cumulative reward W / D
 is carried as W, and sums of rewards are sums of integers.
+
+The value classes here (`Mdp`, `Violation`, `AugmentedSpace`, `PolicySpec`,
+`PolicyEvaluation`) are plain classes: `__slots__` (except `Mdp`, whose
+cached `reward_den` needs a `__dict__`) and an explicit `__init__`, so no
+method is generated at import. Only `Mdp`, `AugmentedSpace` and `PolicySpec`
+define `__eq__`, field by field, as their callers compare them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import AugmentationLimitError, PolicyCoverageError
@@ -38,27 +43,45 @@ REWARD_AWARE_CLASSES = ("TSW", "TSW_U")
 DEFAULT_NODE_CAP = 10**6
 
 
-@dataclass(frozen=True)
 class Mdp:
     """Finite-horizon MDP. All maps are total over 0 <= t < horizon.
 
     transitions: (t, s, a) -> {next_state: probability}
     rewards:     (t, s, a) -> {reward_value: probability}
     Entries with probability zero may be present; branches() skips them.
+    No field is reassigned after construction: the branch caches and
+    `reward_den` are filled from them once. Equality compares the six
+    fields and ignores those caches.
     """
 
-    horizon: int
-    states: tuple[str, ...]
-    initial_state: str
-    actions: dict[str, tuple[str, ...]]
-    transitions: dict[tuple[int, str, str], dict[str, Rat]]
-    rewards: dict[tuple[int, str, str], dict[Rat, Rat]]
-    _branches: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _int_branches: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, horizon: int, states: tuple[str, ...],
+                 initial_state: str, actions: dict[str, tuple[str, ...]],
+                 transitions: dict[tuple[int, str, str], dict[str, Rat]],
+                 rewards: dict[tuple[int, str, str], dict[Rat, Rat]]):
+        self.horizon = horizon
+        self.states = states
+        self.initial_state = initial_state
+        self.actions = actions
+        self.transitions = transitions
+        self.rewards = rewards
+        self._branches = {}
+        self._int_branches = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.horizon, self.states, self.initial_state, self.actions,
+             self.transitions, self.rewards)
+            == (other.horizon, other.states, other.initial_state,
+                other.actions, other.transitions, other.rewards)
+        )
+
+    def with_rewards(self, rewards: dict) -> Mdp:
+        """This MDP with its reward table replaced: a new Mdp, so its branch
+        caches and reward_den start empty."""
+        return Mdp(self.horizon, self.states, self.initial_state,
+                   self.actions, self.transitions, rewards)
 
     def branches(self, t: int, s: str, a: str) -> tuple:
         """Positive-probability branches of the factored kernel at (t, s, a).
@@ -188,12 +211,14 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
     return Mdp(horizon, states, initial_state, actions, transitions, rewards)
 
 
-@dataclass(frozen=True)
 class Violation:
     """One validation failure, locating the offending (t, s, a) when applicable."""
 
-    location: tuple
-    message: str
+    __slots__ = ("location", "message")
+
+    def __init__(self, location: tuple, message: str):
+        self.location = location
+        self.message = message
 
     def __str__(self) -> str:
         where = ", ".join(str(p) for p in self.location)
@@ -304,7 +329,6 @@ def reach(mdp: Mdp, place, max_nodes: int | None = None) -> list:
     return layers
 
 
-@dataclass(frozen=True)
 class AugmentedSpace:
     """Reachable (state, cumulative reward) pairs, layered by step.
 
@@ -312,7 +336,15 @@ class AugmentedSpace:
     deterministic (state order as in mdp.states, then reward value).
     """
 
-    layers: tuple[tuple[tuple[str, Rat], ...], ...]
+    __slots__ = ("layers",)
+
+    def __init__(self, layers: tuple[tuple[tuple[str, Rat], ...], ...]):
+        self.layers = layers
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.layers == other.layers
 
     @property
     def node_count(self) -> int:
@@ -337,7 +369,6 @@ def augment(mdp: Mdp, max_nodes: int | None = None) -> AugmentedSpace:
     ))
 
 
-@dataclass(frozen=True)
 class PolicySpec:
     """A decision rule for one of the four policy classes.
 
@@ -347,15 +378,20 @@ class PolicySpec:
     only here, so a float or bool raises TypeError.
     """
 
-    policy_class: str
-    rule: dict = field(compare=True)
+    __slots__ = ("policy_class", "rule")
 
-    def __post_init__(self):
-        if self.policy_class not in POLICY_CLASSES:
-            raise ValueError(f"unknown policy class {self.policy_class!r}")
+    def __init__(self, policy_class: str, rule: dict):
+        if policy_class not in POLICY_CLASSES:
+            raise ValueError(f"unknown policy class {policy_class!r}")
+        self.policy_class = policy_class
         if self.randomized:
-            rule = {k: {a: rat(p) for a, p in c.items()} for k, c in self.rule.items()}
-            object.__setattr__(self, "rule", rule)
+            rule = {k: {a: rat(p) for a, p in c.items()} for k, c in rule.items()}
+        self.rule = rule
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.policy_class, self.rule) == (other.policy_class, other.rule)
 
     @property
     def randomized(self) -> bool:
@@ -416,14 +452,18 @@ def played_actions(mdp: Mdp, policy: PolicySpec, t: int, s: str, w) -> dict:
     return played
 
 
-@dataclass(frozen=True)
 class PolicyEvaluation:
-    """Exact performance of a policy: terminal-cumulative-reward statistics."""
+    """Exact performance of a policy: terminal-cumulative-reward statistics;
+    terminal is the pmf of the terminal cumulative reward."""
 
-    mean: Rat
-    second_moment: Rat
-    variance: Rat
-    terminal: dict[Rat, Rat]  # pmf of the terminal cumulative reward
+    __slots__ = ("mean", "second_moment", "variance", "terminal")
+
+    def __init__(self, mean: Rat, second_moment: Rat, variance: Rat,
+                 terminal: dict[Rat, Rat]):
+        self.mean = mean
+        self.second_moment = second_moment
+        self.variance = variance
+        self.terminal = terminal
 
 
 def evaluate_policy(mdp: Mdp, policy: PolicySpec) -> PolicyEvaluation:

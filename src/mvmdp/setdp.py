@@ -36,7 +36,6 @@ own reward in exact mode, and neither builds a rational.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .errors import AugmentationLimitError
 from .geometry import MomentPolygon, hull_of_union, prune_polygon, sheared_sum
@@ -134,7 +133,6 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     return layer[key]
 
 
-@dataclass(frozen=True)
 class ExactFrontier:
     """v(m0) = min variance subject to mean >= m0, exactly.
 
@@ -146,9 +144,12 @@ class ExactFrontier:
     the mean of the chain's vertex with the least second moment.
     """
 
-    chain: tuple
-    best: tuple
-    lowest: Rat
+    __slots__ = ("chain", "best", "lowest")
+
+    def __init__(self, chain: tuple, best: tuple, lowest: Rat):
+        self.chain = chain
+        self.best = best
+        self.lowest = lowest
 
     @classmethod
     def of_chain(cls, chain) -> ExactFrontier:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 
 from .model import Mdp
 from .rationals import Rat, ZERO, rat, rat_str
@@ -42,7 +41,6 @@ from .setdp import compute_pmq, exact_frontier
 MAX_GRID_CELLS = 10**6
 
 
-@dataclass(frozen=True)
 class TradeoffCurve:
     """Step-function estimate of the minimum variance at a mean floor.
 
@@ -54,13 +52,24 @@ class TradeoffCurve:
     plus infinity).  epsilon is the certified value slack 3*delta*KT.
     """
 
-    mean_bound: Rat
-    delta: Rat
-    epsilon: Rat
-    grid: tuple
-    qhat: tuple
-    uhat: tuple
-    cell_values: tuple
+    __slots__ = ("mean_bound", "delta", "epsilon", "grid", "qhat", "uhat",
+                 "cell_values")
+
+    def __init__(self, mean_bound: Rat, delta: Rat, epsilon: Rat, grid: tuple,
+                 qhat: tuple, uhat: tuple, cell_values: tuple):
+        self.mean_bound = mean_bound
+        self.delta = delta
+        self.epsilon = epsilon
+        self.grid = grid
+        self.qhat = qhat
+        self.uhat = uhat
+        self.cell_values = cell_values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     def value(self, lam) -> Rat | None:
         """v-hat(lam); None means plus infinity (no certified mean >= lam).
@@ -81,7 +90,6 @@ class TradeoffCurve:
         return self.cell_values[cell]
 
 
-@dataclass(frozen=True)
 class MeanCurve:
     """Step-function estimate of the largest mean at a variance cap.
 
@@ -93,12 +101,17 @@ class MeanCurve:
     lambda-hat(v) >= lambda*(v - epsilon) - delta with epsilon = 3*delta*KT.
     """
 
-    mean_bound: Rat
-    delta: Rat
-    epsilon: Rat
-    grid: tuple
-    cell_caps: tuple
-    suffix_caps: tuple
+    __slots__ = ("mean_bound", "delta", "epsilon", "grid", "cell_caps",
+                 "suffix_caps")
+
+    def __init__(self, mean_bound: Rat, delta: Rat, epsilon: Rat, grid: tuple,
+                 cell_caps: tuple, suffix_caps: tuple):
+        self.mean_bound = mean_bound
+        self.delta = delta
+        self.epsilon = epsilon
+        self.grid = grid
+        self.cell_caps = cell_caps
+        self.suffix_caps = suffix_caps
 
     def mean_for(self, v) -> Rat | None:
         """lambda-hat(v); None means no mean is certified (minus infinity)."""
@@ -241,7 +254,7 @@ def discretize_rewards(mdp: Mdp, delta) -> Mdp:
             snapped = value // step * step
             merged[snapped] = merged.get(snapped, ZERO) + prob
         rewards[key] = merged
-    return replace(mdp, rewards=rewards)
+    return mdp.with_rewards(rewards)
 
 
 def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:

@@ -13,7 +13,6 @@ vertices, the regime the pruning guarantee is about.
 """
 
 import random
-from dataclasses import replace
 from itertools import combinations, product
 
 from mvmdp.errors import AugmentationLimitError
@@ -158,7 +157,7 @@ def _rescale_rewards(mdp: Mdp, factor: Rat) -> Mdp:
         key: {value * factor: mass for value, mass in pmf.items()}
         for key, pmf in mdp.rewards.items()
     }
-    return replace(mdp, rewards=rewards)
+    return mdp.with_rewards(rewards)
 
 
 def deep_instances(count: int = 10, seed: int = SEED) -> list:

@@ -820,11 +820,17 @@ def _loaded_by(tmp_path, argv):
     return code, set(modules)
 
 
+# Stdlib modules no query loads: the value classes are plain classes, so
+# nothing imports dataclasses (and with it inspect) or generates methods.
+STARTUP_SKIPS = {"dataclasses", "inspect"}
+
+
 def test_version_imports_nothing_a_query_does_not(tmp_path, one_shot_path):
     # The modules --version loads beyond `import mvmdp.cli` are among those
     # any query loads (argparse's gettext).
     code, version = _loaded_by(tmp_path, ["--version"])
     assert code == 0
+    assert not version & STARTUP_SKIPS
     code, query = _loaded_by(tmp_path, ["validate", one_shot_path])
     assert code == 0
     assert version <= query
@@ -832,11 +838,13 @@ def test_version_imports_nothing_a_query_does_not(tmp_path, one_shot_path):
 
 def test_each_subcommand_loads_only_its_engines(tmp_path, one_shot_path):
     # Module sets, not times: a query leaves unloaded every engine it never
-    # calls, and loads the one it answers with.
+    # calls, and loads the one it answers with; none loads STARTUP_SKIPS.
     witness_skips = {"games", "tradeoff"}
     polygon_skips = {"frequency", "lp"} | witness_skips
     reader_skips = {"geometry", "setdp"} | polygon_skips
     game_skips = {"frequency", "lp"}
+    grid_skips = {"frequency", "lp", "games"}
+    searchy = ["--lambda", "1/8", "--v", "1/2"]
     cases = [
         (["validate", one_shot_path], reader_skips, "model"),
         (["augment-stats", one_shot_path], reader_skips, "model"),
@@ -852,6 +860,13 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, one_shot_path):
         (["zero-variance", one_shot_path], game_skips, "games"),
         (["gen", "subset-sum", "--r", "3", "4", "2"], game_skips, "games"),
         (["gen", "3sat", "--clauses", "1,-2,3"], game_skips, "games"),
+        (["separation", one_shot_path, *searchy], {"tradeoff"}, "games"),
+        (["oracle", one_shot_path, "--class", "TS_U", *searchy],
+         game_skips | {"tradeoff"}, "games"),
+        (["frontier", "--epsilon", "1/4", "--nu", "1/4", one_shot_path],
+         grid_skips, "tradeoff"),
+        (["discretize", one_shot_path, "--delta", "1/2"],
+         grid_skips, "tradeoff"),
     ]
     for argv, skips, used in cases:
         code, modules = _loaded_by(tmp_path, argv)
@@ -859,3 +874,4 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, one_shot_path):
         assert code == 0, argv
         assert not engines & skips, (argv, engines & skips)
         assert used in engines, argv
+        assert not modules & STARTUP_SKIPS, (argv, modules & STARTUP_SKIPS)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -326,11 +325,50 @@ def test_branches_cache_is_per_instance():
     mdp.branches(0, "s", "a")
     rewards = dict(mdp.rewards)
     rewards[(0, "s", "a")] = {7: 1}
-    other = dataclasses.replace(mdp, rewards=rewards)
+    other = mdp.with_rewards(rewards)
     assert other.branches(0, "s", "a") == (
         ("x", 7, rat(1, 3)),
         ("s", 7, rat(2, 3)),
     )
+
+
+def _half_reward_mdp(reward):
+    return make_mdp(
+        horizon=1,
+        states=["s"],
+        initial_state="s",
+        actions={"s": ["a"]},
+        transitions={("s", "a"): {"s": 1}},
+        rewards={("s", "a"): {reward: 1}},
+    )
+
+
+def test_with_rewards_starts_with_fresh_caches():
+    # A copy of the instance would carry reward_den 2 and the reward-1/2
+    # branches over to the reward-1/3 MDP.
+    mdp = _half_reward_mdp(rat(1, 2))
+    assert mdp.reward_den == 2
+    assert mdp.branches(0, "s", "a") == (("s", rat(1, 2), 1),)
+    assert mdp.int_branches(0, "s", "a") == (("s", 1, rat(1, 2), 1),)
+    other = mdp.with_rewards({(0, "s", "a"): {rat(1, 3): rat(1)}})
+    assert other.reward_den == 3
+    assert other.branches(0, "s", "a") == (("s", rat(1, 3), 1),)
+    assert other.int_branches(0, "s", "a") == (("s", 1, rat(1, 3), 1),)
+    assert other == _half_reward_mdp(rat(1, 3))
+    # The original keeps its own rewards and caches.
+    assert mdp.reward_den == 2
+    assert mdp.int_branches(0, "s", "a") == (("s", 1, rat(1, 2), 1),)
+
+
+def test_mdp_equality_ignores_filled_caches():
+    filled, empty = _kernel_mdp(), _kernel_mdp()
+    filled.branches(0, "s", "a")
+    filled.int_branches(0, "s", "a")
+    assert filled.reward_den == 1
+    assert filled == empty and empty == filled
+    sevens = {**filled.rewards, (0, "s", "a"): {rat(7): rat(1)}}
+    assert filled != filled.with_rewards(sevens)
+    assert filled != "an mdp"
 
 
 @pytest.mark.parametrize("table", ["transitions", "rewards"])

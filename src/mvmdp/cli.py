@@ -232,11 +232,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_augment_stats(args) -> int:
-    from .model import augment
+    from .model import per_node, reach
 
     mdp = _load_mdp(args)
-    aug = augment(mdp)
-    layers = [len(layer) for layer in aug.layers]
+    layers = [len(layer) for layer in reach(mdp, per_node)]
     if args.format == "csv":
         lines = ["t,nodes"]
         lines.extend(f"{t},{n}" for t, n in enumerate(layers))
@@ -244,7 +243,7 @@ def _cmd_augment_stats(args) -> int:
         return OK
     _emit_json(
         {
-            "node_count": aug.node_count,
+            "node_count": sum(layers),
             "layer_sizes": layers,
             "integer_rewards": mdp.integer_rewards(),
             "reward_bound": _num(mdp.reward_bound),

@@ -16,6 +16,11 @@ layers is the same. Every terminal statistic of interest (mean and second
 moment of the cumulative reward) is linear in z, which is what makes the
 mean-variance questions below linear programs.
 
+The skeleton, the backward DP and the forward walks run on `model.reach`'s
+integer nodes (s, W), w = W / D for D = `Mdp.reward_den`. The Rat W / D is
+built only where a key leaves this module (a FrequencyVector's keys) or
+meets a caller's (the lookups into a given policy's rule).
+
 Every query is a standard-form LP (equality rows, nonnegative columns): a
 side condition such as "mean in [lo, hi]" is an extra row with its own
 slack column. Skeletons are immutable after construction; each query builds
@@ -23,19 +28,11 @@ a fresh LpProblem, so concurrent queries against one skeleton are safe.
 
 The witness queries (`exact_pair_feasible`, `mean_fixed_var_bounded`) take
 their answer from the root moment polygon, and build the witness without
-the polytope's constraint system. The occupation measures are the convex
-hull of the deterministic policies' measures, so a point (m, q) of the
-polygon is a mixture of at most three vertices, and each vertex is
-attained by a deterministic TSW policy that minimizes a linear function
-of the two moments whose direction lies strictly inside the vertex's
-normal cone (`supporting_policy`, one backward DP, for the direction
-`MomentPolygon.inner_normal` gives). `MomentPolygon.locate` finds the
-polygon triangle that holds the point, and a three-row LP over its three
-vertices gives the mixture weights; the witness is the weighted sum of
-those policies' occupation measures, which `frequencies_to_policy` turns
-into one behavioural policy (Kuhn's theorem). The constraint system
-above backs the cross-check LPs (`terminal_lower_hull`,
-`min_q_over_interval`) and `check_frequency`.
+the polytope's constraint system: a mixture of at most three vertex
+policies (`_moment_witness`), which `frequencies_to_policy` turns into one
+behavioural policy (Kuhn's theorem). The constraint system backs the
+cross-check LPs (`terminal_lower_hull`, `min_q_over_interval`) and
+`check_frequency`.
 """
 
 from __future__ import annotations
@@ -43,19 +40,13 @@ from __future__ import annotations
 from .errors import EngineDisagreementError
 from .geometry import MomentPolygon
 from .lp import LpProblem, LpSolution, LpStatus, solve
-from .model import (
-    AugmentedSpace,
-    Mdp,
-    PolicySpec,
-    augment,
-    played_actions,
-)
+from .model import Mdp, PolicySpec, in_state_order, per_node, played_actions, reach
 from .rationals import Rat, ZERO, ONE, rat
 from .setdp import compute_pmq, exact_frontier
 
 
 class FrequencyVector:
-    """Occupation measures keyed (t, s, w, a) and (t, s, w)."""
+    """Occupation measures keyed (t, s, w, a) and (t, s, w), w a Rat."""
 
     __slots__ = ("z_sa", "z_x")
 
@@ -83,38 +74,35 @@ class PolytopeSkeleton:
     """Constraint system of the polytope with a fixed variable order.
 
     Variables: one per z_sa entry (t < horizon), then one per z_x entry
-    (t <= horizon). Rows: initial mass, couplings in layer order, flows in
-    layer order. The ordering makes the policy that always takes the first
-    action a triangular warm basis for the solver (`_warm`, row -> column):
-    each coupling row takes its node's first action, and the mass and flow
-    rows their node's z_x. Its basic values are that policy's occupation
-    measure, and `run` starts from it. A query is a standard-form LP: these
-    rows, then its own extra rows, over these columns and its own extra
-    nonnegative columns.
+    (t <= horizon), keyed (t, s, W, a) and (t, s, W) on `reach`'s integer
+    rewards, each layer `in_state_order`. Rows: initial mass, couplings in
+    layer order, flows in layer order. The ordering makes the policy that
+    always takes the first action a triangular warm basis for the solver
+    (`_warm`, row -> column): each coupling row takes its node's first
+    action, and the mass and flow rows their node's z_x. Its basic values
+    are that policy's occupation measure, and `run` starts from it. A query
+    is a standard-form LP: these rows, then its own extra rows, over these
+    columns and its own extra nonnegative columns.
     """
 
-    def __init__(self, mdp: Mdp, aug: AugmentedSpace):
+    def __init__(self, mdp: Mdp):
         self.mdp = mdp
-        self.aug = aug
-        self.sa_keys: list = []
-        self.x_keys: list = []
-        for t in range(mdp.horizon):
-            for s, w in aug.layers[t]:
-                for a in mdp.actions[s]:
-                    self.sa_keys.append((t, s, w, a))
-        for t in range(mdp.horizon + 1):
-            for s, w in aug.layers[t]:
-                self.x_keys.append((t, s, w))
+        layers = in_state_order(mdp, reach(mdp, per_node))
+        self.sa_keys = [
+            (t, s, w, a)
+            for t in range(mdp.horizon) for s, w in layers[t] for a in mdp.actions[s]
+        ]
+        self.x_keys = [(t, s, w) for t, layer in enumerate(layers) for s, w in layer]
         self.sa_index = {k: i for i, k in enumerate(self.sa_keys)}
         base = len(self.sa_keys)
         self.x_index = {k: base + i for i, k in enumerate(self.x_keys)}
         self.num_vars = base + len(self.x_keys)
 
-        s0, w0 = aug.layers[0][0]
+        s0, w0 = layers[0][0]
         self.rows: list = [({self.x_index[(0, s0, w0)]: ONE}, ONE)]
         self._warm: dict[int, int] = {0: self.x_index[(0, s0, w0)]}
         for t in range(mdp.horizon):
-            for s, w in aug.layers[t]:
+            for s, w in layers[t]:
                 coeffs = {self.sa_index[(t, s, w, a)]: ONE for a in mdp.actions[s]}
                 coeffs[self.x_index[(t, s, w)]] = -ONE
                 first = self.sa_index[(t, s, w, mdp.actions[s][0])]
@@ -122,11 +110,11 @@ class PolytopeSkeleton:
                 self.rows.append((coeffs, ZERO))
         inflow: dict = {key: {} for key in self.x_keys if key[0] > 0}
         for var, (t, s, w, a) in enumerate(self.sa_keys):
-            for s2, r, pg in mdp.branches(t, s, a):
+            for s2, r, _, pg in mdp.int_branches(t, s, a):
                 row = inflow[(t + 1, s2, w + r)]
                 row[var] = row.get(var, ZERO) - pg
         for t in range(1, mdp.horizon + 1):
-            for s, w in aug.layers[t]:
+            for s, w in layers[t]:
                 coeffs = dict(inflow[(t, s, w)])
                 coeffs[self.x_index[(t, s, w)]] = ONE
                 self._warm[len(self.rows)] = self.x_index[(t, s, w)]
@@ -134,13 +122,10 @@ class PolytopeSkeleton:
 
         horizon = mdp.horizon
         self.mean_coeffs = {
-            self.x_index[(horizon, s, w)]: w for s, w in aug.layers[horizon] if w != 0
+            self.x_index[(horizon, s, w)]: Rat(w, mdp.reward_den)
+            for s, w in layers[horizon] if w != 0
         }
-        self.sm_coeffs = {
-            self.x_index[(horizon, s, w)]: w * w
-            for s, w in aug.layers[horizon]
-            if w != 0
-        }
+        self.sm_coeffs = {j: c * c for j, c in self.mean_coeffs.items()}
 
     def problem(
         self,
@@ -163,9 +148,12 @@ class PolytopeSkeleton:
         return prob
 
     def solution_vector(self, sol: LpSolution) -> FrequencyVector:
-        z_sa = {k: sol.x[i] for k, i in self.sa_index.items()}
-        z_x = {k: sol.x[i] for k, i in self.x_index.items()}
-        return FrequencyVector(z_sa=z_sa, z_x=z_x)
+        den, x = self.mdp.reward_den, sol.x
+
+        def entries(index):
+            return {k[:2] + (Rat(k[2], den),) + k[3:]: x[i] for k, i in index.items()}
+
+        return FrequencyVector(z_sa=entries(self.sa_index), z_x=entries(self.x_index))
 
     def run(
         self,
@@ -177,23 +165,26 @@ class PolytopeSkeleton:
         return solve(prob, initial_basis=self._warm)
 
 
-def build_polytope(aug: AugmentedSpace, mdp: Mdp) -> PolytopeSkeleton:
+def build_polytope(mdp: Mdp) -> PolytopeSkeleton:
     """Constraint skeleton (no objective) for the frequency polytope."""
-    return PolytopeSkeleton(mdp, aug)
-
-
-def _skeleton(mdp: Mdp) -> PolytopeSkeleton:
-    return build_polytope(augment(mdp), mdp)
+    return PolytopeSkeleton(mdp)
 
 
 def check_frequency(skeleton: PolytopeSkeleton, z: FrequencyVector) -> list[str]:
-    """Exact constraint residual check; empty list iff z is in the polytope."""
+    """Exact constraint residual check; empty list iff z is in the polytope.
+    A missing entry reads as 0, and a nonzero one with no variable (an
+    unreachable node, a reward off the 1/D grid, an unknown action) fails."""
     problems = []
+    den = skeleton.mdp.reward_den
     values = [ZERO] * skeleton.num_vars
-    for k, i in skeleton.sa_index.items():
-        values[i] = z.z_sa.get(k, ZERO)
-    for k, i in skeleton.x_index.items():
-        values[i] = z.z_x.get(k, ZERO)
+    for entries, index in ((z.z_sa, skeleton.sa_index), (z.z_x, skeleton.x_index)):
+        for key, v in entries.items():
+            w = key[2] * den
+            var = key[:2] + (int(w),) + key[3:] if w.denominator == 1 else None
+            if var in index:
+                values[index[var]] = v
+            elif v != 0:
+                problems.append(f"entry {key} = {v} is not a variable")
     if any(v < 0 for v in values):
         problems.append("negative entry")
     for idx, (coeffs, rhs) in enumerate(skeleton.rows):
@@ -265,12 +256,12 @@ def _moment_witness(
             f"moment polygon and occupation LP disagree: the polygon holds "
             f"({mean}, {second}), the LP is {sol.status.value}"
         )
-    aug = augment(mdp)
+    layers = reach(mdp, per_node)
     z = FrequencyVector(z_sa={}, z_x={})
     for i, alpha in zip(face, sol.x):
         if alpha == 0:
             continue
-        rule = supporting_policy(mdp, aug, polygon.inner_normal(i))
+        rule = supporting_policy(mdp, layers, polygon.inner_normal(i))
         _add_occupation(mdp, lambda t, s, w: {rule[(t, s, w)]: ONE}, alpha, z)
     reached = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
     if reached != (mean, second):
@@ -307,17 +298,19 @@ def _vertex_weights(
     return solve(prob, initial_basis=basis)
 
 
-def supporting_policy(mdp: Mdp, aug: AugmentedSpace, direction: tuple) -> dict:
+def supporting_policy(mdp: Mdp, layers: list, direction: tuple) -> dict:
     """A deterministic TSW policy minimizing E[c0 R + c1 R^2] over all
     policies, for direction = (c0, c1) and R the terminal cumulative
     reward: for a direction strictly inside a vertex's normal cone, it
     reaches that vertex of the moment polygon.
 
-    One backward DP over aug, the MDP's augmented nodes; first action on
-    ties. Returns the rule (t, s, w) -> action.
+    One backward DP over layers, `reach(mdp, per_node)`'s integer nodes
+    (s, W), R = W / D for D = mdp.reward_den, minimizing D^2 times the
+    objective, E[c0 D W + c1 W^2]; first action on ties. Returns the rule
+    (t, s, W) -> action.
     """
-    layers = aug.layers
     c0, c1 = direction
+    c0 *= mdp.reward_den
     value = {(s, w): w * (c0 + c1 * w) for s, w in layers[mdp.horizon]}
     rule = {}
     for t in reversed(range(mdp.horizon)):
@@ -326,7 +319,7 @@ def supporting_policy(mdp: Mdp, aug: AugmentedSpace, direction: tuple) -> dict:
             best = None
             for action in mdp.actions[s]:
                 v = ZERO
-                for s2, r, pg in mdp.branches(t, s, action):
+                for s2, r, _, pg in mdp.int_branches(t, s, action):
                     v += pg * value[(s2, w + r)]
                 if best is None or v < best:
                     best = v
@@ -342,7 +335,7 @@ def min_q_over_interval(mdp: Mdp, lo, hi) -> tuple[LpStatus, Rat | None]:
     hi = rat(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    sk = _skeleton(mdp)
+    sk = build_polytope(mdp)
     sol = _min_q(sk, lo, hi)
     if sol.status is not LpStatus.OPTIMAL:
         return LpStatus.INFEASIBLE, None
@@ -383,28 +376,32 @@ def policy_frequencies(mdp: Mdp, policy: PolicySpec) -> FrequencyVector:
     """Occupation measures induced by a policy (exact forward propagation),
     with entries only for the nodes its forward walk meets;
     `check_frequency` reads a missing entry as 0."""
+    den = mdp.reward_den
     z = FrequencyVector(z_sa={}, z_x={})
     _add_occupation(
-        mdp, lambda t, s, w: played_actions(mdp, policy, t, s, w), ONE, z
+        mdp, lambda t, s, w: played_actions(mdp, policy, t, s, Rat(w, den)), ONE, z
     )
     return z
 
 
 def _add_occupation(mdp: Mdp, pmf, weight: Rat, z: FrequencyVector) -> None:
     """Add weight times the occupation measure of the policy whose action
-    law at node (t, s, w) is pmf(t, s, w) into z, in one forward walk over
-    the nodes the policy reaches."""
-    dist = {(mdp.initial_state, ZERO): weight}
+    law at integer node (t, s, W) is pmf(t, s, W) into z, in one forward
+    walk over the nodes the policy reaches; z's keys carry W / D."""
+    den = mdp.reward_den
+    dist = {(mdp.initial_state, 0): weight}
     for t in range(mdp.horizon + 1):
         nxt: dict = {}
         for (s, w), mass in dist.items():
-            z.z_x[(t, s, w)] = z.z_x.get((t, s, w), ZERO) + mass
+            x = (t, s, Rat(w, den))
+            z.z_x[x] = z.z_x.get(x, ZERO) + mass
             if t == mdp.horizon:
                 continue
             for a, pa in pmf(t, s, w).items():
                 flow = mass * pa
-                z.z_sa[(t, s, w, a)] = z.z_sa.get((t, s, w, a), ZERO) + flow
-                for s2, r, pg in mdp.branches(t, s, a):
+                sa = x + (a,)
+                z.z_sa[sa] = z.z_sa.get(sa, ZERO) + flow
+                for s2, r, _, pg in mdp.int_branches(t, s, a):
                     key = (s2, w + r)
                     nxt[key] = nxt.get(key, ZERO) + flow * pg
         dist = nxt
@@ -415,7 +412,7 @@ def terminal_lower_hull(mdp: Mdp) -> list[tuple[Rat, Rat]]:
     set, left to right. Purely LP-driven (support directions with an exact
     lexicographic second stage), independent of the geometric DP engine.
     """
-    sk = _skeleton(mdp)
+    sk = build_polytope(mdp)
 
     lo_sol = sk.run(objective=sk.mean_coeffs)
     hi_sol = sk.run(objective={j: -c for j, c in sk.mean_coeffs.items()})

@@ -26,6 +26,7 @@ from .errors import EngineDisagreementError, EnumerationLimitError
 from .model import (
     Mdp,
     PolicySpec,
+    in_state_order,
     make_mdp,
     per_node,
     per_state,
@@ -140,8 +141,8 @@ class _DecisionWalk:
 
     The points are the keys `reach` walks with `per_state` ((t, state), for
     TS and TS_U) or `per_node` ((t, state, reward), for TSW, the reward
-    built as a Rat from `reach`'s integer), sorted by stage, then state
-    order, then reward. A point with k actions has
+    built as a Rat from `reach`'s integer), stage by stage, each stage
+    `in_state_order`. A point with k actions has
     C(resolution + k - 1, k - 1) options: its actions (k, at resolution 1)
     or its TS_U grid vectors, each kept as its positive entries (action
     index, c) for probability c / resolution. Their product is checked
@@ -164,12 +165,8 @@ class _DecisionWalk:
         self.resolution = resolution
         self.horizon = mdp.horizon
         place = per_node if class_tag == "TSW" else per_state
-        order = {s: i for i, s in enumerate(mdp.states)}
         stages = reach(mdp, place)
-        keys = [
-            sorted(layer, key=lambda key: (order[key[0]],) + key[1:])
-            for layer in stages[:mdp.horizon]
-        ]
+        keys = in_state_order(mdp, stages[:mdp.horizon])
         total = 1
         for stage in keys:
             for key in stage:

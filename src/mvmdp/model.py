@@ -14,12 +14,13 @@ Policies come in four classes, named by what the decision rule may observe:
     TSW_U  randomized,     sees (t, state, cumulative reward)
 
 All probabilities and rewards are exact rationals; evaluation is exact.
-`reach` is the one forward reachability walk: over augmented (state,
-cumulative reward) nodes for `augment`, or over (t, state) pairs alone. It
-walks rewards as integers: each positive-probability reward is an integer
-numerator over the MDP's reward denominator D (`Mdp.reward_den`, the least
-common denominator of those rewards), so a node's cumulative reward W / D
-is carried as W, and sums of rewards are sums of integers.
+`reach` is the one forward reachability walk, and every engine walks it:
+over augmented (state, cumulative reward) nodes, or over (t, state) pairs
+alone. It walks rewards as integers: each positive-probability reward is an
+integer numerator over the MDP's reward denominator D (`Mdp.reward_den`,
+the least common denominator of those rewards), so a node's cumulative
+reward W / D is carried as W. `augment` is its rational, sorted view
+(`in_state_order`), which no engine calls.
 
 The value classes here (`Mdp`, `Violation`, `AugmentedSpace`, `PolicySpec`,
 `PolicyEvaluation`) are plain classes: `__slots__` (except `Mdp`, whose
@@ -329,6 +330,13 @@ def reach(mdp: Mdp, place, max_nodes: int | None = None) -> list:
     return layers
 
 
+def in_state_order(mdp: Mdp, layers) -> list:
+    """Each layer of `reach` as a list of its keys sorted by state order,
+    then by the rest of the key (a per_node key's integer reward)."""
+    order = {s: i for i, s in enumerate(mdp.states)}
+    return [sorted(layer, key=lambda k: (order[k[0]],) + k[1:]) for layer in layers]
+
+
 class AugmentedSpace:
     """Reachable (state, cumulative reward) pairs, layered by step.
 
@@ -355,17 +363,13 @@ class AugmentedSpace:
 
 
 def augment(mdp: Mdp, max_nodes: int | None = None) -> AugmentedSpace:
-    """The per_node walk of `reach`, each layer sorted by state order and
-    then reward value, with each reward built as a Rat here; max_nodes caps
-    it as in `reach`."""
-    order = {s: i for i, s in enumerate(mdp.states)}
+    """The per_node walk of `reach` in state order (`in_state_order`),
+    with each reward built as a Rat here; max_nodes caps it as in
+    `reach`."""
     den = mdp.reward_den
+    layers = in_state_order(mdp, reach(mdp, per_node, max_nodes))
     return AugmentedSpace(layers=tuple(
-        tuple(
-            (s, Rat(w, den))
-            for s, w in sorted(layer, key=lambda sw: (order[sw[0]], sw[1]))
-        )
-        for layer in reach(mdp, per_node, max_nodes)
+        tuple((s, Rat(w, den)) for s, w in layer) for layer in layers
     ))
 
 

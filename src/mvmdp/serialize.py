@@ -61,6 +61,8 @@ def loads(text: str, strict: bool = True) -> Mdp:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputFormatError("JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise InputFormatError("top level must be a JSON object")
     missing = [k for k in ("horizon", "states", "initial_state", "actions", "transitions", "rewards") if k not in doc]

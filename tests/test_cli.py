@@ -538,6 +538,20 @@ def test_max_variance_even_mixture(capsys, tmp_path):
     assert json.loads(out)["variance"]["pq"] == "0"
 
 
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    # json.loads raises RecursionError on deep nesting; exit 1 would read
+    # as "infeasible".
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = _invoke(
+        capsys, ["feasible-pair", "--lambda", "0", "--v", "0", str(path)]
+    )
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_augment_stats_csv(capsys, one_shot_path):
     code, out, _ = _invoke(
         capsys, ["augment-stats", one_shot_path, "--format", "csv"]

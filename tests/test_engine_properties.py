@@ -43,7 +43,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from corpus import _tsw_policy_count, decision_choices, per_node_game  # noqa: E402
 from mvmdp.frequency import (  # noqa: E402
-    _skeleton,
+    build_polytope,
     check_frequency,
     exact_pair_feasible,
     frequencies_to_policy,
@@ -58,7 +58,14 @@ from mvmdp.games import (  # noqa: E402
 )
 from mvmdp.geometry import MomentPolygon  # noqa: E402
 from mvmdp.lp import LpStatus  # noqa: E402
-from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp  # noqa: E402
+from mvmdp.model import (  # noqa: E402
+    PolicySpec,
+    augment,
+    evaluate_policy,
+    make_mdp,
+    per_node,
+    reach,
+)
 from mvmdp.rationals import Rat  # noqa: E402
 from mvmdp.setdp import compute_pmq, exact_frontier  # noqa: E402
 
@@ -139,10 +146,11 @@ def _direction_at_vertex(vs, i, data):
 @given(mdps(), st.data())
 def test_supporting_policy_reaches_every_vertex(mdp, data):
     polygon = compute_pmq(mdp)
-    aug = augment(mdp)
+    layers = reach(mdp, per_node)
     vs = polygon.vertices
     for i, vertex in enumerate(vs):
-        rule = supporting_policy(mdp, aug, _direction_at_vertex(vs, i, data))
+        rule = supporting_policy(mdp, layers, _direction_at_vertex(vs, i, data))
+        rule = {(t, s, Rat(w, mdp.reward_den)): a for (t, s, w), a in rule.items()}
         ev = evaluate_policy(mdp, PolicySpec("TSW", rule))
         assert (ev.mean, ev.second_moment) == vertex
 
@@ -165,7 +173,7 @@ def test_mixture_witness_replays_at_interior_points(mdp, data):
     q = sum(w * p[1] for w, p in zip(weights, picks)) / total
     ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
     assert ok
-    assert check_frequency(_skeleton(mdp), z) == []
+    assert check_frequency(build_polytope(mdp), z) == []
     ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
     assert (ev.mean, ev.second_moment) == (m, q)
 

@@ -1,15 +1,19 @@
 import itertools
+import json
 import random
+import sys
 
 import pytest
 
 from corpus import (
     deep_instances,
     integer_instances,
+    mixed_frame_mdp,
     random_mdp,
     rational_instances,
 )
-from mvmdp import frequency, lp
+from mvmdp import frequency, lp, model
+from mvmdp.cli import run
 from mvmdp.errors import EngineDisagreementError, PolicyCoverageError
 from mvmdp.fixtures import (
     all_zero,
@@ -19,7 +23,6 @@ from mvmdp.fixtures import (
     two_point_stage,
 )
 from mvmdp.frequency import (
-    _skeleton,
     build_polytope,
     check_frequency,
     exact_pair_feasible,
@@ -32,6 +35,7 @@ from mvmdp.frequency import (
 from mvmdp.lp import LpSolution, LpStatus, solve
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
 from mvmdp.rationals import Rat
+from mvmdp.serialize import dumps
 from mvmdp.setdp import (
     ExactFrontier,
     compute_pmq,
@@ -43,16 +47,101 @@ from mvmdp.setdp import (
 
 def test_skeleton_counts_one_stage():
     mdp = two_point_stage()
-    sk = build_polytope(augment(mdp), mdp)
+    sk = build_polytope(mdp)
     # 2 action vars, 3 marginal vars; 1 mass + 1 coupling + 2 flow rows.
     assert len(sk.sa_keys) == 2
     assert len(sk.x_keys) == 3
     assert len(sk.rows) == 4
 
 
+def test_skeleton_keys_are_the_augmented_nodes_in_their_order():
+    # The skeleton keys its variables on reach's integer rewards; mapped
+    # through W / D they are augment's nodes in augment's order, so every
+    # LP over the skeleton keeps its columns and pivot path.
+    mdps = rational_instances() + [mixed_frame_mdp(3)]
+    assert mdps[-1].reward_den == 42
+    for mdp in mdps:
+        sk = build_polytope(mdp)
+        den = mdp.reward_den
+        layers = augment(mdp).layers
+        assert all(type(w) is int for _, _, w in sk.x_keys)
+        assert [(t, s, Rat(w, den)) for t, s, w in sk.x_keys] == [
+            (t, s, w) for t, layer in enumerate(layers) for s, w in layer
+        ]
+        assert [(t, s, Rat(w, den), a) for t, s, w, a in sk.sa_keys] == [
+            (t, s, w, a)
+            for t, layer in enumerate(layers[:mdp.horizon])
+            for s, w in layer
+            for a in mdp.actions[s]
+        ]
+
+
+def test_check_frequency_reports_entries_outside_the_polytope():
+    mdp = one_shot_two_arms()
+    sk = build_polytope(mdp)
+    z = policy_frequencies(mdp, PolicySpec("TS", {(0, "s0"): "b"}))
+    assert check_frequency(sk, z) == []
+    # Zero-valued entries off the variables are zeros, and still pass:
+    # an unreachable node and an action s0 does not have.
+    z.z_x[(1, "s0", 0)] = 0
+    z.z_sa[(0, "s0", 0, "bogus")] = Rat(0)
+    assert check_frequency(sk, z) == []
+    # Nonzero ones are problems: an unreachable node, an unknown action at
+    # an unreachable reward, and a reward off the 1/D grid (D = 1 here).
+    strays = [
+        ((0, "s0", 99, "bogus"), -3),
+        ((1, "s0", 12345), 7),
+        ((1, "end", Rat(1, 2)), Rat(1, 5)),
+    ]
+    z.z_x[(1, "s0", 12345)] = 7
+    z.z_sa[(0, "s0", 99, "bogus")] = -3
+    z.z_x[(1, "end", Rat(1, 2))] = Rat(1, 5)
+    problems = check_frequency(sk, z)
+    assert [p for p in problems if "not a variable" in p] == [
+        f"entry {key} = {value} is not a variable" for key, value in strays
+    ]
+
+
+def test_no_engine_calls_augment(monkeypatch, capsys, tmp_path):
+    # The answers and output the same calls gave while the witnesses, the
+    # skeleton and augment-stats still walked augment's layers.
+    def refused(*args, **kwargs):
+        raise AssertionError("augment called")
+
+    mdp = mixed_frame_mdp(2)
+    path = tmp_path / "mixed.json"
+    path.write_text(dumps(mdp))
+    # In mvmdp.model and in every loaded mvmdp module that imported it.
+    real = model.augment
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mvmdp") and getattr(module, "augment", None) is real:
+            monkeypatch.setattr(module, "augment", refused)
+    mean = Rat(689, 2268)
+    variance = Rat(1004231, 5143824)
+    ok, z = exact_pair_feasible(mdp, mean, variance)
+    assert ok and (len(z.z_x), len(z.z_sa)) == (15, 8)
+    ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))
+    assert (ev.mean, ev.variance) == (mean, variance)
+    ok, z = mean_fixed_var_bounded(mdp, mean, 1)
+    assert ok
+    assert z.terminal_second_moment(mdp.horizon) == Rat(3585784, 15300495)
+    assert terminal_lower_hull(mdp) == [
+        (Rat(29, 336), Rat(35843, 127008)),
+        (Rat(605, 3024), Rat(23003, 127008)),
+        (Rat(5, 8), Rat(313, 784)),
+        (Rat(34, 21), Rat(2381, 441)),
+    ]
+    assert min_q_over_interval(mdp, Rat(1, 2), 1) == (
+        LpStatus.OPTIMAL, Rat(506347, 1511160)
+    )
+    assert run(["augment-stats", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["node_count"], out["layer_sizes"]) == (22, [1, 5, 16])
+
+
 def test_all_zero_polytope_is_a_point():
     mdp = all_zero(horizon=2)
-    sk = build_polytope(augment(mdp), mdp)
+    sk = build_polytope(mdp)
     sol = sk.run()
     assert sol.status is LpStatus.OPTIMAL
     z = sk.solution_vector(sol)
@@ -63,7 +152,7 @@ def test_all_zero_polytope_is_a_point():
 
 def test_layer_masses_sum_to_one():
     mdp = forked_path(Rat(1, 3))
-    sk = build_polytope(augment(mdp), mdp)
+    sk = build_polytope(mdp)
     sol = sk.run(objective=sk.sm_coeffs)
     z = sk.solution_vector(sol)
     for t in range(mdp.horizon + 1):
@@ -84,7 +173,7 @@ def test_exact_pair_witness_round_trip():
     mdp = one_shot_two_arms()
     ok, z = exact_pair_feasible(mdp, Rat(1, 2), Rat(3, 4))
     assert ok
-    sk = build_polytope(augment(mdp), mdp)
+    sk = build_polytope(mdp)
     assert check_frequency(sk, z) == []
     assert z.terminal_mean(mdp.horizon) == Rat(1, 2)
     assert z.terminal_second_moment(mdp.horizon) == Rat(3, 4) + Rat(1, 4)
@@ -129,7 +218,7 @@ def test_min_q_over_interval_examples():
 
 def test_warm_start_agrees_with_cold_solve():
     mdp = offset_chain()
-    sk = build_polytope(augment(mdp), mdp)
+    sk = build_polytope(mdp)
     warm = sk.run(objective=sk.sm_coeffs)
     cold = solve(sk.problem(objective=sk.sm_coeffs))
     assert warm.status is cold.status is LpStatus.OPTIMAL
@@ -218,7 +307,7 @@ def test_policy_frequencies_lie_in_polytope():
     for _ in range(15):
         mdp = random_mdp(rng, max_states=3)
         aug = augment(mdp)
-        sk = build_polytope(aug, mdp)
+        sk = build_polytope(mdp)
         rule = {}
         for t in range(mdp.horizon):
             for s, w in aug.layers[t]:
@@ -312,7 +401,7 @@ def test_mixture_witness_agrees_with_the_two_row_lp():
     # and both witnesses replay to it.
     for mdp in integer_instances()[:60]:
         polygon = compute_pmq(mdp)
-        sk = _skeleton(mdp)
+        sk = build_polytope(mdp)
         for m, q in _moment_targets(polygon):
             prob = sk.problem(extra_rows=[(sk.mean_coeffs, m), (sk.sm_coeffs, q)])
             lp = solve(prob, initial_basis=sk._warm)
@@ -332,9 +421,9 @@ def _counting_vertex_policies(monkeypatch) -> list:
     calls = []
     support = frequency.supporting_policy
 
-    def counted(mdp, aug, direction):
+    def counted(mdp, layers, direction):
         calls.append(direction)
-        return support(mdp, aug, direction)
+        return support(mdp, layers, direction)
 
     monkeypatch.setattr(frequency, "supporting_policy", counted)
     return calls
@@ -350,7 +439,7 @@ def test_mixture_witnesses_lie_in_the_polytope(monkeypatch):
     cases += [(mdp, 7) for mdp, _ in deep_instances()[:4]]
     for mdp, stride in cases:
         polygon = compute_pmq(mdp)
-        sk = _skeleton(mdp)
+        sk = build_polytope(mdp)
         targets = _moment_targets(polygon)[:-3]
         for m, q in targets[:-1:stride] + targets[-1:]:
             calls.clear()
@@ -399,7 +488,7 @@ def test_mixture_witness_on_degenerate_polygons(arms, shape, monkeypatch):
     targets += [(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), 2) for a, b in ends]
     if len(vs) == 3:
         targets.append(((sum(m for m, _ in vs) / 3, sum(q for _, q in vs) / 3), 3))
-    sk = _skeleton(mdp)
+    sk = build_polytope(mdp)
     for target, used in targets:
         calls.clear()
         m, q = target
@@ -492,7 +581,7 @@ def test_witness_raises_when_a_vertex_policy_misses_its_vertex(monkeypatch):
     monkeypatch.setattr(
         frequency,
         "supporting_policy",
-        lambda mdp, aug, direction: support(mdp, aug, (0, 1)),
+        lambda mdp, layers, direction: support(mdp, layers, (0, 1)),
     )
     with pytest.raises(EngineDisagreementError, match="vertex policies"):
         exact_pair_feasible(one_shot_two_arms(), Rat(1, 2), Rat(3, 4))

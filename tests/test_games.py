@@ -28,7 +28,7 @@ from mvmdp.fixtures import (
     one_shot_two_arms,
 )
 from mvmdp.frequency import (
-    _skeleton,
+    build_polytope,
     exact_pair_feasible,
     frequencies_to_policy,
     min_q_over_interval,
@@ -390,7 +390,7 @@ def test_exact_pair_feasible_agrees_with_polygon_contains():
     inside = []
     for mdp in integer_instances(30):
         polygon = compute_pmq(mdp)
-        sk = _skeleton(mdp)
+        sk = build_polytope(mdp)
         for _ in range(2):
             a = rng.choice(polygon.vertices)
             b = rng.choice(polygon.vertices)

@@ -283,10 +283,9 @@ def test_solve_leaves_problem_rows_unchanged():
 def test_skeleton_runs_do_not_share_tableau_state():
     from corpus import integer_instances
     from mvmdp.frequency import build_polytope
-    from mvmdp.model import augment
 
     for mdp in integer_instances(10)[::4]:
-        sk = build_polytope(augment(mdp), mdp)
+        sk = build_polytope(mdp)
         rows = [(dict(coeffs), rhs) for coeffs, rhs in sk.rows]
         queries = [
             dict(objective=sk.sm_coeffs),

@@ -31,7 +31,7 @@ from .errors import (
     InputFormatError,
 )
 from .model import Mdp, POLICY_CLASSES, PolicySpec
-from .rationals import BACKEND, RATIONAL_TEXT, Rat, rat, rat_str, rationalize_float
+from .rationals import BACKEND, Rat, rat, rat_str, rationalize_float
 from .serialize import dumps, loads
 
 OK = 0
@@ -90,18 +90,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_exact(text: str, flag: str) -> Rat:
-    """p/q only; floats are an error here so answers stay exact."""
-    if not RATIONAL_TEXT.match(text):
-        raise _UsageError(f"{flag} needs an exact rational like 3, -2, or 7/4, got {text!r}")
+    """p/q only (`rat`'s grammar); floats are an error so answers stay exact."""
     try:
         return rat(text)
+    except ValueError:
+        raise _UsageError(f"{flag} needs an exact rational like 3, -2, or 7/4, got {text!r}") from None
     except ZeroDivisionError:
         raise _UsageError(f"{flag} has denominator zero: {text!r}") from None
 
 
 def _parse_tolerance(text: str, flag: str) -> Rat:
-    if RATIONAL_TEXT.match(text):
-        return _parse_exact(text, flag)
+    """p/q as `_parse_exact` reads it, or a float rounded with a warning."""
+    try:
+        return rat(text)
+    except ZeroDivisionError:
+        return _parse_exact(text, flag)  # p/0: its denominator-zero error
+    except ValueError:
+        pass
     try:
         value = float(text)
     except ValueError:

@@ -16,10 +16,11 @@ layers is the same. Every terminal statistic of interest (mean and second
 moment of the cumulative reward) is linear in z, which is what makes the
 mean-variance questions below linear programs.
 
-The skeleton, the backward DP and the forward walks run on `model.reach`'s
-integer nodes (s, W), w = W / D for D = `Mdp.reward_den`. The Rat W / D is
-built only where a key leaves this module (a FrequencyVector's keys) or
-meets a caller's (the lookups into a given policy's rule).
+The skeleton, the backward DP and the forward walk (`model.occupation`)
+run on `model.reach`'s integer nodes (s, W), w = W / D for
+D = `Mdp.reward_den`. The Rat W / D is built only where a key leaves this
+module (a FrequencyVector's keys) or meets a caller's (the lookups into a
+given policy's rule, in `model.played_actions`).
 
 Every query is a standard-form LP (equality rows, nonnegative columns): a
 side condition such as "mean in [lo, hi]" is an extra row with its own
@@ -37,10 +38,14 @@ cross-check LPs (`terminal_lower_hull`, `min_q_over_interval`) and
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import EngineDisagreementError
 from .geometry import MomentPolygon
 from .lp import LpProblem, LpSolution, LpStatus, solve
-from .model import Mdp, PolicySpec, in_state_order, per_node, played_actions, reach
+from .model import (
+    Mdp, PolicySpec, in_state_order, occupation, per_node, played_actions, reach
+)
 from .rationals import Rat, ZERO, ONE, rat
 from .setdp import compute_pmq, exact_frontier
 
@@ -373,38 +378,27 @@ def frequencies_to_policy(mdp: Mdp, z: FrequencyVector) -> PolicySpec:
 
 
 def policy_frequencies(mdp: Mdp, policy: PolicySpec) -> FrequencyVector:
-    """Occupation measures induced by a policy (exact forward propagation),
-    with entries only for the nodes its forward walk meets;
-    `check_frequency` reads a missing entry as 0."""
-    den = mdp.reward_den
+    """Occupation measures induced by a policy: its forward walk
+    (`model.occupation`, through `model.played_actions`), with entries only
+    for the nodes that walk meets; `check_frequency` reads a missing entry
+    as 0."""
     z = FrequencyVector(z_sa={}, z_x={})
-    _add_occupation(
-        mdp, lambda t, s, w: played_actions(mdp, policy, t, s, Rat(w, den)), ONE, z
-    )
+    _add_occupation(mdp, partial(played_actions, mdp, policy), ONE, z)
     return z
 
 
 def _add_occupation(mdp: Mdp, pmf, weight: Rat, z: FrequencyVector) -> None:
     """Add weight times the occupation measure of the policy whose action
-    law at integer node (t, s, W) is pmf(t, s, W) into z, in one forward
-    walk over the nodes the policy reaches; z's keys carry W / D."""
+    law at integer node (t, s, W) is pmf(t, s, W) into z: the masses and
+    flows `model.occupation` yields, keyed by W / D."""
     den = mdp.reward_den
-    dist = {(mdp.initial_state, 0): weight}
-    for t in range(mdp.horizon + 1):
-        nxt: dict = {}
-        for (s, w), mass in dist.items():
-            x = (t, s, Rat(w, den))
-            z.z_x[x] = z.z_x.get(x, ZERO) + mass
-            if t == mdp.horizon:
-                continue
-            for a, pa in pmf(t, s, w).items():
-                flow = mass * pa
-                sa = x + (a,)
-                z.z_sa[sa] = z.z_sa.get(sa, ZERO) + flow
-                for s2, r, _, pg in mdp.int_branches(t, s, a):
-                    key = (s2, w + r)
-                    nxt[key] = nxt.get(key, ZERO) + flow * pg
-        dist = nxt
+    z_x, z_sa = z.z_x, z.z_sa
+    for t, s, w, mass, flows in occupation(mdp, pmf, weight):
+        x = (t, s, Rat(w, den))
+        z_x[x] = z_x.get(x, ZERO) + mass
+        for a, flow in flows:
+            sa = x + (a,)
+            z_sa[sa] = z_sa.get(sa, ZERO) + flow
 
 
 def terminal_lower_hull(mdp: Mdp) -> list[tuple[Rat, Rat]]:

@@ -7,6 +7,9 @@ controller picks actions, an adversary picks any positive-probability
 branch. What can be forced from (t, s, w) is w plus what can be forced from
 (t, s) with nothing earned, so one backward pass over the (t, state) pairs
 `model.reach` walks answers the question for every k and every node at once.
+The game runs on `reach`'s integers: a value or a cumulative reward is an
+integer K over D = `Mdp.reward_den`, and the Rat K / D is built only where
+it leaves the game (`GameResult`).
 
 Policy enumeration is the brute-force oracle used to validate the optimizing
 modules on small instances: one depth-first walk over the reachable decision
@@ -39,7 +42,9 @@ DEFAULT_POLICY_CAP = 10**6
 
 
 class GameResult:
-    """Forcible terminal values and a deterministic forcing policy for each."""
+    """Forcible terminal values and a deterministic forcing policy for each:
+    the game's integers K over D = `Mdp.reward_den`, built as the Rat K / D
+    here, as are the forcing policies' rule keys."""
 
     __slots__ = ("achievable_values", "winning_policy")
 
@@ -57,29 +62,31 @@ def zero_variance_values(mdp: Mdp) -> GameResult:
     r + G(t+1, s'). A stage whose sets hold more than setdp.MAX_STAGE_SIZE
     values in total raises AugmentationLimitError.
     """
+    den = mdp.reward_den
     forcible = _forcible_sets(mdp)
-    root = forcible[0][mdp.initial_state]
     policies = {
-        k: _forcing_policy(mdp, forcible, k) for k in sorted(root)
+        Rat(k, den): _forcing_policy(mdp, forcible, k)
+        for k in sorted(forcible[0][mdp.initial_state])
     }
-    return GameResult(achievable_values=root, winning_policy=policies)
+    return GameResult(achievable_values=frozenset(policies), winning_policy=policies)
 
 
 def _forcible_sets(mdp: Mdp) -> list:
     """G(t, s) of `zero_variance_values` for each reachable (t, s), as one
-    {state: frozenset} per step."""
+    {state: frozenset} per step; each integer K in G(t, s) stands for K / D,
+    and a branch adds its integer reward R (`Mdp.int_branches`)."""
     stages = reach(mdp, per_state)
     horizon = mdp.horizon
     forcible: list = [None] * (horizon + 1)
-    forcible[horizon] = {s: frozenset((ZERO,)) for (s,) in stages[horizon]}
+    forcible[horizon] = {s: frozenset((0,)) for (s,) in stages[horizon]}
     for t in reversed(range(horizon)):
         layer = {}
         for (s,) in stages[t]:
             values = set()
             for a in mdp.actions[s]:
                 common = None
-                for s2, r, _ in mdp.branches(t, s, a):
-                    child = {r + v for v in forcible[t + 1][s2]}
+                for s2, step, _, _ in mdp.int_branches(t, s, a):
+                    child = {step + v for v in forcible[t + 1][s2]}
                     common = child if common is None else common & child
                     if not common:
                         break
@@ -92,27 +99,29 @@ def _forcible_sets(mdp: Mdp) -> list:
     return forcible
 
 
-def _forcing_policy(mdp: Mdp, forcible: list, k) -> PolicySpec:
-    """Forward reconstruction: at each reached node (t, s, w) take the first
-    action whose branches (s', r) all keep k forcible: k - w - r in G(t+1, s').
-    Every node it reaches has k - w in G(t, s), so each step reaches at most
-    as many nodes as the stage has forcible values."""
+def _forcing_policy(mdp: Mdp, forcible: list, k: int) -> PolicySpec:
+    """Forward reconstruction of the policy forcing K / D on integer nodes
+    (s, W): at each reached node take the first action whose branches
+    (s', R) all keep K forcible: K - W - R in G(t+1, s'). Every node it
+    reaches has K - W in G(t, s), so each step reaches at most as many
+    nodes as the stage has forcible values. Rule keys carry W / D."""
+    den = mdp.reward_den
     rule = {}
-    frontier = {(mdp.initial_state, ZERO)}
+    frontier = {(mdp.initial_state, 0)}
     for t in range(mdp.horizon):
         nxt = set()
         for s, w in sorted(frontier):
             need = k - w
             for a in mdp.actions[s]:
-                branches = mdp.branches(t, s, a)
-                if all(need - r in forcible[t + 1][s2] for s2, r, _ in branches):
+                branches = mdp.int_branches(t, s, a)
+                if all(need - r in forcible[t + 1][s2] for s2, r, _, _ in branches):
                     break
             else:
                 raise EngineDisagreementError(
-                    f"no forcing action at ({t}, {s}, {w})"
+                    f"no forcing action at ({t}, {s}, {Rat(w, den)})"
                 )
-            rule[(t, s, w)] = a
-            nxt.update((s2, w + r) for s2, r, _ in branches)
+            rule[(t, s, Rat(w, den))] = a
+            nxt.update((s2, w + r) for s2, r, _, _ in branches)
         frontier = nxt
     return PolicySpec("TSW", rule)
 

@@ -19,8 +19,10 @@ over augmented (state, cumulative reward) nodes, or over (t, state) pairs
 alone. It walks rewards as integers: each positive-probability reward is an
 integer numerator over the MDP's reward denominator D (`Mdp.reward_den`,
 the least common denominator of those rewards), so a node's cumulative
-reward W / D is carried as W. `augment` is its rational, sorted view
-(`in_state_order`), which no engine calls.
+reward W / D is carried as W, on the one branch table `Mdp.int_branches`.
+`occupation` is the one forward walk of a policy's mass over those nodes,
+for `evaluate_policy` and `frequency`. `augment` is the rational, sorted
+view of `reach` (`in_state_order`), which no engine calls.
 
 The value classes here (`Mdp`, `Violation`, `AugmentedSpace`, `PolicySpec`,
 `PolicyEvaluation`) are plain classes: `__slots__` (except `Mdp`, whose
@@ -32,7 +34,7 @@ define `__eq__`, field by field, as their callers compare them.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import AugmentationLimitError, PolicyCoverageError
 from .rationals import Rat, ZERO, ONE, is_integer, rat
@@ -49,8 +51,8 @@ class Mdp:
 
     transitions: (t, s, a) -> {next_state: probability}
     rewards:     (t, s, a) -> {reward_value: probability}
-    Entries with probability zero may be present; branches() skips them.
-    No field is reassigned after construction: the branch caches and
+    Entries with probability zero may be present; int_branches() skips them.
+    No field is reassigned after construction: the branch table and
     `reward_den` are filled from them once. Equality compares the six
     fields and ignores those caches.
     """
@@ -65,8 +67,7 @@ class Mdp:
         self.actions = actions
         self.transitions = transitions
         self.rewards = rewards
-        self._branches = {}
-        self._int_branches = {}
+        self._table = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -80,30 +81,9 @@ class Mdp:
 
     def with_rewards(self, rewards: dict) -> Mdp:
         """This MDP with its reward table replaced: a new Mdp, so its branch
-        caches and reward_den start empty."""
+        table and reward_den start empty."""
         return Mdp(self.horizon, self.states, self.initial_state,
                    self.actions, self.transitions, rewards)
-
-    def branches(self, t: int, s: str, a: str) -> tuple:
-        """Positive-probability branches of the factored kernel at (t, s, a).
-
-        One (next_state, reward, p * g) triple per next state s2 with
-        p = transitions[(t, s, a)][s2] > 0 and reward r with
-        g = rewards[(t, s, a)][r] > 0; next states in row order, rewards in
-        pmf order within each. Computed once per (t, s, a) and cached.
-        """
-        key = (t, s, a)
-        out = self._branches.get(key)
-        if out is None:
-            pmf = [(r, g) for r, g in self.rewards[key].items() if g > 0]
-            out = tuple(
-                (s2, r, p * g)
-                for s2, p in self.transitions[key].items()
-                if p > 0
-                for r, g in pmf
-            )
-            self._branches[key] = out
-        return out
 
     @cached_property
     def reward_den(self) -> int:
@@ -117,18 +97,28 @@ class Mdp:
         ))
 
     def int_branches(self, t: int, s: str, a: str) -> tuple:
-        """branches(t, s, a) with each reward also on the integers: one
-        (next_state, R, reward, p * g) per branch, R = reward * reward_den.
-        Computed once per (t, s, a) and cached."""
+        """Positive-probability branches of the factored kernel at (t, s, a).
+
+        One (next_state, R, reward, p * g) per next state s2 with
+        p = transitions[(t, s, a)][s2] > 0 and reward with
+        g = rewards[(t, s, a)][reward] > 0, R = reward * reward_den; next
+        states in row order, rewards in pmf order within each. Computed
+        once per (t, s, a) and cached: the MDP's one branch table.
+        """
         key = (t, s, a)
-        out = self._int_branches.get(key)
+        out = self._table.get(key)
         if out is None:
             den = self.reward_den
+            pmf = [
+                (int(r.numerator) * (den // int(r.denominator)), r, g)
+                for r, g in self.rewards[key].items() if g > 0
+            ]
             out = tuple(
-                (s2, int(r.numerator) * (den // int(r.denominator)), r, pg)
-                for s2, r, pg in self.branches(t, s, a)
+                (s2, step, r, p * g)
+                for s2, p in self.transitions[key].items() if p > 0
+                for step, r, g in pmf
             )
-            self._int_branches[key] = out
+            self._table[key] = out
         return out
 
     @property
@@ -147,12 +137,7 @@ class Mdp:
         return self.reward_bound * self.horizon
 
     def integer_rewards(self) -> bool:
-        return all(
-            value.denominator == 1
-            for pmf in self.rewards.values()
-            for value, prob in pmf.items()
-            if prob > 0
-        )
+        return self.reward_den == 1
 
 
 def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> Mdp:
@@ -441,9 +426,12 @@ def check_policy(mdp: Mdp, policy: PolicySpec) -> list[Violation]:
     return out
 
 
-def played_actions(mdp: Mdp, policy: PolicySpec, t: int, s: str, w) -> dict:
-    """The policy's positive-probability actions at node (t, s, w); raises
+def played_actions(mdp: Mdp, policy: PolicySpec, t: int, s: str, w: int) -> dict:
+    """The policy's positive-probability actions at `reach`'s integer node
+    (t, s, W); a reward-aware rule is read at W / D. Raises
     PolicyCoverageError on a missing rule or an action s does not have."""
+    if policy.reward_aware:
+        w = Rat(w, mdp.reward_den)
     played = {}
     for a, pa in policy.action_pmf(t, s, w).items():
         if pa == 0:
@@ -454,6 +442,31 @@ def played_actions(mdp: Mdp, policy: PolicySpec, t: int, s: str, w) -> dict:
             )
         played[a] = pa
     return played
+
+
+def occupation(mdp: Mdp, pmf, weight: Rat):
+    """The one forward walk of a policy whose action law at integer node
+    (t, s, W) is pmf(t, s, W), on `reach`'s integers: yields
+    (t, s, W, mass, flows) for each node it reaches with nonzero mass, in
+    the order the walk meets them. mass is weight times the node's
+    probability, and flows lists (action, mass * pa), empty at the horizon.
+    """
+    dist = {(mdp.initial_state, 0): weight}
+    for t in range(mdp.horizon + 1):
+        nxt: dict = {}
+        for (s, w), mass in dist.items():
+            if mass == 0:
+                continue
+            if t == mdp.horizon:
+                yield t, s, w, mass, ()
+                continue
+            flows = [(a, mass * pa) for a, pa in pmf(t, s, w).items()]
+            yield t, s, w, mass, flows
+            for a, flow in flows:
+                for s2, step, _, pg in mdp.int_branches(t, s, a):
+                    key = (s2, w + step)
+                    nxt[key] = nxt.get(key, ZERO) + flow * pg
+        dist = nxt
 
 
 class PolicyEvaluation:
@@ -471,31 +484,15 @@ class PolicyEvaluation:
 
 
 def evaluate_policy(mdp: Mdp, policy: PolicySpec) -> PolicyEvaluation:
-    """Exact forward propagation of the joint (state, cumulative reward) law."""
-    dist: dict[tuple[str, Rat], Rat] = {(mdp.initial_state, ZERO): ONE}
-    for t in range(mdp.horizon):
-        nxt: dict[tuple[str, Rat], Rat] = {}
-        for (s, w), mass in dist.items():
-            if mass == 0:
-                continue
-            for a, pa in played_actions(mdp, policy, t, s, w).items():
-                base = mass * pa
-                for s2, r, pg in mdp.branches(t, s, a):
-                    key = (s2, w + r)
-                    add = base * pg
-                    if key in nxt:
-                        nxt[key] += add
-                    else:
-                        nxt[key] = add
-        dist = nxt
+    """Exact forward propagation of the joint (state, cumulative reward)
+    law (`occupation`); terminal is keyed by the Rat W / D."""
+    den = mdp.reward_den
     terminal: dict[Rat, Rat] = {}
-    for (s, w), mass in dist.items():
-        if mass == 0:
-            continue
-        if w in terminal:
-            terminal[w] += mass
-        else:
-            terminal[w] = mass
+    pmf = partial(played_actions, mdp, policy)
+    for t, _, w, mass, _ in occupation(mdp, pmf, ONE):
+        if t == mdp.horizon:
+            w = Rat(w, den)
+            terminal[w] = terminal.get(w, ZERO) + mass
     mean = sum((w * m for w, m in terminal.items()), ZERO)
     second = sum((w * w * m for w, m in terminal.items()), ZERO)
     return PolicyEvaluation(

@@ -55,10 +55,23 @@ def _parse_pair(value, what: str):
         raise InputFormatError(f"bad rational in {what}: {value!r} ({exc})") from None
 
 
+def _unique_names(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated name raises InputFormatError,
+    where json would keep its last value."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise InputFormatError(f"name {name!r} repeated in one JSON object")
+            seen.add(name)
+    return out
+
+
 def loads(text: str, strict: bool = True) -> Mdp:
     """Parse MDP JSON. strict=True also rejects semantically invalid MDPs."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_names)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:

@@ -1,7 +1,9 @@
 """Seeded instance samplers shared by the acceptance tests, the small
 random MDPs of the engine tests (`random_mdp`), the per-node reference for
-the zero-variance game, and the policy-by-policy reference for the TS, TSW
-and TS_U searches (`decision_choices`).
+the zero-variance game, the rational forward walk that checks
+`evaluate_policy` (`rational_evaluation`), the policy-by-policy reference
+for the TS, TSW and TS_U searches (`decision_choices`), and MDP JSON texts
+that repeat a name (`REPEATED_NAMES`).
 
 Every sampler is deterministic for a given seed, so the acceptance run is
 reproducible. Rejection rules keep the instances at desk scale: the integer
@@ -230,6 +232,59 @@ def has_balancing_partition(values) -> bool:
     )
 
 
+def rational_evaluation(mdp, policy) -> tuple:
+    """(terminal, mean, second moment, variance) of a policy from a forward
+    walk that sums cumulative rewards as Rats, over branches built here
+    from the transition rows and reward pmfs: a reference for
+    `evaluate_policy`, which walks `reach`'s integers."""
+    dist = {(mdp.initial_state, ZERO): Rat(1)}
+    for t in range(mdp.horizon):
+        nxt = {}
+        for (s, w), mass in dist.items():
+            for a, pa in policy.action_pmf(t, s, w).items():
+                if pa == 0:
+                    continue
+                key = (t, s, a)
+                for s2, p in mdp.transitions[key].items():
+                    for r, g in mdp.rewards[key].items():
+                        if p > 0 and g > 0:
+                            node = (s2, w + r)
+                            nxt[node] = nxt.get(node, ZERO) + mass * pa * p * g
+        dist = nxt
+    terminal = {}
+    for (_, w), mass in dist.items():
+        terminal[w] = terminal.get(w, ZERO) + mass
+    mean = sum((w * m for w, m in terminal.items()), ZERO)
+    second = sum((w * w * m for w, m in terminal.items()), ZERO)
+    return terminal, mean, second, second - mean * mean
+
+
+# A valid MDP JSON text, and three edits of it that each repeat one name in
+# one object, where json.loads alone would keep the last value.
+VALID_DOCUMENT = (
+    '{"horizon": 1, "states": ["s"], "initial_state": "s", '
+    '"actions": {"s": ["a", "b"]}, '
+    '"transitions": [{"s": "s", "a": "a", "rows": {"s": [1, 1]}}, '
+    '{"s": "s", "a": "b", "rows": {"s": [1, 1]}}], '
+    '"rewards": [{"s": "s", "a": "a", "pmf": [[[1, 1], [1, 1]]]}, '
+    '{"s": "s", "a": "b", "pmf": [[[0, 1], [1, 1]]]}]}'
+)
+REPEATED_NAMES = {
+    "top level": (
+        "horizon",
+        VALID_DOCUMENT.replace('"horizon": 1,', '"horizon": 1, "horizon": 2,'),
+    ),
+    "actions": (
+        "s",
+        VALID_DOCUMENT.replace('{"s": ["a", "b"]}', '{"s": ["b"], "s": ["a", "b"]}'),
+    ),
+    "rows": (
+        "s",
+        VALID_DOCUMENT.replace('{"s": [1, 1]}', '{"s": [1, 2], "s": [1, 1]}', 1),
+    ),
+}
+
+
 def per_node_game(mdp) -> tuple:
     """The zero-variance game on augmented nodes, as (win, root, policies).
 
@@ -247,7 +302,8 @@ def per_node_game(mdp) -> tuple:
             forcible = set()
             for a in mdp.actions[s]:
                 children = [
-                    win[t + 1][(s2, w + r)] for s2, r, _ in mdp.branches(t, s, a)
+                    win[t + 1][(s2, w + r)]
+                    for s2, _, r, _ in mdp.int_branches(t, s, a)
                 ]
                 forcible |= set.intersection(*children)
             win[t][(s, w)] = forcible
@@ -262,10 +318,12 @@ def per_node_game(mdp) -> tuple:
                 a = next(
                     a for a in mdp.actions[s]
                     if all(k in win[t + 1][(s2, w + r)]
-                           for s2, r, _ in mdp.branches(t, s, a))
+                           for s2, _, r, _ in mdp.int_branches(t, s, a))
                 )
                 rule[(t, s, w)] = a
-                nxt.update((s2, w + r) for s2, r, _ in mdp.branches(t, s, a))
+                nxt.update(
+                    (s2, w + r) for s2, _, r, _ in mdp.int_branches(t, s, a)
+                )
             frontier = nxt
         policies[k] = PolicySpec("TSW", rule)
     return win, root, policies

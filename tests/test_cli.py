@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import deep_instances, rational_instances
+from corpus import REPEATED_NAMES, deep_instances, rational_instances
 from mvmdp import frequency, games, model, setdp
 from mvmdp.cli import run
 from mvmdp.model import PolicySpec, evaluate_policy
@@ -58,6 +58,36 @@ def test_feasible_pair_infeasible_exit(capsys, one_shot_path):
     )
     assert code == 1
     assert json.loads(out)["feasible"] is False
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--lambda", "abc",
+         "error: --lambda needs an exact rational like 3, -2, or 7/4, got 'abc'"),
+        ("--lambda", "1/0", "error: --lambda has denominator zero: '1/0'"),
+        ("--epsilon", "abc", "error: --epsilon is not a number: 'abc'"),
+        ("--epsilon", "1/0", "error: --epsilon has denominator zero: '1/0'"),
+    ],
+)
+def test_number_flag_errors(capsys, one_shot_path, flag, text, message):
+    if flag == "--lambda":
+        argv = ["feasible-pair", one_shot_path, f"--lambda={text}", "--v=0"]
+    else:
+        argv = ["frontier", one_shot_path, f"--epsilon={text}", "--nu=1/2"]
+    code, out, err = _invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
+
+
+def test_float_tolerance_warning_text(capsys, one_shot_path):
+    code, _, err = _invoke(
+        capsys, ["frontier", one_shot_path, "--epsilon=0.25", "--nu=1/2"]
+    )
+    assert code == 0
+    assert err == (
+        "warning: --epsilon=0.25 is a float; using nearby rational 1/4\n"
+    )
 
 
 def test_decision_flags_reject_floats(capsys, one_shot_path):
@@ -550,6 +580,37 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
     assert out == ""
     assert "nested too deeply" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["augment-stats"],
+        ["feasible-pair", "--lambda", "1", "--v", "0"],
+        ["feasible-mean-var", "--lambda", "1", "--v", "0"],
+        ["frontier", "--exact"],
+        ["frontier", "--epsilon", "1/4", "--nu", "1/4"],
+        ["zero-variance"],
+        ["min-variance"],
+        ["max-variance"],
+        ["oracle", "--lambda", "1", "--v", "0", "--class", "TS"],
+        ["separation", "--lambda", "1", "--v", "0"],
+        ["discretize", "--delta", "1/2"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_repeated_json_name_exits_2(capsys, tmp_path, argv):
+    # Every subcommand that reads an MDP reads it through serialize.loads,
+    # which refuses a name given twice in one object.
+    path = tmp_path / "repeated.json"
+    for name, text in REPEATED_NAMES.values():
+        path.write_text(text)
+        code, out, err = _invoke(capsys, [*argv, str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad mdp input: name {name!r} repeated in one JSON object\n"
+        )
 
 
 def test_augment_stats_csv(capsys, one_shot_path):

@@ -28,6 +28,11 @@ decision points.
 The zero-variance game keeps one forcible set per (t, state); on every
 augmented node it must give the same sets and forcing policies as the
 game played node by node.
+
+`evaluate_policy` walks integer rewards over the reward denominator; for a
+drawn TS, TSW, TS_U or TSW_U rule it must give the terminal law and
+moments of the walk that sums rewards as Rats, and `policy_frequencies`
+must put that same law on the horizon's nodes.
 """
 
 from itertools import product
@@ -41,13 +46,19 @@ pytest.importorskip(
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from corpus import _tsw_policy_count, decision_choices, per_node_game  # noqa: E402
+from corpus import (  # noqa: E402
+    _tsw_policy_count,
+    decision_choices,
+    per_node_game,
+    rational_evaluation,
+)
 from mvmdp.frequency import (  # noqa: E402
     build_polytope,
     check_frequency,
     exact_pair_feasible,
     frequencies_to_policy,
     min_q_over_interval,
+    policy_frequencies,
     supporting_policy,
     terminal_lower_hull,
 )
@@ -209,13 +220,50 @@ def test_enumerated_rows_are_their_policies_evaluations(mdp, tag):
 @PROPERTY
 @given(mdps())
 def test_per_state_game_matches_the_per_node_game(mdp):
-    # Every reached node (t, s, w) can force exactly w + G(t, s), and the
-    # forcing policies are the reference's, rule for rule.
+    # Every reached node (t, s, w) can force exactly w + G(t, s), G(t, s)
+    # holding integers over D, and the forcing policies are the
+    # reference's, rule for rule.
     win, root, policies = per_node_game(mdp)
     forcible = _forcible_sets(mdp)
+    den = mdp.reward_den
     for t, layer in enumerate(win):
         for (s, w), values in layer.items():
-            assert values == {w + v for v in forcible[t][s]}
+            assert values == {w + Rat(v, den) for v in forcible[t][s]}
     result = zero_variance_values(mdp)
     assert result.achievable_values == root
     assert result.winning_policy == policies
+
+
+@st.composite
+def covering_policies(draw, mdp):
+    """A rule of a drawn class at every reachable decision point: an action,
+    or for TS_U and TSW_U integer weights over the actions, some of them
+    zero."""
+    tag = draw(st.sampled_from(("TS", "TSW", "TS_U", "TSW_U")))
+    points, choices = decision_choices(mdp, tag.removesuffix("_U"))
+    rule = {}
+    for point, acts in zip(points, choices):
+        if tag.endswith("_U"):
+            weights = draw(st.lists(
+                st.integers(0, 3), min_size=len(acts), max_size=len(acts)
+            ).filter(any))
+            rule[point] = {a: Rat(c, sum(weights)) for a, c in zip(acts, weights)}
+        else:
+            rule[point] = draw(st.sampled_from(acts))
+    return PolicySpec(tag, rule)
+
+
+@PROPERTY
+@given(mdps(), st.data())
+def test_evaluate_policy_matches_the_rational_walk(mdp, data):
+    policy = data.draw(covering_policies(mdp))
+    terminal, mean, second, variance = rational_evaluation(mdp, policy)
+    ev = evaluate_policy(mdp, policy)
+    assert ev.terminal == terminal
+    assert (ev.mean, ev.second_moment, ev.variance) == (mean, second, variance)
+    z = policy_frequencies(mdp, policy)
+    marginal = {}
+    for (t, _, w), mass in z.z_x.items():
+        if t == mdp.horizon:
+            marginal[w] = marginal.get(w, 0) + mass
+    assert marginal == terminal

@@ -120,7 +120,7 @@ def _rational_walk(mdp) -> list:
             (s2, w + r)
             for s, w in layer
             for a in mdp.actions[s]
-            for s2, r, _ in mdp.branches(t, s, a)
+            for s2, _, r, _ in mdp.int_branches(t, s, a)
         }
         layers.append(layer)
     return layers
@@ -308,25 +308,31 @@ def _kernel_mdp():
     )
 
 
+def _rational_branches(mdp, t, s, a) -> tuple:
+    """int_branches(t, s, a) with the integer reward dropped: (next_state,
+    reward, p * g) per branch."""
+    return tuple((s2, r, pg) for s2, _, r, pg in mdp.int_branches(t, s, a))
+
+
 def test_branches_skip_zero_mass_and_multiply():
     mdp = _kernel_mdp()
-    assert mdp.branches(0, "s", "a") == (
+    assert _rational_branches(mdp, 0, "s", "a") == (
         ("x", 1, rat(1, 12)),
         ("x", -2, rat(1, 4)),
         ("s", 1, rat(1, 6)),
         ("s", -2, rat(1, 2)),
     )
-    assert mdp.branches(0, "s", "a") is mdp.branches(0, "s", "a")
-    assert mdp.branches(0, "y", "stay") == (("y", 0, 1),)
+    assert mdp.int_branches(0, "s", "a") is mdp.int_branches(0, "s", "a")
+    assert _rational_branches(mdp, 0, "y", "stay") == (("y", 0, 1),)
 
 
 def test_branches_cache_is_per_instance():
     mdp = _kernel_mdp()
-    mdp.branches(0, "s", "a")
+    mdp.int_branches(0, "s", "a")
     rewards = dict(mdp.rewards)
     rewards[(0, "s", "a")] = {7: 1}
     other = mdp.with_rewards(rewards)
-    assert other.branches(0, "s", "a") == (
+    assert _rational_branches(other, 0, "s", "a") == (
         ("x", 7, rat(1, 3)),
         ("s", 7, rat(2, 3)),
     )
@@ -348,11 +354,11 @@ def test_with_rewards_starts_with_fresh_caches():
     # branches over to the reward-1/3 MDP.
     mdp = _half_reward_mdp(rat(1, 2))
     assert mdp.reward_den == 2
-    assert mdp.branches(0, "s", "a") == (("s", rat(1, 2), 1),)
+    assert _rational_branches(mdp, 0, "s", "a") == (("s", rat(1, 2), 1),)
     assert mdp.int_branches(0, "s", "a") == (("s", 1, rat(1, 2), 1),)
     other = mdp.with_rewards({(0, "s", "a"): {rat(1, 3): rat(1)}})
     assert other.reward_den == 3
-    assert other.branches(0, "s", "a") == (("s", rat(1, 3), 1),)
+    assert _rational_branches(other, 0, "s", "a") == (("s", rat(1, 3), 1),)
     assert other.int_branches(0, "s", "a") == (("s", 1, rat(1, 3), 1),)
     assert other == _half_reward_mdp(rat(1, 3))
     # The original keeps its own rewards and caches.
@@ -362,7 +368,6 @@ def test_with_rewards_starts_with_fresh_caches():
 
 def test_mdp_equality_ignores_filled_caches():
     filled, empty = _kernel_mdp(), _kernel_mdp()
-    filled.branches(0, "s", "a")
     filled.int_branches(0, "s", "a")
     assert filled.reward_den == 1
     assert filled == empty and empty == filled

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from corpus import REPEATED_NAMES, VALID_DOCUMENT
 from mvmdp import serialize
 from mvmdp.errors import InputFormatError
 from mvmdp.fixtures import forked_path, offset_chain, one_shot_two_arms
@@ -95,6 +96,17 @@ def test_strict_mode_rejects_semantically_invalid_mdp():
         serialize.loads(json.dumps(doc))
     lax = serialize.loads(json.dumps(doc), strict=False)
     assert lax.horizon == 1
+
+
+@pytest.mark.parametrize("where", sorted(REPEATED_NAMES))
+def test_a_repeated_name_is_an_input_error(where):
+    # json.loads alone keeps the last value, so the document would depend
+    # on the order of its names.
+    name, text = REPEATED_NAMES[where]
+    assert serialize.loads(VALID_DOCUMENT).horizon == 1
+    with pytest.raises(InputFormatError) as err:
+        serialize.loads(text)
+    assert str(err.value) == f"name {name!r} repeated in one JSON object"
 
 
 def test_not_json_raises():

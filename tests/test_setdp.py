@@ -314,7 +314,7 @@ def _reference_pmq(mdp, prune_eps=None):
             points = []
             for a in mdp.actions[s]:
                 total = MomentPolygon.point(0, 0)
-                for s2, r, pg in mdp.branches(t, s, a):
+                for s2, _, r, pg in mdp.int_branches(t, s, a):
                     child = layer[(s2, w + r)].scale(pg)
                     total = MomentPolygon.of(
                         [(x0 + x1, y0 + y1)

@@ -43,9 +43,7 @@ from functools import partial
 from .errors import EngineDisagreementError
 from .geometry import MomentPolygon
 from .lp import LpProblem, LpSolution, LpStatus, solve
-from .model import (
-    Mdp, PolicySpec, in_state_order, occupation, per_node, played_actions, reach
-)
+from .model import Mdp, PolicySpec, occupation, per_node, played_actions, reach
 from .rationals import Rat, ZERO, ONE, rat
 from .setdp import compute_pmq, exact_frontier
 
@@ -80,19 +78,19 @@ class PolytopeSkeleton:
 
     Variables: one per z_sa entry (t < horizon), then one per z_x entry
     (t <= horizon), keyed (t, s, W, a) and (t, s, W) on `reach`'s integer
-    rewards, each layer `in_state_order`. Rows: initial mass, couplings in
-    layer order, flows in layer order. The ordering makes the policy that
-    always takes the first action a triangular warm basis for the solver
-    (`_warm`, row -> column): each coupling row takes its node's first
-    action, and the mass and flow rows their node's z_x. Its basic values
-    are that policy's occupation measure, and `run` starts from it. A query
-    is a standard-form LP: these rows, then its own extra rows, over these
-    columns and its own extra nonnegative columns.
+    rewards, each layer in `reach`'s (state, W) order. Rows: initial mass,
+    couplings in layer order, flows in layer order. The ordering makes the
+    policy that always takes the first action a triangular warm basis for
+    the solver (`_warm`, row -> column): each coupling row takes its node's
+    first action, and the mass and flow rows their node's z_x. Its basic
+    values are that policy's occupation measure, and `run` starts from it.
+    A query is a standard-form LP: these rows, then its own extra rows,
+    over these columns and its own extra nonnegative columns.
     """
 
     def __init__(self, mdp: Mdp):
         self.mdp = mdp
-        layers = in_state_order(mdp, reach(mdp, per_node))
+        layers = reach(mdp, per_node)
         self.sa_keys = [
             (t, s, w, a)
             for t in range(mdp.horizon) for s, w in layers[t] for a in mdp.actions[s]
@@ -225,7 +223,9 @@ def mean_fixed_var_bounded(
     """Is there a policy with this exact mean and variance <= variance_cap?
 
     Yes iff the least variance at this mean, read off the root polygon's
-    lower chain, is at most the cap; the witness attains that variance.
+    lower chain, is at most the cap; the witness attains that variance,
+    from `exact_pair_feasible`, and a chain point the polygon misses raises
+    EngineDisagreementError.
     """
     mean = rat(mean)
     cap = rat(variance_cap)
@@ -233,8 +233,13 @@ def mean_fixed_var_bounded(
     second = exact_frontier(polygon).second_moment(mean)
     if second is None or second - mean * mean > cap:
         return False, None
-    face = polygon.locate((mean, second))
-    return True, _moment_witness(mdp, polygon, face, mean, second)
+    ok, z = exact_pair_feasible(mdp, mean, second - mean * mean, polygon)
+    if not ok:
+        raise EngineDisagreementError(
+            f"moment polygon and its frontier disagree: the lower chain holds "
+            f"({mean}, {second}), the polygon does not"
+        )
+    return True, z
 
 
 def _moment_witness(

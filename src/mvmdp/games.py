@@ -22,14 +22,12 @@ additions at its last decision point, not an evaluation from scratch.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import EngineDisagreementError, EnumerationLimitError
 from .model import (
     Mdp,
     PolicySpec,
-    in_state_order,
     make_mdp,
     per_node,
     per_state,
@@ -78,10 +76,10 @@ def _forcible_sets(mdp: Mdp) -> list:
     stages = reach(mdp, per_state)
     horizon = mdp.horizon
     forcible: list = [None] * (horizon + 1)
-    forcible[horizon] = {s: frozenset((0,)) for (s,) in stages[horizon]}
+    forcible[horizon] = {s: frozenset((0,)) for s, _ in stages[horizon]}
     for t in reversed(range(horizon)):
         layer = {}
-        for (s,) in stages[t]:
+        for s, _ in stages[t]:
             values = set()
             for a in mdp.actions[s]:
                 common = None
@@ -148,15 +146,16 @@ class _DecisionWalk:
     reachable decision points, each with its exact terminal mean and second
     moment, from one depth-first walk instead of one evaluation per policy.
 
-    The points are the keys `reach` walks with `per_state` ((t, state), for
-    TS and TS_U) or `per_node` ((t, state, reward), for TSW, the reward
-    built as a Rat from `reach`'s integer), stage by stage, each stage
-    `in_state_order`. A point with k actions has
+    The points are the keys (state, b) `reach` lists with `per_state`
+    ((t, state), for TS and TS_U) or `per_node` ((t, state, reward), for
+    TSW, the reward built as a Rat from `reach`'s integer b), stage by
+    stage, each stage in `reach`'s order. A point with k actions has
     C(resolution + k - 1, k - 1) options: its actions (k, at resolution 1)
-    or its TS_U grid vectors, each kept as its positive entries (action
+    or its TS_U grid vectors, each an option of positive entries (action
     index, c) for probability c / resolution. Their product is checked
-    against DEFAULT_POLICY_CAP before any option is built, and a rule dict
-    is built only by `policy`.
+    against DEFAULT_POLICY_CAP before anything else is built. A point's
+    options are made on each pass over them (`_options`), so the walk holds
+    none but the ones chosen, and a rule dict is built only by `policy`.
 
     The walk carries, for each key of a stage, the exact moments (P,
     E[W 1{key}], E[W^2 1{key}]) under the options chosen so far; a branch
@@ -175,11 +174,10 @@ class _DecisionWalk:
         self.horizon = mdp.horizon
         place = per_node if class_tag == "TSW" else per_state
         stages = reach(mdp, place)
-        keys = in_state_order(mdp, stages[:mdp.horizon])
         total = 1
-        for stage in keys:
-            for key in stage:
-                k = len(mdp.actions[key[0]])
+        for stage in stages[:mdp.horizon]:
+            for s, _ in stage:
+                k = len(mdp.actions[s])
                 total *= math.comb(resolution + k - 1, k - 1)
                 if total > DEFAULT_POLICY_CAP:
                     noun = "grid" if class_tag == "TS_U" else class_tag
@@ -188,36 +186,34 @@ class _DecisionWalk:
                     )
         self.points = []
         self.chosen = []
-        # Per stage, one (position, slot, per-action branch sums, options)
-        # per point; a key's slot is 3 * its index in the stage's keys.
+        # Per stage, one (position, slot, per-action branch sums, action
+        # count) per point; a key's slot is 3 * its index in the stage.
         self.stages = []
-        for t, stage in enumerate(keys):
+        for t in range(mdp.horizon):
             slot = None
             if t + 1 < mdp.horizon:
-                slot = {key: 3 * i for i, key in enumerate(keys[t + 1])}
+                slot = {key: 3 * i for i, key in enumerate(stages[t + 1])}
             entries = []
-            for i, key in enumerate(stage):
-                s = key[0]
+            for i, (s, base) in enumerate(stages[t]):
                 acts = mdp.actions[s]
-                if class_tag == "TS_U":
-                    options = [
-                        tuple((a, c) for a, c in enumerate(combo) if c)
-                        for combo in _simplex_grid(len(acts), resolution)
-                    ]
-                else:
-                    options = [((a, 1),) for a in range(len(acts))]
-                base = stages[t][key]
                 sums = [
                     _branch_sums(mdp, t, s, a, base, place, slot, resolution)
                     for a in acts
                 ]
-                entries.append((len(self.points), 3 * i, sums, options))
+                entries.append((len(self.points), 3 * i, sums, len(acts)))
                 if place is per_node:
-                    self.points.append((t, s, Rat(key[1], mdp.reward_den)))
+                    self.points.append((t, s, Rat(base, mdp.reward_den)))
                 else:
                     self.points.append((t, s))
-                self.chosen.append(options[0])
+                self.chosen.append(next(self._options(len(acts))))
             self.stages.append(entries)
+
+    def _options(self, k: int):
+        """A point's k actions as options ((a, 1),), or its TS_U grid
+        vectors in lexicographic order (`_simplex_grid`)."""
+        if self.class_tag == "TS_U":
+            return _simplex_grid(k, self.resolution)
+        return (((a, 1),) for a in range(k))
 
     def leaves(self):
         """(mean, second moment) of every policy, in product order; `policy`
@@ -242,22 +238,22 @@ class _DecisionWalk:
 
     def _advance(self, t: int, dist: list):
         """Leaves below stage t, whose keys carry the moments dist. Each
-        point with one option is pushed at once; the others become the
-        (position, options, pushes) levels `_choose` branches on, with
-        pushes None where the prefix gives the point no mass. A stage with
-        no level is passed through without branching."""
+        point with one action, so one option, is pushed at once; the others
+        become the (position, action count, pushes) levels `_choose`
+        branches on, with pushes None where the prefix gives the point no
+        mass. A stage with no level is passed through without branching."""
         while t < self.horizon:
             last = t + 1 == self.horizon
             acc = [ZERO] * (2 if last else 3 * len(self.stages[t + 1]))
             levels = []
-            for position, j, sums, options in self.stages[t]:
+            for position, j, sums, k in self.stages[t]:
                 pushes = None
                 if dist[j]:
                     pushes = _pushes(sums, *dist[j:j + 3], last)
-                if len(options) > 1:
-                    levels.append((position, options, pushes))
+                if k > 1:
+                    levels.append((position, k, pushes))
                 elif pushes is not None:
-                    _add(acc, options[0], pushes)
+                    _add(acc, self.chosen[position], pushes)
             if levels:
                 yield from self._choose(t, levels, 0, acc)
                 return
@@ -267,11 +263,11 @@ class _DecisionWalk:
     def _choose(self, t: int, levels: list, n: int, acc: list):
         """Leaves below level n of stage t, one option of the level at a
         time; acc holds what the earlier levels added to stage t + 1."""
-        position, options, pushes = levels[n]
+        position, k, pushes = levels[n]
         chosen = self.chosen
         deeper = n + 1 < len(levels)
         leaf = not deeper and t + 1 == self.horizon
-        for option in options:
+        for option in self._options(k):
             chosen[position] = option
             if pushes is None:
                 nxt = acc
@@ -289,11 +285,12 @@ class _DecisionWalk:
 def _branch_sums(mdp: Mdp, t: int, s, a, base, place, slot, resolution) -> list:
     """Action a's branches (s', R, r, pg) at (t, s) grouped by the next
     stage's slot, the one of key place(s', base + R) (`reach`'s integer
-    rewards), as (slot, g0, g1, 2 g1, g2) with gi = sum pg r^i / resolution;
-    with slot None every branch goes to the terminal pair at 0."""
+    rewards, base the point's b), as (slot, g0, g1, 2 g1, g2) with
+    gi = sum pg r^i / resolution; with slot None every branch goes to the
+    terminal pair at 0."""
     grouped: dict = {}
     for s2, step, r, pg in mdp.int_branches(t, s, a):
-        k = 0 if slot is None else slot[place(s2, base + step)[0]]
+        k = 0 if slot is None else slot[place(s2, base + step)]
         sums = grouped.setdefault(k, [ZERO, ZERO, ZERO])
         sums[0] += pg
         sums[1] += pg * r
@@ -334,15 +331,24 @@ def _add(acc: list, option: tuple, pushes: list) -> None:
 
 def _simplex_grid(k: int, m: int):
     """Every k-vector of nonnegative integers summing to m, in lexicographic
-    order: the gaps around k - 1 bars placed among m + k - 1 slots.
-    combinations copies its pool, so the one vector of k = 1 is yielded
-    directly: its m is not bounded by the grid's point count."""
-    if k == 1:
-        yield (m,)
-        return
-    end = m + k - 1
-    for bars in itertools.combinations(range(end), k - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
+    order, each as its positive entries (index, c). The successor of a
+    vector moves one unit from its last positive entry (p, c), p > 0, to
+    index p - 1 and puts the other c - 1 units on index k - 1; the last
+    vector is (m, 0, ..., 0). A vector costs its entry count, and nothing
+    is sized by the number of vectors."""
+    option = ((k - 1, m),) if m else ()
+    while True:
+        yield option
+        if not option or option[-1][0] == 0:
+            return
+        *head, (p, c) = option
+        if head and head[-1][0] == p - 1:
+            head[-1] = (p - 1, head[-1][1] + 1)
+        else:
+            head.append((p - 1, 1))
+        if c > 1:
+            head.append((k - 1, c - 1))
+        option = tuple(head)
 
 
 class ClassFeasibility:

@@ -20,9 +20,12 @@ alone. It walks rewards as integers: each positive-probability reward is an
 integer numerator over the MDP's reward denominator D (`Mdp.reward_den`,
 the least common denominator of those rewards), so a node's cumulative
 reward W / D is carried as W, on the one branch table `Mdp.int_branches`.
-`occupation` is the one forward walk of a policy's mass over those nodes,
-for `evaluate_policy` and `frequency`. `augment` is the rational, sorted
-view of `reach` (`in_state_order`), which no engine calls.
+Each layer it returns is one list of keys (state, b), b the node's W
+(`per_node`) or 0 (`per_state`), sorted in state order and then by b, and
+every engine reads that list as it is. `occupation` is the one forward
+walk of a policy's mass over those nodes, for `evaluate_policy` and
+`frequency`. `augment` is the rational view of `reach`, which no engine
+calls.
 
 The value classes here (`Mdp`, `Violation`, `AugmentedSpace`, `PolicySpec`,
 `PolicyEvaluation`) are plain classes: `__slots__` (except `Mdp`, whose
@@ -270,56 +273,49 @@ def validate(mdp: Mdp) -> list[Violation]:
 
 
 def per_state(s, w) -> tuple:
-    """Node (s, w) folds into its state: one key per reachable (t, state)."""
-    return (s,), 0
+    """Node (s, w) folds into its state: one key (s, 0) per reachable
+    (t, state)."""
+    return s, 0
 
 
 def per_node(s, w) -> tuple:
-    """Node (s, w) is its own key, with base w."""
-    return (s, w), w
+    """Node (s, w) is its own key."""
+    return s, w
 
 
 def reach(mdp: Mdp, place, max_nodes: int | None = None) -> list:
-    """Forward reachability: layers[t] maps each key reached at step t
-    (t = 0..horizon) to its base, in the order the walk first meets it.
+    """Forward reachability: layers[t] lists the keys (s, b) reached at
+    step t (t = 0..horizon), sorted in mdp.states order and then by b.
 
     Cumulative rewards are integers over mdp.reward_den: node (s, w) has
     earned w / reward_den, and a branch with integer reward R takes it to
-    (s', w + R) (`Mdp.int_branches`). Node (s, w) lives at key, where
-    place(s, w) = (key, base) and key[0] is s, and the walk goes on from it
-    as if base had been earned. Rational rewards can make the node layers
-    grow exponentially, hence the cap on the keys: more than max_nodes in
-    all (DEFAULT_NODE_CAP, read at call time, when left out) raise
+    (s', w + R) (`Mdp.int_branches`). Node (s, w) lives at key
+    place(s, w) = (s, b), and the walk goes on from it as if b had been
+    earned. Rational rewards can make the node layers grow exponentially,
+    hence the cap on the keys: more than max_nodes in all
+    (DEFAULT_NODE_CAP, read at call time, when left out) raise
     AugmentationLimitError.
     """
     if max_nodes is None:
         max_nodes = DEFAULT_NODE_CAP
-    layer = dict((place(mdp.initial_state, 0),))
+    order = {s: i for i, s in enumerate(mdp.states)}
+    layer = [place(mdp.initial_state, 0)]
     layers = [layer]
     total = 1
     for t in range(mdp.horizon):
-        nxt: dict = {}
-        for key, base in layer.items():
-            s = key[0]
+        nxt = set()
+        for s, base in layer:
             for a in mdp.actions[s]:
                 for s2, step, _, _ in mdp.int_branches(t, s, a):
-                    key2, base2 = place(s2, base + step)
-                    nxt[key2] = base2
+                    nxt.add(place(s2, base + step))
         total += len(nxt)
         if total > max_nodes:
             raise AugmentationLimitError(
                 f"augmented space exceeds {max_nodes} nodes at layer {t + 1}"
             )
-        layers.append(nxt)
-        layer = nxt
+        layer = sorted(nxt, key=lambda key: (order[key[0]], key[1]))
+        layers.append(layer)
     return layers
-
-
-def in_state_order(mdp: Mdp, layers) -> list:
-    """Each layer of `reach` as a list of its keys sorted by state order,
-    then by the rest of the key (a per_node key's integer reward)."""
-    order = {s: i for i, s in enumerate(mdp.states)}
-    return [sorted(layer, key=lambda k: (order[k[0]],) + k[1:]) for layer in layers]
 
 
 class AugmentedSpace:
@@ -348,11 +344,10 @@ class AugmentedSpace:
 
 
 def augment(mdp: Mdp, max_nodes: int | None = None) -> AugmentedSpace:
-    """The per_node walk of `reach` in state order (`in_state_order`),
-    with each reward built as a Rat here; max_nodes caps it as in
-    `reach`."""
+    """The per_node walk of `reach`, with each reward built as a Rat
+    here; max_nodes caps it as in `reach`."""
     den = mdp.reward_den
-    layers = in_state_order(mdp, reach(mdp, per_node, max_nodes))
+    layers = reach(mdp, per_node, max_nodes)
     return AugmentedSpace(layers=tuple(
         tuple((s, Rat(w, den)) for s, w in layer) for layer in layers
     ))

@@ -26,11 +26,12 @@ An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
 Pruning does not commute with the shear, so that mode keeps one absolute
-polygon per node; exact mode walks the (t, state) pairs alone (`reach`).
-A node's key is (state, W), W its cumulative reward as an integer over
-the MDP's reward denominator (`Mdp.reward_den`), so keys hash and compare
-as ints; the child shifts are then ZERO in that mode and each branch's
-own reward in exact mode, and neither builds a rational.
+polygon per node; exact mode walks the (t, state) pairs alone. Both read
+`reach`'s layers, lists of keys (state, b): b is 0 per (t, state), and
+per node it is W, the node's cumulative reward as an integer over the
+MDP's reward denominator (`Mdp.reward_den`), so keys hash and compare as
+ints. The child shifts are then each branch's own reward in exact mode
+and ZERO per node, and neither builds a rational.
 """
 
 from __future__ import annotations
@@ -56,40 +57,38 @@ def check_stage_size(t: int, size: int, holders: str, items: str) -> None:
         )
 
 
-def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: dict, place) -> dict:
+def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: list, place) -> dict:
     """Stage-t polygons, one per key of stage, from the stage-(t+1) layer.
 
-    Rewards are integers over D = mdp.reward_den, as `reach` walks them.
-    Node (s, w) lives where place(s, w) = (key, base) says: its polygon
-    is S_{(w-base)/D}(layer[key]), and key[0] is s. stage maps each key to
-    its base b; the key's polygon is the hull over actions (hull_of_union)
-    of the sums over branches (s', R, r, pg) of pg * S_c(next_layer[k']),
-    (k', b') = place(s', b+R) and c = (b+R-b')/D, each action's in one
-    sheared_sum. c is the branch's own reward r when b' = b (per_state)
-    and ZERO when b' = b+R (per_node), so neither mode builds a rational.
+    Rewards are integers over D = mdp.reward_den, as `reach` walks them,
+    and stage is the step's list of keys (s, b) from `reach(mdp, place)`.
+    Node (s, w) lives at key place(s, w) = (s, b): its polygon is
+    S_{(w-b)/D}(layer[key]). A key's polygon is the hull over actions
+    (hull_of_union) of the sums over branches (s', R, r, pg) of
+    pg * S_c(next_layer[place(s', b+R)]), each action's in one
+    sheared_sum: c is the branch's own reward r under per_state (b = 0)
+    and zero under per_node (the child key carries b+R), so neither mode
+    builds a rational.
 
     Zero-probability branches are skipped; a reachable child missing from
     next_layer raises KeyError naming (t + 1, s', (b + R) / D).
     """
     den = mdp.reward_den
     out = {}
-    for key, base in stage.items():
-        s = key[0]
+    for key in stage:
+        s, base = key
         per_action = []
         for a in mdp.actions[s]:
             parts = []
             for s2, step, r, pg in mdp.int_branches(t, s, a):
                 w = base + step
-                key2, base2 = place(s2, w)
+                key2 = place(s2, w)
                 child = next_layer.get(key2)
                 if child is None:
                     raise KeyError(
                         f"missing moment set for ({t + 1}, {s2}, {Rat(w, den)})"
                     )
-                shift = w - base2
-                if shift != step:
-                    r = Rat(shift, den) if shift else ZERO
-                parts.append((child, pg, r))
+                parts.append((child, pg, ZERO if place is per_node else r))
             per_action.append(sheared_sum(parts))
         out[key] = hull_of_union(per_action)
     return out
@@ -119,7 +118,7 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         place = per_node
     stages = reach(mdp, place)
     den = mdp.reward_den
-    layer = {key: MomentPolygon.sure(b, den) for key, b in stages[-1].items()}
+    layer = {key: MomentPolygon.sure(key[1], den) for key in stages[-1]}
     for t in reversed(range(mdp.horizon)):
         layer = backward_step(mdp, t, layer, stages[t], place)
         vertices = sum(len(poly.points) for poly in layer.values())
@@ -129,8 +128,7 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
                 key: prune_polygon(poly, threshold_sq)
                 for key, poly in layer.items()
             }
-    key, _ = place(mdp.initial_state, 0)
-    return layer[key]
+    return layer[place(mdp.initial_state, 0)]
 
 
 class ExactFrontier:

@@ -12,7 +12,7 @@ from corpus import (
     random_mdp,
     rational_instances,
 )
-from mvmdp import frequency, lp, model
+from mvmdp import frequency, geometry, lp, model
 from mvmdp.cli import run
 from mvmdp.errors import EngineDisagreementError, PolicyCoverageError
 from mvmdp.fixtures import (
@@ -572,6 +572,14 @@ def test_witness_functions_raise_when_the_lp_disagrees(monkeypatch):
         exact_pair_feasible(mdp, Rat(1, 2), Rat(3, 4))
     with pytest.raises(EngineDisagreementError, match="occupation LP"):
         mean_fixed_var_bounded(mdp, Rat(1, 4), 1)
+
+
+def test_bounded_witness_raises_when_the_polygon_misses_its_chain(monkeypatch):
+    # The lower-chain point must lie in the polygon; a polygon that does
+    # not hold it is a disagreement, not an infeasible answer.
+    monkeypatch.setattr(geometry.MomentPolygon, "locate", lambda self, p: None)
+    with pytest.raises(EngineDisagreementError, match="its frontier"):
+        mean_fixed_var_bounded(one_shot_two_arms(), Rat(1, 4), 1)
 
 
 def test_witness_raises_when_a_vertex_policy_misses_its_vertex(monkeypatch):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -42,7 +44,7 @@ from mvmdp.games import (
     zero_variance_values,
 )
 from mvmdp.lp import LpSolution, LpStatus, solve
-from mvmdp.model import evaluate_policy, make_mdp, validate
+from mvmdp.model import PolicySpec, evaluate_policy, make_mdp, validate
 from mvmdp.rationals import Rat
 from mvmdp.setdp import compute_pmq, min_variance
 
@@ -161,10 +163,64 @@ def test_ts_u_witness_lists_only_positive_probabilities():
     assert entry.witness.rule == {(0, "s0"): {"b": Rat(1)}}
 
 
+def _combinations_grid(k: int, m: int):
+    """The grid as the search once listed it, dense and in lexicographic
+    order: the gaps around k - 1 bars placed among m + k - 1 slots."""
+    if k == 1:
+        yield (m,)
+        return
+    end = m + k - 1
+    for bars in itertools.combinations(range(end), k - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
+
+
 def test_simplex_grid_order_matches_the_recursive_walk():
-    for k in range(1, 6):
-        for m in range(7):
-            assert list(games._simplex_grid(k, m)) == list(simplex_grid(k, m))
+    for k in range(1, 7):
+        for m in range(8):
+            dense = []
+            for option in games._simplex_grid(k, m):
+                # Only positive entries, by increasing index.
+                assert all(c > 0 for _, c in option)
+                assert [a for a, _ in option] == sorted({a for a, _ in option})
+                vector = [0] * k
+                for a, c in option:
+                    vector[a] = c
+                dense.append(tuple(vector))
+            assert dense == list(_combinations_grid(k, m))
+            assert dense == list(simplex_grid(k, m))
+            assert len(dense) == math.comb(m + k - 1, k - 1)
+
+
+def _two_arms(ra, rb):
+    return make_mdp(
+        horizon=1,
+        states=("s",),
+        initial_state="s",
+        actions={"s": ("a", "b")},
+        transitions={("s", "a"): {"s": 1}, ("s", "b"): {"s": 1}},
+        rewards={("s", "a"): {ra: 1}, ("s", "b"): {rb: 1}},
+    )
+
+
+def test_ts_u_grid_is_made_on_each_pass():
+    # The first of the 10^5 + 1 grid vectors, b surely, meets the target:
+    # the search holds no list of the vectors, so it finds it in bounded
+    # memory. The witnesses are those the listed grid gave.
+    tracemalloc.start()
+    try:
+        entry = class_feasibility(_two_arms(0, 0), "TS_U", 0, 0,
+                                  grid_resolution=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert entry == games.ClassFeasibility(
+        True, PolicySpec("TS_U", {(0, "s"): {"b": Rat(1)}}),
+        "grid witness with mean 0",
+    )
+    entry = class_feasibility(_two_arms(1, 0), "TS_U", Rat(1, 3), Rat(2, 9),
+                              grid_resolution=999)
+    assert entry.witness.rule == {(0, "s"): {"a": Rat(1, 3), "b": Rat(2, 3)}}
 
 
 def test_enumerate_rejects_unknown_class():

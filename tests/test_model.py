@@ -90,6 +90,8 @@ def test_augment_respects_node_cap():
 
 
 def test_reach_walks_the_augmented_layers():
+    assert per_state("s", 5) == ("s", 0)
+    assert per_node("s", 5) == ("s", 5)
     mdps = (
         corpus.integer_instances(40)
         + corpus.rational_instances(10)
@@ -99,15 +101,25 @@ def test_reach_walks_the_augmented_layers():
         layers = augment(mdp).layers
         nodes = reach(mdp, per_node)
         states = reach(mdp, per_state)
-        assert len(nodes) == len(states) == len(layers)
+        assert len(nodes) == len(states) == len(layers) == mdp.horizon + 1
         den = mdp.reward_den
-        for layer, by_node, by_state in zip(layers, nodes, states):
-            # reach walks rewards as integers over the reward denominator.
+        order = {s: i for i, s in enumerate(mdp.states)}
+        for layer, by_node, by_state, walked in zip(
+            layers, nodes, states, _rational_walk(mdp)
+        ):
+            # reach walks rewards as integers W = w * D over the reward
+            # denominator, and lists each layer's keys in state order, then
+            # by W: augment's layers, in augment's order.
             assert all(type(w) is int for _, w in by_node)
-            assert {(s, Rat(w, den)) for s, w in by_node} == set(layer)
-            assert all(base == w for (_, w), base in by_node.items())
-            assert set(by_state) == {(s,) for s, _ in layer}
-            assert set(by_state.values()) == {Rat(0)}
+            assert by_node == [(s, w * den) for s, w in layer]
+            assert by_node == sorted(
+                ((s, int(w * den)) for s, w in walked),
+                key=lambda sw: (order[sw[0]], sw[1]),
+            )
+            # Folded into its state, each reachable (t, state) is one key
+            # (s, 0), in state order.
+            reached = {s for s, _ in walked}
+            assert by_state == [(s, 0) for s in mdp.states if s in reached]
 
 
 def _rational_walk(mdp) -> list:

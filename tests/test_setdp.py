@@ -32,12 +32,12 @@ SEGMENT = MomentPolygon.of([(0, 0), (1, 2)])
 
 def _layers(mdp, place):
     """compute_pmq's unpruned stage layers under place, the horizon's first.
-    reach's bases are integers over the reward denominator."""
+    reach's keys (s, b) carry b as an integer over the reward denominator."""
     stages = reach(mdp, place)
     den = mdp.reward_den
     layers = [
-        {key: MomentPolygon.point(Rat(b, den), Rat(b, den) ** 2)
-         for key, b in stages[mdp.horizon].items()}
+        {key: MomentPolygon.point(Rat(key[1], den), Rat(key[1], den) ** 2)
+         for key in stages[mdp.horizon]}
     ]
     for t in reversed(range(mdp.horizon)):
         layers.append(backward_step(mdp, t, layers[-1], stages[t], place))
@@ -46,23 +46,23 @@ def _layers(mdp, place):
 
 def test_backward_step_one_shot():
     mdp = one_shot_two_arms()
-    next_layer = {(s,): MomentPolygon.point(0, 0) for s in ("s0", "end")}
-    out = backward_step(mdp, 0, next_layer, {("s0",): ZERO}, per_state)
+    next_layer = {(s, 0): MomentPolygon.point(0, 0) for s in ("s0", "end")}
+    out = backward_step(mdp, 0, next_layer, [("s0", 0)], per_state)
     # Arm a pins (0,0); arm b averages (0,0) and (2,4) into (1,2).
-    assert out[("s0",)] == SEGMENT
+    assert out[("s0", 0)] == SEGMENT
     next_layer = {
         (s, w): MomentPolygon.point(w, w * w)
         for s, w in augment(mdp).layer(1)
     }
-    out = backward_step(mdp, 0, next_layer, {("s0", ZERO): ZERO}, per_node)
+    out = backward_step(mdp, 0, next_layer, [("s0", 0)], per_node)
     assert out[("s0", 0)] == SEGMENT
 
 
 def test_backward_step_missing_child():
     mdp = one_shot_two_arms()
-    for key, place in ((("s0",), per_state), (("s0", ZERO), per_node)):
+    for place in (per_state, per_node):
         with pytest.raises(KeyError, match=r"missing moment set for \(1, end, "):
-            backward_step(mdp, 0, {}, {key: ZERO}, place)
+            backward_step(mdp, 0, {}, [("s0", 0)], place)
 
 
 def test_node_polygons_are_sheared_state_polygons():
@@ -73,7 +73,7 @@ def test_node_polygons_are_sheared_state_polygons():
         for states, nodes in zip(by_state, by_node):
             assert {key[0] for key in nodes} == {key[0] for key in states}
             for (s, w), poly in nodes.items():
-                assert states[(s,)].scale(1, Rat(w, mdp.reward_den)) == poly
+                assert states[(s, 0)].scale(1, Rat(w, mdp.reward_den)) == poly
 
 
 def test_backward_step_identical_actions_idempotent():

@@ -296,10 +296,20 @@ def _cmd_feasible_mean_var(args) -> int:
 
 
 def _exact_frontier_rows(frontier) -> list:
-    means = [m for m, _ in frontier.chain]
-    points = set(means)
-    points.update((lo + hi) / 2 for lo, hi in zip(means, means[1:]))
-    return [(lam, frontier.value(lam)) for lam in sorted(points)]
+    """(lambda, v(lambda)) at every chain vertex and edge midpoint, left to
+    right, in one pass: v is best[i]'s variance at vertex i, and at the
+    midpoint of the edge into vertex i the chord's variance there, if
+    that is less."""
+    chain, best = frontier.chain, frontier.best
+    rows = [(chain[0][0], best[0][0])]
+    for i in range(1, len(chain)):
+        (m0, q0), (m1, q1) = chain[i - 1], chain[i]
+        mid = (m0 + m1) / 2
+        cut = (q0 + q1) / 2 - mid * mid
+        tail = best[i][0]
+        rows.append((mid, cut if cut < tail else tail))
+        rows.append((m1, tail))
+    return rows
 
 
 def _cmd_frontier(args) -> int:

@@ -23,15 +23,16 @@ and a monotone chain. The kernels of the backward recursion instead rely
 on canonical input and emit canonical output directly: sheared_sum shears,
 weighs and sums polygons by sorting all their edges by angle and walking
 them once (minkowski_sum is its unit-weight, unsheared case),
-hull_of_union merges the inputs' lexicographic vertex runs, and
-prune_polygon keeps a subset of the vertices in their cyclic order. None
-of them re-hulls, and only sheared_sum sorts: each input's edges arrive
-as one sorted run, which the sort merges. prune_polygon builds no
-rational: every distance it measures is to one chord, so it is an integer
-numerator over the chord's squared length (_scaled_dist_sq, which
-point_segment_dist_sq shares), compared by cross-multiplying. Every
-numeric argument a caller passes is coerced by rationals.rat, which
-refuses floats and bools.
+MomentPolygon.sheared shears one polygon's vertices in one pass (the
+shear keeps their order), hull_of_union merges the inputs' lexicographic
+vertex runs, and prune_polygon keeps a subset of the vertices in their
+cyclic order. None of them re-hulls, and only sheared_sum sorts: each
+input's edges arrive as one sorted run, which the sort merges.
+prune_polygon builds no rational: every distance it measures is to one
+chord, so it is an integer numerator over the chord's squared length
+(_scaled_dist_sq, which point_segment_dist_sq shares), compared by
+cross-multiplying. Every numeric argument a caller passes is coerced by
+rationals.rat, which refuses floats and bools.
 """
 
 from __future__ import annotations
@@ -163,6 +164,24 @@ class MomentPolygon:
         if shift:
             vs = [(x + shift, y + (2 * x + shift) * shift) for x, y in vs]
         return MomentPolygon._framed((alpha * x, alpha * y) for x, y in vs)
+
+    def sheared(self, w: int, den: int) -> MomentPolygon:
+        """S_{w/den}(self) for ints w and den > 0, on the integer frame.
+
+        With c = a/b in lowest terms, vertex (X, Y) over d goes, over
+        d b^2, to (b (b X + a d), b^2 Y + 2 a b X + a^2 d), as in
+        sheared_sum. The shear keeps lexicographic order and every turn,
+        so the vertices stay canonical in their order: one pass, no sort.
+        """
+        if not w:
+            return self
+        g = math.gcd(w, den)
+        a, b = w // g, den // g
+        d = self.d
+        ad, a2d, ab2, bb = a * d, a * a * d, 2 * a * b, b * b
+        return _reduced(d * bb, [
+            (b * (b * x + ad), bb * y + ab2 * x + a2d) for x, y in self.points
+        ])
 
     def translate(self, dx, dy) -> MomentPolygon:
         dx = rat(dx)

@@ -25,13 +25,17 @@ rationals; only the root's vertices are built, when the caller reads them.
 An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
-Pruning does not commute with the shear, so that mode keeps one absolute
-polygon per node; exact mode walks the (t, state) pairs alone. Both read
-`reach`'s layers, lists of keys (state, b): b is 0 per (t, state), and
-per node it is W, the node's cumulative reward as an integer over the
-MDP's reward denominator (`Mdp.reward_den`), so keys hash and compare as
-ints. The child shifts are then each branch's own reward in exact mode
-and ZERO per node, and neither builds a rational.
+Pruning does not commute with the shear, so that mode prunes every
+augmented node's own polygon. But a node's polygon stays S_w(F(t, s))
+until pruning drops a vertex at it or below it, so one walk serves both
+modes. It keeps the state polygons F(t, s), and, per node pruning has
+bitten, that node's own pruned polygon; a node with no bitten child is
+its state polygon sheared (MomentPolygon.sheared), and only a node with
+one builds its own sum. Exact mode is the walk with nothing bitten. The
+walk reads `reach`'s layers, lists of keys (state, b): b is 0 per
+(t, state), and per node it is W, the node's cumulative reward as an
+integer over the MDP's reward denominator (`Mdp.reward_den`), so keys
+hash and compare as ints.
 """
 
 from __future__ import annotations
@@ -57,21 +61,21 @@ def check_stage_size(t: int, size: int, holders: str, items: str) -> None:
         )
 
 
-def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: list, place) -> dict:
-    """Stage-t polygons, one per key of stage, from the stage-(t+1) layer.
+def backward_step(mdp: Mdp, t: int, state: dict, bitten: dict, stage: list) -> dict:
+    """Stage-t polygons, one per key (s, b) of stage, from stage t+1's.
 
-    Rewards are integers over D = mdp.reward_den, as `reach` walks them,
-    and stage is the step's list of keys (s, b) from `reach(mdp, place)`.
-    Node (s, w) lives at key place(s, w) = (s, b): its polygon is
-    S_{(w-b)/D}(layer[key]). A key's polygon is the hull over actions
-    (hull_of_union) of the sums over branches (s', R, r, pg) of
-    pg * S_c(next_layer[place(s', b+R)]), each action's in one
-    sheared_sum: c is the branch's own reward r under per_state (b = 0)
-    and zero under per_node (the child key carries b+R), so neither mode
-    builds a rational.
+    Rewards are integers over D = mdp.reward_den, as `reach` walks them.
+    state maps (s', 0) to the state polygon F(t+1, s'), and bitten maps
+    each node (s', W) that pruning changed, at it or below it, to its own
+    pruned polygon. Key (s, b)'s polygon is the hull over actions
+    (hull_of_union) of the sums over branches (s', R, r, pg), each
+    action's in one sheared_sum, of pg * bitten[(s', b+R)] for a bitten
+    child and pg * S_{(b+R)/D}(F(t+1, s')) for any other. With nothing
+    bitten, key (s, 0) gets F(t, s), and each shift is the branch's own
+    reward r; only b != 0 builds a shift Rat(b + R, D).
 
-    Zero-probability branches are skipped; a reachable child missing from
-    next_layer raises KeyError naming (t + 1, s', (b + R) / D).
+    Zero-probability branches are skipped; a reachable child in neither
+    map raises KeyError naming (t + 1, s', (b + R) / D).
     """
     den = mdp.reward_den
     out = {}
@@ -82,31 +86,50 @@ def backward_step(mdp: Mdp, t: int, next_layer: dict, stage: list, place) -> dic
             parts = []
             for s2, step, r, pg in mdp.int_branches(t, s, a):
                 w = base + step
-                key2 = place(s2, w)
-                child = next_layer.get(key2)
+                child = bitten.get((s2, w)) if bitten else None
+                if child is not None:
+                    parts.append((child, pg, ZERO))
+                    continue
+                child = state.get((s2, 0))
                 if child is None:
                     raise KeyError(
                         f"missing moment set for ({t + 1}, {s2}, {Rat(w, den)})"
                     )
-                parts.append((child, pg, ZERO if place is per_node else r))
+                parts.append((child, pg, Rat(w, den) if base else r))
             per_action.append(sheared_sum(parts))
         out[key] = hull_of_union(per_action)
     return out
+
+
+def _reads_bitten(mdp: Mdp, t: int, key: tuple, bitten: dict) -> bool:
+    """Whether node key = (s, W) at stage t has a child in bitten."""
+    s, base = key
+    return any(
+        (s2, base + step) in bitten
+        for a in mdp.actions[s]
+        for s2, step, _, _ in mdp.int_branches(t, s, a)
+    )
 
 
 def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     """The polygon of achievable (mean, second moment) pairs at the root.
 
     Stages are built backwards over the keys `reach` walks, each from the
-    one after it only: one polygon per (t, state) when exact, one per
-    augmented node when pruned. With prune_eps set (a nonnegative exact
-    rational), every stage-t polygon (t < horizon) is thinned right after
-    it is computed, so earlier stages build on the pruned sets. A stage
-    whose polygons hold more than MAX_STAGE_SIZE vertices in total raises
-    AugmentationLimitError. No stage builds its rationals, so the root's
-    vertices are the only ones built, when the caller reads them.
+    one after it only: per (t, state) when exact, per augmented node when
+    pruned. With prune_eps set (a nonnegative exact rational), every
+    node's stage-t polygon (t < horizon) is thinned right after its stage
+    is computed, so earlier stages build on the pruned sets.
+
+    A node is bitten when pruning dropped one of its vertices or it has a
+    bitten child. The walk keeps F(t, s) for every state with a node that
+    has no bitten child, since that node's polygon is F(t, s) sheared by
+    its W, and the pruned polygon of every bitten node; only a node with a
+    bitten child sums its own parts. Exact mode bites nothing. A stage
+    whose nodes' polygons hold more than MAX_STAGE_SIZE vertices in total,
+    before pruning, raises AugmentationLimitError. No stage builds its
+    rationals, so the root's vertices are the only ones built, when the
+    caller reads them.
     """
-    place = per_state
     threshold_sq = None
     if prune_eps is not None:
         prune_eps = rat(prune_eps)
@@ -115,20 +138,40 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         # A horizon-0 MDP has no stage to prune and keeps its exact point.
         per_stage = prune_eps / (2 * max(mdp.horizon, 1))
         threshold_sq = per_stage * per_stage
-        place = per_node
-    stages = reach(mdp, place)
+    stages = reach(mdp, per_state if threshold_sq is None else per_node)
     den = mdp.reward_den
-    layer = {key: MomentPolygon.sure(key[1], den) for key in stages[-1]}
+    origin = MomentPolygon.sure(0)
+    state = {(s, 0): origin for s, _ in stages[-1]}
+    bitten = {}
     for t in reversed(range(mdp.horizon)):
-        layer = backward_step(mdp, t, layer, stages[t], place)
-        vertices = sum(len(poly.points) for poly in layer.values())
+        clean, mixed = stages[t], []
+        if bitten:
+            clean = []
+            for key in stages[t]:
+                reads = _reads_bitten(mdp, t, key, bitten)
+                (mixed if reads else clean).append(key)
+        nodes = backward_step(mdp, t, state, bitten, mixed) if mixed else {}
+        states = list(dict.fromkeys((s, 0) for s, _ in clean))
+        state = backward_step(mdp, t, state, {}, states)
+        vertices = sum(len(state[(s, 0)].points) for s, _ in clean) + sum(
+            len(poly.points) for poly in nodes.values()
+        )
         check_stage_size(t, vertices, "moment polygons", "vertices")
         if threshold_sq is not None:
-            layer = {
+            bitten = {
                 key: prune_polygon(poly, threshold_sq)
-                for key, poly in layer.items()
+                for key, poly in nodes.items()
             }
-    return layer[place(mdp.initial_state, 0)]
+            for s, w in clean:
+                poly = state[(s, 0)]
+                # Pruning keeps every vertex of a point or a segment.
+                if len(poly.points) > 2:
+                    poly = poly.sheared(w, den)
+                    kept = prune_polygon(poly, threshold_sq)
+                    if len(kept.points) < len(poly.points):
+                        bitten[(s, w)] = kept
+    root = (mdp.initial_state, 0)
+    return bitten[root] if root in bitten else state[root]
 
 
 class ExactFrontier:

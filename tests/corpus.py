@@ -1,6 +1,7 @@
 """Seeded instance samplers shared by the acceptance tests, the small
 random MDPs of the engine tests (`random_mdp`), the per-node reference for
-the zero-variance game, the rational forward walk that checks
+the zero-variance game, the per-node moment recursion that checks the
+pruned `compute_pmq` (`per_node_pmq`), the rational forward walk that checks
 `evaluate_policy` (`rational_evaluation`), the policy-by-policy reference
 for the TS, TSW and TS_U searches (`decision_choices`), and MDP JSON texts
 that repeat a name (`REPEATED_NAMES`).
@@ -18,9 +19,18 @@ import random
 from itertools import combinations, product
 
 from mvmdp.errors import AugmentationLimitError
-from mvmdp.model import Mdp, PolicySpec, augment, evaluate_policy, make_mdp
-from mvmdp.rationals import Rat, ZERO
-from mvmdp.setdp import compute_pmq
+from mvmdp.geometry import MomentPolygon, hull_of_union, prune_polygon, sheared_sum
+from mvmdp.model import (
+    Mdp,
+    PolicySpec,
+    augment,
+    evaluate_policy,
+    make_mdp,
+    per_node,
+    reach,
+)
+from mvmdp.rationals import Rat, ZERO, rat
+from mvmdp.setdp import check_stage_size, compute_pmq
 
 SEED = 20260822
 
@@ -327,6 +337,43 @@ def per_node_game(mdp) -> tuple:
             frontier = nxt
         policies[k] = PolicySpec("TSW", rule)
     return win, root, policies
+
+
+def per_node_pmq(mdp, prune_eps=None) -> MomentPolygon:
+    """The root moment polygon by the recursion over augmented nodes, one
+    absolute polygon per node (s, W), W an integer over the reward
+    denominator: the horizon's nodes are their sure points, and node
+    (s, W)'s polygon is the hull over actions of the pg-weighted sums of
+    its children (s', W + R)'s polygons. With prune_eps, every stage-t
+    node polygon (t < horizon) is pruned to (prune_eps / (2 * horizon))^2
+    right after its stage, and a stage over `setdp.MAX_STAGE_SIZE`
+    vertices before pruning raises AugmentationLimitError, as in
+    `compute_pmq`.
+    """
+    threshold_sq = None
+    if prune_eps is not None:
+        per_stage = rat(prune_eps) / (2 * max(mdp.horizon, 1))
+        threshold_sq = per_stage * per_stage
+    stages = reach(mdp, per_node)
+    den = mdp.reward_den
+    layer = {key: MomentPolygon.sure(key[1], den) for key in stages[-1]}
+    for t in reversed(range(mdp.horizon)):
+        out = {}
+        for s, w in stages[t]:
+            out[(s, w)] = hull_of_union([
+                sheared_sum([
+                    (layer[(s2, w + step)], pg, ZERO)
+                    for s2, step, _, pg in mdp.int_branches(t, s, a)
+                ])
+                for a in mdp.actions[s]
+            ])
+        vertices = sum(len(poly.points) for poly in out.values())
+        check_stage_size(t, vertices, "moment polygons", "vertices")
+        if threshold_sq is not None:
+            out = {key: prune_polygon(poly, threshold_sq)
+                   for key, poly in out.items()}
+        layer = out
+    return layer[(mdp.initial_state, 0)]
 
 
 def simplex_grid(k: int, m: int):

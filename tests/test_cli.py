@@ -152,6 +152,24 @@ def test_frontier_exact_matches_closed_form(capsys, one_shot_path):
         assert Fraction(vstar_pq) == 2 * lam - lam * lam
 
 
+def test_frontier_samples_are_the_frontier_at_vertices_and_midpoints():
+    # The one pass over the chain must give, left to right, v at every
+    # vertex mean and edge midpoint: ExactFrontier.value's values and type.
+    from mvmdp.cli import _exact_frontier_rows
+
+    mdps = [mdp for mdp, _ in deep_instances(4)] + rational_instances(6)
+    for mdp in mdps + [one_shot_two_arms()]:
+        for eps in (None, Rat(1, 7)):
+            frontier = exact_frontier(compute_pmq(mdp, eps))
+            means = [m for m, _ in frontier.chain]
+            lams = sorted(
+                set(means) | {(a + b) / 2 for a, b in zip(means, means[1:])}
+            )
+            rows = _exact_frontier_rows(frontier)
+            assert rows == [(lam, frontier.value(lam)) for lam in lams]
+            assert all(type(c) is Rat for row in rows for c in row)
+
+
 def test_frontier_needs_tolerances(capsys, one_shot_path):
     code, _, err = _invoke(capsys, ["frontier", one_shot_path])
     assert code == 2

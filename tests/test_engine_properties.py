@@ -19,7 +19,10 @@ polytope.
 The polygon recursion is also checked against itself and against
 enumeration: pruning with a zero budget runs it per augmented node and
 must give the per-state root polygon, since a zero budget drops no vertex
-of a strictly convex polygon; and the root polygon must be the hull of the
+of a strictly convex polygon; at any budget the pruned walk, which keeps
+state polygons until pruning bites, must give the root of the recursion
+that keeps one polygon per node (`corpus.per_node_pmq`); and the root
+polygon must be the hull of the
 (mean, second moment) pairs of every deterministic TSW policy. Every row
 of the TS and TSW enumerations must hold its policy's own exact mean,
 second moment and variance, with the policies in product order over the
@@ -50,6 +53,7 @@ from corpus import (  # noqa: E402
     _tsw_policy_count,
     decision_choices,
     per_node_game,
+    per_node_pmq,
     rational_evaluation,
 )
 from mvmdp.frequency import (  # noqa: E402
@@ -193,6 +197,12 @@ def test_mixture_witness_replays_at_interior_points(mdp, data):
 @given(mdps())
 def test_zero_budget_per_node_recursion_matches_the_per_state_one(mdp):
     assert compute_pmq(mdp, 0) == compute_pmq(mdp)
+
+
+@PROPERTY
+@given(mdps(), st.sampled_from((0, Rat(1, 100), Rat(1, 9), Rat(1, 2), 3)))
+def test_pruned_walk_matches_the_per_node_recursion(mdp, eps):
+    assert compute_pmq(mdp, eps) == per_node_pmq(mdp, eps)
 
 
 @PROPERTY

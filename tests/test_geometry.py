@@ -19,6 +19,7 @@ from mvmdp.geometry import (
     point_polygon_dist_sq,
     point_segment_dist_sq,
     prune_polygon,
+    sheared_sum,
 )
 from mvmdp.rationals import Rat
 from mvmdp.setdp import exact_frontier
@@ -57,6 +58,21 @@ def test_scale():
     assert SQUARE.scale(1) == SQUARE
     with pytest.raises(ValueError):
         SQUARE.scale(-1)
+
+
+def test_sheared():
+    # S_c(m, q) = (m + c, q + 2cm + c^2), c = w / den, on the integer frame.
+    point = MomentPolygon.point(1, 3)
+    assert point.sheared(-2, 4) == MomentPolygon.point(Rat(1, 2), Rat(9, 4))
+    segment = MomentPolygon.of([(0, 0), (1, 2)])
+    assert segment.sheared(3, 1) == MomentPolygon.of([(3, 9), (4, 17)])
+    assert segment.sheared(0, 7) is segment
+    for w, den in ((0, 1), (-5, 6), (7, 42), (-1, 10**9 + 7)):
+        for poly in (point, segment, SQUARE):
+            assert poly.sheared(w, den) == sheared_sum(
+                [(poly, 1, Rat(w, den))]
+            )
+            assert poly.sheared(w, den) == poly.scale(1, Rat(w, den))
 
 
 def test_translate():

@@ -1,6 +1,7 @@
 """Property tests for the canonical-form polygon kernel.
 
-sheared_sum (with minkowski_sum, its unit-weight case), hull_of_union and
+sheared_sum (with minkowski_sum, its unit-weight case, and
+MomentPolygon.sheared, its one-part, unit-weight case), hull_of_union and
 prune_polygon read canonical input and emit canonical output without a
 sort or a re-hull. Each is checked here against MomentPolygon.of, which
 builds canonical form from arbitrary points: sheared_sum against the hull
@@ -168,6 +169,17 @@ def test_sheared_sum_is_the_sum_of_scaled_polygons(parts):
             for m, q in poly.vertices
         )
     assert got.vertices == want.vertices
+    _assert_kernel_output(got)
+
+
+@PROPERTY
+@given(shapes(), st.integers(-60, 60), st.sampled_from((1, 2, 6, 42, 10**9 + 7)))
+def test_sheared_is_the_one_part_sheared_sum(poly, w, den):
+    # The recursion's integer shear S_{w/den} of a state polygon must be
+    # the one-part sheared_sum it replaces, frame and all.
+    got = poly.sheared(w, den)
+    want = sheared_sum([(poly, 1, Rat(w, den))])
+    assert (got.d, got.points) == (want.d, want.points)
     _assert_kernel_output(got)
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,11 +30,15 @@ from mvmdp.setdp import (
 )
 
 SEGMENT = MomentPolygon.of([(0, 0), (1, 2)])
+GEN_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "gen_pool.py"
 
 
 def _layers(mdp, place):
-    """compute_pmq's unpruned stage layers under place, the horizon's first.
-    reach's keys (s, b) carry b as an integer over the reward denominator."""
+    """The unpruned stage layers under place, the horizon's first: per
+    state, each stage's state polygons from the last with nothing bitten;
+    per node, each node's own polygon from its children's, all of them
+    passed as bitten. reach's keys (s, b) carry b as an integer over the
+    reward denominator."""
     stages = reach(mdp, place)
     den = mdp.reward_den
     layers = [
@@ -40,29 +46,39 @@ def _layers(mdp, place):
          for key in stages[mdp.horizon]}
     ]
     for t in reversed(range(mdp.horizon)):
-        layers.append(backward_step(mdp, t, layers[-1], stages[t], place))
+        if place is per_state:
+            layer = backward_step(mdp, t, layers[-1], {}, stages[t])
+        else:
+            layer = backward_step(mdp, t, {}, layers[-1], stages[t])
+        layers.append(layer)
     return layers
 
 
 def test_backward_step_one_shot():
     mdp = one_shot_two_arms()
-    next_layer = {(s, 0): MomentPolygon.point(0, 0) for s in ("s0", "end")}
-    out = backward_step(mdp, 0, next_layer, [("s0", 0)], per_state)
+    state = {(s, 0): MomentPolygon.point(0, 0) for s in ("s0", "end")}
+    out = backward_step(mdp, 0, state, {}, [("s0", 0)])
     # Arm a pins (0,0); arm b averages (0,0) and (2,4) into (1,2).
     assert out[("s0", 0)] == SEGMENT
-    next_layer = {
+    nodes = {
         (s, w): MomentPolygon.point(w, w * w)
         for s, w in augment(mdp).layer(1)
     }
-    out = backward_step(mdp, 0, next_layer, [("s0", 0)], per_node)
+    out = backward_step(mdp, 0, {}, nodes, [("s0", 0)])
     assert out[("s0", 0)] == SEGMENT
+    # A bitten child is read as it is, any other as its state's polygon
+    # sheared by the child's reward: here the node (end, 2) is bitten.
+    bitten = {("end", 2): MomentPolygon.point(3, 9)}
+    out = backward_step(mdp, 0, state, bitten, [("s0", 0)])
+    assert out[("s0", 0)] == MomentPolygon.of([(0, 0), (Rat(3, 2), Rat(9, 2))])
 
 
 def test_backward_step_missing_child():
     mdp = one_shot_two_arms()
-    for place in (per_state, per_node):
+    bitten = {("end", 2): MomentPolygon.point(2, 4)}
+    for state, bitten in (({}, {}), ({}, bitten)):
         with pytest.raises(KeyError, match=r"missing moment set for \(1, end, "):
-            backward_step(mdp, 0, {}, [("s0", 0)], place)
+            backward_step(mdp, 0, state, bitten, [("s0", 0)])
 
 
 def test_node_polygons_are_sheared_state_polygons():
@@ -397,3 +413,61 @@ def test_stage_vertex_cap(monkeypatch):
     monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", largest - 1)
     with pytest.raises(AugmentationLimitError, match=f"hold {largest} vert"):
         compute_pmq(mdp)
+
+
+def _stress_instances():
+    """gen_pool.stress_instance(Random(k), T) for T in 3, 5, 7 and k in
+    2, 3: the benchmark's rational-reward family, whose pruned walk mixes
+    bitten and clean nodes over several reward denominators."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen_pool", GEN_POOL)
+    gen_pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_pool)
+    return [gen_pool.stress_instance(random.Random(k), horizon)
+            for horizon in (3, 5, 7) for k in (2, 3)]
+
+
+PRUNE_BUDGETS = (0, Rat(1, 100), Rat(1, 9), Rat(1, 2), 3)
+
+
+def test_pruned_walk_matches_the_per_node_recursion():
+    # The walk keeps state polygons until pruning bites; its root must be
+    # the per-node recursion's, vertex for vertex, at every budget.
+    mdps = (corpus.integer_instances(60) + corpus.rational_instances(20)
+            + [mdp for mdp, _ in corpus.deep_instances(4)]
+            + [corpus.mixed_frame_mdp(3)] + _stress_instances())
+    bit = 0
+    for mdp in mdps:
+        exact = compute_pmq(mdp)
+        for eps in PRUNE_BUDGETS:
+            got = compute_pmq(mdp, eps)
+            assert got == corpus.per_node_pmq(mdp, eps)
+            bit += got != exact
+    # Enough roots moved under pruning that the bitten path ran.
+    assert bit >= 50
+
+
+def test_pruned_stage_cap_fires_where_the_per_node_recursion_does(monkeypatch):
+    # Every stage total the per-node recursion checks, and one less as the
+    # cap: the walk must raise at the same stage with the same text.
+    cap = setdp.MAX_STAGE_SIZE
+    for mdp in [corpus.mixed_frame_mdp(3)] + _stress_instances()[2:4]:
+        for eps in (Rat(1, 9), 1):
+            monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", cap)
+            totals = []
+            check = corpus.check_stage_size
+            monkeypatch.setattr(
+                corpus, "check_stage_size",
+                lambda t, size, *rest: totals.append(size) or check(t, size, *rest),
+            )
+            corpus.per_node_pmq(mdp, eps)
+            monkeypatch.setattr(corpus, "check_stage_size", check)
+            assert len(totals) == mdp.horizon
+            for size in totals:
+                monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", size - 1)
+                with pytest.raises(AugmentationLimitError) as want:
+                    corpus.per_node_pmq(mdp, eps)
+                with pytest.raises(AugmentationLimitError) as got:
+                    compute_pmq(mdp, eps)
+                assert str(got.value) == str(want.value)
+            monkeypatch.setattr(setdp, "MAX_STAGE_SIZE", max(totals))
+            assert compute_pmq(mdp, eps) == corpus.per_node_pmq(mdp, eps)

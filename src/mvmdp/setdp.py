@@ -26,16 +26,17 @@ An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
 Pruning does not commute with the shear, so that mode prunes every
-augmented node's own polygon. But a node's polygon stays S_w(F(t, s))
-until pruning drops a vertex at it or below it, so one walk serves both
-modes. It keeps the state polygons F(t, s), and, per node pruning has
-bitten, that node's own pruned polygon; a node with no bitten child is
-its state polygon sheared (MomentPolygon.sheared), and only a node with
-one builds its own sum. Exact mode is the walk with nothing bitten. The
-walk reads `reach`'s layers, lists of keys (state, b): b is 0 per
-(t, state), and per node it is W, the node's cumulative reward as an
-integer over the MDP's reward denominator (`Mdp.reward_den`), so keys
-hash and compare as ints.
+augmented node's own polygon, in the plane. One walk serves both modes:
+every key (s, b) holds its polygon relative to its own reward, so the
+key's moment set is S_{b/D} of what it holds. A node then holds F(t, s)
+until pruning drops a vertex at it or below it, and the nodes of one
+state that read the same children share one polygon. The walk keys
+(t, state) until a stage has a polygon pruning could thin and augmented
+nodes from then on; exact mode keys states throughout. It reads
+`reach`'s layers, lists of keys (state, b): b is 0 per (t, state), and
+per node it is W, the node's cumulative reward as an integer over the
+MDP's reward denominator D (`Mdp.reward_den`), so keys hash and compare
+as ints.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from bisect import bisect_left
 from .errors import AugmentationLimitError
 from .geometry import MomentPolygon, hull_of_union, prune_polygon, sheared_sum
 from .model import Mdp, per_node, per_state, reach
-from .rationals import Rat, ZERO, rat
+from .rationals import Rat, rat
 
 # Largest total size of one stage, checked before pruning: the vertices of
 # its moment polygons, or the values of its forcible sets in the game.
@@ -61,74 +62,71 @@ def check_stage_size(t: int, size: int, holders: str, items: str) -> None:
         )
 
 
-def backward_step(mdp: Mdp, t: int, state: dict, bitten: dict, stage: list) -> dict:
-    """Stage-t polygons, one per key (s, b) of stage, from stage t+1's.
+def backward_step(mdp: Mdp, t: int, rel: dict, stage: list, place) -> dict:
+    """Stage-t polygons, one per key (s, b) of stage, each relative to b.
 
     Rewards are integers over D = mdp.reward_den, as `reach` walks them.
-    state maps (s', 0) to the state polygon F(t+1, s'), and bitten maps
-    each node (s', W) that pruning changed, at it or below it, to its own
-    pruned polygon. Key (s, b)'s polygon is the hull over actions
-    (hull_of_union) of the sums over branches (s', R, r, pg), each
-    action's in one sheared_sum, of pg * bitten[(s', b+R)] for a bitten
-    child and pg * S_{(b+R)/D}(F(t+1, s')) for any other. With nothing
-    bitten, key (s, 0) gets F(t, s), and each shift is the branch's own
-    reward r; only b != 0 builds a shift Rat(b + R, D).
+    rel maps each stage-(t+1) key (s', b') to its polygon in its own
+    frame: the key's moment set is S_{b'/D}(rel[(s', b')]). A branch
+    (s', R, r, pg) takes node (s, b) to (s', b + R), whose key is
+    place(s', b + R). Shears are affine and pg sums to 1 over an action's
+    branches, so key (s, b)'s own polygon is the hull over actions
+    (hull_of_union) of the sums over branches, each action's in one
+    sheared_sum, of pg * S_r(rel[place(s', b + R)]): b drops out. That
+    polygon depends on s and its children's polygons only, so it is built
+    once per distinct (s, children) in the call, keyed on the children's
+    values, and every key that reads the same ones shares it.
 
-    Zero-probability branches are skipped; a reachable child in neither
-    map raises KeyError naming (t + 1, s', (b + R) / D).
+    Zero-probability branches are skipped; a reachable child with no
+    polygon raises KeyError naming (t + 1, s', (b + R) / D).
     """
     den = mdp.reward_den
     out = {}
+    built = {}
     for key in stage:
         s, base = key
         per_action = []
         for a in mdp.actions[s]:
             parts = []
             for s2, step, r, pg in mdp.int_branches(t, s, a):
-                w = base + step
-                child = bitten.get((s2, w)) if bitten else None
-                if child is not None:
-                    parts.append((child, pg, ZERO))
-                    continue
-                child = state.get((s2, 0))
+                child = rel.get(place(s2, base + step))
                 if child is None:
-                    raise KeyError(
-                        f"missing moment set for ({t + 1}, {s2}, {Rat(w, den)})"
-                    )
-                parts.append((child, pg, Rat(w, den) if base else r))
-            per_action.append(sheared_sum(parts))
-        out[key] = hull_of_union(per_action)
+                    raise KeyError(f"missing moment set for ({t + 1}, {s2}, "
+                                   f"{Rat(base + step, den)})")
+                parts.append((child, pg, r))
+            per_action.append(parts)
+        # reach(mdp, per_state) lists a state once a stage: nothing to share.
+        shared = key if place is per_state else (
+            s, tuple(part[0] for parts in per_action for part in parts))
+        poly = built.get(shared)
+        if poly is None:
+            poly = built[shared] = hull_of_union(
+                [sheared_sum(parts) for parts in per_action])
+        out[key] = poly
     return out
-
-
-def _reads_bitten(mdp: Mdp, t: int, key: tuple, bitten: dict) -> bool:
-    """Whether node key = (s, W) at stage t has a child in bitten."""
-    s, base = key
-    return any(
-        (s2, base + step) in bitten
-        for a in mdp.actions[s]
-        for s2, step, _, _ in mdp.int_branches(t, s, a)
-    )
 
 
 def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     """The polygon of achievable (mean, second moment) pairs at the root.
 
-    Stages are built backwards over the keys `reach` walks, each from the
-    one after it only: per (t, state) when exact, per augmented node when
-    pruned. With prune_eps set (a nonnegative exact rational), every
+    Stages are built backwards, each from the one after it only, and every
+    key (s, b) holds its polygon relative to its own reward b / D
+    (backward_step). The walk keys (t, state): b is 0, and the polygon is
+    F(t, s). With prune_eps set (a nonnegative exact rational), every
     node's stage-t polygon (t < horizon) is thinned right after its stage
-    is computed, so earlier stages build on the pruned sets.
+    is computed, in the plane, so earlier stages build on the pruned sets.
+    Pruning keeps every vertex of a point or a segment, so the walk stays
+    on states until a stage has a state polygon of three or more vertices.
+    From that stage on it keys nodes (s, W): each node's polygon is moved
+    to the plane with MomentPolygon.sheared(W, D) and pruned, and, when
+    pruning dropped a vertex, moved back with sheared(-W, D). Exact mode
+    stays on states.
 
-    A node is bitten when pruning dropped one of its vertices or it has a
-    bitten child. The walk keeps F(t, s) for every state with a node that
-    has no bitten child, since that node's polygon is F(t, s) sheared by
-    its W, and the pruned polygon of every bitten node; only a node with a
-    bitten child sums its own parts. Exact mode bites nothing. A stage
-    whose nodes' polygons hold more than MAX_STAGE_SIZE vertices in total,
-    before pruning, raises AugmentationLimitError. No stage builds its
-    rationals, so the root's vertices are the only ones built, when the
-    caller reads them.
+    A stage whose nodes' polygons hold more than MAX_STAGE_SIZE vertices in
+    total, before pruning, raises AugmentationLimitError; while the walk
+    keys states, each node counts its state's polygon, and exact mode
+    counts each state's once. No stage builds its rationals, so the
+    root's vertices are the only ones built, when the caller reads them.
     """
     threshold_sq = None
     if prune_eps is not None:
@@ -140,38 +138,25 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         threshold_sq = per_stage * per_stage
     stages = reach(mdp, per_state if threshold_sq is None else per_node)
     den = mdp.reward_den
-    origin = MomentPolygon.sure(0)
-    state = {(s, 0): origin for s, _ in stages[-1]}
-    bitten = {}
+    place = per_state
+    rel = dict.fromkeys([(s, 0) for s, _ in stages[-1]], MomentPolygon.sure(0))
     for t in reversed(range(mdp.horizon)):
-        clean, mixed = stages[t], []
-        if bitten:
-            clean = []
-            for key in stages[t]:
-                reads = _reads_bitten(mdp, t, key, bitten)
-                (mixed if reads else clean).append(key)
-        nodes = backward_step(mdp, t, state, bitten, mixed) if mixed else {}
-        states = list(dict.fromkeys((s, 0) for s, _ in clean))
-        state = backward_step(mdp, t, state, {}, states)
-        vertices = sum(len(state[(s, 0)].points) for s, _ in clean) + sum(
-            len(poly.points) for poly in nodes.values()
-        )
+        keys = list(dict.fromkeys(place(s, w) for s, w in stages[t]))
+        rel = backward_step(mdp, t, rel, keys, place)
+        vertices = sum(len(rel[place(s, w)].points) for s, w in stages[t])
         check_stage_size(t, vertices, "moment polygons", "vertices")
-        if threshold_sq is not None:
-            bitten = {
-                key: prune_polygon(poly, threshold_sq)
-                for key, poly in nodes.items()
-            }
-            for s, w in clean:
-                poly = state[(s, 0)]
-                # Pruning keeps every vertex of a point or a segment.
+        if threshold_sq is not None and place is per_state and any(
+                len(poly.points) > 2 for poly in rel.values()):
+            place = per_node
+            rel = {(s, w): rel[(s, 0)] for s, w in stages[t]}
+        if place is per_node:
+            for (s, w), poly in rel.items():
                 if len(poly.points) > 2:
-                    poly = poly.sheared(w, den)
-                    kept = prune_polygon(poly, threshold_sq)
-                    if len(kept.points) < len(poly.points):
-                        bitten[(s, w)] = kept
-    root = (mdp.initial_state, 0)
-    return bitten[root] if root in bitten else state[root]
+                    plane = poly.sheared(w, den)
+                    kept = prune_polygon(plane, threshold_sq)
+                    if len(kept.points) < len(plane.points):
+                        rel[(s, w)] = kept.sheared(-w, den)
+    return rel[(mdp.initial_state, 0)]
 
 
 class ExactFrontier:

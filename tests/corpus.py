@@ -339,16 +339,16 @@ def per_node_game(mdp) -> tuple:
     return win, root, policies
 
 
-def per_node_pmq(mdp, prune_eps=None) -> MomentPolygon:
-    """The root moment polygon by the recursion over augmented nodes, one
-    absolute polygon per node (s, W), W an integer over the reward
-    denominator: the horizon's nodes are their sure points, and node
-    (s, W)'s polygon is the hull over actions of the pg-weighted sums of
-    its children (s', W + R)'s polygons. With prune_eps, every stage-t
-    node polygon (t < horizon) is pruned to (prune_eps / (2 * horizon))^2
-    right after its stage, and a stage over `setdp.MAX_STAGE_SIZE`
-    vertices before pruning raises AugmentationLimitError, as in
-    `compute_pmq`.
+def per_node_layers(mdp, prune_eps=None) -> list:
+    """The stage layers of the recursion over augmented nodes, the
+    horizon's first, one absolute polygon per node (s, W), W an integer
+    over the reward denominator: the horizon's nodes are their sure
+    points, and node (s, W)'s polygon is the hull over actions of the
+    pg-weighted sums of its children (s', W + R)'s polygons. With
+    prune_eps, every stage-t node polygon (t < horizon) is pruned to
+    (prune_eps / (2 * horizon))^2 right after its stage, and a stage over
+    `setdp.MAX_STAGE_SIZE` vertices before pruning raises
+    AugmentationLimitError, as in `compute_pmq`.
     """
     threshold_sq = None
     if prune_eps is not None:
@@ -357,6 +357,7 @@ def per_node_pmq(mdp, prune_eps=None) -> MomentPolygon:
     stages = reach(mdp, per_node)
     den = mdp.reward_den
     layer = {key: MomentPolygon.sure(key[1], den) for key in stages[-1]}
+    layers = [layer]
     for t in reversed(range(mdp.horizon)):
         out = {}
         for s, w in stages[t]:
@@ -373,7 +374,13 @@ def per_node_pmq(mdp, prune_eps=None) -> MomentPolygon:
             out = {key: prune_polygon(poly, threshold_sq)
                    for key, poly in out.items()}
         layer = out
-    return layer[(mdp.initial_state, 0)]
+        layers.append(layer)
+    return layers
+
+
+def per_node_pmq(mdp, prune_eps=None) -> MomentPolygon:
+    """The root moment polygon of per_node_layers."""
+    return per_node_layers(mdp, prune_eps)[-1][(mdp.initial_state, 0)]
 
 
 def simplex_grid(k: int, m: int):

@@ -19,10 +19,11 @@ polytope.
 The polygon recursion is also checked against itself and against
 enumeration: pruning with a zero budget runs it per augmented node and
 must give the per-state root polygon, since a zero budget drops no vertex
-of a strictly convex polygon; at any budget the pruned walk, which keeps
-state polygons until pruning bites, must give the root of the recursion
-that keeps one polygon per node (`corpus.per_node_pmq`); and the root
-polygon must be the hull of the
+of a strictly convex polygon; at any budget the pruned walk, which keys
+states until a stage has a polygon pruning could thin and holds each
+key's polygon relative to its reward, must give the root of the
+recursion that keeps one absolute polygon per node
+(`corpus.per_node_pmq`); and the root polygon must be the hull of the
 (mean, second moment) pairs of every deterministic TSW policy. Every row
 of the TS and TSW enumerations must hold its policy's own exact mean,
 second moment and variance, with the policies in product order over the

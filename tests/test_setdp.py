@@ -19,6 +19,7 @@ from mvmdp.geometry import MomentPolygon, hausdorff_sq, prune_polygon
 from mvmdp.lp import LpStatus
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, reach
 from mvmdp.rationals import Rat, ZERO, rat
+from mvmdp.serialize import load
 from mvmdp.setdp import (
     backward_step,
     compute_pmq,
@@ -34,58 +35,95 @@ GEN_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "gen_pool.py"
 
 
 def _layers(mdp, place):
-    """The unpruned stage layers under place, the horizon's first: per
-    state, each stage's state polygons from the last with nothing bitten;
-    per node, each node's own polygon from its children's, all of them
-    passed as bitten. reach's keys (s, b) carry b as an integer over the
-    reward denominator."""
+    """The unpruned stage layers backward_step builds under place, the
+    horizon's first, each polygon moved to the plane: key (s, b) holds its
+    polygon relative to b, so it is sheared by b (b = 0 per state). reach's
+    keys (s, b) carry b as an integer over the reward denominator."""
     stages = reach(mdp, place)
     den = mdp.reward_den
-    layers = [
-        {key: MomentPolygon.point(Rat(key[1], den), Rat(key[1], den) ** 2)
-         for key in stages[mdp.horizon]}
-    ]
+    rel = {key: MomentPolygon.sure(0) for key in stages[mdp.horizon]}
+    layers = [rel]
     for t in reversed(range(mdp.horizon)):
-        if place is per_state:
-            layer = backward_step(mdp, t, layers[-1], {}, stages[t])
-        else:
-            layer = backward_step(mdp, t, {}, layers[-1], stages[t])
-        layers.append(layer)
-    return layers
+        rel = backward_step(mdp, t, rel, stages[t], place)
+        layers.append(rel)
+    return [{key: poly.sheared(key[1], den) for key, poly in layer.items()}
+            for layer in layers]
 
 
 def test_backward_step_one_shot():
     mdp = one_shot_two_arms()
     state = {(s, 0): MomentPolygon.point(0, 0) for s in ("s0", "end")}
-    out = backward_step(mdp, 0, state, {}, [("s0", 0)])
+    out = backward_step(mdp, 0, state, [("s0", 0)], per_state)
     # Arm a pins (0,0); arm b averages (0,0) and (2,4) into (1,2).
     assert out[("s0", 0)] == SEGMENT
-    nodes = {
-        (s, w): MomentPolygon.point(w, w * w)
-        for s, w in augment(mdp).layer(1)
-    }
-    out = backward_step(mdp, 0, {}, nodes, [("s0", 0)])
+    nodes = {key: MomentPolygon.point(0, 0) for key in reach(mdp, per_node)[1]}
+    out = backward_step(mdp, 0, nodes, [("s0", 0)], per_node)
     assert out[("s0", 0)] == SEGMENT
-    # A bitten child is read as it is, any other as its state's polygon
-    # sheared by the child's reward: here the node (end, 2) is bitten.
-    bitten = {("end", 2): MomentPolygon.point(3, 9)}
-    out = backward_step(mdp, 0, state, bitten, [("s0", 0)])
+    # A child is read in its own frame and sheared by its reward: the
+    # node (end, 2) holding (1, 1) stands for the moment point (3, 9).
+    nodes[("end", 2)] = MomentPolygon.point(1, 1)
+    out = backward_step(mdp, 0, nodes, [("s0", 0)], per_node)
     assert out[("s0", 0)] == MomentPolygon.of([(0, 0), (Rat(3, 2), Rat(9, 2))])
 
 
 def test_backward_step_missing_child():
     mdp = one_shot_two_arms()
-    bitten = {("end", 2): MomentPolygon.point(2, 4)}
-    for state, bitten in (({}, {}), ({}, bitten)):
-        with pytest.raises(KeyError, match=r"missing moment set for \(1, end, "):
-            backward_step(mdp, 0, state, bitten, [("s0", 0)])
+    nodes = {("end", 2): MomentPolygon.point(0, 0)}
+    for rel, place in (({}, per_state), (nodes, per_node)):
+        with pytest.raises(KeyError, match=r"missing moment set for \(1, end, 0\)"):
+            backward_step(mdp, 0, rel, [("s0", 0)], place)
+    with pytest.raises(KeyError, match=r"missing moment set for \(1, end, 1/3\)"):
+        backward_step(make_mdp(
+            horizon=1, states=("s0", "end"), initial_state="s0",
+            actions={"s0": ("a",), "end": ("stay",)},
+            transitions={("s0", "a"): {"end": 1}, ("end", "stay"): {"end": 1}},
+            rewards={("s0", "a"): {Rat(1, 3): 1}, ("end", "stay"): {0: 1}},
+        ), 0, {}, [("s0", 0)], per_node)
+
+
+def test_backward_step_shares_one_sum_per_state_and_children():
+    # offset_chain's stage-1 nodes (s1, 0) and (s1, 1) read (end, 0) and
+    # (end, 1), and (end, 1) and (end, 2).
+    mdp = offset_chain()
+    stages = reach(mdp, per_node)
+    states = _layers(mdp, per_state)[1]
+    origin = MomentPolygon.sure(0)
+    nodes = {key: origin for key in stages[2]}
+    out = backward_step(mdp, 1, nodes, stages[1], per_node)
+    assert out[("s1", 0)] is out[("s1", 1)]
+    assert out[("s1", 0)] == states[("s1", 0)]
+    # Sharing keys on the children's values, so an equal copy still shares.
+    nodes[("end", 2)] = MomentPolygon.sure(0)
+    assert nodes[("end", 2)] is not origin
+    out = backward_step(mdp, 1, nodes, stages[1], per_node)
+    assert out[("s1", 0)] is out[("s1", 1)]
+    # A node with a different child gets its own polygon.
+    nodes[("end", 2)] = MomentPolygon.point(5, 25)
+    changed = backward_step(mdp, 1, nodes, stages[1], per_node)
+    assert changed[("s1", 0)] == out[("s1", 0)]
+    assert changed[("s1", 1)] == MomentPolygon.of([(0, 0), (6, 36)])
+    # On any node layer whose children all hold their state's polygon,
+    # every state's nodes get one object, its state polygon.
+    for mdp in corpus.integer_instances(15) + corpus.rational_instances(3):
+        stages = reach(mdp, per_node)
+        by_state = _layers(mdp, per_state)[::-1]
+        for t in range(mdp.horizon):
+            nodes = {(s, w): by_state[t + 1][(s, 0)] for s, w in stages[t + 1]}
+            out = backward_step(mdp, t, nodes, stages[t], per_node)
+            for s, _ in stages[t]:
+                assert len({id(poly) for (s2, _), poly in out.items()
+                            if s2 == s}) == 1
+            assert {(s, 0): poly for (s, _), poly in out.items()} == by_state[t]
 
 
 def test_node_polygons_are_sheared_state_polygons():
-    # Node (t, s, w)'s polygon is S_w of its state's reward-to-go polygon.
+    # Node (t, s, w)'s polygon is S_w of its state's reward-to-go polygon,
+    # as backward_step builds it per node and as the recursion over
+    # absolute node polygons does.
     for mdp in corpus.integer_instances(15) + corpus.rational_instances(3):
         by_state = _layers(mdp, per_state)
         by_node = _layers(mdp, per_node)
+        assert by_node == corpus.per_node_layers(mdp)
         for states, nodes in zip(by_state, by_node):
             assert {key[0] for key in nodes} == {key[0] for key in states}
             for (s, w), poly in nodes.items():
@@ -417,8 +455,9 @@ def test_stage_vertex_cap(monkeypatch):
 
 def _stress_instances():
     """gen_pool.stress_instance(Random(k), T) for T in 3, 5, 7 and k in
-    2, 3: the benchmark's rational-reward family, whose pruned walk mixes
-    bitten and clean nodes over several reward denominators."""
+    2, 3: the benchmark's rational-reward family, whose pruned walk
+    switches from state keys to node keys over several reward
+    denominators."""
     spec = importlib.util.spec_from_file_location("perfbench_gen_pool", GEN_POOL)
     gen_pool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen_pool)
@@ -429,21 +468,44 @@ def _stress_instances():
 PRUNE_BUDGETS = (0, Rat(1, 100), Rat(1, 9), Rat(1, 2), 3)
 
 
+def _triangle_first():
+    """Three arms paying 0, 1 and 2 surely: the root, (0, 0), (1, 1) and
+    (2, 4), is the first polygon with three vertices, and a budget of 3
+    thins it to a segment."""
+    return make_mdp(
+        horizon=1,
+        states=("s0", "end"),
+        initial_state="s0",
+        actions={"s0": ("a", "b", "c"), "end": ("stay",)},
+        transitions={("s0", "a"): {"end": 1}, ("s0", "b"): {"end": 1},
+                     ("s0", "c"): {"end": 1}, ("end", "stay"): {"end": 1}},
+        rewards={("s0", "a"): {0: 1}, ("s0", "b"): {1: 1},
+                 ("s0", "c"): {2: 1}, ("end", "stay"): {0: 1}},
+    )
+
+
 def test_pruned_walk_matches_the_per_node_recursion():
-    # The walk keeps state polygons until pruning bites; its root must be
-    # the per-node recursion's, vertex for vertex, at every budget.
+    # The walk keys states until pruning can bite and nodes after; its
+    # root must be the per-node recursion's, vertex for vertex, at every
+    # budget.
     mdps = (corpus.integer_instances(60) + corpus.rational_instances(20)
             + [mdp for mdp, _ in corpus.deep_instances(4)]
-            + [corpus.mixed_frame_mdp(3)] + _stress_instances())
-    bit = 0
+            + [corpus.mixed_frame_mdp(3), _triangle_first()]
+            + _stress_instances())
+    moved = 0
     for mdp in mdps:
         exact = compute_pmq(mdp)
         for eps in PRUNE_BUDGETS:
             got = compute_pmq(mdp, eps)
             assert got == corpus.per_node_pmq(mdp, eps)
-            bit += got != exact
-    # Enough roots moved under pruning that the bitten path ran.
-    assert bit >= 50
+            moved += got != exact
+    # Enough roots moved under pruning that node keys were pruned.
+    assert moved >= 50
+    # The benchmark's pruned polygon-stress queries, whole polygons.
+    for name in ("stress-t5-0", "stress-t6-0"):
+        mdp = load(GEN_POOL.parent / "pool" / "polygon-stress" / f"{name}.json")
+        for eps in (Rat(1, 7), Rat(1, 8), Rat(1, 9)):
+            assert compute_pmq(mdp, eps) == corpus.per_node_pmq(mdp, eps)
 
 
 def test_pruned_stage_cap_fires_where_the_per_node_recursion_does(monkeypatch):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every numeric answer is printed both ways: an exact "p/q" string and a float
-rendering of the same value. Decision subcommands (feasible-pair,
+rendering of the same value, or none past the float range ("float twins"
+in the help). Decision subcommands (feasible-pair,
 feasible-mean-var, oracle, zero-variance) use the exit code as the answer:
 0 = yes / feasible, 1 = no / infeasible, 2 = bad input, a cap hit or an
 internal engine disagreement. The size caps are fixed constants of the
@@ -31,7 +32,7 @@ from .errors import (
     InputFormatError,
 )
 from .model import Mdp, POLICY_CLASSES, PolicySpec
-from .rationals import BACKEND, Rat, rat, rat_str, rationalize_float
+from .rationals import BACKEND, Rat, float_twin, rat, rat_str, rationalize_float
 from .serialize import dumps, loads
 
 OK = 0
@@ -61,6 +62,10 @@ formats:
   --format json output): {"vertices": [{"mean": N, "second_moment": N,
   "variance": N}, ...]} where N = {"pq": "p/q", "float": x}; vertices walk
   the achievable (mean, second moment) polygon counterclockwise.
+
+  float twins: x and every *_float column hold the float nearest the
+  exact value. Past the float range (|value| above about 1.8e308) x is
+  null and a *_float column is empty; the exact value is still there.
 
   feasible-mean-var JSON: on yes, "achieved_variance" is the least variance
   of any policy with mean exactly lambda, and "policy" attains it.
@@ -161,7 +166,12 @@ def _emit_json(payload, args) -> None:
 
 
 def _num(value) -> dict:
-    return {"pq": rat_str(value), "float": float(value)}
+    return {"pq": rat_str(value), "float": float_twin(value)}
+
+
+def _csv_float(value) -> str:
+    twin = float_twin(value)
+    return "" if twin is None else repr(twin)
 
 
 def _policy_json(policy: PolicySpec) -> dict:
@@ -338,7 +348,7 @@ def _cmd_frontier(args) -> int:
             return OK
         lines = ["lambda,lambda_float,vstar,vstar_float"]
         lines.extend(
-            f"{rat_str(lam)},{float(lam)!r},{rat_str(v)},{float(v)!r}"
+            f"{rat_str(lam)},{_csv_float(lam)},{rat_str(v)},{_csv_float(v)}"
             for lam, v in rows
         )
         _emit("\n".join(lines), args)

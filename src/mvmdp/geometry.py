@@ -22,17 +22,18 @@ MomentPolygon.of builds canonical form from arbitrary points with a sort
 and a monotone chain. The kernels of the backward recursion instead rely
 on canonical input and emit canonical output directly: sheared_sum shears,
 weighs and sums polygons by sorting all their edges by angle and walking
-them once (minkowski_sum is its unit-weight, unsheared case),
-MomentPolygon.sheared shears one polygon's vertices in one pass (the
-shear keeps their order), hull_of_union merges the inputs' lexicographic
-vertex runs, and prune_polygon keeps a subset of the vertices in their
-cyclic order. None of them re-hulls, and only sheared_sum sorts: each
-input's edges arrive as one sorted run, which the sort merges.
-prune_polygon builds no rational: every distance it measures is to one
-chord, so it is an integer numerator over the chord's squared length
-(_scaled_dist_sq, which point_segment_dist_sq shares), compared by
-cross-multiplying. Every numeric argument a caller passes is coerced by
-rationals.rat, which refuses floats and bools.
+them once (minkowski_sum is its unit-weight, unsheared case), and it is
+the one kernel that moves a polygon. hull_of_union merges the inputs'
+lexicographic vertex runs, and prune_polygon keeps a subset of the
+vertices in their cyclic order. None of them re-hulls, and only
+sheared_sum sorts: each input's edges arrive as one sorted run, which the
+sort merges. prune_polygon builds no rational: every distance it
+measures is to one chord, so it is an integer numerator over the chord's
+squared length (_scaled_dist_sq, which point_segment_dist_sq shares),
+compared by cross-multiplying; given a shift c, between the vertices of
+S_c(poly), so it prunes in the plane without moving the polygon there.
+Every numeric argument a caller passes is coerced by rationals.rat,
+which refuses floats and bools.
 """
 
 from __future__ import annotations
@@ -150,44 +151,6 @@ class MomentPolygon:
         if self._edges is None:
             self._edges = _edges(self.points)
         return self._edges
-
-    def scale(self, alpha, shift=0) -> MomentPolygon:
-        """alpha * S_shift(self); the shear S_c(m, q) = (m + c, q + 2cm + c^2)
-        adds c to every reward and, like scaling, keeps canonical form."""
-        alpha = rat(alpha)
-        shift = rat(shift)
-        if alpha < 0:
-            raise ValueError("negative scale")
-        if alpha == 0:
-            return MomentPolygon.point(0, 0)
-        vs = self.vertices
-        if shift:
-            vs = [(x + shift, y + (2 * x + shift) * shift) for x, y in vs]
-        return MomentPolygon._framed((alpha * x, alpha * y) for x, y in vs)
-
-    def sheared(self, w: int, den: int) -> MomentPolygon:
-        """S_{w/den}(self) for ints w and den > 0, on the integer frame.
-
-        With c = a/b in lowest terms, vertex (X, Y) over d goes, over
-        d b^2, to (b (b X + a d), b^2 Y + 2 a b X + a^2 d), as in
-        sheared_sum. The shear keeps lexicographic order and every turn,
-        so the vertices stay canonical in their order: one pass, no sort.
-        """
-        if not w:
-            return self
-        g = math.gcd(w, den)
-        a, b = w // g, den // g
-        d = self.d
-        ad, a2d, ab2, bb = a * d, a * a * d, 2 * a * b, b * b
-        return _reduced(d * bb, [
-            (b * (b * x + ad), bb * y + ab2 * x + a2d) for x, y in self.points
-        ])
-
-    def translate(self, dx, dy) -> MomentPolygon:
-        dx = rat(dx)
-        dy = rat(dy)
-        vs = self.vertices
-        return MomentPolygon._framed((x + dx, y + dy) for x, y in vs)
 
     def contains(self, point) -> bool:
         return self.locate(point) is not None
@@ -476,9 +439,14 @@ class _Cost:
         return self.num * other.length < other.num * self.length
 
 
-def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
-    """Greedy inner approximation: drop vertices while every dropped original
-    vertex stays within the given squared Hausdorff distance of the result.
+def prune_polygon(poly: MomentPolygon, max_err_sq, shift=0) -> MomentPolygon:
+    """Greedy inner approximation of S_shift(poly), kept in poly's frame:
+    drop vertices of poly while every dropped vertex stays within the given
+    squared Hausdorff distance of the result, both sheared by
+    S_c(m, q) = (m + c, q + 2cm + c^2). The shear keeps lexicographic order
+    and every turn, so costs are measured on the sheared vertices, over
+    d b^2 for c = a/b (sheared_sum's vertex formula), and the vertices kept
+    are poly's own; poly itself when none is dropped.
 
     Dropping vertex v merges its two edges into the chord joining its
     neighbors; v and every original vertex already charged to those edges are
@@ -497,27 +465,35 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
     budget = rat(max_err_sq)
     if budget < 0:
         raise ValueError(f"prune budget must be nonnegative: {budget}")
+    shift = rat(shift)
     pts = poly.points
     n = len(pts)
     if n <= 2:
         return poly
+    d = poly.d
+    at = pts
+    if shift:
+        a, b = int(shift.numerator), int(shift.denominator)
+        ad, a2d, ab2, bb = a * d, a * a * d, 2 * a * b, b * b
+        at = [(b * (b * x + ad), bb * y + ab2 * x + a2d) for x, y in pts]
+        d *= bb
     # Costs run on the integers, so they carry d^2: num / length is within
     # the budget when num * den <= cap * length.
-    cap = int(budget.numerator) * poly.d * poly.d
+    cap = int(budget.numerator) * d * d
     den = int(budget.denominator)
     nxt = list(range(1, n)) + [0]
     prv = [n - 1] + list(range(n - 1))
     alive = [True] * n
     version = [0] * n
-    # original points charged to the surviving edge (i, nxt[i])
+    # sheared original points charged to the surviving edge (i, nxt[i])
     edge_load: list = [[] for _ in range(n)]
     heap: list = []
 
     def push(i):
-        a, b = pts[prv[i]], pts[nxt[i]]
+        a, b = at[prv[i]], at[nxt[i]]
         dx, dy = b[0] - a[0], b[1] - a[1]
         length = dx * dx + dy * dy or 1
-        worst = _scaled_dist_sq(pts[i], a, b, dx, dy, length)
+        worst = _scaled_dist_sq(at[i], a, b, dx, dy, length)
         for load in (edge_load[prv[i]], edge_load[i]):
             for p in load:
                 dist = _scaled_dist_sq(p, a, b, dx, dy, length)
@@ -541,13 +517,15 @@ def prune_polygon(poly: MomentPolygon, max_err_sq) -> MomentPolygon:
         alive[i] = False
         remaining -= 1
         edge_load[p].extend(edge_load[i])
-        edge_load[p].append(pts[i])
+        edge_load[p].append(at[i])
         edge_load[i] = []
         nxt[p], prv[q] = q, p
         if p != q:
             for j in (p, q):
                 version[j] += 1
                 push(j)
+    if remaining == n:
+        return poly
     # The kept vertices are strictly convex and in CCW order already; the
     # walk starts at the lex-min one to make them canonical.
     start = min((k for k in range(n) if alive[k]), key=pts.__getitem__)

@@ -13,6 +13,7 @@ refused.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -66,6 +67,16 @@ def rat_str(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def float_twin(value) -> float | None:
+    """The float nearest value, or None where |value| is beyond the float
+    range (about 1.8e308): the CLI's float rendering of an exact answer."""
+    try:
+        twin = float(value)
+    except OverflowError:  # Fraction raises; a backend may round to inf
+        return None
+    return None if math.isinf(twin) else twin
 
 
 def rat_pair(value) -> list:

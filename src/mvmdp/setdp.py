@@ -26,9 +26,10 @@ An optional pruning mode caps polygon growth: each stage polygon is greedily
 thinned to a vertex subset within prune_eps/(2 * horizon) of the unpruned
 stage polygon, which keeps the final polygon within prune_eps of exact.
 Pruning does not commute with the shear, so that mode prunes every
-augmented node's own polygon, in the plane. One walk serves both modes:
-every key (s, b) holds its polygon relative to its own reward, so the
-key's moment set is S_{b/D} of what it holds. A node then holds F(t, s)
+augmented node's own polygon in the plane, read through the node's
+shift (prune_polygon). One walk serves both modes: every key (s, b)
+holds its polygon relative to its own reward, so the key's moment set
+is S_{b/D} of what it holds. A node then holds F(t, s)
 until pruning drops a vertex at it or below it, and the nodes of one
 state that read the same children share one polygon. The walk keys
 (t, state) until a stage has a polygon pruning could thin and augmented
@@ -117,10 +118,10 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     is computed, in the plane, so earlier stages build on the pruned sets.
     Pruning keeps every vertex of a point or a segment, so the walk stays
     on states until a stage has a state polygon of three or more vertices.
-    From that stage on it keys nodes (s, W): each node's polygon is moved
-    to the plane with MomentPolygon.sheared(W, D) and pruned, and, when
-    pruning dropped a vertex, moved back with sheared(-W, D). Exact mode
-    stays on states.
+    From that stage on it keys nodes (s, W), and each node's polygon is
+    pruned in the plane by prune_polygon(poly, budget, W / D): costs are
+    measured on S_{W/D}(poly) and a subset of poly's own vertices is kept,
+    or poly itself when none is dropped. Exact mode stays on states.
 
     A stage whose nodes' polygons hold more than MAX_STAGE_SIZE vertices in
     total, before pruning, raises AugmentationLimitError; while the walk
@@ -151,11 +152,7 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
             rel = {(s, w): rel[(s, 0)] for s, w in stages[t]}
         if place is per_node:
             for (s, w), poly in rel.items():
-                if len(poly.points) > 2:
-                    plane = poly.sheared(w, den)
-                    kept = prune_polygon(plane, threshold_sq)
-                    if len(kept.points) < len(plane.points):
-                        rel[(s, w)] = kept.sheared(-w, den)
+                rel[(s, w)] = prune_polygon(poly, threshold_sq, Rat(w, den))
     return rel[(mdp.initial_state, 0)]
 
 

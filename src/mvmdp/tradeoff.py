@@ -33,7 +33,7 @@ import csv
 from bisect import bisect_left
 
 from .model import Mdp
-from .rationals import Rat, ZERO, rat, rat_str
+from .rationals import Rat, ZERO, float_twin, rat, rat_str
 from .setdp import compute_pmq, exact_frontier
 
 # Largest grid a frontier query may build; the step is set by the
@@ -301,7 +301,8 @@ CSV_COLUMNS = (
 def _csv_pair(value) -> tuple:
     if value is None:
         return "inf", "inf"
-    return rat_str(value), repr(float(value))
+    twin = float_twin(value)
+    return rat_str(value), "" if twin is None else repr(twin)
 
 
 def curve_rows(curve: TradeoffCurve) -> list:

@@ -968,3 +968,103 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, one_shot_path):
         assert not engines & skips, (argv, engines & skips)
         assert used in engines, argv
         assert not modules & STARTUP_SKIPS, (argv, modules & STARTUP_SKIPS)
+
+
+BIG = 10**400  # past the float range, about 1.8e308
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _twin_pairs(payload):
+    """(exact text, float twin) for every number of a JSON payload: each
+    {"pq", "float"} pair and each column X beside its X_float."""
+    if isinstance(payload, list):
+        for item in payload:
+            yield from _twin_pairs(item)
+    elif isinstance(payload, dict):
+        if set(payload) == {"pq", "float"}:
+            yield payload["pq"], payload["float"]
+            return
+        for key, value in payload.items():
+            if key.endswith("_float"):
+                yield payload[key[: -len("_float")]], value
+            else:
+                yield from _twin_pairs(value)
+
+
+def _fits_a_float(text) -> bool:
+    try:
+        float(Fraction(text))
+    except OverflowError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "instance, argv, code, fmt",
+    [
+        ("huge", ["validate"], 0, "json"),
+        ("huge", ["augment-stats"], 0, "json"),
+        ("huge", ["min-variance"], 0, "json"),
+        ("huge", ["max-variance", "--prune-eps", "1/7"], 0, "json"),
+        ("huge", ["zero-variance"], 0, "json"),
+        ("huge", ["frontier", "--exact"], 0, "csv"),
+        ("huge", ["frontier", "--exact", "--format", "json"], 0, "json"),
+        ("huge", ["frontier", "--epsilon", str(BIG * BIG * 10),
+                  "--nu", str(BIG)], 0, "csv"),
+        ("huge", ["frontier", "--epsilon", str(BIG * BIG * 10),
+                  "--nu", str(BIG), "--format", "json"], 0, "json"),
+        ("huge", ["feasible-pair", "--lambda", str(BIG), "--v", "0"], 0, "json"),
+        ("huge", ["feasible-mean-var", "--lambda", str(BIG), "--v", "0"],
+         0, "json"),
+        ("huge", ["oracle", "--class", "TSW_U", "--lambda", str(BIG),
+                  "--v", "0"], 0, "json"),
+        ("huge", ["separation", "--lambda", str(BIG), "--v", "0"], 0, "json"),
+        ("one_shot", ["feasible-pair", "--lambda", str(BIG), "--v", "0"],
+         1, "json"),
+        ("one_shot", ["oracle", "--class", "TS", "--lambda", "0",
+                      "--v", str(-BIG)], 1, "json"),
+        ("subset_sum", ["separation", "--lambda", "0", "--v", str(BIG)],
+         0, "json"),
+    ],
+)
+def test_values_past_the_float_range_keep_the_protocol(
+    capsys, tmp_path, instance, argv, code, fmt
+):
+    # float() of such a value raises OverflowError, and Python's Infinity
+    # is not JSON: the twin is null, or an empty CSV field, and the exact
+    # value stays beside it.
+    mdp = {
+        "huge": lambda: make_mdp(
+            horizon=1, states=("s",), initial_state="s",
+            actions={"s": ("a",)}, transitions={("s", "a"): {"s": 1}},
+            rewards={("s", "a"): {BIG: 1}},
+        ),
+        "one_shot": one_shot_two_arms,
+        "subset_sum": lambda: gen_subset_sum([1]),
+    }[instance]()
+    path = tmp_path / "mdp.json"
+    path.write_text(dumps(mdp))
+    got, out, err = _invoke(capsys, argv[:1] + [str(path)] + argv[1:])
+    assert (got, err) == (code, "")
+    if fmt == "json":
+        pairs = list(_twin_pairs(json.loads(out, parse_constant=_refuse_constant)))
+    else:
+        pairs = [
+            (row[key[: -len("_float")]], value)
+            for row in csv.DictReader(io.StringIO(out))
+            for key, value in row.items() if key.endswith("_float")
+        ]
+    assert pairs
+    outside = 0
+    for text, twin in pairs:
+        if text == "inf":  # an infeasible grid cell
+            assert twin == "inf"
+        elif _fits_a_float(text):
+            assert float(twin) == float(Fraction(text))
+        else:
+            assert twin in (None, "")
+            outside += 1
+    assert outside

@@ -1,13 +1,15 @@
 """Property tests for the canonical-form polygon kernel.
 
-sheared_sum (with minkowski_sum, its unit-weight case, and
-MomentPolygon.sheared, its one-part, unit-weight case), hull_of_union and
-prune_polygon read canonical input and emit canonical output without a
-sort or a re-hull. Each is checked here against MomentPolygon.of, which
-builds canonical form from arbitrary points: sheared_sum against the hull
-of the sums of its parts' weighted, sheared vertices. Every output must
+sheared_sum (with minkowski_sum, its unit-weight, unsheared case),
+hull_of_union and prune_polygon read canonical input and emit canonical
+output without a sort or a re-hull. Each is checked here against
+MomentPolygon.of, which builds canonical form from arbitrary points:
+sheared_sum against the hull of the sums of its parts' weighted, sheared
+vertices. Every output must
 hold the reduced integer frame that MomentPolygon.of builds, since
-equality and hashing compare that frame.
+equality and hashing compare that frame. prune_polygon with a shift is
+checked against the route it replaces: shear to the plane, prune there,
+shear back.
 Small coordinates on a coarse grid make points, segments, collinear
 vertices, parallel edges and vertical edges common. Signed coordinates over
 coprime and large denominators make each kernel's common denominator, the
@@ -110,7 +112,7 @@ WEIGHTS = st.sampled_from((1, Rat(1, 2), Rat(2, 3)))
 @PROPERTY
 @given(any_family, st.lists(WEIGHTS, min_size=4, max_size=4))
 def test_minkowski_sum_is_the_hull_of_vertex_sums(family, weights):
-    parts = [poly.scale(w) for poly, w in zip(family, weights)]
+    parts = [sheared_sum([(poly, w, 0)]) for poly, w in zip(family, weights)]
     got = minkowski_sum(*parts)
     assert got == MomentPolygon.of(
         [
@@ -173,17 +175,6 @@ def test_sheared_sum_is_the_sum_of_scaled_polygons(parts):
 
 
 @PROPERTY
-@given(shapes(), st.integers(-60, 60), st.sampled_from((1, 2, 6, 42, 10**9 + 7)))
-def test_sheared_is_the_one_part_sheared_sum(poly, w, den):
-    # The recursion's integer shear S_{w/den} of a state polygon must be
-    # the one-part sheared_sum it replaces, frame and all.
-    got = poly.sheared(w, den)
-    want = sheared_sum([(poly, 1, Rat(w, den))])
-    assert (got.d, got.points) == (want.d, want.points)
-    _assert_kernel_output(got)
-
-
-@PROPERTY
 @given(MIXED)
 def test_a_sure_reward_lifts_to_its_moment_point(b):
     got, want = MomentPolygon.sure(b), MomentPolygon.point(b, b * b)
@@ -195,11 +186,8 @@ def _rebuilt(poly):
     """poly again, through every constructor and kernel."""
     return [
         MomentPolygon.of(reversed(poly.vertices)),
-        poly.scale(3).scale(Rat(1, 3)),
-        poly.scale(1, Rat(1, 7)).scale(1, Rat(-1, 7)),
-        poly.translate(1, Rat(1, 2)).translate(-1, Rat(-1, 2)),
         sheared_sum([(poly, Rat(1, 2), 0), (poly, Rat(1, 2), 0)]),
-        sheared_sum([(poly.scale(1, Rat(-1, 3)), 1, Rat(1, 3))]),
+        sheared_sum([(sheared_sum([(poly, 1, Rat(-1, 3))]), 1, Rat(1, 3))]),
         minkowski_sum(poly, MomentPolygon.point(0, 0)),
         hull_of_union([poly, poly]),
         prune_polygon(poly, 0),
@@ -210,7 +198,8 @@ def _rebuilt(poly):
 @given(any_polygon, any_polygon)
 def test_polygons_are_equal_exactly_when_their_vertices_are(p, q):
     # Equality and hashing compare the integer frame, which is canonical.
-    for a, b in [(p, q), (p, p.scale(2))] + [(p, r) for r in _rebuilt(p)]:
+    doubled = sheared_sum([(p, 2, 0)])
+    for a, b in [(p, q), (p, doubled)] + [(p, r) for r in _rebuilt(p)]:
         assert (a == b) is (a.vertices == b.vertices)
         if a == b:
             assert hash(a) == hash(b)
@@ -240,10 +229,29 @@ def test_pruned_polygons_are_canonical(poly, budget):
 def test_pruning_commutes_with_scaling_and_translation(poly, budget, k, u, v):
     # Distances scale by k and the vertex order is kept, so the same
     # vertices are dropped whatever common denominator each side runs over.
-    moved = poly.scale(k).translate(u, v)
-    assert prune_polygon(moved, k * k * budget) == (
-        prune_polygon(poly, budget).scale(k).translate(u, v)
+    def move(p):
+        return MomentPolygon.of((k * x + u, k * y + v) for x, y in p.vertices)
+
+    assert prune_polygon(move(poly), k * k * budget) == (
+        move(prune_polygon(poly, budget))
     )
+
+
+@PROPERTY
+@given(any_polygon, BUDGETS, SHIFTS)
+def test_shifted_pruning_is_pruning_in_the_plane(poly, budget, c):
+    # S_c keeps the vertex order and every turn, so measuring the costs on
+    # the sheared vertices drops what pruning S_c(poly) drops.
+    got = prune_polygon(poly, budget, c)
+    plane = prune_polygon(sheared_sum([(poly, 1, c)]), budget)
+    assert got == sheared_sum([(plane, 1, -c)])
+    _assert_kernel_output(got)
+    assert set(got.vertices) <= set(poly.vertices)
+    if len(got.points) == len(poly.points):
+        assert got is poly
+    for shift in (float(c), True, False):
+        with pytest.raises(TypeError, match="exact rational"):
+            prune_polygon(poly, budget, shift)
 
 
 def _rational_dist_sq(p, a, b):

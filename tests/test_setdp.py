@@ -15,7 +15,12 @@ from mvmdp.fixtures import (
     two_point_stage,
 )
 from mvmdp.frequency import min_q_over_interval
-from mvmdp.geometry import MomentPolygon, hausdorff_sq, prune_polygon
+from mvmdp.geometry import (
+    MomentPolygon,
+    hausdorff_sq,
+    prune_polygon,
+    sheared_sum,
+)
 from mvmdp.lp import LpStatus
 from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp, reach
 from mvmdp.rationals import Rat, ZERO, rat
@@ -46,8 +51,8 @@ def _layers(mdp, place):
     for t in reversed(range(mdp.horizon)):
         rel = backward_step(mdp, t, rel, stages[t], place)
         layers.append(rel)
-    return [{key: poly.sheared(key[1], den) for key, poly in layer.items()}
-            for layer in layers]
+    return [{key: sheared_sum([(poly, 1, Rat(key[1], den))])
+             for key, poly in layer.items()} for layer in layers]
 
 
 def test_backward_step_one_shot():
@@ -127,7 +132,8 @@ def test_node_polygons_are_sheared_state_polygons():
         for states, nodes in zip(by_state, by_node):
             assert {key[0] for key in nodes} == {key[0] for key in states}
             for (s, w), poly in nodes.items():
-                assert states[(s, 0)].scale(1, Rat(w, mdp.reward_den)) == poly
+                assert sheared_sum(
+                    [(states[(s, 0)], 1, Rat(w, mdp.reward_den))]) == poly
 
 
 def test_backward_step_identical_actions_idempotent():
@@ -369,9 +375,9 @@ def _reference_pmq(mdp, prune_eps=None):
             for a in mdp.actions[s]:
                 total = MomentPolygon.point(0, 0)
                 for s2, _, r, pg in mdp.int_branches(t, s, a):
-                    child = layer[(s2, w + r)].scale(pg)
+                    child = layer[(s2, w + r)]
                     total = MomentPolygon.of(
-                        [(x0 + x1, y0 + y1)
+                        [(x0 + pg * x1, y0 + pg * y1)
                          for x0, y0 in total.vertices
                          for x1, y1 in child.vertices]
                     )

@@ -45,8 +45,7 @@ _EXPORTS = {
     "setdp": ("compute_pmq", "exact_frontier", "max_variance", "min_variance"),
     "tradeoff": (
         "MeanCurve", "TradeoffCurve", "approximate_lambda_star",
-        "approximate_v_star", "curve_rows", "discretize_rewards",
-        "general_reward_v_hat", "write_curve_csv",
+        "approximate_v_star", "discretize_rewards", "general_reward_v_hat",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

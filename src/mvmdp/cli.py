@@ -18,7 +18,6 @@ compiles the simplex and `frontier --exact` never loads the game solver.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -52,11 +51,15 @@ formats:
 
   frontier CSV (approximate mode): columns lambda_lo, lambda_hi, qhat,
   uhat, vhat plus *_float twins; one row per grid cell; "inf" marks an
-  infeasible cell. For any rational rewards, vhat underestimates the exact
-  frontier on the cell.
+  infeasible cell in both its columns. For any rational rewards, vhat
+  underestimates the exact frontier on the cell. With --format json, each
+  of "rows" is {"lambda_lo": N, "lambda_hi": N, "qhat": N, "uhat": N,
+  "vhat": N}, null marking an infeasible cell.
 
   frontier CSV (--exact): columns lambda, lambda_float, vstar, vstar_float;
   rows sample every boundary vertex and edge midpoint of the frontier.
+  Both frontier CSVs, like augment-stats --format csv, end every line
+  with LF alone, no CR.
 
   polygon JSON (inside min-variance / max-variance / frontier --exact
   --format json output): {"vertices": [{"mean": N, "second_moment": N,
@@ -305,6 +308,11 @@ def _cmd_feasible_mean_var(args) -> int:
     return OK if ok else NO
 
 
+# One grid frontier cell: its mean interval, cheapest second moment, its
+# variance estimate and the suffix minimum vhat. The CSV adds *_float twins.
+GRID_COLUMNS = ("lambda_lo", "lambda_hi", "qhat", "uhat", "vhat")
+
+
 def _exact_frontier_rows(frontier) -> list:
     """(lambda, v(lambda)) at every chain vertex and edge midpoint, left to
     right, in one pass: v is best[i]'s variance at vertex i, and at the
@@ -359,23 +367,32 @@ def _cmd_frontier(args) -> int:
         raise _UsageError("the approximate mode needs --epsilon and --nu")
     eps = _parse_tolerance(args.epsilon, "--epsilon")
     slack = _parse_tolerance(args.nu, "--nu")
-    from .tradeoff import approximate_v_star, curve_rows, write_curve_csv
+    from .tradeoff import approximate_v_star
 
     curve = approximate_v_star(mdp, eps, slack)
+    cells = zip(curve.grid, curve.grid[1:], curve.qhat, curve.uhat,
+                curve.cell_values)
     if args.format == "json":
         _emit_json(
             {
                 "mean_bound": _num(curve.mean_bound),
                 "delta": _num(curve.delta),
                 "epsilon": _num(curve.epsilon),
-                "rows": curve_rows(curve),
+                "rows": [
+                    {name: None if v is None else _num(v)
+                     for name, v in zip(GRID_COLUMNS, cell)}
+                    for cell in cells
+                ],
             },
             args,
         )
         return OK
-    buffer = io.StringIO()
-    write_curve_csv(curve, buffer)
-    _emit(buffer.getvalue(), args)
+    lines = [",".join(GRID_COLUMNS + tuple(f"{c}_float" for c in GRID_COLUMNS))]
+    for cell in cells:
+        exact = ["inf" if v is None else rat_str(v) for v in cell]
+        floats = ["inf" if v is None else _csv_float(v) for v in cell]
+        lines.append(",".join(exact + floats))
+    _emit("\n".join(lines), args)
     return OK
 
 

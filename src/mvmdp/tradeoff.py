@@ -25,15 +25,17 @@ take any rational rewards as they are, and `approximate_v_star` alone meets
 MDP. `general_reward_v_hat` is the paper's flooring pipeline: rewards
 floored to a fine multiple, then the same grid at half the tolerances. Its
 upper side is only v*(lam + nu) + epsilon.
+
+The module only computes: a curve is its exact fields, and the CLI renders
+them as it renders every other answer.
 """
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 
 from .model import Mdp
-from .rationals import Rat, ZERO, float_twin, rat, rat_str
+from .rationals import Rat, ZERO, rat
 from .setdp import compute_pmq, exact_frontier
 
 # Largest grid a frontier query may build; the step is set by the
@@ -283,41 +285,3 @@ def general_reward_v_hat(mdp: Mdp, epsilon, nu) -> TradeoffCurve:
         mdp = discretize_rewards(mdp, step)
     return approximate_v_star(mdp, eps / 2, slack / 2)
 
-
-CSV_COLUMNS = (
-    "lambda_lo",
-    "lambda_hi",
-    "qhat",
-    "uhat",
-    "vhat",
-    "lambda_lo_float",
-    "lambda_hi_float",
-    "qhat_float",
-    "uhat_float",
-    "vhat_float",
-)
-
-
-def _csv_pair(value) -> tuple:
-    if value is None:
-        return "inf", "inf"
-    twin = float_twin(value)
-    return rat_str(value), "" if twin is None else repr(twin)
-
-
-def curve_rows(curve: TradeoffCurve) -> list:
-    """One dict per grid cell, keyed by CSV_COLUMNS in order: the exact p/q
-    strings, then their float renderings."""
-    rows = []
-    for i in range(len(curve.grid) - 1):
-        cell = (curve.grid[i], curve.grid[i + 1], curve.qhat[i],
-                curve.uhat[i], curve.cell_values[i])
-        exact, floats = zip(*map(_csv_pair, cell))
-        rows.append(dict(zip(CSV_COLUMNS, exact + floats)))
-    return rows
-
-
-def write_curve_csv(curve: TradeoffCurve, stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    writer.writerows(curve_rows(curve))

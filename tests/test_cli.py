@@ -16,12 +16,17 @@ from mvmdp.games import gen_subset_sum
 from mvmdp.frequency import mean_fixed_var_bounded, policy_frequencies
 from mvmdp.lp import LpSolution, LpStatus
 from mvmdp.model import make_mdp
-from mvmdp.rationals import Rat
+from mvmdp.rationals import Rat, rat, rat_str
 from mvmdp.serialize import dumps, loads
 from mvmdp.setdp import compute_pmq, exact_frontier
-from mvmdp.tradeoff import CSV_COLUMNS, approximate_v_star, write_curve_csv
+from mvmdp.tradeoff import approximate_v_star
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
+
+GRID_HEADER = (
+    "lambda_lo,lambda_hi,qhat,uhat,vhat,"
+    "lambda_lo_float,lambda_hi_float,qhat_float,uhat_float,vhat_float"
+)
 
 
 @pytest.fixture
@@ -184,7 +189,7 @@ def test_frontier_float_tolerance_warns(capsys, one_shot_path):
     assert code == 0
     assert "warning" in err and "3/4" in err
     lines = out.strip().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == GRID_HEADER
     assert len(lines) == 34
 
 
@@ -254,9 +259,17 @@ def test_frontier_grid_underestimates_rational_rewards(
         capsys, ["frontier", str(path), "--epsilon", eps, "--nu", nu]
     )
     assert code == 0
-    expected = io.StringIO()
-    write_curve_csv(approximate_v_star(mdp, Rat(eps), Rat(nu)), expected)
-    assert out == expected.getvalue()
+    curve = approximate_v_star(mdp, Rat(eps), Rat(nu))
+    cells = zip(curve.grid, curve.grid[1:], curve.qhat, curve.uhat,
+                curve.cell_values)
+    expected = [
+        ["inf" if v is None else rat_str(v) for v in cell]
+        + ["inf" if v is None else repr(float(v)) for v in cell]
+        for cell in cells
+    ]
+    lines = out.splitlines()
+    assert lines[0] == GRID_HEADER
+    assert [line.split(",") for line in lines[1:]] == expected
     exact = exact_frontier(compute_pmq(mdp))
     for row in csv.DictReader(io.StringIO(out)):
         if row["vhat"] == "inf":
@@ -631,6 +644,88 @@ def test_a_repeated_json_name_exits_2(capsys, tmp_path, argv):
         )
 
 
+_JSON_QUERIES = [
+    ["validate"],
+    ["augment-stats"],
+    ["feasible-pair", "--lambda", "1/2", "--v", "3/4"],
+    ["feasible-mean-var", "--lambda", "1/2", "--v", "1"],
+    ["frontier", "--exact", "--format", "json"],
+    ["frontier", "--epsilon", "1/4", "--nu", "1/4", "--format", "json"],
+    ["zero-variance"],
+    ["min-variance"],
+    ["max-variance"],
+    ["oracle", "--class", "TS_U", "--lambda", "1/8", "--v", "1/2"],
+    ["separation", "--lambda", "1/8", "--v", "1/2"],
+]
+
+
+def _strings_outside_numbers(payload):
+    """Every string of a JSON payload, keys included, except the pq text of
+    a {"pq", "float"} number."""
+    if isinstance(payload, str):
+        yield payload
+    elif isinstance(payload, list):
+        for item in payload:
+            yield from _strings_outside_numbers(item)
+    elif isinstance(payload, dict) and set(payload) != {"pq", "float"}:
+        for key, value in payload.items():
+            yield key
+            yield from _strings_outside_numbers(value)
+
+
+@pytest.mark.parametrize("argv", _JSON_QUERIES, ids=" ".join)
+def test_no_number_hides_in_a_json_string(capsys, one_shot_path, argv):
+    # A number is {"pq", "float"}; every other string is a name, a class
+    # tag or detail text, which neither `rat` nor `float` reads.
+    code, out, err = _invoke(capsys, argv[:1] + [one_shot_path] + argv[1:])
+    assert code in (0, 1) and err == "", (argv, err)
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    strings = list(_strings_outside_numbers(payload))
+    assert strings
+    for text in strings:
+        with pytest.raises(ValueError):
+            rat(text)
+        with pytest.raises(ValueError):
+            float(text)
+    if argv[0] == "frontier" and "--exact" not in argv:
+        cells = [v for row in payload["rows"] for v in row.values()]
+        assert len(cells) == 5 * len(payload["rows"]) > 0
+        assert None in cells
+        for value in cells:
+            assert value is None or (
+                set(value) == {"pq", "float"}
+                and float(rat(value["pq"])) == value["float"]
+            )
+
+
+def test_csv_lines_end_in_lf_alone(capsys, one_shot_path):
+    # Every CSV the CLI prints ends each line in LF alone. The grid keeps its
+    # header, and an infeasible cell reads inf in both its columns.
+    outs = []
+    for argv in (
+        ["frontier", one_shot_path, "--epsilon", "1/4", "--nu", "1/4"],
+        ["frontier", one_shot_path, "--exact"],
+        ["augment-stats", one_shot_path, "--format", "csv"],
+    ):
+        code, out, _ = _invoke(capsys, argv)
+        assert code == 0
+        assert "\r" not in out, argv
+        assert out.endswith("\n") and not out.endswith("\n\n"), argv
+        outs.append(out)
+    grid = outs[0]
+    assert grid.splitlines()[0] == GRID_HEADER
+    infeasible = 0
+    for row in csv.DictReader(io.StringIO(grid)):
+        for name in ("lambda_lo", "lambda_hi", "qhat", "uhat", "vhat"):
+            exact, twin = row[name], row[f"{name}_float"]
+            if exact == "inf":
+                assert twin == "inf"
+                infeasible += 1
+            else:
+                assert float(twin) == float(Fraction(exact))
+    assert infeasible
+
+
 def test_augment_stats_csv(capsys, one_shot_path):
     code, out, _ = _invoke(
         capsys, ["augment-stats", one_shot_path, "--format", "csv"]
@@ -914,8 +1009,9 @@ def _loaded_by(tmp_path, argv):
 
 
 # Stdlib modules no query loads: the value classes are plain classes, so
-# nothing imports dataclasses (and with it inspect) or generates methods.
-STARTUP_SKIPS = {"dataclasses", "inspect"}
+# nothing imports dataclasses (and with it inspect) or generates methods,
+# and the CLI joins every CSV line itself, so nothing imports csv.
+STARTUP_SKIPS = {"csv", "dataclasses", "inspect"}
 
 
 def test_version_imports_nothing_a_query_does_not(tmp_path, one_shot_path):

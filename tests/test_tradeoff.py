@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 
@@ -10,21 +11,20 @@ from corpus import (
     rational_instances,
 )
 from mvmdp import tradeoff
+from mvmdp.cli import run
 from mvmdp.fixtures import all_zero, offset_chain, one_shot_two_arms
 from mvmdp.frequency import terminal_lower_hull
 from mvmdp.games import enumerate_policies
 from mvmdp.geometry import hausdorff_sq
 from mvmdp.model import evaluate_policy, make_mdp
 from mvmdp.rationals import Rat, ZERO
+from mvmdp.serialize import dumps
 from mvmdp.setdp import ExactFrontier, compute_pmq, exact_frontier
 from mvmdp.tradeoff import (
-    CSV_COLUMNS,
     approximate_lambda_star,
     approximate_v_star,
-    curve_rows,
     discretize_rewards,
     general_reward_v_hat,
-    write_curve_csv,
 )
 
 
@@ -497,11 +497,23 @@ def test_general_reward_all_zero():
     assert general_reward_v_hat(all_zero(), 1, 1).value(0) == ZERO
 
 
-def test_csv_rows_and_writer():
-    curve = approximate_v_star(one_shot_two_arms(), 1, 1)
-    rows = curve_rows(curve)
+def test_csv_rows_and_writer(capsys, tmp_path):
+    # The CLI renders the curve: one CSV row per grid cell, the exact p/q
+    # columns and then their float twins.
+    mdp = one_shot_two_arms()
+    curve = approximate_v_star(mdp, 1, 1)
+    path = tmp_path / "one_shot.json"
+    path.write_text(dumps(mdp))
+    assert run(["frontier", str(path), "--epsilon", "1", "--nu", "1"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0] == (
+        "lambda_lo,lambda_hi,qhat,uhat,vhat,"
+        "lambda_lo_float,lambda_hi_float,qhat_float,uhat_float,vhat_float"
+    )
+    rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == len(curve.grid) - 1
-    assert list(rows[0]) == list(CSV_COLUMNS)
+    assert len(lines) == len(rows) + 1
     assert rows[0]["lambda_lo"] == "-2"
     assert rows[0]["qhat"] == "inf"
     assert rows[0]["qhat_float"] == "inf"
@@ -509,11 +521,6 @@ def test_csv_rows_and_writer():
     origin = curve.grid.index(ZERO)
     assert rows[origin]["qhat"] == "0"
     assert rows[origin]["qhat_float"] == "0.0"
-    out = io.StringIO()
-    write_curve_csv(curve, out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == len(rows) + 1
 
 
 def test_polygon_hull_matches_lp_hull_on_integer_corpus():

@@ -81,10 +81,10 @@ formats:
 caps (fixed, not flags; exceeding one exits 2):
   10^6 dynamics rows when an MDP is read (two per step and (state, action)
   pair), and a horizon below 10^6; 10^6 augmented (state, reward) nodes
-  for the witnesses, the TSW search, pruned polygons and augment-stats;
-  10^6 (time, state) pairs for the TS and TS_U searches; 10^6 polygon
-  vertices or forcible values per stage; 10^6 TS/TSW or TS_U grid
-  policies; 10^6 frontier grid cells.
+  for the TSW search, pruned polygons, augment-stats and the nodes a
+  witness policy reaches; 10^6 (time, state) pairs for the TS and TS_U
+  searches; 10^6 polygon vertices or forcible values per stage; 10^6
+  TS/TSW or TS_U grid policies; 10^6 frontier grid cells.
 """
 
 
@@ -212,10 +212,10 @@ def _prune_budget(args) -> Rat | None:
     return _parse_exact(args.prune_eps, "--prune-eps")
 
 
-def _witness_policy(mdp: Mdp, mean, variance, polygon=None):
+def _witness_policy(mdp: Mdp, mean, variance, stages=None):
     from .frequency import exact_pair_feasible, frequencies_to_policy
 
-    ok, z = exact_pair_feasible(mdp, mean, variance, polygon)
+    ok, z = exact_pair_feasible(mdp, mean, variance, stages)
     if not ok:
         return None
     return _policy_json(frequencies_to_policy(mdp, z))
@@ -419,11 +419,15 @@ def _cmd_zero_variance(args) -> int:
 
 
 def _variance_extreme(args, pick) -> int:
-    from .setdp import compute_pmq
+    from .setdp import backward_walk, compute_pmq
 
     mdp = _load_mdp(args)
     prune = _prune_budget(args)
-    polygon = compute_pmq(mdp, prune_eps=prune)
+    if prune is None:
+        stages = dict(backward_walk(mdp))
+        polygon = stages[0][(mdp.initial_state, 0)]
+    else:
+        polygon = compute_pmq(mdp, prune_eps=prune)
     value, (m, q) = pick(polygon)
     payload = {
         "variance": _num(value),
@@ -433,7 +437,7 @@ def _variance_extreme(args, pick) -> int:
         "polygon": _polygon_json(polygon),
     }
     if prune is None:
-        payload["policy"] = _witness_policy(mdp, m, value, polygon)
+        payload["policy"] = _witness_policy(mdp, m, value, stages)
     _emit_json(payload, args)
     return OK
 

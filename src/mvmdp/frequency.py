@@ -16,11 +16,10 @@ layers is the same. Every terminal statistic of interest (mean and second
 moment of the cumulative reward) is linear in z, which is what makes the
 mean-variance questions below linear programs.
 
-The skeleton, the backward DP and the forward walk (`model.occupation`)
-run on `model.reach`'s integer nodes (s, W), w = W / D for
-D = `Mdp.reward_den`. The Rat W / D is built only where a key leaves this
-module (a FrequencyVector's keys) or meets a caller's (the lookups into a
-given policy's rule, in `model.played_actions`).
+The skeleton and the forward walk (`model.occupation`) run on `reach`'s
+integer nodes (s, W), w = W / D for D = `Mdp.reward_den`. The Rat W / D
+is built only where a key leaves this module (a FrequencyVector's keys)
+or meets a caller's (a given policy's rule, in `model.played_actions`).
 
 Every query is a standard-form LP (equality rows, nonnegative columns): a
 side condition such as "mean in [lo, hi]" is an extra row with its own
@@ -30,10 +29,11 @@ a fresh LpProblem, so concurrent queries against one skeleton are safe.
 The witness queries (`exact_pair_feasible`, `mean_fixed_var_bounded`) take
 their answer from the root moment polygon, and build the witness without
 the polytope's constraint system: a mixture of at most three vertex
-policies (`_moment_witness`), which `frequencies_to_policy` turns into one
-behavioural policy (Kuhn's theorem). The constraint system backs the
-cross-check LPs (`terminal_lower_hull`, `min_q_over_interval`) and
-`check_frequency`.
+policies (`_moment_witness`), each a forward walk reading its actions off
+the exact stage polygons (`vertex_policy`), which `frequencies_to_policy`
+turns into one behavioural policy (Kuhn's theorem). The constraint system
+backs the cross-check LPs (`terminal_lower_hull`, `min_q_over_interval`)
+and `check_frequency`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .geometry import MomentPolygon
 from .lp import LpProblem, LpSolution, LpStatus, solve
 from .model import Mdp, PolicySpec, occupation, per_node, played_actions, reach
 from .rationals import Rat, ZERO, ONE, rat
-from .setdp import compute_pmq, exact_frontier
+from .setdp import backward_walk, exact_frontier
 
 
 class FrequencyVector:
@@ -198,23 +198,21 @@ def check_frequency(skeleton: PolytopeSkeleton, z: FrequencyVector) -> list[str]
 
 
 def exact_pair_feasible(
-    mdp: Mdp, mean, variance, polygon: MomentPolygon | None = None
+    mdp: Mdp, mean, variance, stages: dict | None = None
 ) -> tuple[bool, FrequencyVector | None]:
     """Is there a policy with exactly this (mean, variance) of the cumulative reward?
 
     Yes iff the root moment polygon holds (mean, variance + mean^2); only
-    then is a witness built (`_moment_witness`). polygon is the exact
-    `compute_pmq(mdp)` when the caller already holds it; left out, it is
-    built here.
+    then is a witness built (`_moment_witness`) from stages, the exact
+    `dict(backward_walk(mdp))`, which are built here when left out.
     """
     mean = rat(mean)
     second = rat(variance) + mean * mean
-    if polygon is None:
-        polygon = compute_pmq(mdp)
-    face = polygon.locate((mean, second))
+    stages = stages or dict(backward_walk(mdp))
+    face = stages[0][(mdp.initial_state, 0)].locate((mean, second))
     if face is None:
         return False, None
-    return True, _moment_witness(mdp, polygon, face, mean, second)
+    return True, _moment_witness(mdp, stages, face, mean, second)
 
 
 def mean_fixed_var_bounded(
@@ -229,11 +227,11 @@ def mean_fixed_var_bounded(
     """
     mean = rat(mean)
     cap = rat(variance_cap)
-    polygon = compute_pmq(mdp)
-    second = exact_frontier(polygon).second_moment(mean)
+    stages = dict(backward_walk(mdp))
+    second = exact_frontier(stages[0][(mdp.initial_state, 0)]).second_moment(mean)
     if second is None or second - mean * mean > cap:
         return False, None
-    ok, z = exact_pair_feasible(mdp, mean, second - mean * mean, polygon)
+    ok, z = exact_pair_feasible(mdp, mean, second - mean * mean, stages)
     if not ok:
         raise EngineDisagreementError(
             f"moment polygon and its frontier disagree: the lower chain holds "
@@ -243,36 +241,35 @@ def mean_fixed_var_bounded(
 
 
 def _moment_witness(
-    mdp: Mdp, polygon: MomentPolygon, face: tuple | None, mean: Rat, second: Rat
+    mdp: Mdp, stages: dict, face: tuple, mean: Rat, second: Rat
 ) -> FrequencyVector:
     """Occupation measure of a policy whose terminal moments are exactly
-    (mean, second), a point of polygon: a mixture of at most three
-    vertex policies.
+    (mean, second), a point of the root polygon of stages: a mixture of
+    at most three vertex policies.
 
     face is what `MomentPolygon.locate` found for the point: the polygon
     triangle that holds it, or the point or segment that is its own face.
     A three-row LP over the face's vertices (`_vertex_weights`) gives the
-    weights alpha. Each vertex of positive weight is attained by
-    the deterministic policy `supporting_policy` finds for its direction
+    weights alpha. Each vertex of positive weight is attained by the
+    policy `vertex_policy` reads off stages for its direction
     `MomentPolygon.inner_normal`, and z = sum alpha * (its occupation
     measure), one forward walk per policy. Occupation measures are linear
     under mixing, so z lies in the occupation polytope with exactly the
     target moments. An LP that finds the point infeasible, or a mixture
     that misses the target, raises EngineDisagreementError.
     """
+    polygon = stages[0][(mdp.initial_state, 0)]
     sol = _vertex_weights(polygon, face, mean, second)
     if sol.status is not LpStatus.OPTIMAL:
         raise EngineDisagreementError(
             f"moment polygon and occupation LP disagree: the polygon holds "
             f"({mean}, {second}), the LP is {sol.status.value}"
         )
-    layers = reach(mdp, per_node)
     z = FrequencyVector(z_sa={}, z_x={})
     for i, alpha in zip(face, sol.x):
         if alpha == 0:
             continue
-        rule = supporting_policy(mdp, layers, polygon.inner_normal(i))
-        _add_occupation(mdp, lambda t, s, w: {rule[(t, s, w)]: ONE}, alpha, z)
+        _add_occupation(mdp, vertex_policy(mdp, stages, polygon.inner_normal(i)), alpha, z)
     reached = (z.terminal_mean(mdp.horizon), z.terminal_second_moment(mdp.horizon))
     if reached != (mean, second):
         raise EngineDisagreementError(
@@ -283,7 +280,7 @@ def _moment_witness(
 
 
 def _vertex_weights(
-    polygon: MomentPolygon, face: tuple | None, mean: Rat, second: Rat
+    polygon: MomentPolygon, face: tuple, mean: Rat, second: Rat
 ) -> LpSolution:
     """Weights alpha >= 0 on the vertices of face, the face that
     `MomentPolygon.locate` found for (mean, second), with sum alpha = 1 and
@@ -295,11 +292,9 @@ def _vertex_weights(
     weights exactly, checking that they are nonnegative. No pivot is
     zero: the triangle is not flat, and vertices[0] is the lexicographic
     minimum, so only the last vertex can share its mean, which the middle
-    column never is. A point or a segment takes the cold start. A target
-    outside the polygon has no face, and its LP no column.
+    column never is. A point or a segment takes the cold start.
     """
     vs = polygon.vertices
-    face = face or ()
     prob = LpProblem(num_vars=len(face))
     prob.add_row({j: ONE for j in range(len(face))}, ONE)
     prob.add_row({j: vs[i][0] for j, i in enumerate(face)}, mean)
@@ -308,35 +303,32 @@ def _vertex_weights(
     return solve(prob, initial_basis=basis)
 
 
-def supporting_policy(mdp: Mdp, layers: list, direction: tuple) -> dict:
-    """A deterministic TSW policy minimizing E[c0 R + c1 R^2] over all
-    policies, for direction = (c0, c1) and R the terminal cumulative
-    reward: for a direction strictly inside a vertex's normal cone, it
-    reaches that vertex of the moment polygon.
+def vertex_policy(mdp: Mdp, stages: dict, direction: tuple):
+    """Action law pmf(t, s, W) of a deterministic TSW policy minimizing
+    E[c0 R + c1 R^2], direction = (c0, c1) and R = W / D the terminal
+    reward; a direction strictly inside a vertex's normal cone reaches that
+    vertex. D^2 times the least objective from (t, s, W) is v(t, s, W) =
+    c0 D W + c1 W^2 + D h(F(t, s), (c0 D + 2 c1 W, c1 D)), h(F, (a, b)) the
+    least a m + b q over F, F(t, s) = stages[t][(s, 0)]. pmf takes the
+    first action least in sum pg * v(t + 1, s', W + R) over its branches:
+    the backward DP's own values and tie-break, at the nodes it reaches."""
+    c1, den = direction[1], mdp.reward_den
+    c0d, b = direction[0] * den, c1 * den
 
-    One backward DP over layers, `reach(mdp, per_node)`'s integer nodes
-    (s, W), R = W / D for D = mdp.reward_den, minimizing D^2 times the
-    objective, E[c0 D W + c1 W^2]; first action on ties. Returns the rule
-    (t, s, W) -> action.
-    """
-    c0, c1 = direction
-    c0 *= mdp.reward_den
-    value = {(s, w): w * (c0 + c1 * w) for s, w in layers[mdp.horizon]}
-    rule = {}
-    for t in reversed(range(mdp.horizon)):
-        here = {}
-        for s, w in layers[t]:
-            best = None
-            for action in mdp.actions[s]:
-                v = ZERO
-                for s2, r, _, pg in mdp.int_branches(t, s, action):
-                    v += pg * value[(s2, w + r)]
-                if best is None or v < best:
-                    best = v
-                    rule[(t, s, w)] = action
-            here[(s, w)] = best
-        value = here
-    return rule
+    def pmf(t, s, w):
+        best = None
+        for action in mdp.actions[s]:
+            v = ZERO
+            for s2, r, _, pg in mdp.int_branches(t, s, action):
+                poly, w2 = stages[t + 1][(s2, 0)], w + r
+                a = c0d + 2 * c1 * w2
+                low = min(a * x + b * y for x, y in poly.points)
+                v += pg * Rat(w2 * (c0d + c1 * w2) * poly.d + den * low, poly.d)
+            if best is None or v < best:
+                best, choice = v, action
+        return {choice: ONE}
+
+    return pmf
 
 
 def min_q_over_interval(mdp: Mdp, lo, hi) -> tuple[LpStatus, Rat | None]:

@@ -34,7 +34,7 @@ from .model import (
     reach,
 )
 from .rationals import Rat, ZERO, ONE, is_integer, rat
-from .setdp import check_stage_size, compute_pmq, exact_frontier
+from .setdp import backward_walk, check_stage_size, exact_frontier
 
 DEFAULT_POLICY_CAP = 10**6
 
@@ -429,8 +429,8 @@ def class_feasibility(
         return ClassFeasibility(False, None, "exhaustive enumeration")
     if class_tag != "TSW_U":
         raise ValueError(f"unknown policy class {class_tag!r}")
-    polygon = compute_pmq(mdp)
-    best = exact_frontier(polygon).argmin(lam)
+    stages = dict(backward_walk(mdp))
+    best = exact_frontier(stages[0][(mdp.initial_state, 0)]).argmin(lam)
     if best is None or best[0] > cap:
         return ClassFeasibility(
             False, None, f"least variance at mean >= {lam} exceeds the cap"
@@ -438,7 +438,7 @@ def class_feasibility(
     from .frequency import exact_pair_feasible, frequencies_to_policy
 
     value, (mean, _) = best
-    _, z = exact_pair_feasible(mdp, mean, value, polygon)
+    _, z = exact_pair_feasible(mdp, mean, value, stages)
     return ClassFeasibility(
         True,
         frequencies_to_policy(mdp, z),

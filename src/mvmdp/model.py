@@ -445,7 +445,9 @@ def occupation(mdp: Mdp, pmf, weight: Rat):
     (t, s, W, mass, flows) for each node it reaches with nonzero mass, in
     the order the walk meets them. mass is weight times the node's
     probability, and flows lists (action, mass * pa), empty at the horizon.
+    Reaching more than DEFAULT_NODE_CAP nodes raises as `reach` does.
     """
+    total = 1
     dist = {(mdp.initial_state, 0): weight}
     for t in range(mdp.horizon + 1):
         nxt: dict = {}
@@ -461,6 +463,10 @@ def occupation(mdp: Mdp, pmf, weight: Rat):
                 for s2, step, _, pg in mdp.int_branches(t, s, a):
                     key = (s2, w + step)
                     nxt[key] = nxt.get(key, ZERO) + flow * pg
+        total += len(nxt)
+        if total > DEFAULT_NODE_CAP:
+            raise AugmentationLimitError(f"augmented space exceeds "
+                                         f"{DEFAULT_NODE_CAP} nodes at layer {t + 1}")
         dist = nxt
 
 

@@ -107,27 +107,16 @@ def backward_step(mdp: Mdp, t: int, rel: dict, stage: list, place) -> dict:
     return out
 
 
-def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
-    """The polygon of achievable (mean, second moment) pairs at the root.
-
-    Stages are built backwards, each from the one after it only, and every
-    key (s, b) holds its polygon relative to its own reward b / D
-    (backward_step). The walk keys (t, state): b is 0, and the polygon is
-    F(t, s). With prune_eps set (a nonnegative exact rational), every
-    node's stage-t polygon (t < horizon) is thinned right after its stage
-    is computed, in the plane, so earlier stages build on the pruned sets.
-    Pruning keeps every vertex of a point or a segment, so the walk stays
-    on states until a stage has a state polygon of three or more vertices.
-    From that stage on it keys nodes (s, W), and each node's polygon is
-    pruned in the plane by prune_polygon(poly, budget, W / D): costs are
-    measured on S_{W/D}(poly) and a subset of poly's own vertices is kept,
-    or poly itself when none is dropped. Exact mode stays on states.
-
-    A stage whose nodes' polygons hold more than MAX_STAGE_SIZE vertices in
-    total, before pruning, raises AugmentationLimitError; while the walk
-    keys states, each node counts its state's polygon, and exact mode
-    counts each state's once. No stage builds its rationals, so the
-    root's vertices are the only ones built, when the caller reads them.
+def backward_walk(mdp: Mdp, prune_eps=None):
+    """The polygon recursion: yields (t, stage t), t from the horizon down
+    to 0, each stage built from the one before alone (backward_step) and
+    mapping its keys (s, b) to their polygons relative to b / D. Exact
+    mode keys (t, state), so stage t maps (s, 0) to F(t, s); the exact
+    witnesses keep every stage. With prune_eps (a nonnegative exact
+    rational), each stage t < horizon is pruned right after it is built,
+    as set out above. A stage whose polygons hold more than MAX_STAGE_SIZE
+    vertices in total, before pruning, raises AugmentationLimitError:
+    pruned mode counts every node, exact mode every state once.
     """
     threshold_sq = None
     if prune_eps is not None:
@@ -141,6 +130,7 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
     den = mdp.reward_den
     place = per_state
     rel = dict.fromkeys([(s, 0) for s, _ in stages[-1]], MomentPolygon.sure(0))
+    yield mdp.horizon, rel
     for t in reversed(range(mdp.horizon)):
         keys = list(dict.fromkeys(place(s, w) for s, w in stages[t]))
         rel = backward_step(mdp, t, rel, keys, place)
@@ -153,6 +143,14 @@ def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
         if place is per_node:
             for (s, w), poly in rel.items():
                 rel[(s, w)] = prune_polygon(poly, threshold_sq, Rat(w, den))
+        yield t, rel
+
+
+def compute_pmq(mdp: Mdp, prune_eps=None) -> MomentPolygon:
+    """The polygon of achievable (mean, second moment) pairs at the root,
+    the last of backward_walk's stages; the walk keeps two alive."""
+    for _, rel in backward_walk(mdp, prune_eps):
+        pass
     return rel[(mdp.initial_state, 0)]
 
 

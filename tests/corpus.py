@@ -1,10 +1,12 @@
 """Seeded instance samplers shared by the acceptance tests, the small
 random MDPs of the engine tests (`random_mdp`), the per-node reference for
 the zero-variance game, the per-node moment recursion that checks the
-pruned `compute_pmq` (`per_node_pmq`), the rational forward walk that checks
-`evaluate_policy` (`rational_evaluation`), the policy-by-policy reference
-for the TS, TSW and TS_U searches (`decision_choices`), and MDP JSON texts
-that repeat a name (`REPEATED_NAMES`).
+pruned `compute_pmq` (`per_node_pmq`), the all-node backward DP that checks
+the witnesses' vertex policies (`supporting_policy`), the rational
+forward walk that checks `evaluate_policy` (`rational_evaluation`), the
+policy-by-policy reference for the TS, TSW and TS_U searches
+(`decision_choices`), and MDP JSON texts that repeat a name
+(`REPEATED_NAMES`).
 
 Every sampler is deterministic for a given seed, so the acceptance run is
 reproducible. Rejection rules keep the instances at desk scale: the integer
@@ -381,6 +383,38 @@ def per_node_layers(mdp, prune_eps=None) -> list:
 def per_node_pmq(mdp, prune_eps=None) -> MomentPolygon:
     """The root moment polygon of per_node_layers."""
     return per_node_layers(mdp, prune_eps)[-1][(mdp.initial_state, 0)]
+
+
+def supporting_policy(mdp: Mdp, layers: list, direction: tuple) -> dict:
+    """A deterministic TSW policy minimizing E[c0 R + c1 R^2] over all
+    policies, for direction = (c0, c1) and R the terminal cumulative
+    reward: for a direction strictly inside a vertex's normal cone, it
+    reaches that vertex of the moment polygon.
+
+    One backward DP over layers, `reach(mdp, per_node)`'s integer nodes
+    (s, W), R = W / D for D = mdp.reward_den, minimizing D^2 times the
+    objective, E[c0 D W + c1 W^2]; first action on ties. Returns the rule
+    (t, s, W) -> action at every node, reached or not: the reference for
+    `frequency.vertex_policy`, which chooses at the nodes it reaches.
+    """
+    c0, c1 = direction
+    c0 *= mdp.reward_den
+    value = {(s, w): w * (c0 + c1 * w) for s, w in layers[mdp.horizon]}
+    rule = {}
+    for t in reversed(range(mdp.horizon)):
+        here = {}
+        for s, w in layers[t]:
+            best = None
+            for action in mdp.actions[s]:
+                v = ZERO
+                for s2, r, _, pg in mdp.int_branches(t, s, action):
+                    v += pg * value[(s2, w + r)]
+                if best is None or v < best:
+                    best = v
+                    rule[(t, s, w)] = action
+            here[(s, w)] = best
+        value = here
+    return rule
 
 
 def simplex_grid(k: int, m: int):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from corpus import REPEATED_NAMES, deep_instances, rational_instances
+from corpus import REPEATED_NAMES, deep_instances, mixed_frame_mdp, rational_instances
 from mvmdp import frequency, games, model, setdp
 from mvmdp.cli import run
+from mvmdp.errors import AugmentationLimitError
 from mvmdp.model import PolicySpec, evaluate_policy
 from mvmdp.fixtures import one_shot_two_arms, two_point_stage
 from mvmdp.games import gen_subset_sum
@@ -18,7 +19,7 @@ from mvmdp.lp import LpSolution, LpStatus
 from mvmdp.model import make_mdp
 from mvmdp.rationals import Rat, rat, rat_str
 from mvmdp.serialize import dumps, loads
-from mvmdp.setdp import compute_pmq, exact_frontier
+from mvmdp.setdp import compute_pmq, exact_frontier, max_variance, min_variance
 from mvmdp.tradeoff import approximate_v_star
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
@@ -856,11 +857,64 @@ def test_node_cap_bounds_only_the_node_level_engines(
     # A target outside the polygon is refused before any LP is built.
     assert _invoke(capsys, queries["feasible-pair"]) == answers["feasible-pair"]
     assert answers["feasible-pair"][0] == 1
-    # The witness LP and the node counts need every node.
+    # The node counts list every node, and this witness's policy reaches
+    # every node: one action, and rewards that never merge.
     for name in ("min-variance", "augment-stats"):
         code, out, err = _invoke(capsys, queries[name])
         assert (code, out) == (2, "")
         assert "size cap exceeded: augmented space exceeds 10 nodes" in err
+
+
+def test_policy_walks_count_their_nodes_against_the_cap(monkeypatch):
+    # The forward walk of a policy stops at the node cap, as reach does,
+    # before it has met all 31 nodes.
+    mdp = _halving_chain()
+    policy = PolicySpec("TS", {(t, "s"): "a" for t in range(mdp.horizon)})
+    assert len(evaluate_policy(mdp, policy).terminal) == 16
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 10)
+    for walk in (evaluate_policy, policy_frequencies):
+        with pytest.raises(AugmentationLimitError,
+                           match="augmented space exceeds 10 nodes"):
+            walk(mdp, policy)
+
+
+def test_every_exact_witness_query_builds_the_stages_once(
+    capsys, tmp_path, monkeypatch
+):
+    # Each query that prints an exact witness walks the polygon recursion
+    # once, horizon backward steps, and its witness reads those stages:
+    # it lists no augmented node (frequency's reach serves the LP skeleton
+    # alone).
+    mdp = mixed_frame_mdp(2)
+    path = tmp_path / "mixed.json"
+    path.write_text(dumps(mdp))
+    polygon = compute_pmq(mdp)
+    low, (m0, _) = min_variance(polygon)
+    high, (m1, _) = max_variance(polygon)
+    steps = []
+    step = setdp.backward_step
+
+    def counted(*args):
+        steps.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(setdp, "backward_step", counted)
+    monkeypatch.setattr(frequency, "reach", None)
+    queries = [
+        ["min-variance", str(path)],
+        ["max-variance", str(path)],
+        ["feasible-pair", str(path), "--lambda", rat_str(m1), "--v", rat_str(high)],
+        ["feasible-mean-var", str(path), "--lambda", rat_str(m0), "--v", rat_str(low)],
+        ["oracle", str(path), "--class", "TSW_U", "--lambda", rat_str(m0),
+         "--v", rat_str(low)],
+        ["separation", str(path), "--lambda", rat_str(m0), "--v", rat_str(low)],
+    ]
+    for argv in queries:
+        steps.clear()
+        code, out, _ = _invoke(capsys, argv)
+        assert code == 0, argv
+        assert "policy" in out
+        assert steps == [1, 0], argv
 
 
 def test_stage_cap_bounds_the_game(capsys, tmp_path, monkeypatch):
@@ -1075,7 +1129,7 @@ def _refuse_constant(name):
 
 def _twin_pairs(payload):
     """(exact text, float twin) for every number of a JSON payload: each
-    {"pq", "float"} pair and each column X beside its X_float."""
+    {"pq", "float"} pair."""
     if isinstance(payload, list):
         for item in payload:
             yield from _twin_pairs(item)
@@ -1083,11 +1137,8 @@ def _twin_pairs(payload):
         if set(payload) == {"pq", "float"}:
             yield payload["pq"], payload["float"]
             return
-        for key, value in payload.items():
-            if key.endswith("_float"):
-                yield payload[key[: -len("_float")]], value
-            else:
-                yield from _twin_pairs(value)
+        for value in payload.values():
+            yield from _twin_pairs(value)
 
 
 def _fits_a_float(text) -> bool:

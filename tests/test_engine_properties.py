@@ -7,14 +7,17 @@ rewards are integers or, in about half of the draws, halves and thirds as
 well. The LP's lower hull must equal the polygon's lower chain vertex for
 vertex, and the interval LP (whose mean window is an explicit slack row)
 must give the frontier's least second moment on each drawn window, with an
-infeasible window matching None. The DP behind every witness's vertex
-policies must reach every vertex of the root polygon: for a drawn
-direction strictly inside the vertex's normal cone, the deterministic
-policy that minimizes E[c0 R + c1 R^2] must replay to exactly that vertex.
-So any two such directions give policies that agree wherever they are
-played. A witness at a drawn convex combination of three root vertices
-must replay to exactly that point and satisfy every row of the occupation
-polytope.
+infeasible window matching None. The all-node DP (`corpus.supporting_policy`)
+must reach every vertex of the root polygon: for a drawn direction
+strictly inside the vertex's normal cone, the deterministic policy that
+minimizes E[c0 R + c1 R^2] must replay to exactly that vertex. So any two
+such directions give policies that agree wherever they are played. The
+rule every witness's vertex policies follow, read off the stage polygons
+(`frequency.vertex_policy`), must pick the DP's action at every node its
+walk reaches, on the drawn MDPs and on the corpora and pool instances
+the DP is cheap enough to run on. A witness at a drawn convex combination
+of three root vertices must replay to exactly that point and satisfy every
+row of the occupation polytope.
 
 The polygon recursion is also checked against itself and against
 enumeration: pruning with a zero budget runs it per augmented node and
@@ -40,6 +43,7 @@ must put that same law on the horizon's nodes.
 """
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -53,9 +57,14 @@ from hypothesis import strategies as st  # noqa: E402
 from corpus import (  # noqa: E402
     _tsw_policy_count,
     decision_choices,
+    deep_instances,
+    integer_instances,
+    mixed_frame_mdp,
     per_node_game,
     per_node_pmq,
     rational_evaluation,
+    rational_instances,
+    supporting_policy,
 )
 from mvmdp.frequency import (  # noqa: E402
     build_polytope,
@@ -64,8 +73,8 @@ from mvmdp.frequency import (  # noqa: E402
     frequencies_to_policy,
     min_q_over_interval,
     policy_frequencies,
-    supporting_policy,
     terminal_lower_hull,
+    vertex_policy,
 )
 from mvmdp.games import (  # noqa: E402
     _forcible_sets,
@@ -79,11 +88,15 @@ from mvmdp.model import (  # noqa: E402
     augment,
     evaluate_policy,
     make_mdp,
+    occupation,
     per_node,
     reach,
 )
-from mvmdp.rationals import Rat  # noqa: E402
-from mvmdp.setdp import compute_pmq, exact_frontier  # noqa: E402
+from mvmdp.rationals import ONE, Rat  # noqa: E402
+from mvmdp.serialize import load  # noqa: E402
+from mvmdp.setdp import backward_walk, compute_pmq, exact_frontier  # noqa: E402
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
 
 PROPERTY = settings(
     max_examples=100, deadline=None, derandomize=True, database=None
@@ -158,17 +171,60 @@ def _direction_at_vertex(vs, i, data):
     return k0 * before[0] + k1 * after[0], k0 * before[1] + k1 * after[1]
 
 
+def _reaches_its_vertex(mdp, stages, layers, i, direction):
+    """The DP's policy for direction replays to root vertex i, and the
+    stage-polygon rule picks the DP's action at every node its own walk
+    reaches; returns how many nodes that walk decided."""
+    vertex = stages[0][(mdp.initial_state, 0)].vertices[i]
+    rule = supporting_policy(mdp, layers, direction)
+    spec = {(t, s, Rat(w, mdp.reward_den)): a for (t, s, w), a in rule.items()}
+    ev = evaluate_policy(mdp, PolicySpec("TSW", spec))
+    assert (ev.mean, ev.second_moment) == vertex
+    pmf = vertex_policy(mdp, stages, direction)
+
+    def checked(t, s, w):
+        law = pmf(t, s, w)
+        assert law == {rule[(t, s, w)]: ONE}, (t, s, w)
+        return law
+
+    return sum(t < mdp.horizon for t, *_ in occupation(mdp, checked, ONE))
+
+
 @PROPERTY
 @given(mdps(), st.data())
 def test_supporting_policy_reaches_every_vertex(mdp, data):
-    polygon = compute_pmq(mdp)
+    stages = dict(backward_walk(mdp))
     layers = reach(mdp, per_node)
-    vs = polygon.vertices
-    for i, vertex in enumerate(vs):
-        rule = supporting_policy(mdp, layers, _direction_at_vertex(vs, i, data))
-        rule = {(t, s, Rat(w, mdp.reward_den)): a for (t, s, w), a in rule.items()}
-        ev = evaluate_policy(mdp, PolicySpec("TSW", rule))
-        assert (ev.mean, ev.second_moment) == vertex
+    vs = stages[0][(mdp.initial_state, 0)].vertices
+    for i in range(len(vs)):
+        direction = _direction_at_vertex(vs, i, data)
+        _reaches_its_vertex(mdp, stages, layers, i, direction)
+
+
+def _oracle_cases():
+    """(mdp, stride): every vertex of the small corpora, and every
+    stride-th vertex of the deep ones (36 to 95 vertices) and of the
+    pool's polygon-stress instances, where the DP walks 1,440 and 3,656
+    nodes per direction."""
+    cases = [(mdp, 1) for mdp in integer_instances(60) + rational_instances(20)]
+    cases += [(mdp, 3) for mdp, _ in deep_instances(4)]
+    cases.append((mixed_frame_mdp(3), 1))
+    for name, stride in (("stress-t5-0", 12), ("stress-t6-0", 40)):
+        cases.append((load(POOL / "polygon-stress" / f"{name}.json"), stride))
+    return cases
+
+
+def test_supporting_policy_reaches_every_vertex_on_the_corpora():
+    # The witness's own directions, MomentPolygon.inner_normal.
+    decided = 0
+    for mdp, stride in _oracle_cases():
+        stages = dict(backward_walk(mdp))
+        layers = reach(mdp, per_node)
+        polygon = stages[0][(mdp.initial_state, 0)]
+        for i in range(0, len(polygon.vertices), stride):
+            decided += _reaches_its_vertex(
+                mdp, stages, layers, i, polygon.inner_normal(i))
+    assert decided > 1000
 
 
 @PROPERTY
@@ -187,7 +243,7 @@ def test_mixture_witness_replays_at_interior_points(mdp, data):
     total = sum(weights)
     m = sum(w * p[0] for w, p in zip(weights, picks)) / total
     q = sum(w * p[1] for w, p in zip(weights, picks)) / total
-    ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+    ok, z = exact_pair_feasible(mdp, m, q - m * m)
     assert ok
     assert check_frequency(build_polytope(mdp), z) == []
     ev = evaluate_policy(mdp, frequencies_to_policy(mdp, z))

@@ -37,6 +37,7 @@ from mvmdp.model import PolicySpec, augment, evaluate_policy, make_mdp
 from mvmdp.rationals import Rat
 from mvmdp.serialize import dumps
 from mvmdp.setdp import (
+    backward_walk,
     ExactFrontier,
     compute_pmq,
     exact_frontier,
@@ -400,12 +401,13 @@ def test_mixture_witness_agrees_with_the_two_row_lp():
     # the vertex mixture exist exactly when the polygon holds the target,
     # and both witnesses replay to it.
     for mdp in integer_instances()[:60]:
-        polygon = compute_pmq(mdp)
+        stages = dict(backward_walk(mdp))
+        polygon = stages[0][(mdp.initial_state, 0)]
         sk = build_polytope(mdp)
         for m, q in _moment_targets(polygon):
             prob = sk.problem(extra_rows=[(sk.mean_coeffs, m), (sk.sm_coeffs, q)])
             lp = solve(prob, initial_basis=sk._warm)
-            ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+            ok, z = exact_pair_feasible(mdp, m, q - m * m, stages)
             feasible = polygon.contains((m, q))
             assert (lp.status is LpStatus.OPTIMAL) == feasible
             assert ok == feasible
@@ -416,16 +418,16 @@ def test_mixture_witness_agrees_with_the_two_row_lp():
 
 
 def _counting_vertex_policies(monkeypatch) -> list:
-    """Record the direction of every supporting_policy call the witness
+    """Record the direction of every vertex_policy call the witness
     makes."""
     calls = []
-    support = frequency.supporting_policy
+    rule = frequency.vertex_policy
 
-    def counted(mdp, layers, direction):
+    def counted(mdp, stages, direction):
         calls.append(direction)
-        return support(mdp, layers, direction)
+        return rule(mdp, stages, direction)
 
-    monkeypatch.setattr(frequency, "supporting_policy", counted)
+    monkeypatch.setattr(frequency, "vertex_policy", counted)
     return calls
 
 
@@ -438,12 +440,13 @@ def test_mixture_witnesses_lie_in_the_polytope(monkeypatch):
     cases = [(mdp, 1) for mdp in integer_instances()[:40] + rational_instances()]
     cases += [(mdp, 7) for mdp, _ in deep_instances()[:4]]
     for mdp, stride in cases:
-        polygon = compute_pmq(mdp)
+        stages = dict(backward_walk(mdp))
+        polygon = stages[0][(mdp.initial_state, 0)]
         sk = build_polytope(mdp)
         targets = _moment_targets(polygon)[:-3]
         for m, q in targets[:-1:stride] + targets[-1:]:
             calls.clear()
-            ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+            ok, z = exact_pair_feasible(mdp, m, q - m * m, stages)
             assert ok
             assert 1 <= len(calls) <= 3
             assert check_frequency(sk, z) == []
@@ -479,8 +482,8 @@ def test_mixture_witness_on_degenerate_polygons(arms, shape, monkeypatch):
     # the triangle's centroid three; a segment's midpoint mixes its two
     # ends evenly.
     mdp = _one_step(arms)
-    polygon = compute_pmq(mdp)
-    vs = polygon.vertices
+    stages = dict(backward_walk(mdp))
+    vs = stages[0][(mdp.initial_state, 0)].vertices
     assert list(vs) == [(Rat(m), Rat(q)) for m, q in shape]
     calls = _counting_vertex_policies(monkeypatch)
     ends = list(zip(vs, vs[1:] + vs[:1])) if len(vs) == 3 else zip(vs, vs[1:])
@@ -492,7 +495,7 @@ def test_mixture_witness_on_degenerate_polygons(arms, shape, monkeypatch):
     for target, used in targets:
         calls.clear()
         m, q = target
-        ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+        ok, z = exact_pair_feasible(mdp, m, q - m * m, stages)
         assert ok and len(calls) == used
         assert check_frequency(sk, z) == []
         policy = frequencies_to_policy(mdp, z)
@@ -526,13 +529,14 @@ def test_witness_weighs_one_triangle_without_phase_1(monkeypatch):
     monkeypatch.setattr(lp, "_bland", spied_bland)
     checked = 0
     for mdp in integer_instances()[:20] + [mdp for mdp, _ in deep_instances()[:1]]:
-        polygon = compute_pmq(mdp)
+        stages = dict(backward_walk(mdp))
+        polygon = stages[0][(mdp.initial_state, 0)]
         if len(polygon.vertices) < 3:
             continue
         for m, q in _moment_targets(polygon)[:-3]:
             for log in (problems, pivots, phases):
                 log.clear()
-            ok, z = exact_pair_feasible(mdp, m, q - m * m, polygon)
+            ok, z = exact_pair_feasible(mdp, m, q - m * m, stages)
             assert ok
             (prob,) = problems
             assert prob.num_vars == 3 and len(prob.rows) == 3
@@ -585,11 +589,11 @@ def test_bounded_witness_raises_when_the_polygon_misses_its_chain(monkeypatch):
 def test_witness_raises_when_a_vertex_policy_misses_its_vertex(monkeypatch):
     # Every vertex policy replaced by the one for the lowest second moment:
     # the mixture then misses a target between the two arms.
-    support = frequency.supporting_policy
+    rule = frequency.vertex_policy
     monkeypatch.setattr(
         frequency,
-        "supporting_policy",
-        lambda mdp, layers, direction: support(mdp, layers, (0, 1)),
+        "vertex_policy",
+        lambda mdp, stages, direction: rule(mdp, stages, (0, 1)),
     )
     with pytest.raises(EngineDisagreementError, match="vertex policies"):
         exact_pair_feasible(one_shot_two_arms(), Rat(1, 2), Rat(3, 4))

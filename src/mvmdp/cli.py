@@ -82,9 +82,9 @@ caps (fixed, not flags; exceeding one exits 2):
   10^6 dynamics rows when an MDP is read (two per step and (state, action)
   pair), and a horizon below 10^6; 10^6 augmented (state, reward) nodes
   for the TSW search, pruned polygons, augment-stats and the nodes a
-  witness policy reaches; 10^6 (time, state) pairs for the TS and TS_U
-  searches; 10^6 polygon vertices or forcible values per stage; 10^6
-  TS/TSW or TS_U grid policies; 10^6 frontier grid cells.
+  witness or forcing policy reaches; 10^6 (time, state) pairs for the TS
+  and TS_U searches; 10^6 polygon vertices or forcible values per stage;
+  10^6 TS/TSW or TS_U grid policies; 10^6 frontier grid cells.
 """
 
 

@@ -7,9 +7,11 @@ controller picks actions, an adversary picks any positive-probability
 branch. What can be forced from (t, s, w) is w plus what can be forced from
 (t, s) with nothing earned, so one backward pass over the (t, state) pairs
 `model.reach` walks answers the question for every k and every node at once.
-The game runs on `reach`'s integers: a value or a cumulative reward is an
-integer K over D = `Mdp.reward_den`, and the Rat K / D is built only where
-it leaves the game (`GameResult`).
+Each forcing policy is read off the one forward walk, `model.occupation`,
+so its nodes count against `model.DEFAULT_NODE_CAP`. The game runs on
+`reach`'s integers: a value or a cumulative reward is an integer K over
+D = `Mdp.reward_den`, and the Rat K / D is built only where it leaves the
+game (`GameResult`).
 
 Policy enumeration is the brute-force oracle used to validate the optimizing
 modules on small instances: one depth-first walk over the reachable decision
@@ -29,6 +31,7 @@ from .model import (
     Mdp,
     PolicySpec,
     make_mdp,
+    occupation,
     per_node,
     per_state,
     reach,
@@ -58,7 +61,8 @@ def zero_variance_values(mdp: Mdp) -> GameResult:
     G(T, s) = {0} and earlier G(t, s) is the union over actions of the
     intersection over positive-probability branches (s', r) of
     r + G(t+1, s'). A stage whose sets hold more than setdp.MAX_STAGE_SIZE
-    values in total raises AugmentationLimitError.
+    values in total, or a forcing policy (`_forcing_policy`) that reaches
+    more than model.DEFAULT_NODE_CAP nodes, raises AugmentationLimitError.
     """
     den = mdp.reward_den
     forcible = _forcible_sets(mdp)
@@ -98,29 +102,26 @@ def _forcible_sets(mdp: Mdp) -> list:
 
 
 def _forcing_policy(mdp: Mdp, forcible: list, k: int) -> PolicySpec:
-    """Forward reconstruction of the policy forcing K / D on integer nodes
-    (s, W): at each reached node take the first action whose branches
-    (s', R) all keep K forcible: K - W - R in G(t+1, s'). Every node it
-    reaches has K - W in G(t, s), so each step reaches at most as many
-    nodes as the stage has forcible values. Rule keys carry W / D."""
+    """The policy forcing K / D, read off `model.occupation`'s walk on
+    integer nodes (s, W): at each node reached, the first action whose
+    branches (s', R) all keep K - W - R in G(t+1, s'). Rule keys carry
+    W / D."""
     den = mdp.reward_den
-    rule = {}
-    frontier = {(mdp.initial_state, 0)}
-    for t in range(mdp.horizon):
-        nxt = set()
-        for s, w in sorted(frontier):
-            need = k - w
-            for a in mdp.actions[s]:
-                branches = mdp.int_branches(t, s, a)
-                if all(need - r in forcible[t + 1][s2] for s2, r, _, _ in branches):
-                    break
-            else:
-                raise EngineDisagreementError(
-                    f"no forcing action at ({t}, {s}, {Rat(w, den)})"
-                )
-            rule[(t, s, Rat(w, den))] = a
-            nxt.update((s2, w + r) for s2, r, _, _ in branches)
-        frontier = nxt
+
+    def force(t, s, w):
+        for a in mdp.actions[s]:
+            if all(k - w - r in forcible[t + 1][s2]
+                   for s2, r, _, _ in mdp.int_branches(t, s, a)):
+                return {a: ONE}
+        raise EngineDisagreementError(
+            f"no forcing action at ({t}, {s}, {Rat(w, den)})"
+        )
+
+    rule = {
+        (t, s, Rat(w, den)): flows[0][0]
+        for t, s, w, _, flows in occupation(mdp, force, ONE)
+        if flows
+    }
     return PolicySpec("TSW", rule)
 
 

@@ -23,9 +23,9 @@ reward W / D is carried as W, on the one branch table `Mdp.int_branches`.
 Each layer it returns is one list of keys (state, b), b the node's W
 (`per_node`) or 0 (`per_state`), sorted in state order and then by b, and
 every engine reads that list as it is. `occupation` is the one forward
-walk of a policy's mass over those nodes, for `evaluate_policy` and
-`frequency`. `augment` is the rational view of `reach`, which no engine
-calls.
+walk of a policy's mass over those nodes, for `evaluate_policy`,
+`frequency` and the zero-variance game's forcing policies. `augment` is
+the rational view of `reach`, which no engine calls.
 
 The value classes here (`Mdp`, `Violation`, `AugmentedSpace`, `PolicySpec`,
 `PolicyEvaluation`) are plain classes: `__slots__` (except `Mdp`, whose
@@ -150,13 +150,18 @@ def make_mdp(horizon, states, initial_state, actions, transitions, rewards) -> M
     expanded to every step (stationary dynamics), all steps sharing the one
     converted row, since no row of an Mdp is ever mutated. A step covered by
     both a stationary and a per-step entry raises ValueError: neither may win
-    silently. So does a horizon that would give the two tables more than
-    DEFAULT_NODE_CAP (read at call time) rows in all, one transition row and
-    one reward pmf per step and (state, action) pair, declared or keyed by a
-    stationary entry; it is checked before anything is expanded.
+    silently. So does a horizon at or above DEFAULT_NODE_CAP (read at call
+    time; every walk keeps horizon + 1 nonempty layers), or one giving the
+    two tables more than DEFAULT_NODE_CAP rows in all, one transition row
+    and one reward pmf per step and (state, action) pair, declared or keyed
+    by a stationary entry; both are checked before anything is expanded.
     """
     if not is_integer(horizon):
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
+    if horizon >= DEFAULT_NODE_CAP:
+        raise ValueError(
+            f"horizon {horizon} is not below the node cap {DEFAULT_NODE_CAP}"
+        )
     states = tuple(states)
     actions = {s: tuple(acts) for s, acts in actions.items()}
     pairs = {(s, a) for s, acts in actions.items() for a in acts}

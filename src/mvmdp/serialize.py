@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 
-from . import model
 from .errors import InputFormatError
 from .model import Mdp, make_mdp, validate
 from .rationals import is_integer, rat, rat_pair
@@ -84,12 +83,6 @@ def loads(text: str, strict: bool = True) -> Mdp:
     horizon = doc["horizon"]
     if not is_integer(horizon):
         raise InputFormatError(f"horizon must be an integer, got {horizon!r}")
-    # Every walk keeps horizon + 1 nonempty layers under the node cap; an
-    # MDP without actions would escape make_mdp's row check.
-    if horizon >= model.DEFAULT_NODE_CAP:
-        raise InputFormatError(
-            f"horizon {horizon} is not below the node cap {model.DEFAULT_NODE_CAP}"
-        )
     states = _names(doc["states"], "states")
     initial = doc["initial_state"]
     if not isinstance(initial, str):

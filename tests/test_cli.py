@@ -818,6 +818,134 @@ def test_oversized_inputs_are_refused_before_they_are_built(capsys, tmp_path):
     assert violations == [f"[s{i}] state has no actions" for i in range(100)]
 
 
+def test_a_horizon_at_the_node_cap_is_refused_by_make_mdp(capsys, tmp_path):
+    # make_mdp holds the one check, so a document with a huge horizon and
+    # another format error reports the other error first.
+    doc = {
+        "horizon": 10**7,
+        "states": ["s"],
+        "initial_state": "s",
+        "actions": {"s": []},
+        "transitions": [],
+        "rewards": [],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad mdp input: horizon 10000000 is not below the node cap 1000000\n"
+    )
+    doc["states"] = "s"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad mdp input: states must be a list of strings, got 's'\n"
+    )
+
+
+def _small_document():
+    return {
+        "horizon": 1,
+        "states": ["s"],
+        "initial_state": "s",
+        "actions": {"s": ["a"]},
+        "transitions": [{"s": "s", "a": "a", "rows": {"s": [1, 1]}}],
+        "rewards": [{"s": "s", "a": "a", "pmf": [[[0, 1], [1, 1]]]}],
+    }
+
+
+_BAD_DOCUMENTS = {
+    "horizon below 1": (
+        lambda d: d.update(horizon=0),
+        "invalid MDP: horizon must be >= 1, got 0",
+    ),
+    "duplicate states": (
+        lambda d: d.update(states=["s", "s"]),
+        "invalid MDP: duplicate state names",
+    ),
+    "duplicate actions": (
+        lambda d: d.update(actions={"s": ["a", "a"]}),
+        "invalid MDP: [s] duplicate action names",
+    ),
+    "actions of an unknown state": (
+        lambda d: d["actions"].update(ghost=["a"]),
+        "invalid MDP: [ghost] actions given for unknown state",
+    ),
+    "negative transition probability": (
+        lambda d: d["transitions"][0].update(rows={"s": [-1, 1]}),
+        "invalid MDP: [0, s, a] negative transition probability -1; "
+        "[0, s, a] transition probabilities sum to -1, not 1",
+    ),
+    "entry outside the horizon": (
+        lambda d: d["transitions"].append(
+            {"t": 3, "s": "s", "a": "a", "rows": {"s": [1, 1]}}
+        ),
+        "invalid MDP: [3, s, a] dynamics entry outside horizon 0..0",
+    ),
+    "entry for an unknown action": (
+        lambda d: d["rewards"].append(
+            {"s": "s", "a": "b", "pmf": [[[0, 1], [1, 1]]]}
+        ),
+        "invalid MDP: [0, s, b] dynamics entry for unknown state/action",
+    ),
+    "top level not an object": (
+        lambda d: [d],
+        "top level must be a JSON object",
+    ),
+    "transitions not a list": (
+        lambda d: d.update(transitions={}),
+        "transitions must be a list, got {}",
+    ),
+    "rewards not a list": (
+        lambda d: d.update(rewards=5),
+        "rewards must be a list, got 5",
+    ),
+    "duplicate rewards entry": (
+        lambda d: d["rewards"].append(dict(d["rewards"][0])),
+        "duplicate rewards entry for ('s', 'a')",
+    ),
+    "duplicate reward value": (
+        lambda d: d["rewards"][0].update(
+            pmf=[[[0, 1], [1, 2]], [[0, 1], [1, 2]]]
+        ),
+        "duplicate reward value 0 at ('s', 'a')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DOCUMENTS))
+def test_each_bad_document_exits_2_with_one_error_line(capsys, tmp_path, case):
+    mutate, message = _BAD_DOCUMENTS[case]
+    doc = _small_document()
+    doc = mutate(doc) or doc
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, ["augment-stats", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad mdp input: {message}\n"
+
+
+def test_unreadable_and_unwritable_paths_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = _invoke(capsys, ["augment-stats", str(missing)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert err.count("\n") == 1
+    target = tmp_path / "no-such-dir" / "out.json"
+    code, out, err = _invoke(capsys, ["gen", "subset-sum", "--r", "1", "-o", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_gen_3sat_refuses_a_non_integer_clause(capsys):
+    code, out, err = _invoke(capsys, ["gen", "3sat", "--clauses", "1,-2;1,x"])
+    assert (code, out) == (2, "")
+    assert err == "error: clause '1,x' is not comma-separated integers\n"
+
+
 def _halving_chain():
     """One state; at step t the reward is 0 or 2^-(t+1), each with
     probability 1/2. Horizon 4: 31 augmented nodes, 5 (t, state) pairs."""

@@ -103,6 +103,19 @@ def test_check_frequency_reports_entries_outside_the_polytope():
     ]
 
 
+def test_check_frequency_reports_negative_entries_and_residuals():
+    mdp = one_shot_two_arms()
+    sk = build_polytope(mdp)
+    z = policy_frequencies(mdp, PolicySpec("TS", {(0, "s0"): "b"}))
+    # Arm a at -1 and b at 2 still sum to the root's mass of 1, but send
+    # 0 and 1 to the two terminal nodes, which hold 1/2 each.
+    z.z_sa[(0, "s0", Rat(0), "a")] = Rat(-1)
+    z.z_sa[(0, "s0", Rat(0), "b")] = Rat(2)
+    assert check_frequency(sk, z) == [
+        "negative entry", "row 2 residual 1/2", "row 3 residual -1/2",
+    ]
+
+
 def test_no_engine_calls_augment(monkeypatch, capsys, tmp_path):
     # The answers and output the same calls gave while the witnesses, the
     # skeleton and augment-stats still walked augment's layers.

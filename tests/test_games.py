@@ -8,6 +8,7 @@ import pytest
 
 from corpus import (
     decision_choices,
+    deep_instances,
     integer_instances,
     mixed_frame_mdp,
     per_node_game,
@@ -156,6 +157,17 @@ def test_state_only_searches_count_time_state_pairs(monkeypatch):
         class_feasibility(mdp, "TSW", 0, 1)
 
 
+@pytest.mark.parametrize(
+    "tag,found", [("TS", "enumerated"), ("TSW", "enumerated"), ("TS_U", "grid")]
+)
+def test_searches_at_horizon_zero_find_the_empty_policy(tag, found):
+    # No decision point: the one, empty policy earns 0 surely.
+    entry = class_feasibility(all_zero(horizon=0), tag, 0, 0)
+    assert entry == games.ClassFeasibility(
+        True, PolicySpec(tag, {}), f"{found} witness with mean 0"
+    )
+
+
 def test_ts_u_witness_lists_only_positive_probabilities():
     # Mean 1 needs arm b surely: the grid vector (0, 16), whose rule must not
     # list arm a at probability 0.
@@ -256,9 +268,16 @@ def _has_balanced_signs(values):
 
 
 def test_game_matches_the_per_node_game():
-    mdps = integer_instances(100) + [
-        gen_subset_sum(values) for values in subset_sum_vectors()
-    ]
+    # The rational, mixed-frame and deep instances have reward denominators
+    # D up to 42, so the forcing walk's rule keys W / D are checked off the
+    # integer frame.
+    mdps = (
+        integer_instances(100)
+        + [gen_subset_sum(values) for values in subset_sum_vectors()]
+        + rational_instances(20)
+        + [mixed_frame_mdp(h) for h in (1, 2, 3)]
+        + [mdp for mdp, _ in deep_instances(4)]
+    )
     forcing = 0
     for mdp in mdps:
         _, root, policies = per_node_game(mdp)
@@ -477,6 +496,48 @@ def test_tsw_u_raises_when_the_engines_disagree(monkeypatch):
     )
     with pytest.raises(AssertionError, match="disagree"):
         class_feasibility(offset_chain(), "TSW_U", 1, 0)
+
+
+def _plus_minus_chain():
+    """s0 --go--> s1 paying +1 or -1 at 1/2 each; at s1, up pays +1 and down
+    pays -1, both into end. Forcing 0 takes down at W = +1 and up at
+    W = -1: 4 nodes, over 3 (t, state) pairs."""
+    return make_mdp(
+        horizon=2,
+        states=("s0", "s1", "end"),
+        initial_state="s0",
+        actions={"s0": ("go",), "s1": ("up", "down"), "end": ("stay",)},
+        transitions={
+            ("s0", "go"): {"s1": 1},
+            ("s1", "up"): {"end": 1},
+            ("s1", "down"): {"end": 1},
+            ("end", "stay"): {"end": 1},
+        },
+        rewards={
+            ("s0", "go"): {1: Rat(1, 2), -1: Rat(1, 2)},
+            ("s1", "up"): {1: 1},
+            ("s1", "down"): {-1: 1},
+            ("end", "stay"): {0: 1},
+        },
+    )
+
+
+def test_forcing_walk_counts_its_nodes_against_the_cap(monkeypatch):
+    mdp = _plus_minus_chain()
+    result = zero_variance_values(mdp)
+    assert result.winning_policy == {
+        0: PolicySpec("TSW", {
+            (0, "s0", 0): "go", (1, "s1", 1): "down", (1, "s1", -1): "up",
+        }),
+    }
+    assert sum(map(len, model.reach(mdp, model.per_state))) == 3
+    # The game's (t, state) pairs fit a cap of 3; the walk's 4 nodes do not.
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 3)
+    with pytest.raises(
+        AugmentationLimitError,
+        match="augmented space exceeds 3 nodes at layer 2",
+    ):
+        zero_variance_values(mdp)
 
 
 def test_forcing_policy_raises_a_typed_disagreement():

@@ -95,6 +95,16 @@ def test_bad_warm_start_falls_back():
     assert sol.value == 1
 
 
+def test_solve_refuses_unknown_variables_and_basis_entries():
+    prob = LpProblem(num_vars=1, objective={1: 1})
+    with pytest.raises(ValueError, match="unknown variable 1"):
+        solve(prob)
+    prob = LpProblem(num_vars=1, objective={0: 1}, rows=[({0: 1}, 1)])
+    for basis in ({1: 0}, {0: 1}):
+        with pytest.raises(ValueError, match="unknown row/variable"):
+            solve(prob, initial_basis=basis)
+
+
 def _solve_square(matrix, rhs):
     """Exact Gaussian elimination; None if singular."""
     m = len(matrix)

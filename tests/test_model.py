@@ -449,6 +449,37 @@ def test_make_mdp_refuses_oversized_dynamics_before_expanding(monkeypatch):
         build(5)
 
 
+def test_make_mdp_refuses_a_horizon_at_the_node_cap(monkeypatch):
+    # Without actions there is no row for the row check to count, yet
+    # validate would loop over every step.
+    with pytest.raises(
+        ValueError, match="horizon 10000000 is not below the node cap 1000000"
+    ):
+        make_mdp(10**7, ("s",), "s", {"s": ()}, {}, {})
+    monkeypatch.setattr(model, "DEFAULT_NODE_CAP", 5)
+    with pytest.raises(ValueError, match="horizon 5 is not below the node cap 5"):
+        make_mdp(5, ("s",), "s", {"s": ()}, {}, {})
+    assert make_mdp(4, ("s",), "s", {"s": ()}, {}, {}).horizon == 4
+
+
+def test_make_mdp_refuses_a_bad_dynamics_key():
+    with pytest.raises(ValueError, match=r"bad dynamics key \('s',\)"):
+        make_mdp(1, ["s"], "s", {"s": ["a"]}, {("s",): {"s": 1}}, {})
+
+
+def test_policy_spec_refuses_an_unknown_class():
+    with pytest.raises(ValueError, match="unknown policy class 'TSX'"):
+        PolicySpec("TSX", {})
+
+
+def test_check_policy_reports_randomized_unknown_and_negative_entries():
+    policy = PolicySpec("TS_U", {(0, "s0"): {"a": rat(3, 2), "c": rat(-1, 2)}})
+    assert [str(v) for v in check_policy(one_shot_two_arms(), policy)] == [
+        "[0, s0] unknown action 'c'",
+        "[0, s0] negative action probability -1/2",
+    ]
+
+
 @pytest.mark.parametrize("use", [evaluate_policy, check_policy])
 @pytest.mark.parametrize("probs", [(0.3, 0.7), (True, 0)], ids=["float", "bool"])
 def test_policy_probabilities_refuse_floats_and_bools(use, probs):

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: the subcommand table, the argv reader and the
+dispatcher.
 
 Every numeric answer is printed both ways: an exact "p/q" string and a float
 rendering of the same value, or none past the float range ("float twins"
@@ -10,215 +11,78 @@ library, not flags (see "caps:" in the help). Numeric flags are read by
 `rationals.rat` in its one grammar, exact rationals like 3, -2, or 7/4;
 only the tolerance flags on `frontier` also accept floats, with a warning.
 
-Only errors, model, rationals and serialize load with this module. Each
-subcommand's handler imports the engines it calls, so `validate` never
-compiles the simplex and `frontier --exact` never loads the game solver.
+argv is read against COMMANDS alone: flag names are exact (no prefix
+abbreviations), a value follows as `--opt value` or `--opt=value`, and a
+negative number such as -1/2 is a value, not a flag. `--` ends the flags.
+
+This module holds the table, the reader, `run`, `main` and the two
+engine-free handlers, `validate` and `augment-stats`; of mvmdp, only
+cli_io, errors, model, rationals and serialize load with it. Every other
+handler, and the help text, lives in `mvmdp.cli_engines`, which the table
+names and `run` loads on first use, so `validate` compiles none of it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
+from .cli_io import (
+    BAD, OK, _UsageError, _emit, _emit_json, _load_mdp, _num, _read_text,
+)
 from .errors import (
     AugmentationLimitError,
     EngineDisagreementError,
     EnumerationLimitError,
     InputFormatError,
 )
-from .model import Mdp, POLICY_CLASSES, PolicySpec
-from .rationals import BACKEND, Rat, float_twin, rat, rat_str, rationalize_float
-from .serialize import dumps, loads
-
-OK = 0
-NO = 1
-BAD = 2
-
-FORMATS = """\
-formats:
-  MDP JSON (input to every subcommand reading an instance; output of gen
-  and discretize). Rationals are [numerator, denominator] pairs:
-    {"horizon": 2, "states": ["s0", "end"], "initial_state": "s0",
-     "actions": {"s0": ["a", "b"], "end": ["stay"]},
-     "transitions": [{"t": 0, "s": "s0", "a": "a", "rows": {"end": [1, 1]}}, ...],
-     "rewards": [{"t": 0, "s": "s0", "a": "b",
-                  "pmf": [[[0, 1], [1, 2]], [[2, 1], [1, 2]]]}, ...]}
-  An entry without "t" is stationary and applies at every step.
-
-  frontier CSV (approximate mode): columns lambda_lo, lambda_hi, qhat,
-  uhat, vhat plus *_float twins; one row per grid cell; "inf" marks an
-  infeasible cell in both its columns. For any rational rewards, vhat
-  underestimates the exact frontier on the cell. With --format json, each
-  of "rows" is {"lambda_lo": N, "lambda_hi": N, "qhat": N, "uhat": N,
-  "vhat": N}, null marking an infeasible cell.
-
-  frontier CSV (--exact): columns lambda, lambda_float, vstar, vstar_float;
-  rows sample every boundary vertex and edge midpoint of the frontier.
-  Both frontier CSVs, like augment-stats --format csv, end every line
-  with LF alone, no CR.
-
-  polygon JSON (inside min-variance / max-variance / frontier --exact
-  --format json output): {"vertices": [{"mean": N, "second_moment": N,
-  "variance": N}, ...]} where N = {"pq": "p/q", "float": x}; vertices walk
-  the achievable (mean, second moment) polygon counterclockwise.
-
-  float twins: x and every *_float column hold the float nearest the
-  exact value. Past the float range (|value| above about 1.8e308) x is
-  null and a *_float column is empty; the exact value is still there.
-
-  feasible-mean-var JSON: on yes, "achieved_variance" is the least variance
-  of any policy with mean exactly lambda, and "policy" attains it.
-
-  policy JSON (witnesses): {"class": "TSW_U", "rules": [{"t": 0, "s": "s0",
-  "w": N, "choose": {"a": N, ...}}, ...]}; deterministic classes carry
-  "action" instead of "choose"; reward-blind classes omit "w". TS_U
-  "choose" lists only actions of positive probability.
-
-caps (fixed, not flags; exceeding one exits 2):
-  10^6 dynamics rows when an MDP is read (two per step and (state, action)
-  pair), and a horizon below 10^6; 10^6 augmented (state, reward) nodes
-  for the TSW search, pruned polygons, augment-stats and the nodes a
-  witness or forcing policy reaches; 10^6 (time, state) pairs for the TS
-  and TS_U searches; 10^6 polygon vertices or forcible values per stage;
-  10^6 TS/TSW or TS_U grid policies; 10^6 frontier grid cells.
-"""
+from .model import POLICY_CLASSES
+from .rationals import BACKEND, RATIONAL_TEXT
+from .serialize import loads
 
 
-class _UsageError(Exception):
-    pass
+class _Flag:
+    """One flag of a subcommand. nargs is 0 for a switch (True when given),
+    1 for one value, "+" for one or more; convert reads each value text."""
+
+    __slots__ = ("names", "dest", "help", "nargs", "convert", "choices",
+                 "default", "required", "metavar")
+
+    def __init__(self, names, dest, help, *, nargs=1, convert=str,
+                 choices=None, default=None, required=False, metavar=None):
+        self.names = names
+        self.dest = dest
+        self.help = help
+        self.nargs = nargs
+        self.convert = convert
+        self.choices = choices
+        self.default = False if nargs == 0 else default
+        self.required = required
+        self.metavar = metavar
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one `error:` line, as for every exit 2
-        raise _UsageError(f"{self.prog}: {message}")
+_OUTPUT = _Flag(("-o", "--output"), "output", "write here instead of stdout")
 
 
-def _parse_exact(text: str, flag: str) -> Rat:
-    """p/q only (`rat`'s grammar); floats are an error so answers stay exact."""
-    try:
-        return rat(text)
-    except ValueError:
-        raise _UsageError(f"{flag} needs an exact rational like 3, -2, or 7/4, got {text!r}") from None
-    except ZeroDivisionError:
-        raise _UsageError(f"{flag} has denominator zero: {text!r}") from None
+class _Command:
+    """One node of the table. A subcommand has a handler (a function here,
+    or the name of one in `mvmdp.cli_engines`), its flags, -o first, and
+    reads, whether it takes the input positional. A group has subcommands,
+    keyed by the name argv gives, and the dest that name is stored under."""
 
+    __slots__ = ("help", "handler", "flags", "reads", "subcommands", "dest")
 
-def _parse_tolerance(text: str, flag: str) -> Rat:
-    """p/q as `_parse_exact` reads it, or a float rounded with a warning."""
-    try:
-        return rat(text)
-    except ZeroDivisionError:
-        return _parse_exact(text, flag)  # p/0: its denominator-zero error
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise _UsageError(f"{flag} is not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise _UsageError(f"{flag} must be a finite number")
-    approx = rationalize_float(value)
-    if value and not approx:
-        raise _UsageError(
-            f"{flag}={text} rounds to 0 at denominator 10^6; give it as p/q"
-        )
-    print(
-        f"warning: {flag}={text} is a float; using nearby rational "
-        f"{rat_str(approx)}",
-        file=sys.stderr,
-    )
-    return approx
-
-
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
-
-
-def _load_mdp(args) -> Mdp:
-    return loads(_read_text(args.input), strict=True)
-
-
-def _emit(text: str, args) -> None:
-    output = getattr(args, "output", None)
-    if output in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {output}: {exc}") from None
-
-
-def _emit_json(payload, args) -> None:
-    _emit(json.dumps(payload, indent=2), args)
-
-
-def _num(value) -> dict:
-    return {"pq": rat_str(value), "float": float_twin(value)}
-
-
-def _csv_float(value) -> str:
-    twin = float_twin(value)
-    return "" if twin is None else repr(twin)
-
-
-def _policy_json(policy: PolicySpec) -> dict:
-    rules = []
-    for key in sorted(policy.rule):
-        entry = {"t": key[0], "s": key[1]}
-        if len(key) == 3:
-            entry["w"] = _num(key[2])
-        choice = policy.rule[key]
-        if policy.randomized:
-            entry["choose"] = {a: _num(p) for a, p in sorted(choice.items())}
-        else:
-            entry["action"] = choice
-        rules.append(entry)
-    return {"class": policy.policy_class, "rules": rules}
-
-
-def _polygon_json(polygon) -> dict:
-    return {
-        "vertices": [
-            {
-                "mean": _num(m),
-                "second_moment": _num(q),
-                "variance": _num(q - m * m),
-            }
-            for m, q in polygon.vertices
-        ]
-    }
-
-
-def _prune_budget(args) -> Rat | None:
-    """--prune-eps as an exact rational; None when the flag is left out."""
-    if args.prune_eps is None:
-        return None
-    return _parse_exact(args.prune_eps, "--prune-eps")
-
-
-def _witness_policy(mdp: Mdp, mean, variance, stages=None):
-    from .frequency import exact_pair_feasible, frequencies_to_policy
-
-    ok, z = exact_pair_feasible(mdp, mean, variance, stages)
-    if not ok:
-        return None
-    return _policy_json(frequencies_to_policy(mdp, z))
+    def __init__(self, help, handler=None, flags=(), *, reads=True,
+                 subcommands=None, dest=None):
+        self.help = help
+        self.handler = handler
+        self.flags = () if subcommands else (_OUTPUT, *flags)
+        self.reads = reads
+        self.subcommands = subcommands
+        self.dest = dest
 
 
 def _cmd_validate(args) -> int:
@@ -272,441 +136,267 @@ def _cmd_augment_stats(args) -> int:
     return OK
 
 
-def _cmd_feasible_pair(args) -> int:
-    mdp = _load_mdp(args)
-    mean = _parse_exact(args.lam, "--lambda")
-    variance = _parse_exact(args.v, "--v")
-    policy = _witness_policy(mdp, mean, variance)
-    payload = {
-        "feasible": policy is not None,
-        "mean": _num(mean),
-        "variance": _num(variance),
-    }
-    if policy is not None:
-        payload["policy"] = policy
-    _emit_json(payload, args)
-    return NO if policy is None else OK
-
-
-def _cmd_feasible_mean_var(args) -> int:
-    from .frequency import frequencies_to_policy, mean_fixed_var_bounded
-
-    mdp = _load_mdp(args)
-    mean = _parse_exact(args.lam, "--lambda")
-    cap = _parse_exact(args.v, "--v")
-    ok, z = mean_fixed_var_bounded(mdp, mean, cap)
-    payload = {
-        "feasible": ok,
-        "mean": _num(mean),
-        "variance_cap": _num(cap),
-    }
-    if ok:
-        second = z.terminal_second_moment(mdp.horizon)
-        payload["achieved_variance"] = _num(second - mean * mean)
-        payload["policy"] = _policy_json(frequencies_to_policy(mdp, z))
-    _emit_json(payload, args)
-    return OK if ok else NO
-
-
-# One grid frontier cell: its mean interval, cheapest second moment, its
-# variance estimate and the suffix minimum vhat. The CSV adds *_float twins.
-GRID_COLUMNS = ("lambda_lo", "lambda_hi", "qhat", "uhat", "vhat")
-
-
-def _exact_frontier_rows(frontier) -> list:
-    """(lambda, v(lambda)) at every chain vertex and edge midpoint, left to
-    right, in one pass: v is best[i]'s variance at vertex i, and at the
-    midpoint of the edge into vertex i the chord's variance there, if
-    that is less."""
-    chain, best = frontier.chain, frontier.best
-    rows = [(chain[0][0], best[0][0])]
-    for i in range(1, len(chain)):
-        (m0, q0), (m1, q1) = chain[i - 1], chain[i]
-        mid = (m0 + m1) / 2
-        cut = (q0 + q1) / 2 - mid * mid
-        tail = best[i][0]
-        rows.append((mid, cut if cut < tail else tail))
-        rows.append((m1, tail))
-    return rows
-
-
-def _cmd_frontier(args) -> int:
-    mdp = _load_mdp(args)
-    if args.exact:
-        if args.epsilon is not None or args.nu is not None:
-            raise _UsageError("--epsilon/--nu apply to the approximate mode only")
-        from .setdp import compute_pmq, exact_frontier
-
-        prune = _prune_budget(args)
-        polygon = compute_pmq(mdp, prune_eps=prune)
-        frontier = exact_frontier(polygon)
-        rows = _exact_frontier_rows(frontier)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "pruned": prune is not None,
-                    "polygon": _polygon_json(polygon),
-                    "samples": [
-                        {"lambda": _num(lam), "vstar": _num(v)}
-                        for lam, v in rows
-                    ],
-                },
-                args,
-            )
-            return OK
-        lines = ["lambda,lambda_float,vstar,vstar_float"]
-        lines.extend(
-            f"{rat_str(lam)},{_csv_float(lam)},{rat_str(v)},{_csv_float(v)}"
-            for lam, v in rows
-        )
-        _emit("\n".join(lines), args)
-        return OK
-    if args.prune_eps is not None:
-        raise _UsageError("--prune-eps applies to --exact only")
-    if args.epsilon is None or args.nu is None:
-        raise _UsageError("the approximate mode needs --epsilon and --nu")
-    eps = _parse_tolerance(args.epsilon, "--epsilon")
-    slack = _parse_tolerance(args.nu, "--nu")
-    from .tradeoff import approximate_v_star
-
-    curve = approximate_v_star(mdp, eps, slack)
-    cells = zip(curve.grid, curve.grid[1:], curve.qhat, curve.uhat,
-                curve.cell_values)
-    if args.format == "json":
-        _emit_json(
-            {
-                "mean_bound": _num(curve.mean_bound),
-                "delta": _num(curve.delta),
-                "epsilon": _num(curve.epsilon),
-                "rows": [
-                    {name: None if v is None else _num(v)
-                     for name, v in zip(GRID_COLUMNS, cell)}
-                    for cell in cells
-                ],
-            },
-            args,
-        )
-        return OK
-    lines = [",".join(GRID_COLUMNS + tuple(f"{c}_float" for c in GRID_COLUMNS))]
-    for cell in cells:
-        exact = ["inf" if v is None else rat_str(v) for v in cell]
-        floats = ["inf" if v is None else _csv_float(v) for v in cell]
-        lines.append(",".join(exact + floats))
-    _emit("\n".join(lines), args)
-    return OK
-
-
-def _cmd_zero_variance(args) -> int:
-    from .games import zero_variance_values
-
-    mdp = _load_mdp(args)
-    result = zero_variance_values(mdp)
-    values = sorted(result.achievable_values)
-    _emit_json(
-        {
-            "values": [_num(k) for k in values],
-            "policies": [
-                {
-                    "value": _num(k),
-                    "policy": _policy_json(result.winning_policy[k]),
-                }
-                for k in values
-            ],
-        },
-        args,
-    )
-    return OK if values else NO
-
-
-def _variance_extreme(args, pick) -> int:
-    from .setdp import backward_walk, compute_pmq
-
-    mdp = _load_mdp(args)
-    prune = _prune_budget(args)
-    if prune is None:
-        stages = dict(backward_walk(mdp))
-        polygon = stages[0][(mdp.initial_state, 0)]
-    else:
-        polygon = compute_pmq(mdp, prune_eps=prune)
-    value, (m, q) = pick(polygon)
-    payload = {
-        "variance": _num(value),
-        "witness_mean": _num(m),
-        "witness_second_moment": _num(q),
-        "pruned": prune is not None,
-        "polygon": _polygon_json(polygon),
-    }
-    if prune is None:
-        payload["policy"] = _witness_policy(mdp, m, value, stages)
-    _emit_json(payload, args)
-    return OK
-
-
-def _cmd_min_variance(args) -> int:
-    from .setdp import min_variance
-
-    return _variance_extreme(args, min_variance)
-
-
-def _cmd_max_variance(args) -> int:
-    from .setdp import max_variance
-
-    return _variance_extreme(args, max_variance)
-
-
-def _class_entry_json(entry) -> dict:
-    return {
-        "feasible": entry.feasible,
-        "detail": entry.detail,
-        "policy": None if entry.witness is None else _policy_json(entry.witness),
-    }
-
-
-def _cmd_oracle(args) -> int:
-    from .games import class_feasibility
-
-    mdp = _load_mdp(args)
-    lam = _parse_exact(args.lam, "--lambda")
-    cap = _parse_exact(args.v, "--v")
-    entry = class_feasibility(
-        mdp, args.policy_class, lam, cap, grid_resolution=args.grid_resolution
-    )
-    payload = {
-        "class": args.policy_class,
-        "mean_floor": _num(lam),
-        "variance_cap": _num(cap),
-    }
-    payload.update(_class_entry_json(entry))
-    _emit_json(payload, args)
-    return OK if entry.feasible else NO
-
-
-def _cmd_separation(args) -> int:
-    from .games import class_separation_report
-
-    mdp = _load_mdp(args)
-    lam = _parse_exact(args.lam, "--lambda")
-    cap = _parse_exact(args.v, "--v")
-    report = class_separation_report(
-        mdp, lam, cap, grid_resolution=args.grid_resolution
-    )
-    _emit_json(
-        {
-            "mean_floor": _num(lam),
-            "variance_cap": _num(cap),
-            "classes": {
-                tag: _class_entry_json(report[tag]) for tag in POLICY_CLASSES
-            },
-        },
-        args,
-    )
-    return OK
-
-
-def _cmd_gen_subset_sum(args) -> int:
-    from .games import gen_subset_sum
-
-    _emit(dumps(gen_subset_sum(args.values)), args)
-    return OK
-
-
-def _cmd_gen_3sat(args) -> int:
-    from .games import gen_3sat
-
-    clauses = []
-    for token in args.clauses:
-        for piece in token.split(";"):
-            if not piece:
-                continue
-            try:
-                clauses.append(tuple(int(part) for part in piece.split(",")))
-            except ValueError:
-                raise _UsageError(
-                    f"clause {piece!r} is not comma-separated integers"
-                ) from None
-    _emit(dumps(gen_3sat(clauses)), args)
-    return OK
-
-
-def _cmd_discretize(args) -> int:
-    from .tradeoff import discretize_rewards
-
-    mdp = _load_mdp(args)
-    step = _parse_exact(args.delta, "--delta")
-    _emit(dumps(discretize_rewards(mdp, step)), args)
-    return OK
-
-
 def _version() -> str:
     python = ".".join(map(str, sys.version_info[:3]))
     return f"mvmdp {__version__} (Python {python}, rationals {BACKEND})"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="mvmdp",
-        description=(
-            "Exact mean-variance analysis of finite-horizon MDPs: feasibility "
-            "of (mean, variance) targets, frontier computation, zero-variance "
-            "forcing, policy-class comparison, and instance generators."
+def _show_version(args) -> int:
+    sys.stdout.write(_version() + "\n")
+    return OK
+
+
+def _exact(name, dest, help, **kwargs):
+    return _Flag((name,), dest, help, metavar="P/Q", **kwargs)
+
+
+_TARGET = (
+    _exact("--lambda", "lam", "target mean, exact rational", required=True),
+    _exact("--v", "v", "target variance, exact rational", required=True),
+)
+_SEARCH = (
+    _exact("--lambda", "lam", "mean floor, exact rational", required=True),
+    _exact("--v", "v", "variance cap, exact rational", required=True),
+    _Flag(("--grid-resolution",), "grid_resolution",
+          "randomization grid levels", convert=int, default=16,
+          metavar="N"),
+)
+
+COMMANDS = _Command(
+    "Exact mean-variance analysis of finite-horizon MDPs: feasibility of "
+    "(mean, variance) targets, frontier computation, zero-variance forcing, "
+    "policy-class comparison, and instance generators.",
+    dest="command",
+    subcommands={
+        "validate": _Command(
+            "check an MDP JSON file; exit 0 iff well formed and valid",
+            _cmd_validate,
         ),
-        epilog=FORMATS,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--version", action="version", version=_version(),
-        help="print the version, the Python version and the rational backend",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+        "augment-stats": _Command(
+            "per-step counts of reachable (state, cumulative reward) nodes",
+            _cmd_augment_stats,
+            [_Flag(("--format",), "format", "output format",
+                   choices=("json", "csv"), default="json")],
+        ),
+        "feasible-pair": _Command(
+            "is (mean, variance) exactly achievable? exit 0 yes / 1 no",
+            "_cmd_feasible_pair", _TARGET,
+        ),
+        "feasible-mean-var": _Command(
+            "mean exactly lambda with variance <= v? exit 0 yes / 1 no; "
+            "achieved_variance is the least variance at mean lambda",
+            "_cmd_feasible_mean_var",
+            [_TARGET[0],
+             _exact("--v", "v", "variance cap, exact rational", required=True)],
+        ),
+        "frontier": _Command(
+            "minimum variance as a function of the mean floor",
+            "_cmd_frontier",
+            [_exact("--epsilon", "epsilon", "value tolerance (approximate mode)"),
+             _exact("--nu", "nu", "mean-axis tolerance (approximate mode)"),
+             _Flag(("--exact",), "exact",
+                   "exact boundary instead of the grid approximation", nargs=0),
+             _exact("--prune-eps", "prune_eps",
+                    "with --exact: prune budget for the boundary recursion"),
+             _Flag(("--format",), "format", "output format",
+                   choices=("csv", "json"), default="csv")],
+        ),
+        "zero-variance": _Command(
+            "all surely-forcible terminal values; exit 1 if none",
+            "_cmd_zero_variance",
+        ),
+        "min-variance": _Command(
+            "smallest achievable variance and a witness",
+            "_cmd_min_variance",
+            [_exact("--prune-eps", "prune_eps",
+                    "prune budget; omit for the exact answer")],
+        ),
+        "max-variance": _Command(
+            "largest achievable variance and a witness",
+            "_cmd_max_variance",
+            [_exact("--prune-eps", "prune_eps",
+                    "prune budget; omit for the exact answer")],
+        ),
+        "oracle": _Command(
+            "can one policy class reach mean >= lambda with variance <= v?",
+            "_cmd_oracle",
+            [*_SEARCH,
+             _Flag(("--class",), "policy_class", "policy class",
+                   choices=POLICY_CLASSES, required=True)],
+        ),
+        "separation": _Command(
+            "the same question for all four policy classes at once",
+            "_cmd_separation", _SEARCH,
+        ),
+        "gen": _Command(
+            "instance generators",
+            dest="generator",
+            subcommands={
+                "subset-sum": _Command(
+                    "sign-choice chain whose zero-variance set tests a "
+                    "partition",
+                    "_cmd_gen_subset_sum",
+                    [_Flag(("--r",), "values", "positive integer values",
+                           nargs="+", convert=int, required=True,
+                           metavar="N")],
+                    reads=False,
+                ),
+                "3sat": _Command(
+                    "satisfiability instance over signed literals",
+                    "_cmd_gen_3sat",
+                    [_Flag(("--clauses",), "clauses",
+                           "clauses as comma-separated signed integers; join "
+                           "several with ';' so negative leads do not read "
+                           "as flags, e.g. --clauses '1,-2,3;-1,2'",
+                           nargs="+", required=True, metavar="L,L,L[;L,L,L]")],
+                    reads=False,
+                ),
+            },
+        ),
+        "discretize": _Command(
+            "floor every reward to a multiple of delta",
+            "_cmd_discretize",
+            [_exact("--delta", "delta", "grid step, exact positive rational",
+                    required=True)],
+        ),
+    },
+)
 
-    reads = argparse.ArgumentParser(add_help=False)
-    reads.add_argument("input", help="MDP JSON path, or - for stdin")
-    writes = argparse.ArgumentParser(add_help=False)
-    writes.add_argument("-o", "--output", help="write here instead of stdout")
+# Besides rationals such as -1/2 (RATIONAL_TEXT), the negative decimals
+# argparse took as values: -1.5 or -.5, which --epsilon and --nu read.
+_NEGATIVE_DECIMAL = re.compile(r"-\d*\.\d+\Z")
 
-    p = sub.add_parser(
-        "validate",
-        parents=[reads, writes],
-        help="check an MDP JSON file; exit 0 iff well formed and valid",
+
+def _is_flag(token: str) -> bool:
+    return (
+        token[:1] == "-" and token != "-"
+        and not RATIONAL_TEXT.match(token)
+        and not _NEGATIVE_DECIMAL.match(token)
     )
-    p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser(
-        "augment-stats",
-        parents=[reads, writes],
-        help="per-step counts of reachable (state, cumulative reward) nodes",
-    )
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=_cmd_augment_stats)
 
-    p = sub.add_parser(
-        "feasible-pair",
-        parents=[reads, writes],
-        help="is (mean, variance) exactly achievable? exit 0 yes / 1 no",
-    )
-    p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True,
-                   help="target mean, exact rational")
-    p.add_argument("--v", metavar="P/Q", required=True,
-                   help="target variance, exact rational")
-    p.set_defaults(handler=_cmd_feasible_pair)
+def _handler(handler):
+    """handler itself, or the function of that name in cli_engines."""
+    if callable(handler):
+        return handler
+    from . import cli_engines
 
-    p = sub.add_parser(
-        "feasible-mean-var",
-        parents=[reads, writes],
-        help="mean exactly lambda with variance <= v? exit 0 yes / 1 no; "
-             "achieved_variance is the least variance at mean lambda",
-    )
-    p.add_argument("--lambda", dest="lam", metavar="P/Q", required=True,
-                   help="target mean, exact rational")
-    p.add_argument("--v", metavar="P/Q", required=True,
-                   help="variance cap, exact rational")
-    p.set_defaults(handler=_cmd_feasible_mean_var)
+    return getattr(cli_engines, handler)
 
-    p = sub.add_parser(
-        "frontier",
-        parents=[reads, writes],
-        help="minimum variance as a function of the mean floor",
-    )
-    p.add_argument("--epsilon", metavar="P/Q",
-                   help="value tolerance (approximate mode)")
-    p.add_argument("--nu", metavar="P/Q",
-                   help="mean-axis tolerance (approximate mode)")
-    p.add_argument("--exact", action="store_true",
-                   help="exact boundary instead of the grid approximation")
-    p.add_argument("--prune-eps", metavar="P/Q",
-                   help="with --exact: prune budget for the boundary recursion")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=_cmd_frontier)
 
-    p = sub.add_parser(
-        "zero-variance",
-        parents=[reads, writes],
-        help="all surely-forcible terminal values; exit 1 if none",
-    )
-    p.set_defaults(handler=_cmd_zero_variance)
+def _help(node: _Command, prog: str) -> tuple:
+    return _handler("show_help"), SimpleNamespace(command=node, prog=prog)
 
-    p = sub.add_parser(
-        "min-variance",
-        parents=[reads, writes],
-        help="smallest achievable variance and a witness",
-    )
-    p.add_argument("--prune-eps", metavar="P/Q",
-                   help="prune budget; omit for the exact answer")
-    p.set_defaults(handler=_cmd_min_variance)
 
-    p = sub.add_parser(
-        "max-variance",
-        parents=[reads, writes],
-        help="largest achievable variance and a witness",
-    )
-    p.add_argument("--prune-eps", metavar="P/Q",
-                   help="prune budget; omit for the exact answer")
-    p.set_defaults(handler=_cmd_max_variance)
+def _convert(flag: _Flag, text: str, prog: str):
+    label = "/".join(flag.names)
+    try:
+        value = flag.convert(text)
+    except ValueError:
+        raise _UsageError(
+            f"{prog}: argument {label}: invalid {flag.convert.__name__} "
+            f"value: {text!r}"
+        ) from None
+    if flag.choices is not None and value not in flag.choices:
+        choices = ", ".join(map(repr, flag.choices))
+        raise _UsageError(
+            f"{prog}: argument {label}: invalid choice: {value!r} "
+            f"(choose from {choices})"
+        )
+    return value
 
-    searchy = argparse.ArgumentParser(add_help=False)
-    searchy.add_argument("--lambda", dest="lam", metavar="P/Q", required=True,
-                         help="mean floor, exact rational")
-    searchy.add_argument("--v", metavar="P/Q", required=True,
-                         help="variance cap, exact rational")
-    searchy.add_argument("--grid-resolution", type=int, default=16,
-                         help="randomization grid levels (default %(default)s)")
 
-    p = sub.add_parser(
-        "oracle",
-        parents=[reads, writes, searchy],
-        help="can one policy class reach mean >= lambda with variance <= v?",
-    )
-    p.add_argument("--class", dest="policy_class", required=True,
-                   choices=POLICY_CLASSES)
-    p.set_defaults(handler=_cmd_oracle)
+def _parse(argv) -> tuple:
+    """(handler, namespace) for argv, read against COMMANDS left to right:
+    the command names, then the subcommand's flags and input in any order.
+    -h/--help and --version answer at once; a bad value raises _UsageError
+    there, a missing or unknown argument at the end."""
+    node, prog, args, extras = COMMANDS, "mvmdp", SimpleNamespace(), []
+    i = 0
+    while node.subcommands is not None:
+        if i == len(argv):
+            raise _UsageError(
+                f"{prog}: the following arguments are required: {node.dest}"
+            )
+        token = argv[i]
+        i += 1
+        if token in ("-h", "--help"):
+            return _help(node, prog)
+        if token == "--version" and node is COMMANDS:
+            return _show_version, None
+        if _is_flag(token):
+            extras.append(token)
+            continue
+        if token not in node.subcommands:
+            choices = ", ".join(map(repr, node.subcommands))
+            raise _UsageError(
+                f"{prog}: argument {node.dest}: invalid choice: {token!r} "
+                f"(choose from {choices})"
+            )
+        setattr(args, node.dest, token)
+        node, prog = node.subcommands[token], f"{prog} {token}"
 
-    p = sub.add_parser(
-        "separation",
-        parents=[reads, writes, searchy],
-        help="the same question for all four policy classes at once",
-    )
-    p.set_defaults(handler=_cmd_separation)
+    flags = {name: flag for flag in node.flags for name in flag.names}
+    for flag in node.flags:
+        setattr(args, flag.dest, flag.default)
+    wants_input, only_positionals = node.reads, False
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if only_positionals or not _is_flag(token):
+            if wants_input:
+                args.input, wants_input = token, False
+            else:
+                extras.append(token)
+            continue
+        if token == "--":
+            only_positionals = True
+            continue
+        if token in ("-h", "--help"):
+            return _help(node, prog)
+        name, joined, text = token.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            extras.append(token)
+            continue
+        if flag.nargs == 0:
+            if joined:
+                raise _UsageError(
+                    f"{prog}: argument {name}: ignored explicit argument {text!r}"
+                )
+            setattr(args, flag.dest, True)
+            continue
+        texts = [text] if joined else []
+        while (not joined and i < len(argv) and not _is_flag(argv[i])
+               and (flag.nargs == "+" or not texts)):
+            texts.append(argv[i])
+            i += 1
+        if not texts:
+            expected = "one argument" if flag.nargs == 1 else "at least one argument"
+            raise _UsageError(
+                f"{prog}: argument {'/'.join(flag.names)}: expected {expected}"
+            )
+        values = [_convert(flag, t, prog) for t in texts]
+        setattr(args, flag.dest, values if flag.nargs == "+" else values[0])
 
-    gen = sub.add_parser("gen", help="instance generators")
-    gen_sub = gen.add_subparsers(dest="generator", required=True)
-    p = gen_sub.add_parser(
-        "subset-sum",
-        parents=[writes],
-        help="sign-choice chain whose zero-variance set tests a partition",
-    )
-    p.add_argument("--r", dest="values", metavar="N", type=int, nargs="+",
-                   required=True, help="positive integer values")
-    p.set_defaults(handler=_cmd_gen_subset_sum)
-    p = gen_sub.add_parser(
-        "3sat",
-        parents=[writes],
-        help="satisfiability instance over signed literals",
-    )
-    p.add_argument("--clauses", metavar="L,L,L[;L,L,L]", nargs="+",
-                   required=True,
-                   help="clauses as comma-separated signed integers; join "
-                        "several with ';' so negative leads do not read as "
-                        "flags, e.g. --clauses '1,-2,3;-1,2'")
-    p.set_defaults(handler=_cmd_gen_3sat)
-
-    p = sub.add_parser(
-        "discretize",
-        parents=[reads, writes],
-        help="floor every reward to a multiple of delta",
-    )
-    p.add_argument("--delta", metavar="P/Q", required=True,
-                   help="grid step, exact positive rational")
-    p.set_defaults(handler=_cmd_discretize)
-
-    return parser
+    missing = ["input"] if wants_input else []
+    missing += [
+        "/".join(flag.names) for flag in node.flags
+        if flag.required and getattr(args, flag.dest) is None
+    ]
+    if missing:
+        raise _UsageError(
+            f"{prog}: the following arguments are required: {', '.join(missing)}"
+        )
+    if extras:
+        raise _UsageError(f"mvmdp: unrecognized arguments: {' '.join(extras)}")
+    return _handler(node.handler), args
 
 
 def run(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.handler(args)
-    except SystemExit as exc:  # --help
-        return OK if exc.code in (None, 0) else BAD
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD

@@ -96,6 +96,17 @@ def test_float_tolerance_warning_text(capsys, one_shot_path):
     )
 
 
+def test_a_negative_fraction_is_a_value_in_both_flag_forms(capsys, one_shot_path):
+    joined = _invoke(
+        capsys, ["feasible-pair", one_shot_path, "--lambda=-1/2", "--v", "1"]
+    )
+    spaced = _invoke(
+        capsys, ["feasible-pair", one_shot_path, "--lambda", "-1/2", "--v", "1"]
+    )
+    assert spaced == joined
+    assert joined[0] in (0, 1) and json.loads(joined[1])["mean"]["pq"] == "-1/2"
+
+
 def test_decision_flags_reject_floats(capsys, one_shot_path):
     code, _, err = _invoke(
         capsys,
@@ -161,7 +172,7 @@ def test_frontier_exact_matches_closed_form(capsys, one_shot_path):
 def test_frontier_samples_are_the_frontier_at_vertices_and_midpoints():
     # The one pass over the chain must give, left to right, v at every
     # vertex mean and edge midpoint: ExactFrontier.value's values and type.
-    from mvmdp.cli import _exact_frontier_rows
+    from mvmdp.cli_engines import _exact_frontier_rows
 
     mdps = [mdp for mdp, _ in deep_instances(4)] + rational_instances(6)
     for mdp in mdps + [one_shot_two_arms()]:
@@ -315,6 +326,8 @@ def test_negative_prune_budget_exits_2(capsys, one_shot_path):
     for argv in (
         ["min-variance", one_shot_path, "--prune-eps=-1/2"],
         ["frontier", one_shot_path, "--exact", "--prune-eps=-1/2"],
+        # a negative fraction after a space is the flag's value
+        ["min-variance", one_shot_path, "--prune-eps", "-1/7"],
     ):
         code, out, err = _invoke(capsys, argv)
         assert code == 2
@@ -1192,13 +1205,15 @@ def _loaded_by(tmp_path, argv):
 
 # Stdlib modules no query loads: the value classes are plain classes, so
 # nothing imports dataclasses (and with it inspect) or generates methods,
-# and the CLI joins every CSV line itself, so nothing imports csv.
-STARTUP_SKIPS = {"csv", "dataclasses", "inspect"}
+# the CLI joins every CSV line itself, so nothing imports csv, and it reads
+# argv against its own table, so nothing imports argparse (and with it
+# gettext and locale).
+STARTUP_SKIPS = {"csv", "dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def test_version_imports_nothing_a_query_does_not(tmp_path, one_shot_path):
-    # The modules --version loads beyond `import mvmdp.cli` are among those
-    # any query loads (argparse's gettext).
+    # Whatever --version loads beyond `import mvmdp.cli` is among the
+    # modules any query loads.
     code, version = _loaded_by(tmp_path, ["--version"])
     assert code == 0
     assert not version & STARTUP_SKIPS
@@ -1212,7 +1227,7 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, one_shot_path):
     # calls, and loads the one it answers with; none loads STARTUP_SKIPS.
     witness_skips = {"games", "tradeoff"}
     polygon_skips = {"frequency", "lp"} | witness_skips
-    reader_skips = {"geometry", "setdp"} | polygon_skips
+    reader_skips = {"cli_engines", "geometry", "setdp"} | polygon_skips
     game_skips = {"frequency", "lp"}
     grid_skips = {"frequency", "lp", "games"}
     searchy = ["--lambda", "1/8", "--v", "1/2"]
@@ -1246,6 +1261,44 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, one_shot_path):
         assert not engines & skips, (argv, engines & skips)
         assert used in engines, argv
         assert not modules & STARTUP_SKIPS, (argv, modules & STARTUP_SKIPS)
+
+
+def test_run_as_main_never_imports_the_cli_module_back(tmp_path, one_shot_path):
+    # Under `python -m mvmdp.cli` the dispatcher is __main__: an engine
+    # handler that imported mvmdp.cli would compile it again, and raise a
+    # _UsageError class that __main__'s run does not catch.
+    import subprocess
+
+    script = (
+        "import contextlib, io, json, runpy, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "sys.argv[1:] = argv\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('mvmdp.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps([code, 'mvmdp.cli' in sys.modules,\n"
+        "                  'mvmdp.cli_engines' in sys.modules]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv, code in (
+        (["frontier", "--exact", one_shot_path], 0),
+        # an engine handler's usage error, caught by __main__'s run
+        (["frontier", "--exact", "--epsilon", "1", one_shot_path], 2),
+        (["validate", one_shot_path], 0),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            capture_output=True, text=True, env={"PYTHONPATH": src},
+            cwd=tmp_path, check=True,
+        )
+        engines = argv[0] == "frontier"
+        assert json.loads(done.stdout) == [code, False, engines], argv
+        if code == 2:
+            assert done.stderr == (
+                "error: --epsilon/--nu apply to the approximate mode only\n"
+            )
 
 
 BIG = 10**400  # past the float range, about 1.8e308
